@@ -28,12 +28,7 @@ class BeliefState:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 1 or p.size < 1:
             raise ValueError("belief must be a non-empty 1-D probability vector")
-        if np.any(p < -BELIEF_TOL):
-            raise ValueError("belief entries must be non-negative")
-        total = p.sum()
-        if abs(total - 1.0) > BELIEF_TOL:
-            raise ValueError(f"belief must sum to 1, got {total!r}")
-        p = np.clip(p, 0.0, None) / total
+        p = _normalised(p)
         object.__setattr__(self, "probs", p)
         p.setflags(write=False)
 
@@ -59,6 +54,39 @@ def outcome_likelihoods(
     return probs[:, matches].sum(axis=1)
 
 
+def _normalised(p: NDArray) -> NDArray:
+    """Probability vectors along the last axis, checked to ``BELIEF_TOL`` and
+    renormalised after clipping rounding negatives to zero."""
+    if (p < -BELIEF_TOL).any():
+        raise ValueError("belief entries must be non-negative")
+    total = p.sum(axis=-1, keepdims=True)
+    off = np.abs(total - 1.0) > BELIEF_TOL
+    if off.any():
+        raise ValueError(f"belief must sum to 1, got {total[off][0]!r}")
+    return np.clip(p, 0.0, None) / total
+
+
+def _bayes_numerator(probs: NDArray, like: NDArray) -> tuple[NDArray, NDArray]:
+    """Row-wise unnormalised posterior ``probs * like`` of 2-D arrays, and its sums.
+
+    A row whose direct product underflows to zero although some parameter has
+    both mass and likelihood (only for huge m) is redone in log space, scaled
+    so its largest term is 1. A row that nothing explains keeps sum 0.
+    """
+    post = probs * like
+    total = post.sum(axis=1)
+    for r in np.flatnonzero(total <= 0.0):
+        p, l = probs[r], like[r]
+        if np.any((p > 0) & (l > 0)):
+            logp = np.where(p > 0, np.log(p, where=p > 0), -np.inf)
+            logl = np.where(l > 0, np.log(l, where=l > 0), -np.inf)
+            logpost = logp + logl
+            logpost -= logpost.max()
+            post[r] = np.exp(logpost)
+            total[r] = post[r].sum()
+    return post, total
+
+
 def posterior_update(
     belief: BeliefState, instance: BanditInstance, action_idx: int, outcome: float
 ) -> BeliefState:
@@ -68,22 +96,21 @@ def posterior_update(
     :class:`AllZeroLikelihood` if nothing in the support explains the outcome.
     """
     like = outcome_likelihoods(instance, action_idx, outcome)
-    post = belief.probs * like
-    total = post.sum()
-    if total <= 0.0:
-        # direct product underflows only for huge m; redo in log space
-        if np.any((belief.probs > 0) & (like > 0)):
-            logp = np.where(belief.probs > 0, np.log(belief.probs, where=belief.probs > 0), -np.inf)
-            logl = np.where(like > 0, np.log(like, where=like > 0), -np.inf)
-            logpost = logp + logl
-            logpost -= logpost.max()
-            post = np.exp(logpost)
-            total = post.sum()
-        else:
-            raise AllZeroLikelihood(
-                f"outcome {outcome!r} impossible for action {action_idx} under every parameter"
-            )
-    return BeliefState(post / total)
+    post, total = _bayes_numerator(belief.probs[None], like[None])
+    if total[0] <= 0.0:
+        raise AllZeroLikelihood(
+            f"outcome {outcome!r} impossible for action {action_idx} under every parameter"
+        )
+    return BeliefState(post[0] / total[0])
+
+
+def posterior_update_rows(beliefs: NDArray, like: NDArray) -> NDArray:
+    """``posterior_update`` of each row of a ``(runs, m)`` belief matrix, given
+    the ``(runs, m)`` likelihoods of each row's observation; same arithmetic."""
+    post, total = _bayes_numerator(beliefs, like)
+    if np.any(total <= 0.0):
+        raise AllZeroLikelihood("an observed outcome is impossible under every parameter")
+    return _normalised(post / total[:, None])
 
 
 def optimal_action_distribution(
@@ -95,11 +122,26 @@ def optimal_action_distribution(
     )
 
 
+def inverse_cdf(probs: NDArray, u: NDArray | float) -> NDArray:
+    """Inverse-CDF draw along the last axis of ``probs``, one uniform ``u`` per row.
+
+    Returns the first index whose cumulative mass exceeds ``u``. When float
+    rounding leaves the total mass at or below ``u``, the draw goes to the
+    row's last index with positive mass, never to a zero-mass index.
+    """
+    cdf = np.cumsum(probs, axis=-1)
+    idx = np.count_nonzero(cdf <= np.asarray(u)[..., None], axis=-1)
+    size = probs.shape[-1]
+    over = idx == size
+    if np.any(over):
+        last = size - 1 - np.argmax(probs[..., ::-1] > 0.0, axis=-1)
+        idx = np.where(over, last, idx)
+    return idx
+
+
 def sample_parameter(belief: BeliefState, rng: np.random.Generator) -> int:
     """Inverse-CDF draw over the fixed parameter ordering (reproducible)."""
-    cdf = np.cumsum(belief.probs)
-    u = rng.random()
-    return int(min(np.searchsorted(cdf, u, side="right"), belief.probs.size - 1))
+    return int(inverse_cdf(belief.probs, rng.random()))
 
 
 @dataclass(frozen=True)

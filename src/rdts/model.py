@@ -194,29 +194,82 @@ def outcome_support(
     """
     m = instance.n_params
     kind = instance.model.kind
-    if kind == LINEAR_BINARY:
-        values = np.array([-0.5, 0.5])
-        p_hi = instance.mu[:, action_idx] + 0.5
-        probs = np.column_stack([1.0 - p_hi, p_hi])
-    elif kind == LOGISTIC:
-        values = np.array([0.0, 1.0])
-        p_hi = instance.mu[:, action_idx]
-        probs = np.column_stack([1.0 - p_hi, p_hi])
-    else:
-        eta = float(instance.model.eta or 0.0)
-        means = instance.mu[:, action_idx]
-        raw = np.concatenate([means - eta, means + eta])
-        values = _dedupe_sorted(np.sort(raw))
-        probs = np.zeros((m, values.size))
-        lo = _locate(values, means - eta)
-        hi = _locate(values, means + eta)
-        np.add.at(probs, (np.arange(m), lo), 0.5)
-        np.add.at(probs, (np.arange(m), hi), 0.5)
+    if kind != GLM:
+        return np.array(_BINARY_VALUES[kind]), _binary_pmfs(instance, action_idx)
+    eta = float(instance.model.eta or 0.0)
+    means = instance.mu[:, action_idx]
+    raw = np.concatenate([means - eta, means + eta])
+    values = _dedupe_sorted(np.sort(raw))
+    probs = np.zeros((m, values.size))
+    lo = _locate(values, means - eta)
+    hi = _locate(values, means + eta)
+    np.add.at(probs, (np.arange(m), lo), 0.5)
+    np.add.at(probs, (np.arange(m), hi), 0.5)
+    return values, _checked_pmf(probs)
+
+
+# (low, high) outcome values of the binary models
+_BINARY_VALUES = {LINEAR_BINARY: (-0.5, 0.5), LOGISTIC: (0.0, 1.0)}
+
+
+def _binary_pmfs(instance: BanditInstance, actions) -> NDArray:
+    """Pmfs over the (low, high) outcome of a binary model: ``(m, 2)`` for one
+    action index, ``(len(actions), m, 2)`` for an array of them."""
+    p_hi = instance.mu[:, actions].T
+    if instance.model.kind == LINEAR_BINARY:
+        p_hi = p_hi + 0.5
+    probs = np.empty(p_hi.shape + (2,))
+    probs[..., 0] = 1.0 - p_hi
+    probs[..., 1] = p_hi
+    return _checked_pmf(probs)
+
+
+def _checked_pmf(probs: NDArray) -> NDArray:
+    """Pmfs along the last axis, validated to ``PMF_TOL`` and clipped to [0, 1]."""
     if np.any(probs < -PMF_TOL) or np.any(probs > 1.0 + PMF_TOL):
         raise InvalidInstanceError("outcome probability outside [0, 1]")
-    if np.any(np.abs(probs.sum(axis=1) - 1.0) > PMF_TOL):
+    if np.any(np.abs(probs.sum(axis=-1) - 1.0) > PMF_TOL):
         raise InvalidInstanceError("outcome pmf does not sum to 1")
-    return values, np.clip(probs, 0.0, 1.0)
+    return np.clip(probs, 0.0, 1.0)
+
+
+def two_point_outcomes(
+    instance: BanditInstance, actions: NDArray
+) -> tuple[NDArray, NDArray]:
+    """Outcome pmfs of several actions, as two points per (action, parameter).
+
+    Every outcome model puts its mass on at most two values per pair: the
+    binary models on their two outcomes, ``glm`` on ``mean -/+ eta`` after
+    ``outcome_support`` merges coincident values. Returns ``(points,
+    weights)``, both of shape ``(len(actions), m, 2)``: playing
+    ``actions[s]`` under parameter ``i`` yields ``points[s, i, k]`` with
+    probability ``weights[s, i, k]``. The points of a pair are in support
+    order, so an inverse-CDF draw over ``weights[s, i]`` picks the same value
+    as one over the full row of ``outcome_support``; a single-point pmf has
+    weight 0 on its second point. The binary models are built from ``mu``
+    directly; ``glm`` calls ``outcome_support`` once per action.
+    """
+    actions = np.asarray(actions, dtype=np.intp)
+    kind = instance.model.kind
+    if kind != GLM:
+        weights = _binary_pmfs(instance, actions)
+        return np.broadcast_to(_BINARY_VALUES[kind], weights.shape), weights
+    shape = (actions.size, instance.n_params, 2)
+    points = np.empty(shape)
+    weights = np.zeros(shape)
+    rows = np.arange(instance.n_params)
+    for s, a in enumerate(actions):
+        values, probs = outcome_support(instance, int(a))
+        mass = probs > 0.0
+        if np.any(mass.sum(axis=1) > 2):
+            raise InvalidInstanceError("glm outcome pmf has more than two points")
+        first = np.argmax(mass, axis=1)
+        last = values.size - 1 - np.argmax(mass[:, ::-1], axis=1)
+        points[s, :, 0] = values[first]
+        points[s, :, 1] = values[last]
+        weights[s, :, 0] = probs[rows, first]
+        weights[s, :, 1] = np.where(last > first, probs[rows, last], 0.0)
+    return points, weights
 
 
 def _dedupe_sorted(values: NDArray, tol: float = 1e-12) -> NDArray:

@@ -5,6 +5,17 @@ Regret is recorded against exact conditional means by default
 variance than realized rewards; the realized estimator is available via a
 flag. Per-run generators are spawned from the root generator by run index,
 so runs are reproducible and order-independent.
+
+``simulate_ts`` advances all runs together: the beliefs are a ``(runs, m)``
+matrix updated row by row with the arithmetic of ``posterior_update``, and
+the outcome pmfs of every action Thompson sampling can play are tabulated
+once per call (``model.two_point_outcomes``). Each run still draws from its
+own generator, ``1 + 2T`` uniforms in a fixed order: one for the true
+parameter, then a (sampled parameter, outcome) pair per period, exactly the
+draws of a per-run loop over ``thompson_step`` and ``sample_outcome``, so the
+result is identical to that loop's. ``thompson_step``, ``sample_outcome`` and
+``posterior_update`` remain the per-step functions ``audit_regret_chain``
+rolls out with.
 """
 
 from __future__ import annotations
@@ -16,7 +27,14 @@ from numpy.typing import NDArray
 
 from .bounds import compressed_bound
 from .compression import Partition, Representation, build_representation, statistic_mutual_information
-from .inference import BeliefState, posterior_update, sample_parameter
+from .inference import (
+    OUTCOME_MATCH_TOL,
+    BeliefState,
+    inverse_cdf,
+    posterior_update,
+    posterior_update_rows,
+    sample_parameter,
+)
 from .information import (
     InconsistentRepresentation,
     _ratio_report,
@@ -25,7 +43,7 @@ from .information import (
     info_gain_about_statistic,
     ts_expected_regret,
 )
-from .model import BanditInstance, outcome_support
+from .model import BanditInstance, outcome_support, two_point_outcomes
 
 AUDIT_TOL = 1e-8
 
@@ -65,10 +83,7 @@ def sample_outcome(
     instance: BanditInstance, action_idx: int, true_param: int, rng: np.random.Generator
 ) -> float:
     values, probs = outcome_support(instance, action_idx)
-    row = probs[true_param]
-    cdf = np.cumsum(row)
-    u = rng.random()
-    return float(values[min(np.searchsorted(cdf, u, side="right"), values.size - 1)])
+    return float(values[inverse_cdf(probs[true_param], rng.random())])
 
 
 def simulate_ts(
@@ -79,25 +94,48 @@ def simulate_ts(
     rng: np.random.Generator,
     realized_rewards: bool = False,
 ) -> RegretTrace:
-    """Monte Carlo Bayesian regret of Thompson sampling over ``runs`` runs."""
+    """Monte Carlo Bayesian regret of Thompson sampling over ``runs`` runs.
+
+    All runs advance together, one period at a time, on a ``(runs, m)``
+    belief matrix. Run ``r`` draws its ``1 + 2T`` uniforms up front from the
+    ``r``-th generator spawned from ``rng``: the first picks the true
+    parameter from the prior, then period ``t`` uses ``2t + 1`` to sample a
+    parameter from the run's belief and ``2t + 2`` to sample the outcome.
+    Per-period regret is summed over runs in run order and each run's total
+    over periods in period order, so the trace is bit-identical to a per-run
+    loop of ``thompson_step``, ``sample_outcome`` and ``posterior_update``.
+    """
     if T < 0 or runs < 1:
         raise ValueError("need T >= 0 and runs >= 1")
     best = instance.mu[np.arange(instance.n_params), instance.astar]
+    draws = np.stack([run_rng.random(1 + 2 * T) for run_rng in rng.spawn(runs)])
+    belief = np.tile(prior.probs, (runs, 1))
+    theta_star = inverse_cdf(belief, draws[:, 0])
+    # Thompson sampling only plays best actions of parameters with prior mass
+    played = np.flatnonzero(
+        np.bincount(instance.astar[prior.probs > 0.0], minlength=instance.n_actions)
+    )
+    slot = np.zeros(instance.n_actions, dtype=np.intp)
+    slot[played] = np.arange(played.size)
+    points, weights = two_point_outcomes(instance, played)
     per_period = np.zeros(T)
     totals = np.zeros(runs)
-    for run, run_rng in enumerate(rng.spawn(runs)):
-        theta_star = sample_parameter(prior, run_rng)
-        belief = prior
-        for t in range(T):
-            param_idx, action = thompson_step(instance, belief, run_rng)
-            y = sample_outcome(instance, action, theta_star, run_rng)
-            if realized_rewards:
-                regret = float(best[theta_star]) - y
-            else:
-                regret = float(best[theta_star] - instance.mu[theta_star, action])
-            per_period[t] += regret
-            totals[run] += regret
-            belief = posterior_update(belief, instance, action, y)
+    for t in range(T):
+        action = instance.astar[inverse_cdf(belief, draws[:, 2 * t + 1])]
+        s = slot[action]
+        k = inverse_cdf(weights[s, theta_star], draws[:, 2 * t + 2])
+        y = points[s, theta_star, k]
+        if realized_rewards:
+            regret = best[theta_star] - y
+        else:
+            regret = best[theta_star] - instance.mu[theta_star, action]
+        per_period[t] = np.cumsum(regret)[-1]  # runs added in run order
+        totals += regret
+        # likelihood of y: the mass on points within OUTCOME_MATCH_TOL of it, as in
+        # outcome_likelihoods; a pmf has at most two nonzero terms, so the sum
+        # is the same float in any order
+        hit = np.abs(points[s] - y[:, None, None]) <= OUTCOME_MATCH_TOL
+        belief = posterior_update_rows(belief, np.where(hit, weights[s], 0.0).sum(axis=2))
     per_period /= runs
     std_error = float(totals.std(ddof=1) / np.sqrt(runs)) if runs > 1 else 0.0
     return RegretTrace(
@@ -123,8 +161,7 @@ def compressed_ts_step(
     )
     if np.max(np.abs(mass - representation.cell_mass)) > 1e-9:
         raise InconsistentRepresentation("cell masses do not match the belief")
-    cdf = np.cumsum(representation.cell_mass)
-    k = int(min(np.searchsorted(cdf, rng.random(), side="right"), cdf.size - 1))
+    k = int(inverse_cdf(representation.cell_mass, rng.random()))
     i1, i2, r = representation.cells[k]
     param_idx = i1 if rng.random() < r else i2
     return param_idx, int(instance.astar[param_idx])

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_belief, random_instance
@@ -8,6 +8,7 @@ from rdts.inference import (
     AllZeroLikelihood,
     BeliefState,
     History,
+    inverse_cdf,
     optimal_action_distribution,
     outcome_likelihoods,
     posterior_update,
@@ -131,6 +132,36 @@ def test_sample_parameter_skips_zero_mass():
     belief = BeliefState(np.array([0.0, 1.0, 0.0]))
     rng = np.random.default_rng(0)
     assert all(sample_parameter(belief, rng) == 1 for _ in range(100))
+
+
+class _FixedUniform:
+    """Stands in for a generator whose next uniform is known."""
+
+    def __init__(self, u: float) -> None:
+        self.u = u
+
+    def random(self) -> float:
+        return self.u
+
+
+@given(
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+)
+@example(k=8, zeros=2, seed=5, frac=0.0)  # total mass 0.9999999999999999
+@settings(max_examples=200, deadline=None)
+def test_inverse_cdf_never_returns_zero_mass(k, zeros, seed, frac):
+    probs = np.concatenate([np.random.default_rng(seed).dirichlet(np.ones(k)), np.zeros(zeros)])
+    belief = BeliefState(probs)
+    top = float(np.cumsum(belief.probs)[-1])
+    # a uniform at or above the rounded total mass whenever that total is below 1
+    u = min(top + frac * (1.0 - top), float(np.nextafter(1.0, 0.0)))
+    assert belief.probs[sample_parameter(belief, _FixedUniform(u))] > 0.0
+    rows = np.stack([belief.probs, belief.probs[::-1]])
+    idx = inverse_cdf(rows, np.array([u, u]))
+    assert rows[0, idx[0]] > 0.0 and rows[1, idx[1]] > 0.0
 
 
 def test_history_jsonl_round_trip():

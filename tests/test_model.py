@@ -20,6 +20,7 @@ from rdts.model import (
     outcome_support,
     sample_in_ball,
     sample_instance,
+    two_point_outcomes,
 )
 
 
@@ -134,6 +135,23 @@ def test_outcome_support_glm_merges_coincident_points():
     values, probs = outcome_support(inst, 0)
     assert values.size == 1
     np.testing.assert_allclose(probs, 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind, eta", [(LINEAR_BINARY, 0.05), (LOGISTIC, 0.05), (GLM, 0.05), (GLM, 0.0)])
+def test_two_point_outcomes_match_outcome_support(kind, eta):
+    inst = random_instance(np.random.default_rng(4), kind, d=3, n=6, m=9, eta=eta)
+    actions = np.array([5, 0, 3])
+    points, weights = two_point_outcomes(inst, actions)
+    assert points.shape == weights.shape == (3, 9, 2)
+    for s, a in enumerate(actions):
+        values, probs = outcome_support(inst, int(a))
+        # the two points are support values in support order
+        col = np.searchsorted(values, points[s])
+        np.testing.assert_array_equal(values[col], points[s])
+        assert np.all(col[:, 0] <= col[:, 1])
+        dense = np.zeros_like(probs)
+        np.add.at(dense, (np.arange(9)[:, None], col), weights[s])
+        np.testing.assert_array_equal(dense, probs)
 
 
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0))

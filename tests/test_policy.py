@@ -5,9 +5,9 @@ import pytest
 
 from conftest import make_model, random_belief, random_instance
 from rdts.compression import build_partition_linear, build_representation
-from rdts.inference import BeliefState, posterior_update
+from rdts.inference import BeliefState, posterior_update, sample_parameter
 from rdts.information import InconsistentRepresentation, ts_expected_regret
-from rdts.model import LINEAR_BINARY, BanditInstance, OutcomeModel, outcome_support
+from rdts.model import GLM, LINEAR_BINARY, LOGISTIC, BanditInstance, OutcomeModel, outcome_support
 from rdts.policy import (
     GuardExceeded,
     audit_regret_chain,
@@ -52,6 +52,82 @@ def _tree_expected_pseudo_regret(instance, prior, T):
 
     recurse(prior, prior.probs.copy(), 1.0, 0)
     return per_period
+
+
+def _reference_simulate_ts(instance, prior, T, runs, rng, realized_rewards=False):
+    """Per-run, per-period Thompson sampling loop: the oracle for simulate_ts."""
+    best = instance.mu[np.arange(instance.n_params), instance.astar]
+    per_period = np.zeros(T)
+    totals = np.zeros(runs)
+    for run, run_rng in enumerate(rng.spawn(runs)):
+        theta_star = sample_parameter(prior, run_rng)
+        belief = prior
+        for t in range(T):
+            param_idx, action = thompson_step(instance, belief, run_rng)
+            y = sample_outcome(instance, action, theta_star, run_rng)
+            if realized_rewards:
+                regret = float(best[theta_star]) - y
+            else:
+                regret = float(best[theta_star] - instance.mu[theta_star, action])
+            per_period[t] += regret
+            totals[run] += regret
+            belief = posterior_update(belief, instance, action, y)
+    per_period /= runs
+    std_error = float(totals.std(ddof=1) / np.sqrt(runs)) if runs > 1 else 0.0
+    return per_period, float(per_period.sum()), std_error
+
+
+def _assert_matches_reference(instance, prior, T, runs, seed, realized):
+    trace = simulate_ts(
+        instance, prior, T, runs, np.random.default_rng(seed), realized_rewards=realized
+    )
+    per_period, cumulative, std_error = _reference_simulate_ts(
+        instance, prior, T, runs, np.random.default_rng(seed), realized_rewards=realized
+    )
+    np.testing.assert_array_equal(trace.per_period_regret, per_period)
+    np.testing.assert_array_equal(trace.cumulative, cumulative)
+    np.testing.assert_array_equal(trace.std_error, std_error)
+
+
+@pytest.mark.parametrize("m", [7, 129, 513])
+@pytest.mark.parametrize("runs", [1, 9])
+@pytest.mark.parametrize("T", [0, 1, 60])
+@pytest.mark.parametrize("realized", [False, True], ids=["pseudo", "realized"])
+@pytest.mark.parametrize(
+    "kind, eta",
+    [(LINEAR_BINARY, 0.05), (LOGISTIC, 0.05), (GLM, 0.05), (GLM, 0.0)],
+    ids=["linear_binary", "logistic", "glm", "glm-eta0"],
+)
+def test_simulate_ts_bit_identical_to_per_run_loop(kind, eta, realized, T, runs, m):
+    rng = np.random.default_rng(1000 * m + 10 * T + runs)
+    instance = random_instance(rng, kind, d=3, n=12, m=m, eta=eta)
+    # two trailing zero-mass parameters: their best actions need no outcome table
+    prior = BeliefState(np.concatenate([rng.dirichlet(np.ones(m - 2)), [0.0, 0.0]]))
+    _assert_matches_reference(instance, prior, T, runs, 7 + m + T, realized)
+
+
+def test_simulate_ts_bit_identical_on_near_coincident_glm_outcomes():
+    # means 1e-10 apart stay distinct support values (merge tolerance 1e-12) but
+    # both match an observation within OUTCOME_MATCH_TOL, so likelihoods add up
+    base = 0.3
+    params = np.array([[base], [base + 2e-10], [base + 4e-10], [-0.4], [0.7]])
+    actions = np.array([[1.0], [-1.0], [0.5]])
+    instance = BanditInstance(
+        actions=actions, params=params, model=OutcomeModel(kind=GLM, beta=1.5, eta=0.02)
+    )
+    for realized in (False, True):
+        _assert_matches_reference(instance, BeliefState.uniform(5), 40, 9, 5, realized)
+
+
+def test_generator_random_block_equals_successive_draws():
+    # simulate_ts draws each run's uniforms as one block; this is the contract
+    for block, single in zip(
+        np.random.default_rng(11).spawn(4), np.random.default_rng(11).spawn(4)
+    ):
+        k = 121
+        np.testing.assert_array_equal(
+            block.random(k), np.array([single.random() for _ in range(k)])
+        )
 
 
 @pytest.fixture
