@@ -11,7 +11,7 @@ expected reward and information gain are no better than the cell average.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
@@ -67,6 +67,7 @@ class Partition:
     cell_of: NDArray
     epsilon: float
     K: int
+    _members: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         cells = np.asarray(self.cell_of, dtype=np.intp)
@@ -75,9 +76,16 @@ class Partition:
         counts = np.bincount(cells, minlength=self.K)
         if counts.size != self.K or np.any(counts == 0):
             raise ValueError("cells must be exactly 0..K-1 and all non-empty")
+        # a stable sort keeps each cell's members in increasing index order
+        order = np.argsort(cells, kind="stable")
+        order.setflags(write=False)
+        object.__setattr__(
+            self, "_members", tuple(np.split(order, np.cumsum(counts)[:-1]))
+        )
 
     def members(self, k: int) -> NDArray:
-        return np.flatnonzero(self.cell_of == k)
+        """Parameter indices of cell ``k`` in increasing order (read-only)."""
+        return self._members[k]
 
     def to_json(self) -> str:
         return json.dumps(

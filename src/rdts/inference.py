@@ -8,7 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .model import BanditInstance, outcome_support
+# outcome_support stays importable from here for code that traces or patches it by name
+from .model import BanditInstance, outcome_support  # noqa: F401
 
 BELIEF_TOL = 1e-10
 OUTCOME_MATCH_TOL = 1e-9
@@ -46,12 +47,16 @@ class BeliefState:
 def outcome_likelihoods(
     instance: BanditInstance, action_idx: int, outcome: float
 ) -> NDArray:
-    """P(outcome | action, theta_i) for every parameter i."""
-    values, probs = outcome_support(instance, action_idx)
-    matches = np.abs(values - outcome) <= OUTCOME_MATCH_TOL
-    if not matches.any():
-        return np.zeros(instance.n_params)
-    return probs[:, matches].sum(axis=1)
+    """P(outcome | action, theta_i) for every parameter i.
+
+    The mass on the support points within ``OUTCOME_MATCH_TOL`` of
+    ``outcome``, read from the action's two-point ``OutcomeTable``; a pmf has
+    at most two nonzero terms, so this is the same float as the sum over the
+    matching columns of ``outcome_support``.
+    """
+    table = instance.outcome_table(action_idx)
+    hit = np.abs(table.points() - outcome) <= OUTCOME_MATCH_TOL
+    return np.where(hit, table.w, 0.0).sum(axis=1)
 
 
 def _normalised(p: NDArray) -> NDArray:

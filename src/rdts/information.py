@@ -131,10 +131,19 @@ def info_gain_about_statistic(
     partition: "Partition",
     action_idx: int,
 ) -> float:
-    """I(psi; Y_a): information one action's outcome carries about the cell index."""
-    _, probs = outcome_support(instance, action_idx)
-    joint = np.zeros((partition.K, probs.shape[1]))
-    np.add.at(joint, partition.cell_of, belief.probs[:, None] * probs)
+    """I(psi; Y_a): information one action's outcome carries about the cell index.
+
+    The joint pmf of (cell, outcome) is scattered from the action's two-point
+    ``OutcomeTable``: only the 2m possibly nonzero terms, added in parameter
+    order as a dense scatter of ``outcome_support`` would add them.
+    """
+    table = instance.outcome_table(action_idx)
+    joint = np.zeros((partition.K, table.values.size))
+    np.add.at(
+        joint,
+        (partition.cell_of[:, None], table.idx),
+        belief.probs[:, None] * table.w,
+    )
     return mutual_information(joint)
 
 

@@ -99,6 +99,13 @@ class BanditInstance:
 
     ``mu[i, j]`` is the exact mean reward of action ``j`` under parameter
     ``i``; ``astar[i]`` is the lowest-index maximizer of row ``i``.
+
+    The outcome pmfs are tabulated lazily, one :class:`OutcomeTable` per
+    action, built and validated the first time ``outcome_table`` is asked for
+    that action and shared by every later call. An entry holds O(q + m)
+    read-only numbers (q support values, two point indices and two weights
+    per parameter); no dense ``(m, q)`` array is cached, and actions nothing
+    asks for cost nothing.
     """
 
     actions: NDArray
@@ -106,6 +113,7 @@ class BanditInstance:
     model: OutcomeModel
     mu: NDArray = field(init=False, repr=False)
     astar: NDArray = field(init=False, repr=False)
+    _outcomes: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         actions = np.asarray(self.actions, dtype=float)
@@ -134,8 +142,20 @@ class BanditInstance:
         astar = np.argmax(mu, axis=1)  # np.argmax breaks ties at the lowest index
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "astar", astar.astype(np.intp))
+        object.__setattr__(self, "_outcomes", {})
         for arr in (self.actions, self.params, self.mu, self.astar):
             arr.setflags(write=False)
+
+    def outcome_table(self, action_idx: int) -> "OutcomeTable":
+        """The action's outcome pmfs, built on first use and then shared."""
+        action_idx = int(action_idx)
+        table = self._outcomes.get(action_idx)
+        if table is None:
+            # two threads may both build an entry; setdefault keeps the first
+            table = self._outcomes.setdefault(
+                action_idx, _build_outcome_table(self, action_idx)
+            )
+        return table
 
     @property
     def d(self) -> int:
@@ -183,6 +203,66 @@ def best_action(instance: BanditInstance, param_idx: int) -> int:
     return int(instance.astar[param_idx])
 
 
+@dataclass(frozen=True)
+class OutcomeTable:
+    """Outcome pmfs of one action, at most two points per parameter.
+
+    ``values`` (shape ``(q,)``) is the sorted merged support. Under parameter
+    ``i`` the action yields ``values[idx[i, k]]`` with probability ``w[i, k]``
+    for ``k = 0, 1``; ``idx[i, 0] <= idx[i, 1]``, so the points are in support
+    order. A single-point pmf has weights ``(1, 0)`` and repeats its index.
+    All three arrays are read-only.
+    """
+
+    values: NDArray
+    idx: NDArray
+    w: NDArray
+
+    def __post_init__(self) -> None:
+        for arr in (self.values, self.idx, self.w):
+            arr.setflags(write=False)
+
+    def points(self) -> NDArray:
+        """``(m, 2)`` outcome values of the two points of every parameter."""
+        return self.values[self.idx]
+
+
+# (low, high) outcome values of the binary models, and their point indices
+_BINARY_VALUES = {LINEAR_BINARY: (-0.5, 0.5), LOGISTIC: (0.0, 1.0)}
+_BINARY_IDX = np.arange(2, dtype=np.intp)
+_BINARY_IDX.setflags(write=False)
+
+
+def _build_outcome_table(instance: BanditInstance, action_idx: int) -> OutcomeTable:
+    """Tabulate and validate one action's pmfs (``PMF_TOL``, support match)."""
+    kind = instance.model.kind
+    if kind != GLM:
+        p_hi = instance.mu[:, action_idx]
+        if kind == LINEAR_BINARY:
+            p_hi = p_hi + 0.5
+        w = np.empty((p_hi.size, 2))
+        w[:, 0] = 1.0 - p_hi
+        w[:, 1] = p_hi
+        return OutcomeTable(
+            values=np.array(_BINARY_VALUES[kind]),
+            # every row views the same two indices (stride 0 over parameters)
+            idx=np.ndarray(
+                w.shape, np.intp, _BINARY_IDX, strides=(0, _BINARY_IDX.itemsize)
+            ),
+            w=_checked_pmf(w),
+        )
+    eta = float(instance.model.eta or 0.0)
+    means = instance.mu[:, action_idx]
+    values = _dedupe_sorted(np.sort(np.concatenate([means - eta, means + eta])))
+    lo = _locate(values, means - eta)
+    hi = _locate(values, means + eta)
+    # each point carries half the mass; a merged pair is one point of mass 1
+    w = np.where((lo == hi)[:, None], [1.0, 0.0], 0.5)
+    return OutcomeTable(
+        values=values, idx=np.stack([lo, hi], axis=1), w=_checked_pmf(w)
+    )
+
+
 def outcome_support(
     instance: BanditInstance, action_idx: int
 ) -> tuple[NDArray, NDArray]:
@@ -191,46 +271,30 @@ def outcome_support(
     Returns ``(values, probs)`` where ``values`` has shape ``(q,)`` and
     ``probs`` has shape ``(m, q)``: ``probs[i, y]`` is the probability that
     playing the action yields ``values[y]`` when parameter ``i`` is true.
+    Both arrays are read-only and come from the instance's cached
+    :class:`OutcomeTable` (``BanditInstance.outcome_table``): for the binary
+    models ``probs`` is the table's weights, for ``glm`` a fresh dense array
+    scattered from it, which is never cached.
     """
-    m = instance.n_params
-    kind = instance.model.kind
-    if kind != GLM:
-        return np.array(_BINARY_VALUES[kind]), _binary_pmfs(instance, action_idx)
-    eta = float(instance.model.eta or 0.0)
-    means = instance.mu[:, action_idx]
-    raw = np.concatenate([means - eta, means + eta])
-    values = _dedupe_sorted(np.sort(raw))
-    probs = np.zeros((m, values.size))
-    lo = _locate(values, means - eta)
-    hi = _locate(values, means + eta)
-    np.add.at(probs, (np.arange(m), lo), 0.5)
-    np.add.at(probs, (np.arange(m), hi), 0.5)
-    return values, _checked_pmf(probs)
+    table = instance.outcome_table(action_idx)
+    if instance.model.kind != GLM:
+        return table.values, table.w  # points (low, high) in every row
+    rows = np.arange(instance.n_params)
+    probs = np.zeros((rows.size, table.values.size))
+    # second point first, so a single point's weight 1 overwrites its 0
+    probs[rows, table.idx[:, 1]] = table.w[:, 1]
+    probs[rows, table.idx[:, 0]] = table.w[:, 0]
+    probs.setflags(write=False)
+    return table.values, probs
 
 
-# (low, high) outcome values of the binary models
-_BINARY_VALUES = {LINEAR_BINARY: (-0.5, 0.5), LOGISTIC: (0.0, 1.0)}
-
-
-def _binary_pmfs(instance: BanditInstance, actions) -> NDArray:
-    """Pmfs over the (low, high) outcome of a binary model: ``(m, 2)`` for one
-    action index, ``(len(actions), m, 2)`` for an array of them."""
-    p_hi = instance.mu[:, actions].T
-    if instance.model.kind == LINEAR_BINARY:
-        p_hi = p_hi + 0.5
-    probs = np.empty(p_hi.shape + (2,))
-    probs[..., 0] = 1.0 - p_hi
-    probs[..., 1] = p_hi
-    return _checked_pmf(probs)
-
-
-def _checked_pmf(probs: NDArray) -> NDArray:
-    """Pmfs along the last axis, validated to ``PMF_TOL`` and clipped to [0, 1]."""
-    if np.any(probs < -PMF_TOL) or np.any(probs > 1.0 + PMF_TOL):
+def _checked_pmf(w: NDArray) -> NDArray:
+    """``(m, 2)`` two-point pmfs, validated to ``PMF_TOL`` and clipped to [0, 1]."""
+    if ((w < -PMF_TOL) | (w > 1.0 + PMF_TOL)).any():
         raise InvalidInstanceError("outcome probability outside [0, 1]")
-    if np.any(np.abs(probs.sum(axis=-1) - 1.0) > PMF_TOL):
+    if (abs(w[:, 0] + w[:, 1] - 1.0) > PMF_TOL).any():
         raise InvalidInstanceError("outcome pmf does not sum to 1")
-    return np.clip(probs, 0.0, 1.0)
+    return w.clip(0.0, 1.0)
 
 
 def two_point_outcomes(
@@ -240,35 +304,21 @@ def two_point_outcomes(
 
     Every outcome model puts its mass on at most two values per pair: the
     binary models on their two outcomes, ``glm`` on ``mean -/+ eta`` after
-    ``outcome_support`` merges coincident values. Returns ``(points,
-    weights)``, both of shape ``(len(actions), m, 2)``: playing
-    ``actions[s]`` under parameter ``i`` yields ``points[s, i, k]`` with
-    probability ``weights[s, i, k]``. The points of a pair are in support
-    order, so an inverse-CDF draw over ``weights[s, i]`` picks the same value
-    as one over the full row of ``outcome_support``; a single-point pmf has
-    weight 0 on its second point. The binary models are built from ``mu``
-    directly; ``glm`` calls ``outcome_support`` once per action.
+    merging coincident values. Returns ``(points, weights)``, both of shape
+    ``(len(actions), m, 2)``: playing ``actions[s]`` under parameter ``i``
+    yields ``points[s, i, k]`` with probability ``weights[s, i, k]``. They
+    are gathered from the instance's cached :class:`OutcomeTable` entries,
+    so the points of a pair are in support order and an inverse-CDF draw over
+    ``weights[s, i]`` picks the same value as one over the full row of
+    ``outcome_support``; a single-point pmf has weight 0 on its second point.
     """
-    actions = np.asarray(actions, dtype=np.intp)
-    kind = instance.model.kind
-    if kind != GLM:
-        weights = _binary_pmfs(instance, actions)
-        return np.broadcast_to(_BINARY_VALUES[kind], weights.shape), weights
-    shape = (actions.size, instance.n_params, 2)
+    tables = [instance.outcome_table(a) for a in np.asarray(actions, dtype=np.intp)]
+    shape = (len(tables), instance.n_params, 2)
     points = np.empty(shape)
-    weights = np.zeros(shape)
-    rows = np.arange(instance.n_params)
-    for s, a in enumerate(actions):
-        values, probs = outcome_support(instance, int(a))
-        mass = probs > 0.0
-        if np.any(mass.sum(axis=1) > 2):
-            raise InvalidInstanceError("glm outcome pmf has more than two points")
-        first = np.argmax(mass, axis=1)
-        last = values.size - 1 - np.argmax(mass[:, ::-1], axis=1)
-        points[s, :, 0] = values[first]
-        points[s, :, 1] = values[last]
-        weights[s, :, 0] = probs[rows, first]
-        weights[s, :, 1] = np.where(last > first, probs[rows, last], 0.0)
+    weights = np.empty(shape)
+    for s, table in enumerate(tables):
+        points[s] = table.points()
+        weights[s] = table.w
     return points, weights
 
 

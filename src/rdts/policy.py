@@ -8,8 +8,9 @@ so runs are reproducible and order-independent.
 
 ``simulate_ts`` advances all runs together: the beliefs are a ``(runs, m)``
 matrix updated row by row with the arithmetic of ``posterior_update``, and
-the outcome pmfs of every action Thompson sampling can play are tabulated
-once per call (``model.two_point_outcomes``). Each run still draws from its
+the outcome pmfs of every action Thompson sampling can play are gathered
+once per call from the instance's outcome tables
+(``model.two_point_outcomes``). Each run still draws from its
 own generator, ``1 + 2T`` uniforms in a fixed order: one for the true
 parameter, then a (sampled parameter, outcome) pair per period, exactly the
 draws of a per-run loop over ``thompson_step`` and ``sample_outcome``, so the
@@ -43,7 +44,8 @@ from .information import (
     info_gain_about_statistic,
     ts_expected_regret,
 )
-from .model import BanditInstance, outcome_support, two_point_outcomes
+# outcome_support stays importable from here for code that traces or patches it by name
+from .model import BanditInstance, outcome_support, two_point_outcomes  # noqa: F401
 
 AUDIT_TOL = 1e-8
 
@@ -82,8 +84,9 @@ def thompson_step(
 def sample_outcome(
     instance: BanditInstance, action_idx: int, true_param: int, rng: np.random.Generator
 ) -> float:
-    values, probs = outcome_support(instance, action_idx)
-    return float(values[inverse_cdf(probs[true_param], rng.random())])
+    table = instance.outcome_table(action_idx)
+    k = inverse_cdf(table.w[true_param], rng.random())
+    return float(table.values[table.idx[true_param, k]])
 
 
 def simulate_ts(
@@ -184,7 +187,7 @@ class AuditReport:
 
 def _outcome_cardinality(instance: BanditInstance) -> int:
     return max(
-        outcome_support(instance, int(a))[0].size for a in np.unique(instance.astar)
+        instance.outcome_table(a).values.size for a in np.unique(instance.astar)
     )
 
 

@@ -58,3 +58,12 @@ def tiny_logistic():
     return BanditInstance(
         actions=actions, params=params, model=OutcomeModel(kind=LOGISTIC, beta=2.0)
     )
+
+
+def instance_with_shared_points(seed: int, kind: str, eta: float = 0.05) -> BanditInstance:
+    """Random instance whose last parameters repeat earlier ones, so several
+    parameters put mass on the same outcome values (merged glm support)."""
+    rng = np.random.default_rng(seed)
+    base = random_instance(rng, kind, d=2, n=5, m=6, eta=eta)
+    params = np.vstack([base.params, base.params[:2]])
+    return BanditInstance(actions=base.actions, params=params, model=base.model)

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_belief, random_instance
+from conftest import instance_with_shared_points, random_belief, random_instance
 from rdts.inference import (
+    OUTCOME_MATCH_TOL,
     AllZeroLikelihood,
     BeliefState,
     History,
@@ -90,6 +91,21 @@ def test_posterior_is_martingale(kind, seed):
                 continue
             mixed += py * posterior_update(prior, inst, a, float(y)).probs
         np.testing.assert_allclose(mixed, prior.probs, atol=1e-9)
+
+
+@given(
+    st.integers(min_value=0),
+    st.sampled_from([(LINEAR_BINARY, 0.05), (LOGISTIC, 0.05), (GLM, 0.05), (GLM, 0.0)]),
+)
+@settings(max_examples=40, deadline=None)
+def test_outcome_likelihoods_equal_dense_column_sums(seed, kind_eta):
+    inst = instance_with_shared_points(seed, *kind_eta)
+    for a in range(inst.n_actions):
+        values, probs = outcome_support(inst, a)
+        for y in (*values, values[0] + 5e-10, values[-1] + 1e-3):
+            matches = np.abs(values - y) <= OUTCOME_MATCH_TOL
+            dense = probs[:, matches].sum(axis=1)
+            np.testing.assert_array_equal(outcome_likelihoods(inst, a, float(y)), dense)
 
 
 @given(st.integers(min_value=0))

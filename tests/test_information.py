@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_belief, random_instance
-from rdts.compression import build_partition_linear, build_representation
+from conftest import instance_with_shared_points, random_belief, random_instance
+from rdts.compression import Partition, build_partition_linear, build_representation
 from rdts.inference import BeliefState
 from rdts.information import (
     DegenerateInformation,
@@ -242,6 +242,29 @@ def test_info_gain_about_statistic_vs_direct_joint(tiny_linear):
         assert info_gain_about_statistic(tiny_linear, belief, part, a) == pytest.approx(
             oracle_mutual_information(joint), abs=1e-12
         )
+
+
+@given(
+    st.integers(min_value=0),
+    st.sampled_from([(LINEAR_BINARY, 0.05), (LOGISTIC, 0.05), (GLM, 0.05), (GLM, 0.0)]),
+    st.integers(min_value=1, max_value=8),
+)
+@settings(max_examples=80, deadline=None)
+def test_info_gain_about_statistic_equals_dense_scatter(seed, kind_eta, K):
+    # the compact scatter adds the same nonzero terms in the same order as a
+    # dense np.add.at over outcome_support, so the result is the same float
+    inst = instance_with_shared_points(seed, *kind_eta)
+    rng = np.random.default_rng(seed)
+    m = inst.n_params
+    part = Partition(cell_of=rng.permutation(np.arange(m) % K), epsilon=0.1, K=K)
+    p = rng.dirichlet(np.ones(m))
+    p[rng.random(m) < 0.25] = 0.0
+    belief = BeliefState(p / p.sum()) if p.sum() > 0 else BeliefState.uniform(m)
+    for a in range(inst.n_actions):
+        _, probs = outcome_support(inst, a)
+        joint = np.zeros((K, probs.shape[1]))
+        np.add.at(joint, part.cell_of, belief.probs[:, None] * probs)
+        assert info_gain_about_statistic(inst, belief, part, a) == mutual_information(joint)
 
 
 @given(st.integers(min_value=0), st.sampled_from([0.05, 0.15, 0.4]))

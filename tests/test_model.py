@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_model, random_instance
+from conftest import instance_with_shared_points, make_model, random_instance
+from rdts import model as model_mod
 from rdts.model import (
     GLM,
     LINEAR_BINARY,
@@ -14,6 +15,7 @@ from rdts.model import (
     BanditInstance,
     InvalidInstanceError,
     OutcomeModel,
+    OutcomeTable,
     best_action,
     mean_reward,
     outcome_distribution,
@@ -152,6 +154,94 @@ def test_two_point_outcomes_match_outcome_support(kind, eta):
         dense = np.zeros_like(probs)
         np.add.at(dense, (np.arange(9)[:, None], col), weights[s])
         np.testing.assert_array_equal(dense, probs)
+
+
+def _checked_dense_pmf(probs):
+    assert np.all(probs >= -1e-12) and np.all(probs <= 1.0 + 1e-12)
+    assert np.all(np.abs(probs.sum(axis=-1) - 1.0) <= 1e-12)
+    return np.clip(probs, 0.0, 1.0)
+
+
+def _dense_outcome_support(instance, action_idx):
+    """The dense (values, probs) build that the outcome table replaced: the oracle."""
+    m = instance.n_params
+    kind = instance.model.kind
+    if kind != GLM:
+        p_hi = instance.mu[:, action_idx] + (0.5 if kind == LINEAR_BINARY else 0.0)
+        probs = np.stack([1.0 - p_hi, p_hi], axis=1)
+        values = [-0.5, 0.5] if kind == LINEAR_BINARY else [0.0, 1.0]
+        return np.array(values), _checked_dense_pmf(probs)
+    eta = float(instance.model.eta)
+    means = instance.mu[:, action_idx]
+    values = model_mod._dedupe_sorted(np.sort(np.concatenate([means - eta, means + eta])))
+    probs = np.zeros((m, values.size))
+    np.add.at(probs, (np.arange(m), model_mod._locate(values, means - eta)), 0.5)
+    np.add.at(probs, (np.arange(m), model_mod._locate(values, means + eta)), 0.5)
+    return values, _checked_dense_pmf(probs)
+
+
+@given(
+    st.integers(min_value=0),
+    st.sampled_from([(LINEAR_BINARY, 0.05), (LOGISTIC, 0.05), (GLM, 0.05), (GLM, 0.0)]),
+)
+@settings(max_examples=60, deadline=None)
+def test_outcome_support_bit_identical_to_dense_build(seed, kind_eta):
+    inst = instance_with_shared_points(seed, *kind_eta)
+    for a in range(inst.n_actions):
+        values, probs = outcome_support(inst, a)
+        ref_values, ref_probs = _dense_outcome_support(inst, a)
+        np.testing.assert_array_equal(values, ref_values)
+        np.testing.assert_array_equal(probs, ref_probs)
+
+
+def test_outcome_table_is_lazy_and_built_once_per_action(monkeypatch):
+    built = []
+    original = model_mod._build_outcome_table
+
+    def counting(instance, action_idx):
+        built.append(action_idx)
+        return original(instance, action_idx)
+
+    monkeypatch.setattr(model_mod, "_build_outcome_table", counting)
+    inst = random_instance(np.random.default_rng(2), GLM, d=2, n=6, m=5)
+    assert built == []
+    table = inst.outcome_table(3)
+    for _ in range(3):
+        outcome_support(inst, 3)
+        two_point_outcomes(inst, np.array([3, 3]))
+        assert inst.outcome_table(np.int64(3)) is table
+    assert built == [3]
+
+
+@pytest.mark.parametrize("kind", [LINEAR_BINARY, LOGISTIC, GLM])
+def test_outcome_table_arrays_are_read_only(kind):
+    inst = random_instance(np.random.default_rng(5), kind, d=2, n=4, m=6)
+    table = inst.outcome_table(1)
+    assert isinstance(table, OutcomeTable)
+    for arr in (table.values, table.idx, table.w):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    for arr in outcome_support(inst, 1):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_outcome_table_glm_eta0_is_single_points():
+    inst = random_instance(np.random.default_rng(6), GLM, d=2, n=4, m=7, eta=0.0)
+    for a in range(inst.n_actions):
+        table = inst.outcome_table(a)
+        assert table.values.size == np.unique(inst.mu[:, a]).size
+        np.testing.assert_array_equal(table.idx[:, 0], table.idx[:, 1])
+        np.testing.assert_array_equal(table.w, np.tile([1.0, 0.0], (7, 1)))
+        np.testing.assert_array_equal(table.points()[:, 0], inst.mu[:, a])
+
+
+def test_outcome_table_glm_two_points_in_support_order():
+    inst = instance_with_shared_points(8, GLM, eta=0.05)
+    for a in range(inst.n_actions):
+        table = inst.outcome_table(a)
+        assert np.all(table.idx[:, 0] < table.idx[:, 1])
+        np.testing.assert_array_equal(table.w, np.full((inst.n_params, 2), 0.5))
 
 
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0))

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_model, random_belief, random_instance
-from rdts.compression import build_partition_linear, build_representation
-from rdts.inference import BeliefState, posterior_update, sample_parameter
+from conftest import instance_with_shared_points, make_model, random_belief, random_instance
+from rdts import model as model_mod
+from rdts.compression import build_partition_glm, build_partition_linear, build_representation
+from rdts.inference import BeliefState, inverse_cdf, posterior_update, sample_parameter
 from rdts.information import InconsistentRepresentation, ts_expected_regret
 from rdts.model import GLM, LINEAR_BINARY, LOGISTIC, BanditInstance, OutcomeModel, outcome_support
 from rdts.policy import (
@@ -257,6 +260,44 @@ def test_audit_chain_passes_on_small_instances():
             assert row["entropy_cap"]
         assert report.gamma_bar >= 0.0
         assert report.mean_cumulative_regret <= report.bound_value + 1e-8
+
+
+def test_audit_merges_each_glm_support_once_per_action(monkeypatch):
+    merges = []
+    original = model_mod._dedupe_sorted
+
+    def counting(values, *args):
+        merges.append(values.size)
+        return original(values, *args)
+
+    monkeypatch.setattr(model_mod, "_dedupe_sorted", counting)
+    rng = np.random.default_rng(3)
+    inst = random_instance(rng, GLM, d=2, n=6, m=9)
+    part = build_partition_glm(inst, 0.02)
+    prior = BeliefState.uniform(9)
+    report = audit_regret_chain(inst, prior, part, 6, rng, runs=3)
+    assert report.passed and len(report.rows) == 18
+    # one merge per action whose outcome table the audit used, and no more
+    used = np.unique(inst.astar).size
+    assert len(merges) == used
+    audit_regret_chain(inst, prior, part, 6, rng, runs=2)
+    assert len(merges) == used
+
+
+@given(
+    st.integers(min_value=0),
+    st.sampled_from([(LINEAR_BINARY, 0.05), (LOGISTIC, 0.05), (GLM, 0.05), (GLM, 0.0)]),
+)
+@settings(max_examples=40, deadline=None)
+def test_sample_outcome_matches_dense_inverse_cdf(seed, kind_eta):
+    inst = instance_with_shared_points(seed, *kind_eta)
+    for a in range(inst.n_actions):
+        values, probs = outcome_support(inst, a)
+        for i in range(inst.n_params):
+            rng_a, rng_b = np.random.default_rng([seed, a, i]), np.random.default_rng([seed, a, i])
+            for _ in range(4):
+                dense = float(values[inverse_cdf(probs[i], rng_b.random())])
+                assert sample_outcome(inst, a, i, rng_a) == dense
 
 
 def test_audit_guard_rejects_large_instances():
