@@ -53,7 +53,8 @@ def entropy(p: NDArray) -> float:
     if abs(p.sum() - 1.0) > PMF_TOL:
         raise InvalidPmf(f"pmf sums to {p.sum()!r}, not 1")
     pos = p[p > 0.0]
-    return float(-(pos * np.log(pos)).sum())
+    # + 0.0 turns the -0.0 of a point mass into 0.0 and changes nothing else
+    return float(-(pos * np.log(pos)).sum() + 0.0)
 
 
 def mutual_information(joint: NDArray) -> float:

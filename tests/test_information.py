@@ -140,6 +140,10 @@ def test_entropy_known_values():
     assert entropy(np.array([1.0, 0.0])) == 0.0
 
 
+def test_entropy_of_point_mass_is_positive_zero():
+    assert math.copysign(1.0, entropy(np.array([1.0, 0.0]))) == 1.0
+
+
 def test_entropy_validation():
     with pytest.raises(InvalidPmf):
         entropy(np.array([0.4, 0.4]))
