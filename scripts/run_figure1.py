@@ -16,7 +16,6 @@ if __name__ == "__main__":
             [
                 "ir-sweep",
                 "--seed", "20240817",
-                "--threads", "4",
                 "--out", "figure1.csv",
                 "--svg", "figure1.svg",
                 *sys.argv[1:],

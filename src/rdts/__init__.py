@@ -32,7 +32,6 @@ from .compression import (
 from .inference import (
     AllZeroLikelihood,
     BeliefState,
-    History,
     optimal_action_distribution,
     posterior_update,
     sample_parameter,

@@ -3,9 +3,20 @@
 Subcommands: ``ir-sweep`` (information-ratio sweep over random instances),
 ``regret`` (Monte Carlo regret vs. the closed-form bound), ``partition``
 (builder diagnostics), ``bounds`` (bound evaluators), ``audit`` (inequality
-chain audit). Outputs are byte-identical for a fixed (config, seed),
-regardless of thread count: work is seeded per cell and rows are sorted
-before writing.
+chain audit). Outputs are byte-identical for a fixed (config, seed).
+
+Every subcommand writes one table or document through ``_write``, which
+honours ``--format csv|json``. The default format is each subcommand's
+natural one: CSV for ``ir-sweep``, ``regret`` and ``bounds``; JSON for
+``partition`` and ``audit``. The JSON form of a table is a list of row
+objects; the CSV form of a document is one row, except ``audit``, whose CSV
+holds its ``periods`` rows.
+
+Each flag carries its default. ``--config`` names a JSON object whose keys
+that match the subcommand's own flags (by argparse dest) replace those
+defaults; flags given on the command line still win. ``--threads`` is
+accepted and ignored: cells run in order in one thread, so it changes
+neither the output nor the speed.
 
 Exit codes: 0 success / criteria met, 1 criteria violated, 2 config error.
 """
@@ -15,15 +26,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import bounds as bounds_mod
 from .compression import (
-    EpsilonTooLarge,
-    InvalidEpsilon,
-    MarginViolated,
     build_partition_glm,
     build_partition_linear,
     build_partition_logistic,
@@ -37,7 +44,6 @@ from .model import (
     GLM,
     LINEAR_BINARY,
     LOGISTIC,
-    InvalidInstanceError,
     OutcomeModel,
     sample_instance,
 )
@@ -53,20 +59,9 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
-    if isinstance(value, np.integer):
-        return str(int(value))
+    if isinstance(value, dict):
+        return json.dumps(value)
     return str(value)
-
-
-def _write_csv(path: str | None, header: list[str], rows: list[tuple]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
 
 
 def _json_default(value):
@@ -79,31 +74,34 @@ def _json_default(value):
     raise TypeError(f"not JSON serializable: {type(value).__name__}")
 
 
-def _write_json(path: str | None, doc) -> None:
-    text = json.dumps(doc, indent=2, default=_json_default) + "\n"
-    if path is None:
+def _write(args, header: list[str], rows, doc=None) -> None:
+    """Write ``header`` and ``rows`` as CSV or, under ``--format json``,
+    ``doc`` (by default one object per row) to ``--out`` or stdout."""
+    if args.format == "json":
+        if doc is None:
+            doc = [dict(zip(header, row)) for row in rows]
+        text = json.dumps(doc, indent=2, default=_json_default) + "\n"
+    else:
+        lines = [",".join(header)]
+        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+        text = "\n".join(lines) + "\n"
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
+        with open(args.out, "w") as fh:
             fh.write(text)
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _parse_ints(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+def _parse_list(text: str, conv) -> list:
+    return [conv(tok) for tok in text.split(",") if tok.strip()]
 
 
 def _make_model(kind: str, beta: float, eta: float) -> OutcomeModel:
-    if kind == LINEAR_BINARY:
-        return OutcomeModel(kind=LINEAR_BINARY)
-    if kind == GLM:
-        return OutcomeModel(kind=GLM, beta=beta, eta=eta)
-    if kind == LOGISTIC:
-        return OutcomeModel(kind=LOGISTIC, beta=beta)
-    raise ConfigError(f"unknown model kind {kind!r}")
+    """``kind``'s model given only the parameters it uses (OutcomeModel
+    rejects an unknown kind)."""
+    return OutcomeModel(
+        kind=kind, beta=None if kind == LINEAR_BINARY else beta, eta=eta if kind == GLM else None
+    )
 
 
 def _svg_scatter(path: str, points: list[tuple[float, float]], slope: float) -> None:
@@ -136,42 +134,27 @@ def cmd_ir_sweep(args) -> int:
     kind = args.model
     if kind not in (LOGISTIC, LINEAR_BINARY):
         raise ConfigError("ir-sweep supports logistic or linear_binary models")
-    d_list = _parse_ints(args.d_list)
-    beta_list = _parse_floats(args.beta_list) if kind == LOGISTIC else [0.0]
+    d_list = _parse_list(args.d_list, int)
+    beta_list = _parse_list(args.beta_list, float) if kind == LOGISTIC else [0.0]
     if args.instances < 0 or args.n < 1 or args.m < 1 or not d_list:
         raise ConfigError("invalid sweep grid")
-    cells = [
-        (d, beta, i)
-        for d in d_list
-        for beta in beta_list
-        for i in range(args.instances)
-    ]
-    children = np.random.SeedSequence(args.seed).spawn(len(cells))
-
-    def run_cell(idx: int) -> tuple:
-        d, beta, inst_id = cells[idx]
-        rng = np.random.default_rng(children[idx])
-        model = _make_model(kind, beta, 0.0)
-        instance = sample_instance(rng, d, args.n, args.m, model)
-        belief = BeliefState(rng.dirichlet(np.ones(args.m)))
-        report = ts_info_ratio(instance, belief)
-        violated = report.ratio > d / 2.0 + 1e-9
-        return (
-            d,
-            beta,
-            inst_id,
-            report.numerator,
-            report.denominator,
-            report.ratio,
-            d / 2.0,
-            violated,
-        )
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(run_cell, range(len(cells))))
-    else:
-        rows = [run_cell(i) for i in range(len(cells))]
+    # one seed per grid cell, spawned in grid order
+    children = iter(
+        np.random.SeedSequence(args.seed).spawn(len(d_list) * len(beta_list) * args.instances)
+    )
+    rows = []
+    for d in d_list:
+        for beta in beta_list:
+            for inst_id in range(args.instances):
+                rng = np.random.default_rng(next(children))
+                model = _make_model(kind, beta, 0.0)
+                instance = sample_instance(rng, d, args.n, args.m, model)
+                belief = BeliefState(rng.dirichlet(np.ones(args.m)))
+                report = ts_info_ratio(instance, belief)
+                violated = report.ratio > d / 2.0 + 1e-9
+                rows.append((d, beta, inst_id, report.numerator, report.denominator,
+                             report.ratio, d / 2.0, violated))
+    # sorted by (d, beta, instance) whatever the order of --d-list and --beta-list
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     header = [
         "d",
@@ -183,7 +166,7 @@ def cmd_ir_sweep(args) -> int:
         "bound_d_over_2",
         "violated",
     ]
-    _write_csv(args.out, header, rows)
+    _write(args, header, rows)
     if args.svg:
         _svg_scatter(args.svg, [(r[0], r[5]) for r in rows], 0.5)
     return 1 if any(r[7] for r in rows) else 0
@@ -197,23 +180,27 @@ def cmd_regret(args) -> int:
     trace = simulate_ts(
         instance, prior, args.T, args.runs, rng, realized_rewards=args.realized
     )
+    # the instance's constant in the bound is computed once, not per row
+    if args.model == GLM:
+        slope = realized_link_slope(instance)
+    elif args.model == LOGISTIC:
+        margins = instance.mu[np.arange(args.m), instance.astar]
+        delta = float(np.min(np.abs(instance.model.link_inv(margins))))
+        if delta <= 0:
+            raise ConfigError("logistic bound needs a positive margin")
 
     def bound_at(t: int) -> float:
         if args.model == LINEAR_BINARY:
             return bounds_mod.linear_bound(args.d, t)
         if args.model == GLM:
-            return bounds_mod.glm_bound(args.d, t, realized_link_slope(instance))
-        margins = instance.mu[np.arange(args.m), instance.astar]
-        delta = float(np.min(np.abs(instance.model.link_inv(margins))))
-        if delta <= 0:
-            raise ConfigError("logistic bound needs a positive margin")
+            return bounds_mod.glm_bound(args.d, t, slope)
         return bounds_mod.logistic_bound(args.d, t, args.beta, delta)[0]
 
     rows = [
         (t, r, cum, se, bound_at(t))
         for t, r, cum, se in trace.csv_rows()
     ]
-    _write_csv(args.out, ["t", "mean_regret", "cum_regret", "std_err", "bound_value"], rows)
+    _write(args, ["t", "mean_regret", "cum_regret", "std_err", "bound_value"], rows)
     if not rows:
         return 0
     return 0 if rows[-1][2] <= rows[-1][4] else 1
@@ -253,83 +240,56 @@ def cmd_partition(args) -> int:
         "formula_bound": formula,
         "I_theta_psi_nats": statistic_mutual_information(belief, partition),
     }
-    _write_json(args.out, report)
+    _write(args, list(report), [report.values()], report)
     return 0
 
 
 def cmd_bounds(args) -> int:
     which = args.which
     if which == "linear":
-        report = bounds_mod.BoundReport(
-            "linear",
-            bounds_mod.linear_bound(args.d, args.T),
-            {"d": args.d, "T": args.T},
-        )
+        value = bounds_mod.linear_bound(args.d, args.T)
+        inputs = {"d": args.d, "T": args.T}
     elif which == "glm":
-        report = bounds_mod.BoundReport(
-            "glm",
-            bounds_mod.glm_bound(args.d, args.T, args.c_phi),
-            {"d": args.d, "T": args.T, "c_phi": args.c_phi},
-        )
+        value = bounds_mod.glm_bound(args.d, args.T, args.c_phi)
+        inputs = {"d": args.d, "T": args.T, "c_phi": args.c_phi}
     elif which == "logistic":
-        primary, simplified = bounds_mod.logistic_bound(
+        value, simplified = bounds_mod.logistic_bound(
             args.d, args.T, args.beta, args.delta
         )
-        report = bounds_mod.BoundReport(
-            "logistic",
-            primary,
-            {
-                "d": args.d,
-                "T": args.T,
-                "beta": args.beta,
-                "delta": args.delta,
-                "simplified": simplified,
-            },
-        )
+        inputs = {
+            "d": args.d,
+            "T": args.T,
+            "beta": args.beta,
+            "delta": args.delta,
+            "simplified": simplified,
+        }
     elif which == "entropy":
-        report = bounds_mod.BoundReport(
-            "entropy",
-            bounds_mod.entropy_bound(args.gamma_bar, args.entropy_nats, args.T),
-            {"gamma_bar": args.gamma_bar, "H": args.entropy_nats, "T": args.T},
-        )
+        value = bounds_mod.entropy_bound(args.gamma_bar, args.entropy_nats, args.T)
+        inputs = {"gamma_bar": args.gamma_bar, "H": args.entropy_nats, "T": args.T}
     elif which == "compressed":
-        report = bounds_mod.BoundReport(
-            "compressed",
-            bounds_mod.compressed_bound(
-                args.gamma_bar, args.info_nats, args.epsilon, args.T
-            ),
-            {
-                "gamma_bar": args.gamma_bar,
-                "I": args.info_nats,
-                "epsilon": args.epsilon,
-                "T": args.T,
-            },
+        value = bounds_mod.compressed_bound(
+            args.gamma_bar, args.info_nats, args.epsilon, args.T
         )
+        inputs = {
+            "gamma_bar": args.gamma_bar,
+            "I": args.info_nats,
+            "epsilon": args.epsilon,
+            "T": args.T,
+        }
     elif which == "partition-count":
-        report = bounds_mod.BoundReport(
-            "partition-count",
-            bounds_mod.partition_count_bounds(
-                args.d,
-                args.epsilon,
-                args.model,
-                c_phi_value=args.c_phi,
-                beta=args.beta,
-                delta=args.delta,
-            ),
-            {"d": args.d, "epsilon": args.epsilon, "kind": args.model},
+        value = bounds_mod.partition_count_bounds(
+            args.d,
+            args.epsilon,
+            args.model,
+            c_phi_value=args.c_phi,
+            beta=args.beta,
+            delta=args.delta,
         )
+        inputs = {"d": args.d, "epsilon": args.epsilon, "kind": args.model}
     else:
         raise ConfigError(f"unknown bound {which!r}")
-    if args.format == "json":
-        _write_json(
-            args.out, {"name": report.name, "value": report.value, "inputs": report.inputs}
-        )
-    else:
-        _write_csv(
-            args.out,
-            ["name", "value", "inputs"],
-            [(report.name, report.value, json.dumps(report.inputs))],
-        )
+    report = {"name": which, "value": value, "inputs": inputs}
+    _write(args, list(report), [report.values()], report)
     return 0
 
 
@@ -343,8 +303,11 @@ def cmd_audit(args) -> int:
         partition = build_partition_glm(instance, args.epsilon)
     prior = BeliefState.uniform(args.m)
     report = audit_regret_chain(instance, prior, partition, args.T, rng, runs=args.runs)
-    _write_json(
-        args.out,
+    periods = report.rows
+    _write(
+        args,
+        list(periods[0]) if periods else [],
+        [p.values() for p in periods],
         {
             "passed": report.passed,
             "gamma_bar": report.gamma_bar,
@@ -352,161 +315,101 @@ def cmd_audit(args) -> int:
             "info_prior_nats": report.info_prior_nats,
             "mean_cumulative_regret": report.mean_cumulative_regret,
             "bound_value": report.bound_value,
-            "periods": report.rows,
+            "periods": periods,
         },
     )
     return 0 if report.passed else 1
 
 
-_COMMON = {
-    "seed": dict(type=int, default=None, help="root RNG seed"),
-    "out": dict(type=str, default=None, help="output path (default stdout)"),
-    "format": dict(type=str, default=None, choices=["csv", "json"]),
-    "config": dict(type=str, default=None, help="JSON config file; flags override"),
-    "threads": dict(type=int, default=None, help="worker threads (output invariant)"),
-}
+_MODELS = (LINEAR_BINARY, GLM, LOGISTIC)
 
-_DEFAULTS = {
-    "seed": 0,
-    "out": None,
-    "format": "csv",
-    "threads": 1,
-    "model": LOGISTIC,
-    "d": 2,
-    "n": 100,
-    "m": 100,
-    "d_list": "2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20",
-    "beta_list": "0.1,1,10,100",
-    "instances": 100,
-    "T": 100,
-    "runs": 100,
-    "beta": 1.0,
-    "eta": 0.05,
-    "epsilon": 0.1,
-    "delta": None,
-    "builder": None,
-    "svg": None,
-    "realized": False,
-    "gamma_bar": 0.0,
-    "entropy_nats": 0.0,
-    "info_nats": 0.0,
-    "c_phi": 0.5,
-    "which": "linear",
+# flags several subcommands share: name -> add_argument keywords
+_SHARED = {
+    "d": dict(type=int, default=2),
+    "n": dict(type=int, default=100),
+    "m": dict(type=int, default=100),
+    "T": dict(type=int, default=100),
+    "runs": dict(type=int, default=100),
+    "beta": dict(type=float, default=1.0),
+    "eta": dict(type=float, default=0.05),
+    "epsilon": dict(type=float, default=0.1),
+    "delta": dict(type=float, default=None),
 }
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    for name, kw in _COMMON.items():
-        parser.add_argument(f"--{name.replace('_', '-')}", dest=name, **kw)
+def _command(sub, name: str, func, help: str, fmt: str, shared: str,
+             models=_MODELS) -> argparse.ArgumentParser:
+    """Add subcommand ``name`` with the flags every subcommand has, --model
+    (restricted to ``models`` unless None) and the ``shared`` flags."""
+    p = sub.add_parser(name, help=help)
+    p.add_argument("--model", type=str, default=LOGISTIC, choices=models)
+    for flag in shared.split():
+        p.add_argument(f"--{flag}", **_SHARED[flag])
+    p.add_argument("--seed", type=int, default=0, help="root RNG seed")
+    p.add_argument("--out", type=str, default=None, help="output path (default stdout)")
+    p.add_argument("--format", type=str, default=fmt, choices=["csv", "json"])
+    p.add_argument("--config", type=str, default=None,
+                   help="JSON config file; flags override")
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted and ignored; changes neither output nor speed")
+    p.set_defaults(func=func)
+    return p
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The ``rdts`` parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(prog="rdts")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ir-sweep", help="information-ratio sweep over random instances")
-    p.add_argument("--model", type=str, default=None, choices=[LOGISTIC, LINEAR_BINARY])
-    p.add_argument("--d-list", dest="d_list", type=str, default=None)
-    p.add_argument("--beta-list", dest="beta_list", type=str, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--instances", type=int, default=None)
+    p = _command(sub, "ir-sweep", cmd_ir_sweep,
+                 "information-ratio sweep over random instances", "csv", "n m",
+                 models=(LOGISTIC, LINEAR_BINARY))
+    p.add_argument("--d-list", dest="d_list", type=str,
+                   default="2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20")
+    p.add_argument("--beta-list", dest="beta_list", type=str, default="0.1,1,10,100")
+    p.add_argument("--instances", type=int, default=100)
     p.add_argument("--svg", type=str, default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_ir_sweep)
 
-    p = sub.add_parser("regret", help="Monte Carlo regret vs. the closed-form bound")
-    p.add_argument("--model", type=str, default=None, choices=[LINEAR_BINARY, GLM, LOGISTIC])
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--T", type=int, default=None)
-    p.add_argument("--runs", type=int, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--realized", action="store_true", default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_regret)
+    p = _command(sub, "regret", cmd_regret,
+                 "Monte Carlo regret vs. the closed-form bound", "csv",
+                 "d n m T runs beta eta")
+    p.add_argument("--realized", action="store_true")
 
-    p = sub.add_parser("partition", help="build a partition and report diagnostics")
-    p.add_argument("--model", type=str, default=None, choices=[LINEAR_BINARY, GLM, LOGISTIC])
+    p = _command(sub, "partition", cmd_partition,
+                 "build a partition and report diagnostics", "json",
+                 "d n m epsilon delta beta eta")
     p.add_argument("--builder", type=str, default=None, choices=["linear", "glm", "logistic"])
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--eta", type=float, default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_partition)
 
-    p = sub.add_parser("bounds", help="evaluate a closed-form bound")
-    p.add_argument("--which", type=str, default=None)
-    p.add_argument("--model", type=str, default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--T", type=int, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--c-phi", dest="c_phi", type=float, default=None)
-    p.add_argument("--gamma-bar", dest="gamma_bar", type=float, default=None)
-    p.add_argument("--entropy-nats", dest="entropy_nats", type=float, default=None)
-    p.add_argument("--info-nats", dest="info_nats", type=float, default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_bounds)
+    p = _command(sub, "bounds", cmd_bounds, "evaluate a closed-form bound", "csv",
+                 "d T beta delta epsilon", models=None)
+    p.add_argument("--which", type=str, default="linear")
+    p.add_argument("--c-phi", dest="c_phi", type=float, default=0.5)
+    p.add_argument("--gamma-bar", dest="gamma_bar", type=float, default=0.0)
+    p.add_argument("--entropy-nats", dest="entropy_nats", type=float, default=0.0)
+    p.add_argument("--info-nats", dest="info_nats", type=float, default=0.0)
 
-    p = sub.add_parser("audit", help="audit the regret-bound inequality chain")
-    p.add_argument("--model", type=str, default=None, choices=[LINEAR_BINARY, GLM, LOGISTIC])
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--T", type=int, default=None)
-    p.add_argument("--runs", type=int, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--eta", type=float, default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_audit)
-
-    return parser
-
-
-def _resolve_config(args: argparse.Namespace) -> argparse.Namespace:
-    file_values = {}
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            file_values = json.load(fh)
-        if not isinstance(file_values, dict):
-            raise ConfigError("config file must hold a JSON object")
-    for key, value in vars(args).items():
-        if key in ("func", "command", "config"):
-            continue
-        if value is None:
-            if key in file_values:
-                setattr(args, key, file_values[key])
-            elif key in _DEFAULTS:
-                setattr(args, key, _DEFAULTS[key])
-    if getattr(args, "realized", None) is None:
-        args.realized = False
-    return args
+    _command(sub, "audit", cmd_audit, "audit the regret-bound inequality chain", "json",
+             "d n m T runs epsilon beta eta")
+    return parser, sub.choices
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _resolve_config(args)
+        if args.config:
+            with open(args.config) as fh:
+                values = json.load(fh)
+            if not isinstance(values, dict):
+                raise ConfigError("config file must hold a JSON object")
+            # the file's keys become this subcommand's defaults, then flags win
+            own = vars(args).keys() - {"func", "command", "config"}
+            commands[args.command].set_defaults(
+                **{k: v for k, v in values.items() if k in own}
+            )
+            args = parser.parse_args(argv)
         return args.func(args)
-    except (
-        ConfigError,
-        InvalidEpsilon,
-        EpsilonTooLarge,
-        MarginViolated,
-        InvalidInstanceError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
         )

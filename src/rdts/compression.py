@@ -172,10 +172,12 @@ def _greedy_cover(points: NDArray, radius: float) -> list[list[int]]:
 
 
 def _cells_from_action_groups(
-    instance: BanditInstance, realized: NDArray, groups: list[list[int]]
+    astar: NDArray, realized: NDArray, groups: list[list[int]]
 ) -> NDArray:
+    """Group index of each best action in ``astar``; ``groups`` holds
+    positions in ``realized``."""
     group_of_action = {int(realized[t]): g for g, grp in enumerate(groups) for t in grp}
-    return np.array([group_of_action[int(a)] for a in instance.astar], dtype=np.intp)
+    return np.array([group_of_action[int(a)] for a in astar], dtype=np.intp)
 
 
 def _refine_certified(
@@ -236,7 +238,7 @@ def build_partition_linear(instance: BanditInstance, epsilon: float) -> Partitio
         raise InvalidEpsilon("linear partition builder requires a linear_binary model")
     realized = np.unique(instance.astar)
     groups = _greedy_cover(instance.actions[realized], epsilon)
-    cell_of = _cells_from_action_groups(instance, realized, groups)
+    cell_of = _cells_from_action_groups(instance.astar, realized, groups)
     return _finish_partition(instance, cell_of, epsilon)
 
 
@@ -259,7 +261,7 @@ def build_partition_glm(instance: BanditInstance, epsilon: float) -> Partition:
     slope = realized_link_slope(instance)
     realized = np.unique(instance.astar)
     groups = _greedy_cover(instance.actions[realized], epsilon / (2.0 * slope))
-    cell_of = _cells_from_action_groups(instance, realized, groups)
+    cell_of = _cells_from_action_groups(instance.astar, realized, groups)
     return _finish_partition(instance, cell_of, epsilon)
 
 
@@ -334,11 +336,9 @@ def build_partition_logistic(
                 continue
             realized = np.unique(instance.astar[members])
             groups = _greedy_cover(instance.actions[realized], gap / 2.0)
-            group_of_action = {
-                int(realized[t]): g for g, grp in enumerate(groups) for t in grp
-            }
-            for i in members:
-                cell_of[i] = next_cell + group_of_action[int(instance.astar[i])]
+            cell_of[members] = next_cell + _cells_from_action_groups(
+                instance.astar[members], realized, groups
+            )
             next_cell += len(groups)
     if np.any(cell_of < 0):
         raise MarginViolated("some parameter fell outside every layer band")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,26 +146,3 @@ def inverse_cdf(probs: NDArray, u: NDArray | float) -> NDArray:
 def sample_parameter(belief: BeliefState, rng: np.random.Generator) -> int:
     """Inverse-CDF draw over the fixed parameter ordering (reproducible)."""
     return int(inverse_cdf(belief.probs, rng.random()))
-
-
-@dataclass(frozen=True)
-class History:
-    """Ordered record of (sampled parameter, action, observed outcome) steps."""
-
-    steps: tuple[tuple[int, int, float], ...]
-
-    def to_jsonl(self) -> str:
-        return "\n".join(
-            json.dumps({"param": p, "action": a, "outcome": y})
-            for p, a, y in self.steps
-        )
-
-    @classmethod
-    def from_jsonl(cls, text: str) -> "History":
-        steps = []
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            doc = json.loads(line)
-            steps.append((int(doc["param"]), int(doc["action"]), float(doc["outcome"])))
-        return cls(steps=tuple(steps))

@@ -171,3 +171,43 @@ def test_every_subcommand_is_byte_deterministic(tmp_path):
             argv + ["--seed", "21", "--out", str(b)]
         )
         assert a.read_bytes() == b.read_bytes()
+
+
+def _csv_value(cell):
+    try:
+        return json.loads(cell)
+    except ValueError:
+        return cell
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ir-sweep", "--d-list", "2,3", "--beta-list", "1,10", "--n", "6", "--m", "6",
+         "--instances", "2"],
+        ["regret", "--model", "glm", "--beta", "2", "--d", "2", "--n", "6", "--m", "6",
+         "--T", "5", "--runs", "3"],
+        ["partition", "--model", "linear_binary", "--d", "2", "--n", "8", "--m", "8",
+         "--epsilon", "0.2"],
+        ["bounds", "--which", "logistic", "--d", "2", "--T", "50", "--beta", "2",
+         "--delta", "0.5"],
+        ["audit", "--model", "linear_binary", "--d", "2", "--n", "6", "--m", "5",
+         "--T", "3", "--runs", "2", "--epsilon", "0.3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_csv_and_json_carry_the_same_values(argv, tmp_path):
+    outs = {fmt: tmp_path / f"out.{fmt}" for fmt in ("csv", "json")}
+    codes = [run(argv + ["--seed", "9", "--format", fmt, "--out", str(path)])
+             for fmt, path in outs.items()]
+    assert codes[0] == codes[1]
+    header, *lines = outs["csv"].read_text().splitlines()
+    columns = header.split(",")
+    # only the last column can hold commas (the JSON inputs of bounds)
+    csv_rows = [list(zip(columns, map(_csv_value, line.split(",", len(columns) - 1))))
+                for line in lines]
+    doc = json.loads(outs["json"].read_text())
+    if argv[0] == "audit":
+        doc = doc["periods"]
+    json_rows = [list(row.items()) for row in (doc if isinstance(doc, list) else [doc])]
+    assert json_rows and csv_rows == json_rows

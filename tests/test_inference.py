@@ -8,7 +8,6 @@ from rdts.inference import (
     OUTCOME_MATCH_TOL,
     AllZeroLikelihood,
     BeliefState,
-    History,
     inverse_cdf,
     optimal_action_distribution,
     outcome_likelihoods,
@@ -178,9 +177,3 @@ def test_inverse_cdf_never_returns_zero_mass(k, zeros, seed, frac):
     rows = np.stack([belief.probs, belief.probs[::-1]])
     idx = inverse_cdf(rows, np.array([u, u]))
     assert rows[0, idx[0]] > 0.0 and rows[1, idx[1]] > 0.0
-
-
-def test_history_jsonl_round_trip():
-    h = History(steps=((0, 2, 0.5), (3, 1, -0.5)))
-    assert History.from_jsonl(h.to_jsonl()) == h
-    assert History.from_jsonl("") == History(steps=())
