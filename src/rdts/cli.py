@@ -337,11 +337,11 @@ _SHARED = {
 }
 
 
-def _command(sub, name: str, func, help: str, fmt: str, shared: str,
+def _command(sub, name: str, func, summary: str, fmt: str, shared: str,
              models=_MODELS) -> argparse.ArgumentParser:
     """Add subcommand ``name`` with the flags every subcommand has, --model
     (restricted to ``models`` unless None) and the ``shared`` flags."""
-    p = sub.add_parser(name, help=help)
+    p = sub.add_parser(name, help=summary)
     p.add_argument("--model", type=str, default=LOGISTIC, choices=models)
     for flag in shared.split():
         p.add_argument(f"--{flag}", **_SHARED[flag])
