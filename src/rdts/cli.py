@@ -31,6 +31,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .compression import (
+    best_action_margins,
     build_partition_glm,
     build_partition_linear,
     build_partition_logistic,
@@ -184,8 +185,7 @@ def cmd_regret(args) -> int:
     if args.model == GLM:
         slope = realized_link_slope(instance)
     elif args.model == LOGISTIC:
-        margins = instance.mu[np.arange(args.m), instance.astar]
-        delta = float(np.min(np.abs(instance.model.link_inv(margins))))
+        delta = float(np.min(np.abs(best_action_margins(instance))))
         if delta <= 0:
             raise ConfigError("logistic bound needs a positive margin")
 

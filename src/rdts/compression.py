@@ -6,6 +6,10 @@ whose best actions are close (greedy epsilon-net covering of the realized
 best-action set), certify the intra-cell distortion pairwise, and the
 representation builder compresses each cell onto a two-point mixture whose
 expected reward and information gain are no better than the cell average.
+
+Certification reads one cell's distortion block at a time
+(``distortion_block``), so it costs O(sum of |cell|^2) memory, not O(m^2);
+only the brute-force oracle builds the full m x m ``distortion_matrix``.
 """
 
 from __future__ import annotations
@@ -25,7 +29,9 @@ __all__ = [
     "Partition",
     "Representation",
     "distortion",
+    "distortion_block",
     "distortion_matrix",
+    "best_action_margins",
     "build_partition_linear",
     "build_partition_glm",
     "build_partition_logistic",
@@ -60,6 +66,16 @@ class Infeasible(ArithmeticError):
     """Two-point mixture search found no feasible pair: indicates a bug or NaNs."""
 
 
+def _split_cells(cell_of: NDArray, K: int = 0) -> list[NDArray]:
+    """Read-only member arrays of cells 0, 1, ..., max(K, max(cell_of) + 1) - 1,
+    each in increasing index order (an unused cell number gets an empty one)."""
+    counts = np.bincount(cell_of, minlength=K)
+    # a stable sort keeps each cell's members in increasing index order
+    order = np.argsort(cell_of, kind="stable")
+    order.setflags(write=False)
+    return np.split(order, np.cumsum(counts)[:-1])
+
+
 @dataclass(frozen=True)
 class Partition:
     """Assignment of each parameter to a cell with certified distortion <= epsilon."""
@@ -73,15 +89,10 @@ class Partition:
         cells = np.asarray(self.cell_of, dtype=np.intp)
         object.__setattr__(self, "cell_of", cells)
         cells.setflags(write=False)
-        counts = np.bincount(cells, minlength=self.K)
-        if counts.size != self.K or np.any(counts == 0):
+        members = _split_cells(cells, self.K)
+        if len(members) != self.K or any(idx.size == 0 for idx in members):
             raise ValueError("cells must be exactly 0..K-1 and all non-empty")
-        # a stable sort keeps each cell's members in increasing index order
-        order = np.argsort(cells, kind="stable")
-        order.setflags(write=False)
-        object.__setattr__(
-            self, "_members", tuple(np.split(order, np.cumsum(counts)[:-1]))
-        )
+        object.__setattr__(self, "_members", tuple(members))
 
     def members(self, k: int) -> NDArray:
         """Parameter indices of cell ``k`` in increasing order (read-only)."""
@@ -140,20 +151,27 @@ def distortion(instance: BanditInstance, i: int, j: int) -> float:
     )
 
 
-def distortion_matrix(instance: BanditInstance) -> NDArray:
-    """D[i, j] = distortion of theta_i with respect to theta_j."""
+def distortion_block(instance: BanditInstance, idx: NDArray) -> NDArray:
+    """``distortion_matrix(instance)[np.ix_(idx, idx)]``, bit for bit, from
+    the |idx|^2 entries of ``mu`` it needs."""
+    idx = np.asarray(idx, dtype=np.intp)
     mu = instance.mu
-    best = mu[np.arange(mu.shape[0]), instance.astar]
-    return (best[:, None] - mu[:, instance.astar]).T
+    played = instance.astar[idx]
+    best = mu[idx, played]
+    return (best[:, None] - mu[np.ix_(idx, played)]).T
+
+
+def distortion_matrix(instance: BanditInstance) -> NDArray:
+    """D[i, j] = distortion of theta_i with respect to theta_j (m x m)."""
+    return distortion_block(instance, np.arange(instance.n_params))
 
 
 def max_intra_cell_distortion(instance: BanditInstance, cell_of: NDArray, K: int) -> float:
-    dmat = distortion_matrix(instance)
+    """Largest pairwise distortion within cells 0..K-1, one cell block at a time."""
     worst = 0.0
-    for k in range(K):
-        idx = np.flatnonzero(cell_of == k)
+    for idx in _split_cells(cell_of, K)[:K]:
         if idx.size > 1:
-            worst = max(worst, float(dmat[np.ix_(idx, idx)].max()))
+            worst = max(worst, float(distortion_block(instance, idx).max()))
     return worst
 
 
@@ -189,33 +207,30 @@ def _refine_certified(
     never fire; it guarantees the constructed partition always carries a valid
     certificate regardless of floating-point edge cases.
     """
-    dmat = distortion_matrix(instance)
+    limit = epsilon + CERT_TOL
     out = np.empty_like(cell_of)
     next_cell = 0
-    for k in range(int(cell_of.max()) + 1):
-        members = list(np.flatnonzero(cell_of == k))
-        if not members:
+    for idx in _split_cells(cell_of):
+        if idx.size == 0:
             continue
-        if len(members) == 1 or dmat[np.ix_(members, members)].max() <= epsilon + CERT_TOL:
-            for i in members:
-                out[i] = next_cell
+        block = distortion_block(instance, idx)
+        if idx.size == 1 or block.max() <= limit:
+            out[idx] = next_cell
             next_cell += 1
             continue
-        while members:
-            seed = members[0]
-            sub = [seed]
-            for cand in members[1:]:
-                ok = all(
-                    dmat[cand, s] <= epsilon + CERT_TOL
-                    and dmat[s, cand] <= epsilon + CERT_TOL
-                    for s in sub
-                )
-                if ok:
+        # greedy re-split over local positions in the block: the lowest
+        # remaining member seeds a cell that takes every later member within
+        # epsilon of all its members, in both directions
+        left = list(range(idx.size))
+        while left:
+            sub = [left[0]]
+            for cand in left[1:]:
+                if np.all(block[cand, sub] <= limit) and np.all(block[sub, cand] <= limit):
                     sub.append(cand)
-            for i in sub:
-                out[i] = next_cell
+            out[idx[sub]] = next_cell
             next_cell += 1
-            members = [t for t in members if t not in set(sub)]
+            taken = set(sub)
+            left = [t for t in left if t not in taken]
     return out
 
 
@@ -265,6 +280,12 @@ def build_partition_glm(instance: BanditInstance, epsilon: float) -> Partition:
     return _finish_partition(instance, cell_of, epsilon)
 
 
+def best_action_margins(instance: BanditInstance) -> NDArray:
+    """alpha(theta).theta for every parameter, from exact inner products
+    rather than by inverting a link that may have saturated to 0 or 1."""
+    return np.einsum("ij,ij->i", instance.params, instance.actions[instance.astar])
+
+
 def logistic_ladder(model, epsilon: float, delta: float) -> list[float]:
     """Level sequence s_0 < s_1 = delta < ... < s_L = 1 with equal link increments.
 
@@ -305,8 +326,7 @@ def build_partition_logistic(
         raise InvalidEpsilon("logistic partition builder requires a logistic model")
     if delta <= 0.0:
         raise MarginViolated("delta must be positive")
-    margins = instance.mu[np.arange(instance.n_params), instance.astar]
-    inner = np.asarray(instance.model.link_inv(margins))
+    inner = best_action_margins(instance)
     if np.min(np.abs(inner)) < delta - 1e-12:
         raise MarginViolated(
             f"min |alpha(theta).theta| = {float(np.min(np.abs(inner)))!r} < delta"
@@ -468,13 +488,10 @@ def rate_distortion_bruteforce(
     best: tuple[float, int, NDArray] | None = None
     for code in _set_partitions(m):
         K = int(code.max()) + 1
-        ok = True
-        for k in range(K):
-            idx = np.flatnonzero(code == k)
-            if idx.size > 1 and dmat[np.ix_(idx, idx)].max() > epsilon + CERT_TOL:
-                ok = False
-                break
-        if not ok:
+        if any(
+            idx.size > 1 and dmat[np.ix_(idx, idx)].max() > epsilon + CERT_TOL
+            for idx in _split_cells(code)
+        ):
             continue
         mass = np.bincount(code, weights=belief.probs, minlength=K)
         info = entropy(mass)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -103,6 +104,19 @@ def test_partition_logistic_needs_delta(capsys):
     err = capsys.readouterr().err
     doc = json.loads(err)
     assert doc["error"] == "ConfigError"
+
+
+def test_partition_logistic_at_saturating_beta(tmp_path):
+    # at beta=100 means round to 1.0; the margin comes from inner products
+    out = tmp_path / "p.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["partition", "--model", "logistic", "--builder", "logistic",
+                    "--beta", "100", "--delta", "0.02", "--epsilon", "0.02", "--d", "2",
+                    "--n", "100", "--m", "100", "--seed", "3", "--out", str(out)])
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert doc["max_intra_cell_distortion"] <= doc["epsilon"] + 1e-12
 
 
 def test_epsilon_too_large_is_config_error(capsys):

@@ -1,5 +1,7 @@
 import json
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,17 +10,21 @@ from hypothesis import strategies as st
 
 from conftest import make_model, random_belief, random_instance
 from rdts.compression import (
+    CERT_TOL,
     EpsilonTooLarge,
     Infeasible,
     InvalidEpsilon,
     MarginViolated,
     Partition,
     TooLarge,
+    _refine_certified,
+    best_action_margins,
     build_partition_glm,
     build_partition_linear,
     build_partition_logistic,
     build_representation,
     distortion,
+    distortion_block,
     distortion_matrix,
     logistic_ladder,
     max_intra_cell_distortion,
@@ -63,6 +69,118 @@ def test_distortion_definition(tiny_linear):
             assert dmat[i, j] == pytest.approx(distortion(tiny_linear, i, j), abs=1e-15)
         assert dmat[i, i] == 0.0
     assert np.all(dmat >= -1e-15)
+
+
+# The full-matrix certification as it was before certification read per-cell
+# blocks, kept verbatim as the oracle for the block version.
+
+def oracle_distortion_matrix(instance):
+    """D[i, j] = distortion of theta_i with respect to theta_j."""
+    mu = instance.mu
+    best = mu[np.arange(mu.shape[0]), instance.astar]
+    return (best[:, None] - mu[:, instance.astar]).T
+
+
+def oracle_max_intra_cell_distortion(instance, cell_of, K):
+    dmat = oracle_distortion_matrix(instance)
+    worst = 0.0
+    for k in range(K):
+        idx = np.flatnonzero(cell_of == k)
+        if idx.size > 1:
+            worst = max(worst, float(dmat[np.ix_(idx, idx)].max()))
+    return worst
+
+
+def oracle_refine_certified(instance, cell_of, epsilon):
+    dmat = oracle_distortion_matrix(instance)
+    out = np.empty_like(cell_of)
+    next_cell = 0
+    for k in range(int(cell_of.max()) + 1):
+        members = list(np.flatnonzero(cell_of == k))
+        if not members:
+            continue
+        if len(members) == 1 or dmat[np.ix_(members, members)].max() <= epsilon + CERT_TOL:
+            for i in members:
+                out[i] = next_cell
+            next_cell += 1
+            continue
+        while members:
+            seed = members[0]
+            sub = [seed]
+            for cand in members[1:]:
+                ok = all(
+                    dmat[cand, s] <= epsilon + CERT_TOL
+                    and dmat[s, cand] <= epsilon + CERT_TOL
+                    for s in sub
+                )
+                if ok:
+                    sub.append(cand)
+            for i in sub:
+                out[i] = next_cell
+            next_cell += 1
+            members = [t for t in members if t not in set(sub)]
+    return out
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from([LINEAR_BINARY, LOGISTIC, GLM]),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=6),
+    st.sampled_from([1e-4, 0.01, 0.05, 0.3]),
+)
+@settings(max_examples=200, deadline=None)
+def test_block_certification_matches_full_matrix_oracle(seed, kind, m, K, epsilon):
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng, kind, d=3, n=int(rng.integers(1, 12)), m=m, eta=0.02)
+    full = distortion_matrix(inst)
+    assert np.array_equal(_bits(full), _bits(oracle_distortion_matrix(inst)))
+    # any index list: unsorted, repeated or empty
+    idx = rng.integers(0, m, size=int(rng.integers(0, m + 2)))
+    assert np.array_equal(_bits(distortion_block(inst, idx)), _bits(full[np.ix_(idx, idx)]))
+    # few cells for many parameters: cells wider than epsilon, some numbers unused
+    cell_of = rng.integers(0, K, size=m).astype(np.intp)
+    refined = _refine_certified(inst, cell_of, epsilon)
+    assert np.array_equal(refined, oracle_refine_certified(inst, cell_of, epsilon))
+    for cells in (cell_of, refined):
+        k = int(cells.max()) + 1
+        assert max_intra_cell_distortion(inst, cells, k) == oracle_max_intra_cell_distortion(
+            inst, cells, k
+        )
+    # a K below the largest cell number ignores the cells past it
+    assert max_intra_cell_distortion(inst, cell_of, 1) == oracle_max_intra_cell_distortion(
+        inst, cell_of, 1
+    )
+
+
+def test_refine_resplits_an_over_wide_cell_like_the_oracle():
+    rng = np.random.default_rng(4)
+    inst = random_instance(rng, LINEAR_BINARY, d=2, n=12, m=30)
+    cell_of = np.zeros(30, dtype=np.intp)
+    assert max_intra_cell_distortion(inst, cell_of, 1) > 0.05
+    refined = _refine_certified(inst, cell_of, 0.05)
+    assert refined.max() > 0  # the greedy re-split fired
+    assert np.array_equal(refined, oracle_refine_certified(inst, cell_of, 0.05))
+    assert max_intra_cell_distortion(inst, refined, int(refined.max()) + 1) <= 0.05 + CERT_TOL
+
+
+def test_certification_memory_is_per_cell_not_m_squared():
+    m = 3000
+    model = OutcomeModel(kind=LOGISTIC, beta=5.0)
+    inst = sample_instance(np.random.default_rng(0), 3, 200, m, model)
+    tracemalloc.start()
+    try:
+        part = build_partition_logistic(inst, 0.02, 0.02)
+        max_intra_cell_distortion(inst, part.cell_of, part.K)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one m x m float matrix is m*m*8 bytes; allow an eighth of one
+    assert peak < m * m * 8 / 8
 
 
 def test_max_intra_cell_distortion(tiny_linear):
@@ -170,6 +288,20 @@ def test_logistic_builder_certificate(seed, epsilon):
     delta = float(np.min(np.abs(np.asarray(inst.model.link_inv(margins)))))
     part = build_partition_logistic(inst, epsilon, delta)
     assert max_intra_cell_distortion(inst, part.cell_of, part.K) <= epsilon + 1e-12
+
+
+def test_logistic_margins_come_from_exact_inner_products():
+    # at beta=100 many means round to 1.0, where inverting the link gives inf
+    model = OutcomeModel(kind=LOGISTIC, beta=100.0)
+    inst = sample_instance(np.random.default_rng(3), 2, 100, 100, model)
+    assert np.any(inst.mu[np.arange(100), inst.astar] == 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        margins = best_action_margins(inst)
+        part = build_partition_logistic(inst, 0.02, 0.02)
+    inner = inst.params @ inst.actions.T
+    np.testing.assert_allclose(margins, inner[np.arange(100), inst.astar], rtol=0, atol=1e-15)
+    assert max_intra_cell_distortion(inst, part.cell_of, part.K) <= 0.02 + CERT_TOL
 
 
 def test_logistic_builder_margin_violation():
