@@ -24,6 +24,8 @@ Exit codes: 0 success / criteria met, 1 criteria violated, 2 config error.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 
@@ -76,16 +78,19 @@ def _json_default(value):
 
 
 def _write(args, header: list[str], rows, doc=None) -> None:
-    """Write ``header`` and ``rows`` as CSV or, under ``--format json``,
-    ``doc`` (by default one object per row) to ``--out`` or stdout."""
+    """Write ``header`` and ``rows`` as CSV (a field holding ``,`` or ``"``
+    is quoted) or, under ``--format json``, ``doc`` (by default one object
+    per row) to ``--out`` or stdout."""
     if args.format == "json":
         if doc is None:
             doc = [dict(zip(header, row)) for row in rows]
         text = json.dumps(doc, indent=2, default=_json_default) + "\n"
     else:
-        lines = [",".join(header)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-        text = "\n".join(lines) + "\n"
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
+        text = buf.getvalue()
     if args.out is None:
         sys.stdout.write(text)
     else:

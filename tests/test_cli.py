@@ -1,3 +1,4 @@
+import csv
 import json
 import warnings
 
@@ -215,11 +216,9 @@ def test_csv_and_json_carry_the_same_values(argv, tmp_path):
     codes = [run(argv + ["--seed", "9", "--format", fmt, "--out", str(path)])
              for fmt, path in outs.items()]
     assert codes[0] == codes[1]
-    header, *lines = outs["csv"].read_text().splitlines()
-    columns = header.split(",")
-    # only the last column can hold commas (the JSON inputs of bounds)
-    csv_rows = [list(zip(columns, map(_csv_value, line.split(",", len(columns) - 1))))
-                for line in lines]
+    with open(outs["csv"], newline="") as fh:
+        header, *lines = csv.reader(fh)
+    csv_rows = [list(zip(header, map(_csv_value, line))) for line in lines]
     doc = json.loads(outs["json"].read_text())
     if argv[0] == "audit":
         doc = doc["periods"]
