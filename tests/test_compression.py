@@ -166,6 +166,15 @@ def test_refine_resplits_an_over_wide_cell_like_the_oracle():
     assert refined.max() > 0  # the greedy re-split fired
     assert np.array_equal(refined, oracle_refine_certified(inst, cell_of, 0.05))
     assert max_intra_cell_distortion(inst, refined, int(refined.max()) + 1) <= 0.05 + CERT_TOL
+    # a pair whose distortion exceeds epsilon by less than CERT_TOL stays together
+    dmat = distortion_matrix(inst)
+    i, j = np.unravel_index(np.argmax(dmat), dmat.shape)
+    pair = np.arange(30)
+    pair[j] = i
+    tight = float(max(dmat[i, j], dmat[j, i])) - CERT_TOL / 2
+    refined = _refine_certified(inst, pair, tight)
+    assert refined[i] == refined[j]
+    assert np.array_equal(refined, oracle_refine_certified(inst, pair, tight))
 
 
 def test_certification_memory_is_per_cell_not_m_squared():
