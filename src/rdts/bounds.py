@@ -104,6 +104,22 @@ def c_phi(model: OutcomeModel, interval_lo: float, interval_hi: float) -> float:
     raise ValueError(f"unsupported model kind {model.kind!r}")
 
 
+def ladder_start(
+    model: OutcomeModel, epsilon: float, delta: float
+) -> tuple[float, float]:
+    """``(phi(delta), s_0)`` of the logistic ladder, with phi(s_0) = phi(delta) - epsilon.
+
+    Raises :class:`EpsilonTooLarge` unless epsilon < phi(delta) - 1/2, which
+    is what puts s_0 above 0.
+    """
+    phi_delta = float(model.link(delta))
+    if epsilon >= phi_delta - 0.5:
+        raise EpsilonTooLarge(
+            f"epsilon {epsilon!r} must be < phi(delta) - 1/2 = {phi_delta - 0.5!r}"
+        )
+    return phi_delta, float(model.link_inv(phi_delta - epsilon))
+
+
 def partition_count_bounds(
     d: int,
     epsilon: float,
@@ -124,12 +140,6 @@ def partition_count_bounds(
     if kind == LOGISTIC:
         if beta is None or delta is None or beta <= 0 or delta <= 0:
             raise ValueError("logistic bound needs beta, delta > 0")
-        model = OutcomeModel(kind=LOGISTIC, beta=beta)
-        phi_delta = float(model.link(delta))
-        if epsilon >= phi_delta - 0.5:
-            raise EpsilonTooLarge(
-                f"epsilon {epsilon!r} must be < phi(delta) - 1/2 = {phi_delta - 0.5!r}"
-            )
-        s0 = float(model.link_inv(phi_delta - epsilon))
+        _, s0 = ladder_start(OutcomeModel(kind=LOGISTIC, beta=beta), epsilon, delta)
         return (1.0 / epsilon) * (1.0 + 2.0 / (delta - s0)) ** d
     raise ValueError(f"unsupported kind {kind!r}")

@@ -51,6 +51,7 @@ from .model import (
     sample_instance,
 )
 from .policy import audit_regret_chain, simulate_ts
+from .tolerances import RATIO_CEILING_TOL
 
 
 class ConfigError(ValueError):
@@ -157,7 +158,7 @@ def cmd_ir_sweep(args) -> int:
                 instance = sample_instance(rng, d, args.n, args.m, model)
                 belief = BeliefState(rng.dirichlet(np.ones(args.m)))
                 report = ts_info_ratio(instance, belief)
-                violated = report.ratio > d / 2.0 + 1e-9
+                violated = report.ratio > d / 2.0 + RATIO_CEILING_TOL
                 rows.append((d, beta, inst_id, report.numerator, report.denominator,
                              report.ratio, d / 2.0, violated))
     # sorted by (d, beta, instance) whatever the order of --d-list and --beta-list

@@ -20,10 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .bounds import EpsilonTooLarge, c_phi
+from .bounds import EpsilonTooLarge, c_phi, ladder_start
 from .inference import BeliefState
 from .information import entropy, info_gain_about_statistic
 from .model import GLM, LINEAR_BINARY, LOGISTIC, BanditInstance
+from .tolerances import CERT_TOL, INPUT_PMF_TOL, LADDER_TOL, MARGIN_TOL, PAIR_TOL, TIE_TOL
 
 __all__ = [
     "Partition",
@@ -45,9 +46,6 @@ __all__ = [
     "TooLarge",
     "Infeasible",
 ]
-
-CERT_TOL = 1e-12
-PAIR_TOL = 1e-12
 
 
 class InvalidEpsilon(ValueError):
@@ -189,13 +187,19 @@ def _greedy_cover(points: NDArray, radius: float) -> list[list[int]]:
     return groups
 
 
-def _cells_from_action_groups(
-    astar: NDArray, realized: NDArray, groups: list[list[int]]
-) -> NDArray:
-    """Group index of each best action in ``astar``; ``groups`` holds
-    positions in ``realized``."""
+def _cover_best_actions(
+    instance: BanditInstance, astar: NDArray, radius: float
+) -> tuple[NDArray, int]:
+    """Greedy-cover the distinct actions in ``astar`` at center ``radius``.
+
+    Returns the group index of each entry of ``astar`` and the number of
+    groups.
+    """
+    realized = np.unique(astar)
+    groups = _greedy_cover(instance.actions[realized], radius)
     group_of_action = {int(realized[t]): g for g, grp in enumerate(groups) for t in grp}
-    return np.array([group_of_action[int(a)] for a in astar], dtype=np.intp)
+    group_of = np.array([group_of_action[int(a)] for a in astar], dtype=np.intp)
+    return group_of, len(groups)
 
 
 def _refine_certified(
@@ -241,6 +245,14 @@ def _finish_partition(
     return Partition(cell_of=cell_of, epsilon=epsilon, K=int(cell_of.max()) + 1)
 
 
+def _link_cover_partition(instance: BanditInstance, epsilon: float) -> Partition:
+    """Greedy covering of the realized best-action set at center radius
+    epsilon / (2 C(phi)); C(phi) = 1/2 makes the linear radius epsilon exactly."""
+    radius = epsilon / (2.0 * realized_link_slope(instance))
+    cell_of, _ = _cover_best_actions(instance, instance.astar, radius)
+    return _finish_partition(instance, cell_of, epsilon)
+
+
 def build_partition_linear(instance: BanditInstance, epsilon: float) -> Partition:
     """Greedy covering of the realized best-action set at center radius epsilon.
 
@@ -251,10 +263,7 @@ def build_partition_linear(instance: BanditInstance, epsilon: float) -> Partitio
         raise InvalidEpsilon("epsilon must be positive")
     if instance.model.kind != LINEAR_BINARY:
         raise InvalidEpsilon("linear partition builder requires a linear_binary model")
-    realized = np.unique(instance.astar)
-    groups = _greedy_cover(instance.actions[realized], epsilon)
-    cell_of = _cells_from_action_groups(instance.astar, realized, groups)
-    return _finish_partition(instance, cell_of, epsilon)
+    return _link_cover_partition(instance, epsilon)
 
 
 def realized_link_slope(instance: BanditInstance) -> float:
@@ -273,11 +282,7 @@ def build_partition_glm(instance: BanditInstance, epsilon: float) -> Partition:
         raise InvalidEpsilon("epsilon must be positive")
     if instance.model.kind not in (GLM, LOGISTIC):
         raise InvalidEpsilon("glm partition builder requires a glm or logistic model")
-    slope = realized_link_slope(instance)
-    realized = np.unique(instance.astar)
-    groups = _greedy_cover(instance.actions[realized], epsilon / (2.0 * slope))
-    cell_of = _cells_from_action_groups(instance.astar, realized, groups)
-    return _finish_partition(instance, cell_of, epsilon)
+    return _link_cover_partition(instance, epsilon)
 
 
 def best_action_margins(instance: BanditInstance) -> NDArray:
@@ -292,16 +297,11 @@ def logistic_ladder(model, epsilon: float, delta: float) -> list[float]:
     L is the smallest integer with phi(delta) + (L-1) * epsilon >= phi(1), so
     consecutive levels (past s_0) advance the link value by exactly epsilon.
     """
-    phi_delta = float(model.link(delta))
-    phi_one = float(model.link(1.0))
-    if epsilon >= phi_delta - 0.5:
-        raise EpsilonTooLarge(
-            f"epsilon {epsilon!r} must be < phi(delta) - 1/2 = {phi_delta - 0.5!r}"
-        )
-    gap = phi_one - phi_delta
-    levels_needed = int(np.ceil(gap / epsilon - 1e-12)) if gap > 0 else 0
+    phi_delta, s0 = ladder_start(model, epsilon, delta)
+    gap = float(model.link(1.0)) - phi_delta
+    levels_needed = int(np.ceil(gap / epsilon - LADDER_TOL)) if gap > 0 else 0
     L = max(1, levels_needed + 1)
-    s = [float(model.link_inv(phi_delta - epsilon)), delta]
+    s = [s0, delta]
     for ell in range(2, L):
         s.append(float(model.link_inv(phi_delta + (ell - 1) * epsilon)))
     if L >= 2:
@@ -327,7 +327,7 @@ def build_partition_logistic(
     if delta <= 0.0:
         raise MarginViolated("delta must be positive")
     inner = best_action_margins(instance)
-    if np.min(np.abs(inner)) < delta - 1e-12:
+    if np.min(np.abs(inner)) < delta - MARGIN_TOL:
         raise MarginViolated(
             f"min |alpha(theta).theta| = {float(np.min(np.abs(inner)))!r} < delta"
         )
@@ -348,18 +348,17 @@ def build_partition_logistic(
         for lo, hi, gap, closed_left in bands:
             v = sign * inner
             if closed_left:
-                in_band = (v >= lo - 1e-12) & (v <= hi + 1e-12)
+                in_band = (v >= lo - MARGIN_TOL) & (v <= hi + MARGIN_TOL)
             else:
-                in_band = (v > lo + 1e-12) & (v <= hi + 1e-12)
+                in_band = (v > lo + MARGIN_TOL) & (v <= hi + MARGIN_TOL)
             members = np.flatnonzero(in_band & (sign * inner > 0) & (cell_of < 0))
             if members.size == 0:
                 continue
-            realized = np.unique(instance.astar[members])
-            groups = _greedy_cover(instance.actions[realized], gap / 2.0)
-            cell_of[members] = next_cell + _cells_from_action_groups(
-                instance.astar[members], realized, groups
+            group_of, count = _cover_best_actions(
+                instance, instance.astar[members], gap / 2.0
             )
-            next_cell += len(groups)
+            cell_of[members] = next_cell + group_of
+            next_cell += count
     if np.any(cell_of < 0):
         raise MarginViolated("some parameter fell outside every layer band")
     # greedy groups that absorbed no member leave gaps in the numbering
@@ -382,7 +381,7 @@ def two_point_pair(
     p = np.asarray(p, dtype=float)
     if a.shape != b.shape or a.shape != p.shape or a.ndim != 1 or a.size < 1:
         raise ValueError("a, b, p must be 1-D arrays of equal positive length")
-    if np.any(p < -PAIR_TOL) or abs(p.sum() - 1.0) > 1e-9:
+    if np.any(p < -PAIR_TOL) or abs(p.sum() - 1.0) > INPUT_PMF_TOL:
         raise ValueError("p must be a valid pmf")
     mean_a = float(p @ a)
     mean_b = float(p @ b)
@@ -495,8 +494,8 @@ def rate_distortion_bruteforce(
             continue
         mass = np.bincount(code, weights=belief.probs, minlength=K)
         info = entropy(mass)
-        if best is None or info < best[0] - 1e-15 or (
-            abs(info - best[0]) <= 1e-15 and K < best[1]
+        if best is None or info < best[0] - TIE_TOL or (
+            abs(info - best[0]) <= TIE_TOL and K < best[1]
         ):
             best = (info, K, code)
     assert best is not None  # the singleton partition is always valid

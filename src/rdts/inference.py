@@ -9,9 +9,7 @@ from numpy.typing import NDArray
 
 # outcome_support stays importable from here for code that traces or patches it by name
 from .model import BanditInstance, outcome_support  # noqa: F401
-
-BELIEF_TOL = 1e-10
-OUTCOME_MATCH_TOL = 1e-9
+from .tolerances import BELIEF_TOL, OUTCOME_MATCH_TOL
 
 
 class AllZeroLikelihood(ValueError):
@@ -54,8 +52,16 @@ def outcome_likelihoods(
     matching columns of ``outcome_support``.
     """
     table = instance.outcome_table(action_idx)
-    hit = np.abs(table.points() - outcome) <= OUTCOME_MATCH_TOL
-    return np.where(hit, table.w, 0.0).sum(axis=1)
+    return _match_likelihood(table.points(), table.w, outcome)
+
+
+def _match_likelihood(points: NDArray, weights: NDArray, y: NDArray | float) -> NDArray:
+    """Mass of the two-point pmfs ``(points, weights)`` (last axis) on the
+    points within ``OUTCOME_MATCH_TOL`` of ``y``, which broadcasts against
+    ``points``; a pmf has at most two nonzero terms, so the sum is the same
+    float in any order."""
+    hit = np.abs(points - y) <= OUTCOME_MATCH_TOL
+    return np.where(hit, weights, 0.0).sum(axis=-1)
 
 
 def _normalised(p: NDArray) -> NDArray:

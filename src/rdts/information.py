@@ -16,13 +16,10 @@ from numpy.typing import NDArray
 
 from .inference import BeliefState
 from .model import BanditInstance, outcome_support
+from .tolerances import CELL_MASS_TOL, DENOMINATOR_TOL, INPUT_PMF_TOL, NUMERATOR_TOL
 
 if TYPE_CHECKING:  # pragma: no cover
     from .compression import Partition, Representation
-
-PMF_TOL = 1e-9
-NUMERATOR_TOL = 1e-9
-DENOMINATOR_TOL = 1e-12
 
 
 class InvalidPmf(ValueError):
@@ -45,13 +42,20 @@ class InfoRatioReport:
     degenerate: bool
 
 
+def _checked_input_pmf(p: NDArray, ndim: int) -> NDArray:
+    """``p`` as a float array, checked to be a non-empty ``ndim``-D pmf to
+    ``INPUT_PMF_TOL``."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim != ndim or p.size < 1 or np.any(p < -INPUT_PMF_TOL):
+        raise InvalidPmf(f"need a non-negative {ndim}-D pmf")
+    if abs(p.sum() - 1.0) > INPUT_PMF_TOL:
+        raise InvalidPmf(f"pmf sums to {p.sum()!r}, not 1")
+    return p
+
+
 def entropy(p: NDArray) -> float:
     """Shannon entropy in nats, with 0 log 0 = 0."""
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or p.size < 1 or np.any(p < -PMF_TOL):
-        raise InvalidPmf("entropy needs a non-negative 1-D pmf")
-    if abs(p.sum() - 1.0) > PMF_TOL:
-        raise InvalidPmf(f"pmf sums to {p.sum()!r}, not 1")
+    p = _checked_input_pmf(p, 1)
     pos = p[p > 0.0]
     # + 0.0 turns the -0.0 of a point mass into 0.0 and changes nothing else
     return float(-(pos * np.log(pos)).sum() + 0.0)
@@ -59,12 +63,7 @@ def entropy(p: NDArray) -> float:
 
 def mutual_information(joint: NDArray) -> float:
     """Mutual information of a joint pmf given as a 2-D array, in nats."""
-    j = np.asarray(joint, dtype=float)
-    if j.ndim != 2 or np.any(j < -PMF_TOL):
-        raise InvalidPmf("joint must be a non-negative 2-D pmf")
-    if abs(j.sum() - 1.0) > PMF_TOL:
-        raise InvalidPmf(f"joint sums to {j.sum()!r}, not 1")
-    j = np.clip(j, 0.0, None)
+    j = np.clip(_checked_input_pmf(joint, 2), 0.0, None)
     pu = j.sum(axis=1)
     pv = j.sum(axis=0)
     outer = pu[:, None] * pv[None, :]
@@ -148,17 +147,23 @@ def info_gain_about_statistic(
     return mutual_information(joint)
 
 
+def _checked_cell_mass(belief: BeliefState, representation: "Representation") -> NDArray:
+    """The belief's pushforward onto cells, checked against the representation's
+    stored ``cell_mass`` to ``CELL_MASS_TOL``."""
+    part = representation.partition
+    mass = np.bincount(part.cell_of, weights=belief.probs, minlength=part.K)
+    if np.max(np.abs(mass - representation.cell_mass)) > CELL_MASS_TOL:
+        raise InconsistentRepresentation(
+            "cell masses do not match the belief pushforward"
+        )
+    return mass
+
+
 def _representation_support(
     belief: BeliefState, representation: "Representation"
 ) -> tuple[list[tuple[int, int, float]], NDArray]:
     """Positive-probability representative values as (param_idx, cell, q) triples."""
-    part = representation.partition
-    p = belief.probs
-    mass = np.bincount(part.cell_of, weights=p, minlength=part.K)
-    if np.max(np.abs(mass - representation.cell_mass)) > 1e-9:
-        raise InconsistentRepresentation(
-            "cell masses do not match the belief pushforward"
-        )
+    mass = _checked_cell_mass(belief, representation)
     support: list[tuple[int, int, float]] = []
     for k, (i1, i2, r) in enumerate(representation.cells):
         if mass[k] <= 0.0:

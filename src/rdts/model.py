@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-NORM_TOL = 1e-12
-PMF_TOL = 1e-12
+from .tolerances import MERGE_TOL, NORM_TOL, OUTCOME_PMF_TOL, SUPPORT_MATCH_TOL
 
 LINEAR_BINARY = "linear_binary"
 GLM = "glm"
@@ -88,6 +87,8 @@ class OutcomeModel:
 def _check_ball(vectors: NDArray, name: str) -> None:
     if vectors.ndim != 2 or vectors.shape[0] == 0 or vectors.shape[1] < 1:
         raise InvalidInstanceError(f"{name} must be a non-empty (count, d) array")
+    if not np.isfinite(vectors).all():
+        raise InvalidInstanceError(f"{name} contains non-finite coordinates")
     norms = np.linalg.norm(vectors, axis=1)
     if np.any(norms > 1.0 + NORM_TOL):
         raise InvalidInstanceError(f"{name} contains vectors with norm > 1")
@@ -128,14 +129,14 @@ class BanditInstance:
         if self.model.kind == LINEAR_BINARY:
             mu = 0.5 * inner
             # success probability 1/2 + a.theta/2 must be a probability
-            if np.any(np.abs(inner) > 1.0 + PMF_TOL):
+            if np.any(np.abs(inner) > 1.0 + OUTCOME_PMF_TOL):
                 raise InvalidInstanceError("linear_binary requires |a.theta| <= 1")
         else:
             mu = np.asarray(self.model.link(inner))
             if self.model.kind == GLM:
                 eta = float(self.model.eta or 0.0)
                 spread = float(mu.max() - mu.min()) + 2.0 * eta
-                if spread > 1.0 + PMF_TOL:
+                if spread > 1.0 + OUTCOME_PMF_TOL:
                     raise InvalidInstanceError(
                         "glm reward range exceeds 1 (link spread + 2*eta)"
                     )
@@ -234,7 +235,7 @@ _BINARY_IDX.setflags(write=False)
 
 
 def _build_outcome_table(instance: BanditInstance, action_idx: int) -> OutcomeTable:
-    """Tabulate and validate one action's pmfs (``PMF_TOL``, support match)."""
+    """Tabulate and validate one action's pmfs (``OUTCOME_PMF_TOL``, support match)."""
     kind = instance.model.kind
     if kind != GLM:
         p_hi = instance.mu[:, action_idx]
@@ -289,10 +290,10 @@ def outcome_support(
 
 
 def _checked_pmf(w: NDArray) -> NDArray:
-    """``(m, 2)`` two-point pmfs, validated to ``PMF_TOL`` and clipped to [0, 1]."""
-    if ((w < -PMF_TOL) | (w > 1.0 + PMF_TOL)).any():
+    """``(m, 2)`` two-point pmfs, validated to ``OUTCOME_PMF_TOL`` and clipped to [0, 1]."""
+    if ((w < -OUTCOME_PMF_TOL) | (w > 1.0 + OUTCOME_PMF_TOL)).any():
         raise InvalidInstanceError("outcome probability outside [0, 1]")
-    if (abs(w[:, 0] + w[:, 1] - 1.0) > PMF_TOL).any():
+    if (abs(w[:, 0] + w[:, 1] - 1.0) > OUTCOME_PMF_TOL).any():
         raise InvalidInstanceError("outcome pmf does not sum to 1")
     return w.clip(0.0, 1.0)
 
@@ -322,22 +323,22 @@ def two_point_outcomes(
     return points, weights
 
 
-def _dedupe_sorted(values: NDArray, tol: float = 1e-12) -> NDArray:
+def _dedupe_sorted(values: NDArray) -> NDArray:
     keep = [values[0]]
     for v in values[1:]:
-        if v - keep[-1] > tol:
+        if v - keep[-1] > MERGE_TOL:
             keep.append(v)
     return np.asarray(keep)
 
 
-def _locate(grid: NDArray, values: NDArray, tol: float = 1e-12) -> NDArray:
+def _locate(grid: NDArray, values: NDArray) -> NDArray:
     idx = np.searchsorted(grid, values)
     idx = np.clip(idx, 0, grid.size - 1)
     # searchsorted may land one slot right of the merged representative
     left = np.clip(idx - 1, 0, grid.size - 1)
     use_left = np.abs(grid[left] - values) <= np.abs(grid[idx] - values)
     out = np.where(use_left, left, idx)
-    if np.any(np.abs(grid[out] - values) > 10 * tol):
+    if np.any(np.abs(grid[out] - values) > SUPPORT_MATCH_TOL):
         raise InvalidInstanceError("outcome value does not match merged support")
     return out
 

@@ -29,15 +29,15 @@ from numpy.typing import NDArray
 from .bounds import compressed_bound
 from .compression import Partition, Representation, build_representation, statistic_mutual_information
 from .inference import (
-    OUTCOME_MATCH_TOL,
     BeliefState,
+    _match_likelihood,
     inverse_cdf,
     posterior_update,
     posterior_update_rows,
     sample_parameter,
 )
 from .information import (
-    InconsistentRepresentation,
+    _checked_cell_mass,
     _ratio_report,
     compressed_moments,
     entropy,
@@ -46,8 +46,7 @@ from .information import (
 )
 # outcome_support stays importable from here for code that traces or patches it by name
 from .model import BanditInstance, outcome_support, two_point_outcomes  # noqa: F401
-
-AUDIT_TOL = 1e-8
+from .tolerances import AUDIT_TOL
 
 
 class GuardExceeded(ValueError):
@@ -134,11 +133,8 @@ def simulate_ts(
             regret = best[theta_star] - instance.mu[theta_star, action]
         per_period[t] = np.cumsum(regret)[-1]  # runs added in run order
         totals += regret
-        # likelihood of y: the mass on points within OUTCOME_MATCH_TOL of it, as in
-        # outcome_likelihoods; a pmf has at most two nonzero terms, so the sum
-        # is the same float in any order
-        hit = np.abs(points[s] - y[:, None, None]) <= OUTCOME_MATCH_TOL
-        belief = posterior_update_rows(belief, np.where(hit, weights[s], 0.0).sum(axis=2))
+        like = _match_likelihood(points[s], weights[s], y[:, None, None])
+        belief = posterior_update_rows(belief, like)
     per_period /= runs
     std_error = float(totals.std(ddof=1) / np.sqrt(runs)) if runs > 1 else 0.0
     return RegretTrace(
@@ -157,13 +153,7 @@ def compressed_ts_step(
     rng: np.random.Generator,
 ) -> tuple[int, int]:
     """Sample a cell by mass, then the cell's two-point representative."""
-    mass = np.bincount(
-        representation.partition.cell_of,
-        weights=belief.probs,
-        minlength=representation.partition.K,
-    )
-    if np.max(np.abs(mass - representation.cell_mass)) > 1e-9:
-        raise InconsistentRepresentation("cell masses do not match the belief")
+    _checked_cell_mass(belief, representation)
     k = int(inverse_cdf(representation.cell_mass, rng.random()))
     i1, i2, r = representation.cells[k]
     param_idx = i1 if rng.random() < r else i2

@@ -15,6 +15,7 @@ from rdts.bounds import (
     logistic_bound,
 )
 from rdts.compression import (
+    best_action_margins,
     build_partition_glm,
     build_partition_linear,
     build_partition_logistic,
@@ -56,15 +57,13 @@ def margin_logistic_instance(rng, d, n, m, beta, delta):
     model = make_model(LOGISTIC, beta=beta)
     for _ in range(500):
         inst = sample_instance(rng, d, n, m, model)
-        margins = inst.mu[np.arange(m), inst.astar]
-        if np.min(np.abs(np.asarray(model.link_inv(margins)))) >= delta:
+        if instance_margin(inst) >= delta:
             return inst
     raise AssertionError("could not draw a margin-respecting logistic instance")
 
 
 def instance_margin(inst) -> float:
-    margins = inst.mu[np.arange(inst.n_params), inst.astar]
-    return float(np.min(np.abs(np.asarray(inst.model.link_inv(margins)))))
+    return float(np.min(np.abs(best_action_margins(inst))))
 
 
 def test_criterion_01_info_ratio_sweep(capsys):

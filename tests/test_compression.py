@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_model, random_belief, random_instance
+from conftest import random_belief, random_instance
 from rdts.compression import (
     CERT_TOL,
     EpsilonTooLarge,
@@ -40,12 +40,9 @@ from rdts.model import GLM, LINEAR_BINARY, LOGISTIC, OutcomeModel, sample_instan
 
 def margin_logistic_instance(rng, d=2, n=10, m=8, beta=4.0, delta=0.25):
     """Random logistic instance whose best-action inner products clear delta."""
-    model = make_model(LOGISTIC, beta=beta)
     for _ in range(200):
         inst = random_instance(rng, LOGISTIC, d=d, n=n, m=m, beta=beta)
-        margins = inst.mu[np.arange(m), inst.astar]
-        inner = np.abs(np.asarray(model.link_inv(margins)))
-        if inner.min() >= delta:
+        if np.abs(best_action_margins(inst)).min() >= delta:
             return inst
     raise AssertionError("could not draw a margin-respecting instance")
 
@@ -293,8 +290,7 @@ def test_logistic_ladder_epsilon_guard():
 def test_logistic_builder_certificate(seed, epsilon):
     rng = np.random.default_rng(seed)
     inst = margin_logistic_instance(rng, d=2, n=10, m=8, beta=4.0, delta=0.25)
-    margins = inst.mu[np.arange(inst.n_params), inst.astar]
-    delta = float(np.min(np.abs(np.asarray(inst.model.link_inv(margins)))))
+    delta = float(np.min(np.abs(best_action_margins(inst))))
     part = build_partition_logistic(inst, epsilon, delta)
     assert max_intra_cell_distortion(inst, part.cell_of, part.K) <= epsilon + 1e-12
 

@@ -302,6 +302,18 @@ def test_instance_json_round_trip(kind, seed):
     np.testing.assert_array_equal(back.astar, inst.astar)
 
 
+@pytest.mark.parametrize("field", ["actions", "params"])
+def test_from_json_rejects_nan_coordinates(tiny_linear, field):
+    # a NaN norm compares False against 1 + NORM_TOL, so the ball check alone
+    # would let it through
+    doc = json.loads(tiny_linear.to_json())
+    doc[field][0][0] = float("nan")
+    text = json.dumps(doc)
+    assert "NaN" in text
+    with pytest.raises(InvalidInstanceError, match="non-finite"):
+        BanditInstance.from_json(text)
+
+
 def test_to_json_is_plain_json(tiny_linear):
     doc = json.loads(tiny_linear.to_json())
     assert doc["d"] == 2
