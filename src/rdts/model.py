@@ -99,7 +99,9 @@ class BanditInstance:
     """Immutable bandit instance with cached mean-reward table and argmaxes.
 
     ``mu[i, j]`` is the exact mean reward of action ``j`` under parameter
-    ``i``; ``astar[i]`` is the lowest-index maximizer of row ``i``.
+    ``i``; ``astar[i]`` is the lowest-index maximizer of the inner products
+    ``a_j . theta_i``. Every link is strictly increasing, so that is the best
+    action of row ``i`` even where the float link saturates and ``mu`` ties.
 
     The outcome pmfs are tabulated lazily, one :class:`OutcomeTable` per
     action, built and validated the first time ``outcome_table`` is asked for
@@ -140,7 +142,7 @@ class BanditInstance:
                     raise InvalidInstanceError(
                         "glm reward range exceeds 1 (link spread + 2*eta)"
                     )
-        astar = np.argmax(mu, axis=1)  # np.argmax breaks ties at the lowest index
+        astar = np.argmax(inner, axis=1)  # np.argmax breaks ties at the lowest index
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "astar", astar.astype(np.intp))
         object.__setattr__(self, "_outcomes", {})

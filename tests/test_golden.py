@@ -50,6 +50,10 @@ CASES = {
     "audit-linear.json": (
         ("audit", "--model", "linear_binary", "--epsilon", "0.05",
          "--T", "6", "--runs", "2", "--format", "json", *_small()), 0),
+    # Bernoulli outcomes never identify theta* at once, so every period is informative
+    "audit-logistic.json": (
+        ("audit", "--model", "logistic", "--beta", "3", "--epsilon", "0.05",
+         "--T", "6", "--runs", "2", "--format", "json", *_small()), 0),
     "regret-linear.csv": (
         ("regret", "--model", "linear_binary", "--T", "20", "--runs", "5", *_small()), 0),
     "regret-glm.csv": (

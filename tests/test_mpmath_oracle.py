@@ -1,0 +1,139 @@
+"""60-digit oracles for the logistic model at large beta.
+
+At beta = 100 the float sigmoid saturates to exactly 1.0 for most inner
+products above 0.4, so two actions can share a float mean although one is
+strictly better. These tests recompute the paper's quantities from the same
+float inputs (actions, parameters, belief, partition, representation) with
+60-digit ``mpmath`` arithmetic and the exact best action of each parameter,
+and compare each float result against the tolerance the program applies to
+that quantity.
+"""
+
+import mpmath
+import numpy as np
+import pytest
+
+from rdts.compression import Partition, build_representation, distortion_block
+from rdts.inference import BeliefState
+from rdts.information import compressed_moments, ts_info_ratio
+from rdts.model import LOGISTIC, OutcomeModel, sample_instance
+from rdts.tolerances import AUDIT_TOL, CERT_TOL, RATIO_CEILING_TOL
+
+DIGITS = 60
+
+
+class ExactLogistic:
+    """The logistic instance's inner products, best actions and means in
+    60-digit arithmetic; every float input converts to an mpf exactly."""
+
+    def __init__(self, instance):
+        beta = mpmath.mpf(instance.model.beta)
+        acts = [[mpmath.mpf(float(x)) for x in row] for row in instance.actions]
+        self.inner = [
+            [mpmath.fsum(t * a for t, a in zip(map(mpmath.mpf, map(float, theta)), act))
+             for act in acts]
+            for theta in instance.params
+        ]
+        # lowest-index maximiser of the exact inner products
+        self.astar = [max(range(len(row)), key=lambda j, row=row: (row[j], -j))
+                      for row in self.inner]
+        self.mu = [[1 / (1 + mpmath.exp(-beta * x)) for x in row] for row in self.inner]
+        self.m = len(self.inner)
+        self.n = len(acts)
+
+    def mean_rewards(self, p):
+        return [mpmath.fsum(p[i] * self.mu[i][a] for i in range(self.m))
+                for a in range(self.n)]
+
+    def mi_rows(self, weights, rows):
+        """MI of the joint weights[s] * Bernoulli(rows[s]) over (s, outcome)."""
+        total = mpmath.mpf(0)
+        hi = mpmath.fsum(w * r for w, r in zip(weights, rows))
+        for w, r in zip(weights, rows):
+            if w == 0:
+                continue
+            for cond, marg in ((r, hi), (1 - r, 1 - hi)):
+                if cond > 0:
+                    total += w * cond * mpmath.log(cond / marg)
+        return total
+
+
+def _case(seed, beta, d=5, m=40):
+    rng = np.random.default_rng(seed)
+    inst = sample_instance(rng, d, m, m, OutcomeModel(kind=LOGISTIC, beta=beta))
+    return inst, BeliefState(rng.dirichlet(np.ones(m)))
+
+
+def _close(value, exact, tol):
+    return abs(mpmath.mpf(value) - exact) <= tol
+
+
+@pytest.mark.parametrize("beta", [10.0, 100.0])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_best_actions_and_distortion_match_60_digit_oracle(seed, beta):
+    inst, _ = _case(seed, beta)
+    with mpmath.workdps(DIGITS):
+        ex = ExactLogistic(inst)
+        assert inst.astar.tolist() == ex.astar
+        block = distortion_block(inst, np.arange(ex.m))
+        # certification compares distortions with epsilon + CERT_TOL
+        for i in range(ex.m):
+            for j in range(ex.m):
+                exact = ex.mu[j][ex.astar[j]] - ex.mu[j][ex.astar[i]]
+                assert _close(block[i, j], exact, CERT_TOL), (i, j)
+
+
+@pytest.mark.parametrize("beta", [10.0, 100.0])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ts_info_ratio_matches_60_digit_oracle(seed, beta):
+    inst, belief = _case(seed, beta)
+    report = ts_info_ratio(inst, belief)
+    with mpmath.workdps(DIGITS):
+        ex = ExactLogistic(inst)
+        p = [mpmath.mpf(float(x)) for x in belief.probs]
+        means = ex.mean_rewards(p)
+        regret = mpmath.fsum(p[i] * (ex.mu[i][ex.astar[i]] - means[ex.astar[i]])
+                             for i in range(ex.m))
+        info = mpmath.mpf(0)
+        for a in sorted(set(ex.astar)):
+            mass = mpmath.fsum(p[i] for i in range(ex.m) if ex.astar[i] == a)
+            info += mass * ex.mi_rows(p, [ex.mu[i][a] for i in range(ex.m)])
+        # ir-sweep reads the ratio against d/2 + RATIO_CEILING_TOL
+        assert _close(report.ratio, regret * regret / info, RATIO_CEILING_TOL)
+        assert _close(report.numerator, regret * regret, RATIO_CEILING_TOL)
+        assert _close(report.denominator, info, RATIO_CEILING_TOL)
+
+
+@pytest.mark.parametrize("beta", [10.0, 100.0])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_compressed_moments_match_60_digit_oracle(seed, beta):
+    inst, belief = _case(seed, beta)
+    K = 7
+    part = Partition(cell_of=np.arange(inst.n_params) % K, epsilon=0.1, K=K)
+    rep = build_representation(inst, belief, part)
+    diff, info = compressed_moments(inst, belief, rep)
+    with mpmath.workdps(DIGITS):
+        ex = ExactLogistic(inst)
+        p = [mpmath.mpf(float(x)) for x in belief.probs]
+        means = ex.mean_rewards(p)
+        cell_of = part.cell_of.tolist()
+        mass = [mpmath.fsum(p[i] for i in range(ex.m) if cell_of[i] == k) for k in range(K)]
+        atoms = []  # (parameter, cell, probability) of every representative value
+        for k, (i1, i2, r) in enumerate(rep.cells):
+            r = mpmath.mpf(r)
+            atoms += [(i1, k, mass[k] * r), (i2, k, mass[k] * (1 - r))]
+        atoms = [a for a in atoms if a[2] > 0]
+
+        def cell_mean(k, a):
+            return mpmath.fsum(p[i] * ex.mu[i][a] for i in range(ex.m) if cell_of[i] == k) / mass[k]
+
+        exact_diff = mpmath.fsum(q * (cell_mean(k, ex.astar[w]) - means[ex.astar[w]])
+                                 for w, k, q in atoms)
+        exact_info = mpmath.mpf(0)
+        for a in sorted({ex.astar[w] for w, _, _ in atoms}):
+            weight = mpmath.fsum(q for w, _, q in atoms if ex.astar[w] == a)
+            exact_info += weight * ex.mi_rows([q for _, _, q in atoms],
+                                              [cell_mean(k, a) for _, k, _ in atoms])
+        # the audit checks both moments with AUDIT_TOL slack
+        assert _close(diff, exact_diff, AUDIT_TOL)
+        assert _close(info, exact_info, AUDIT_TOL)
