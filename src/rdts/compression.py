@@ -22,7 +22,7 @@ from numpy.typing import NDArray
 
 from .bounds import EpsilonTooLarge, c_phi, ladder_start
 from .inference import BeliefState
-from .information import entropy, info_gain_about_statistic
+from .information import _stacked_tables, _statistic_information, entropy
 from .model import GLM, LINEAR_BINARY, LOGISTIC, BanditInstance
 from .tolerances import CERT_TOL, INPUT_PMF_TOL, LADDER_TOL, MARGIN_TOL, PAIR_TOL, TIE_TOL
 
@@ -82,6 +82,8 @@ class Partition:
     epsilon: float
     K: int
     _members: tuple = field(init=False, repr=False, compare=False)
+    # the lowest parameter index of each cell, read-only
+    first_members: NDArray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         cells = np.asarray(self.cell_of, dtype=np.intp)
@@ -91,6 +93,9 @@ class Partition:
         if len(members) != self.K or any(idx.size == 0 for idx in members):
             raise ValueError("cells must be exactly 0..K-1 and all non-empty")
         object.__setattr__(self, "_members", tuple(members))
+        first = np.array([idx[0] for idx in members], dtype=np.intp)
+        first.setflags(write=False)
+        object.__setattr__(self, "first_members", first)
 
     def members(self, k: int) -> NDArray:
         """Parameter indices of cell ``k`` in increasing order (read-only)."""
@@ -374,7 +379,10 @@ def two_point_pair(
 
     Existence is guaranteed for any valid inputs; the scan is lexicographic
     over ordered pairs and picks the smallest feasible r, so the result is
-    deterministic.
+    deterministic. Two scores within ``PAIR_TOL`` of each other constrain r
+    as equal scores would, so rounding noise in tied scores (glm actions
+    whose outcomes all identify theta carry the same information) cannot
+    change the pair.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -386,6 +394,8 @@ def two_point_pair(
     mean_a = float(p @ a)
     mean_b = float(p @ b)
     n = a.size
+    # Python floats do the same IEEE arithmetic as numpy scalars, faster
+    a, b = a.tolist(), b.tolist()
     for j in range(n):
         for k in range(n):
             lo, hi = 0.0, 1.0
@@ -393,9 +403,9 @@ def two_point_pair(
             for (xj, xk, target) in ((a[j], a[k], mean_a), (b[j], b[k], mean_b)):
                 coeff = xj - xk
                 rhs = target - xk
-                if coeff > 0.0:
+                if coeff > PAIR_TOL:
                     hi = min(hi, (rhs + PAIR_TOL) / coeff)
-                elif coeff < 0.0:
+                elif coeff < -PAIR_TOL:
                     lo = max(lo, (rhs - PAIR_TOL) / coeff)
                 elif rhs < -PAIR_TOL:
                     feasible = False
@@ -418,36 +428,43 @@ def build_representation(
     Each positive-mass cell is compressed onto a pair of its own parameters
     whose mixture underperforms the cell's conditional expected reward and
     conditional information gain simultaneously. Zero-mass cells get a
-    trivial in-cell singleton.
+    trivial in-cell singleton. The information scores I(psi; Y_a) of every
+    action a member of a positive-mass cell plays come from one grouped call.
     """
     p = belief.probs
     if p.size != partition.cell_of.size:
         raise ValueError("belief and partition cover different parameter counts")
-    mean_rewards = p @ instance.mu
     mass = np.bincount(partition.cell_of, weights=p, minlength=partition.K)
-    info_cache: dict[int, float] = {}
+    scored = np.unique(instance.astar[mass[partition.cell_of] > 0.0])
+    idx, w = _stacked_tables(instance, scored)
+    gain = np.zeros(instance.n_actions)
+    gain[scored] = _statistic_information(p[None], partition.cell_of, idx, w)[0]
+    i1, i2, r = _representative_pairs(instance, p, p @ instance.mu, partition, mass, gain)
+    cells = tuple(zip(i1.tolist(), i2.tolist(), r.tolist()))
+    return Representation(partition=partition, cells=cells, cell_mass=mass)
 
-    def gain(action_idx: int) -> float:
-        if action_idx not in info_cache:
-            info_cache[action_idx] = info_gain_about_statistic(
-                instance, belief, partition, action_idx
-            )
-        return info_cache[action_idx]
 
-    cells: list[tuple[int, int, float]] = []
-    for k in range(partition.K):
+def _representative_pairs(
+    instance: BanditInstance,
+    p: NDArray,
+    mean_rewards: NDArray,
+    partition: Partition,
+    mass: NDArray,
+    gain: NDArray,
+) -> tuple[NDArray, NDArray, NDArray]:
+    """``build_representation``'s cells as arrays ``(i1, i2, r)`` at belief
+    ``p`` with mean rewards ``p @ instance.mu`` and cell masses ``mass``,
+    given I(psi; Y_a) as ``gain[a]`` for every action a member of a
+    positive-mass cell plays."""
+    i1 = partition.first_members.copy()
+    i2 = partition.first_members.copy()
+    r = np.ones(partition.K)
+    for k in np.flatnonzero(mass > 0.0):
         members = partition.members(k)
-        if mass[k] <= 0.0:
-            cells.append((int(members[0]), int(members[0]), 1.0))
-            continue
-        weights = p[members] / mass[k]
-        scores_reward = np.array(
-            [mean_rewards[instance.astar[i]] for i in members]
-        )
-        scores_info = np.array([gain(int(instance.astar[i])) for i in members])
-        j, kk, r = two_point_pair(scores_reward, scores_info, weights)
-        cells.append((int(members[j]), int(members[kk]), r))
-    return Representation(partition=partition, cells=tuple(cells), cell_mass=mass)
+        played = instance.astar[members]
+        j, kk, r[k] = two_point_pair(mean_rewards[played], gain[played], p[members] / mass[k])
+        i1[k], i2[k] = members[j], members[kk]
+    return i1, i2, r
 
 
 def statistic_mutual_information(belief: BeliefState, partition: Partition) -> float:

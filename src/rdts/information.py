@@ -4,6 +4,13 @@ Everything here is finite summation in nats; there is no sampling or
 estimation. The one-step Thompson sampling ratio follows the decomposition
 I(theta~*; (theta~, Y)) = sum_i P(theta~ = theta_i) I(theta~*; Y_{alpha(theta_i)}),
 with the squared one-step expected regret in the numerator.
+
+Every mutual information here comes from one private kernel,
+``_grouped_mi``, which takes the joints of many (belief, action) pairs as
+flat entries built from the instances' cached two-point ``OutcomeTable``
+arrays and returns one MI per joint. The public functions are one-belief
+calls of the same code that the batched audit (``policy.audit_regret_chain``)
+runs on all of its runs at once.
 """
 
 from __future__ import annotations
@@ -15,7 +22,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .inference import BeliefState
-from .model import BanditInstance, outcome_support
+# outcome_support stays importable from here for code that traces or patches it by name
+from .model import BanditInstance, outcome_support  # noqa: F401
 from .tolerances import CELL_MASS_TOL, DENOMINATOR_TOL, INPUT_PMF_TOL, NUMERATOR_TOL
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -57,37 +65,122 @@ def entropy(p: NDArray) -> float:
     """Shannon entropy in nats, with 0 log 0 = 0."""
     p = _checked_input_pmf(p, 1)
     pos = p[p > 0.0]
-    # + 0.0 turns the -0.0 of a point mass into 0.0 and changes nothing else
-    return float(-(pos * np.log(pos)).sum() + 0.0)
+    # a point mass summed to 1 + 2**-52 gives -2.2e-16, which is clipped to
+    # 0; + 0.0 turns the -0.0 of a point mass into 0.0 and changes nothing else
+    return float(max(-(pos * np.log(pos)).sum(), 0.0) + 0.0)
 
 
 def mutual_information(joint: NDArray) -> float:
     """Mutual information of a joint pmf given as a 2-D array, in nats."""
-    j = np.clip(_checked_input_pmf(joint, 2), 0.0, None)
-    pu = j.sum(axis=1)
-    pv = j.sum(axis=0)
-    outer = pu[:, None] * pv[None, :]
-    mask = j > 0.0
-    total = float((j[mask] * np.log(j[mask] / outer[mask])).sum())
-    return max(total, 0.0)
+    j = _checked_input_pmf(joint, 2)
+    rows, cols = np.indices(j.shape)
+    return float(_grouped_mi(0, rows, cols, j, 1)[0])
 
 
-def _mi_rows(weights: NDArray, rows: NDArray) -> float:
-    """MI of the joint weights[i] * rows[i, y], assuming valid inputs."""
-    marginal = weights @ rows
-    mask = (rows > 0.0) & (weights[:, None] > 0.0) & (marginal[None, :] > 0.0)
-    ratio = np.ones_like(rows)
-    np.divide(rows, marginal[None, :], out=ratio, where=mask)
-    terms = weights[:, None] * rows * np.log(ratio, where=mask, out=np.zeros_like(rows))
-    return max(float(terms[mask].sum()), 0.0)
+def _grouped_mi(group, label, outcome, weight, n_groups: int) -> NDArray:
+    """Mutual information of ``n_groups`` joint pmfs at once, in nats.
+
+    Entry ``e`` puts ``weight[e]`` on cell ``(label[e], outcome[e])`` of the
+    joint pmf of group ``group[e]``; the four arguments broadcast together,
+    labels and outcomes are non-negative integer codes, and entries sharing a
+    cell add up in entry order. Each group's masses must be non-negative and
+    sum to 1 within ``INPUT_PMF_TOL``, as ``mutual_information`` requires.
+    Cells are merged by a bincount over the dense (group, label, outcome)
+    index when that index is small, as for the binary models' two shared
+    outcomes, and over the sorted distinct cells otherwise, as for glm's
+    merged supports. Returns each group's MI, clipped at 0.
+    """
+    group, label, outcome, weight = (
+        np.ravel(a) for a in np.broadcast_arrays(group, label, outcome, weight)
+    )
+    if weight.size and weight.min() < -INPUT_PMF_TOL:
+        raise InvalidPmf("need a non-negative joint pmf")
+    total = np.bincount(group, weights=weight, minlength=n_groups)
+    off = np.abs(total - 1.0) > INPUT_PMF_TOL
+    if off.any():
+        raise InvalidPmf(f"pmf sums to {total[off][0]!r}, not 1")
+    keep = weight > 0.0
+    group, label, outcome, weight = group[keep], label[keep], outcome[keep], weight[keep]
+    n_labels = int(label.max()) + 1
+    n_outcomes = int(outcome.max()) + 1
+    key = (group * n_labels + label) * n_outcomes + outcome
+    size = n_groups * n_labels * n_outcomes
+    if size <= _DENSE_CELLS_PER_ENTRY * key.size:
+        joint = np.bincount(key, weights=weight, minlength=size)
+        cells = np.flatnonzero(joint)
+        joint = joint[cells]
+    else:
+        cells, inverse = np.unique(key, return_inverse=True)
+        joint = np.bincount(inverse, weights=weight)
+    row = cells // n_outcomes  # (group, label) code
+    cell_group = row // n_labels
+    col = cell_group * n_outcomes + cells % n_outcomes  # (group, outcome) code
+    p_row = np.bincount(row, weights=joint)[row]
+    p_col = np.bincount(col, weights=joint)[col]
+    terms = joint * np.log(joint / (p_row * p_col))
+    return np.maximum(np.bincount(cell_group, weights=terms, minlength=n_groups), 0.0)
+
+
+# ``_grouped_mi`` scatters into the dense (group, label, outcome) index when
+# it has at most this many cells per entry; beyond that, sorting is cheaper
+_DENSE_CELLS_PER_ENTRY = 8
+
+
+def _stacked_tables(instance: BanditInstance, actions: NDArray) -> tuple[NDArray, NDArray]:
+    """``(idx, w)`` of the actions' ``OutcomeTable`` entries, each of shape
+    ``(len(actions), m, 2)``: action ``actions[s]`` under parameter ``i``
+    yields support point ``idx[s, i, k]`` with probability ``w[s, i, k]``."""
+    tables = [instance.outcome_table(a) for a in actions]
+    return np.stack([t.idx for t in tables]), np.stack([t.w for t in tables])
+
+
+def _outcome_information(
+    idx: NDArray,
+    w: NDArray,
+    run: NDArray,
+    param: NDArray,
+    label: NDArray,
+    mass: NDArray,
+    n_runs: int,
+) -> NDArray:
+    """I(L; Y_a) for every run and every stacked action, as ``(n_runs, A)``.
+
+    Run ``r``'s joint of (L, Y_a) puts ``mass[e] * w[s, param[e], k]`` on
+    (``label[e]``, ``idx[s, param[e], k]``), for each entry ``e`` with
+    ``run[e] == r`` and ``k = 0, 1``. All ``n_runs * A`` joints go through one
+    ``_grouped_mi`` call.
+    """
+    n_actions = idx.shape[0]
+    group = run[None, :, None] * n_actions + np.arange(n_actions)[:, None, None]
+    mi = _grouped_mi(
+        group, label[None, :, None], idx[:, param], mass[None, :, None] * w[:, param],
+        n_runs * n_actions,
+    )
+    return mi.reshape(n_runs, n_actions)
+
+
+def _positive_entries(probs: NDArray) -> tuple[NDArray, NDArray, NDArray]:
+    """``(run, param, mass)`` of the positive entries of a ``(runs, m)``
+    belief matrix, run by run in parameter order."""
+    run, param = np.nonzero(probs > 0.0)
+    return run, param, probs[run, param]
+
+
+def _statistic_information(
+    probs: NDArray, cell_of: NDArray, idx: NDArray, w: NDArray
+) -> NDArray:
+    """I(psi; Y_a) for every belief row and every stacked action, ``(runs, A)``."""
+    run, param, mass = _positive_entries(probs)
+    return _outcome_information(idx, w, run, param, cell_of[param], mass, probs.shape[0])
 
 
 def action_information(
     instance: BanditInstance, belief: BeliefState, action_idx: int
 ) -> float:
     """I(theta*; Y_a) under the belief, by exact summation."""
-    _, probs = outcome_support(instance, action_idx)
-    return _mi_rows(belief.probs, probs)
+    idx, w = _stacked_tables(instance, [action_idx])
+    run, param, mass = _positive_entries(belief.probs[None])
+    return float(_outcome_information(idx, w, run, param, param, mass, 1)[0, 0])
 
 
 def _ratio_report(numerator: float, denominator: float) -> InfoRatioReport:
@@ -100,28 +193,36 @@ def _ratio_report(numerator: float, denominator: float) -> InfoRatioReport:
     return InfoRatioReport(numerator, denominator, numerator / denominator, False)
 
 
-def ts_expected_regret(instance: BanditInstance, belief: BeliefState) -> float:
-    """Exact one-step expected regret of vanilla Thompson sampling at a belief."""
-    p = belief.probs
-    mu = instance.mu
-    astar = instance.astar
-    e_star = float(p @ mu[np.arange(mu.shape[0]), astar])
-    mean_rewards = p @ mu  # E[R_a] for every action
-    e_ts = float(p @ mean_rewards[astar])
+def _ts_regret_rows(instance: BanditInstance, probs: NDArray, mean_rewards: NDArray) -> NDArray:
+    """One-step expected regret of vanilla TS at each row of a ``(runs, m)``
+    belief matrix, given the rows' mean rewards ``probs @ instance.mu``."""
+    e_star = probs @ instance.mu[np.arange(instance.n_params), instance.astar]
+    e_ts = np.einsum("ri,ri->r", probs, mean_rewards[:, instance.astar])
     return e_star - e_ts
 
 
+def ts_expected_regret(instance: BanditInstance, belief: BeliefState) -> float:
+    """Exact one-step expected regret of vanilla Thompson sampling at a belief."""
+    p = belief.probs[None]
+    return float(_ts_regret_rows(instance, p, p @ instance.mu)[0])
+
+
 def ts_info_ratio(instance: BanditInstance, belief: BeliefState) -> InfoRatioReport:
-    """One-step information ratio of vanilla Thompson sampling at a belief."""
+    """One-step information ratio of vanilla Thompson sampling at a belief.
+
+    The denominator sum_a P(alpha(theta) = a) I(theta*; Y_a) takes the
+    information of every realized action with positive mass from one
+    ``_grouped_mi`` call.
+    """
     p = belief.probs
     diff = ts_expected_regret(instance, belief)
-    realized, inverse = np.unique(instance.astar, return_inverse=True)
-    action_mass = np.bincount(inverse, weights=p, minlength=realized.size)
-    denominator = 0.0
-    for col, a in enumerate(realized):
-        if action_mass[col] <= 0.0:
-            continue
-        denominator += action_mass[col] * action_information(instance, belief, int(a))
+    action_mass = np.bincount(instance.astar, weights=p, minlength=instance.n_actions)
+    played = np.flatnonzero(action_mass > 0.0)
+    idx, w = _stacked_tables(instance, played)
+    run, param, mass = _positive_entries(p[None])
+    info = _outcome_information(idx, w, run, param, param, mass, 1)[0]
+    # actions added in index order
+    denominator = float(np.cumsum(action_mass[played] * info)[-1])
     return _ratio_report(diff * diff, denominator)
 
 
@@ -133,18 +234,12 @@ def info_gain_about_statistic(
 ) -> float:
     """I(psi; Y_a): information one action's outcome carries about the cell index.
 
-    The joint pmf of (cell, outcome) is scattered from the action's two-point
-    ``OutcomeTable``: only the 2m possibly nonzero terms, added in parameter
-    order as a dense scatter of ``outcome_support`` would add them.
+    The (cell, outcome) joint is built from the action's two-point
+    ``OutcomeTable``, only its 2m possibly nonzero terms, added in parameter
+    order.
     """
-    table = instance.outcome_table(action_idx)
-    joint = np.zeros((partition.K, table.values.size))
-    np.add.at(
-        joint,
-        (partition.cell_of[:, None], table.idx),
-        belief.probs[:, None] * table.w,
-    )
-    return mutual_information(joint)
+    idx, w = _stacked_tables(instance, [action_idx])
+    return float(_statistic_information(belief.probs[None], partition.cell_of, idx, w)[0, 0])
 
 
 def _checked_cell_mass(belief: BeliefState, representation: "Representation") -> NDArray:
@@ -159,23 +254,67 @@ def _checked_cell_mass(belief: BeliefState, representation: "Representation") ->
     return mass
 
 
-def _representation_support(
-    belief: BeliefState, representation: "Representation"
-) -> tuple[list[tuple[int, int, float]], NDArray]:
-    """Positive-probability representative values as (param_idx, cell, q) triples."""
-    mass = _checked_cell_mass(belief, representation)
-    support: list[tuple[int, int, float]] = []
-    for k, (i1, i2, r) in enumerate(representation.cells):
-        if mass[k] <= 0.0:
-            continue
-        if i1 == i2:
-            support.append((i1, k, float(mass[k])))
-            continue
-        if r > 0.0:
-            support.append((i1, k, float(mass[k] * r)))
-        if r < 1.0:
-            support.append((i2, k, float(mass[k] * (1.0 - r))))
-    return support, mass
+def _representative_atoms(
+    i1: NDArray, i2: NDArray, r: NDArray, mass: NDArray
+) -> tuple[NDArray, NDArray]:
+    """Each cell's representative values as two slots, ``(param, q)`` of
+    shape ``(..., K, 2)``, from the cells' pairs ``(i1, i2, r)``: slot 0 is
+    theta_{i1} with probability mass * r (the whole mass when i1 == i2),
+    slot 1 is theta_{i2} with mass * (1 - r). A zero-mass cell has
+    probability 0 in both slots."""
+    single = i1 == i2
+    q = np.stack([np.where(single, mass, mass * r), np.where(single, 0.0, mass * (1.0 - r))], axis=-1)
+    q[mass <= 0.0] = 0.0
+    return np.stack([i1, i2], axis=-1), q
+
+
+def _compressed_rows(
+    instance: BanditInstance,
+    probs: NDArray,
+    mean_rewards: NDArray,
+    cell_of: NDArray,
+    mass: NDArray,
+    atom_param: NDArray,
+    atom_q: NDArray,
+    idx: NDArray,
+    w: NDArray,
+    slot: NDArray,
+) -> tuple[NDArray, NDArray]:
+    """``compressed_moments`` at each row of a ``(runs, m)`` belief matrix.
+
+    ``mean_rewards`` is ``probs @ instance.mu``, ``mass`` holds each row's
+    cell masses ``(runs, K)`` and ``atom_param``, ``atom_q`` its
+    representative values ``(runs, K, 2)`` from ``_representative_atoms``.
+    ``idx`` and ``w`` are stacked outcome tables (``_stacked_tables``) and
+    ``slot[a]`` is the stacked row of action ``a``, for every action a
+    representative value with positive probability plays.
+    """
+    runs = probs.shape[0]
+    # every positive belief entry (run, theta_i) with P(theta* = i | psi = cell)
+    run, param = np.nonzero(probs > 0.0)
+    cell = cell_of[param]
+    cond = probs[run, param] / mass[run, cell]
+    # the two representative values of the entry's cell: probabilities, actions
+    q = atom_q[run, cell]
+    action = instance.astar[atom_param[run, cell]]
+    # diff = sum over values v of q_v (E[R_a(v) | psi = cell(v)] - E[R_a(v)])
+    gap = instance.mu[param[:, None], action] - mean_rewards[run[:, None], action]
+    diff = np.bincount(run, weights=(cond[:, None] * q * gap).sum(axis=1), minlength=runs)
+
+    # I(theta~*; Y_a) for every run and every action a representative plays,
+    # from the joint of (representative value, outcome): the value in slot j
+    # of cell k puts q * P(theta* = i | psi = k) * P(y | a, theta_i) on y
+    n_stacked = idx.shape[0]
+    atom_group = np.arange(runs)[:, None, None] * n_stacked + slot[instance.astar[atom_param]]
+    weight = np.bincount(
+        atom_group.ravel(), weights=atom_q.ravel(), minlength=runs * n_stacked
+    ).reshape(runs, n_stacked)
+    used = np.flatnonzero(weight.any(axis=0))
+    info = _outcome_information(
+        idx[used], w[used], np.repeat(run, 2), np.repeat(param, 2),
+        (2 * cell[:, None] + np.arange(2)).ravel(), (q * cond[:, None]).ravel(), runs,
+    )
+    return diff, (weight[:, used] * info).sum(axis=1)
 
 
 def compressed_moments(
@@ -188,34 +327,28 @@ def compressed_moments(
     Returns ``(diff, info)`` where ``diff = E[R_{alpha(theta~*)}] -
     E[R_{alpha(theta~)}]`` and ``info = I(theta~*; (theta~, Y_{alpha(theta~)}))``,
     both exact at the given belief.
+
+    ``info`` is sum_a P(alpha(theta~) = a) I(theta~*; Y_a), each term the MI
+    of the joint of (representative value, outcome), never a reweighting of
+    the I(psi; Y_a) gains. A representative value lies in its cell, so
+    theta~* determines psi, while the outcome given theta~* = v depends only
+    on v's cell; hence I(theta~*; Y_a) = I(psi; Y_a) in exact arithmetic, and
+    the audit's ``data_processing_rep`` check compares two separately
+    computed sums that must agree to rounding.
     """
-    part = representation.partition
-    p = belief.probs
-    support, mass = _representation_support(belief, representation)
-    mu = instance.mu
-    mean_rewards = p @ mu
-
-    # conditional parameter weights per cell: P(theta* = . | psi = k)
-    cond = np.zeros((part.K, p.size))
-    np.add.at(cond, (part.cell_of, np.arange(p.size)), p)
-    positive = mass > 0.0
-    cond[positive] /= mass[positive, None]
-
-    diff = 0.0
-    for param_idx, cell, q in support:
-        a = instance.astar[param_idx]
-        diff += q * float(cond[cell] @ mu[:, a] - mean_rewards[a])
-
-    q_vec = np.array([q for _, _, q in support])
-    cells_arr = np.array([c for _, c, _ in support])
-    rep_actions = np.array([instance.astar[i] for i, _, _ in support])
-    info = 0.0
-    for a in np.unique(rep_actions):
-        weight = q_vec[rep_actions == a].sum()
-        _, probs = outcome_support(instance, int(a))
-        rows = cond[cells_arr] @ probs
-        info += weight * _mi_rows(q_vec, rows)
-    return diff, info
+    mass = _checked_cell_mass(belief, representation)
+    i1, i2, r = (np.array(col) for col in zip(*representation.cells))
+    atom_param, atom_q = _representative_atoms(i1, i2, r, mass)
+    actions = np.unique(instance.astar[atom_param[atom_q > 0.0]])
+    idx, w = _stacked_tables(instance, actions)
+    slot = np.zeros(instance.n_actions, dtype=np.intp)
+    slot[actions] = np.arange(actions.size)
+    p = belief.probs[None]
+    diff, info = _compressed_rows(
+        instance, p, p @ instance.mu, representation.partition.cell_of, mass[None],
+        atom_param[None], atom_q[None], idx, w, slot,
+    )
+    return float(diff[0]), float(info[0])
 
 
 def compressed_info_ratio(

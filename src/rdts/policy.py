@@ -6,17 +6,15 @@ variance than realized rewards; the realized estimator is available via a
 flag. Per-run generators are spawned from the root generator by run index,
 so runs are reproducible and order-independent.
 
-``simulate_ts`` advances all runs together: the beliefs are a ``(runs, m)``
-matrix updated row by row with the arithmetic of ``posterior_update``, and
-the outcome pmfs of every action Thompson sampling can play are gathered
-once per call from the instance's outcome tables
+``simulate_ts`` and ``audit_regret_chain`` advance all runs together: the
+beliefs are a ``(runs, m)`` matrix updated row by row with the arithmetic of
+``posterior_update``, and the outcome pmfs of every action Thompson sampling
+can play are gathered once per call from the instance's outcome tables
 (``model.two_point_outcomes``). Each run still draws from its
 own generator, ``1 + 2T`` uniforms in a fixed order: one for the true
 parameter, then a (sampled parameter, outcome) pair per period, exactly the
 draws of a per-run loop over ``thompson_step`` and ``sample_outcome``, so the
-result is identical to that loop's. ``thompson_step``, ``sample_outcome`` and
-``posterior_update`` remain the per-step functions ``audit_regret_chain``
-rolls out with.
+trajectories are identical to that loop's.
 """
 
 from __future__ import annotations
@@ -27,22 +25,28 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .bounds import compressed_bound
-from .compression import Partition, Representation, build_representation, statistic_mutual_information
+from .compression import (
+    Partition,
+    Representation,
+    _representative_pairs,
+    statistic_mutual_information,
+)
 from .inference import (
     BeliefState,
     _match_likelihood,
     inverse_cdf,
-    posterior_update,
     posterior_update_rows,
     sample_parameter,
 )
 from .information import (
     _checked_cell_mass,
+    _compressed_rows,
     _ratio_report,
-    compressed_moments,
+    _representative_atoms,
+    _stacked_tables,
+    _statistic_information,
+    _ts_regret_rows,
     entropy,
-    info_gain_about_statistic,
-    ts_expected_regret,
 )
 # outcome_support stays importable from here for code that traces or patches it by name
 from .model import BanditInstance, outcome_support, two_point_outcomes  # noqa: F401
@@ -198,92 +202,108 @@ def audit_regret_chain(
     data processing, and the statistic-entropy cap). Aggregate checks cover
     Cauchy-Schwarz and the final regret bound with the audited worst-case
     ratio.
+
+    All runs advance together on a ``(runs, m)`` belief matrix, drawing their
+    uniforms and stepping Thompson sampling exactly as ``simulate_ts`` does.
+    Each period, I(psi; Y_a) for every (run, realized action) pair comes from
+    one grouped mutual-information call, and the compressed information of
+    every run from another. Rows are returned run by run, period by period.
     """
     q = _outcome_cardinality(instance)
     if instance.n_params * instance.n_actions * q > 1_000_000:
         raise GuardExceeded("m * n * |outcomes| exceeds the exact-audit guard")
     eps = partition.epsilon
     info_prior = statistic_mutual_information(prior, partition)
-    rows: list[dict] = []
+    cell_of = partition.cell_of
+    K = partition.K
+    draws = np.stack([run_rng.random(1 + 2 * T) for run_rng in rng.spawn(runs)])
+    belief = np.tile(prior.probs, (runs, 1))
+    theta_star = inverse_cdf(belief, draws[:, 0])
+    # every action a parameter can play, as a representative or under TS
+    realized = np.unique(instance.astar)
+    slot = np.zeros(instance.n_actions, dtype=np.intp)
+    slot[realized] = np.arange(realized.size)
+    idx, weights = _stacked_tables(instance, realized)
+    points, _ = two_point_outcomes(instance, realized)
+    # the (run, cell) code of every belief entry, for row-wise cell masses
+    run_cell = (np.arange(runs)[:, None] * K + cell_of).ravel()
+
+    rows: list[list[dict]] = [[] for _ in range(runs)]
     gamma_bar = 0.0
-    totals = []
+    totals = np.zeros(runs)
+    psi_series = np.zeros((T, runs))
     all_ok = True
-    for run, run_rng in enumerate(rng.spawn(runs)):
-        theta_star = sample_parameter(prior, run_rng)
-        belief = prior
-        cum = 0.0
-        psi_gain_series = []
-        for t in range(1, T + 1):
-            regret_t = ts_expected_regret(instance, belief)
-            rep = build_representation(instance, belief, partition)
-            diff, info_comp = compressed_moments(instance, belief, rep)
-            report = _ratio_report(diff * diff, info_comp)
-            gamma_bar = max(gamma_bar, report.ratio)
-
-            p = belief.probs
-            gain_cache: dict[int, float] = {}
-
-            def psi_gain(action: int) -> float:
-                if action not in gain_cache:
-                    gain_cache[action] = info_gain_about_statistic(
-                        instance, belief, partition, action
-                    )
-                return gain_cache[action]
-
-            info_psi_ts = sum(
-                float(p[i]) * psi_gain(int(instance.astar[i]))
-                for i in range(p.size)
-                if p[i] > 0.0
+    for t in range(T):
+        mean_rewards = belief @ instance.mu
+        regret = _ts_regret_rows(instance, belief, mean_rewards)
+        mass = np.bincount(run_cell, weights=belief.ravel(), minlength=runs * K).reshape(runs, K)
+        gains = _statistic_information(belief, cell_of, idx, weights)
+        gain_of = np.zeros((runs, instance.n_actions))
+        gain_of[:, realized] = gains
+        pairs = [
+            _representative_pairs(
+                instance, belief[r], mean_rewards[r], partition, mass[r], gain_of[r]
             )
-            mass = np.bincount(partition.cell_of, weights=p, minlength=partition.K)
-            info_psi_comp = 0.0
-            for k, (i1, i2, r) in enumerate(rep.cells):
-                if mass[k] <= 0.0:
-                    continue
-                info_psi_comp += mass[k] * (
-                    r * psi_gain(int(instance.astar[i1]))
-                    + (1.0 - r) * psi_gain(int(instance.astar[i2]))
-                )
-            h_psi = entropy(mass)
+            for r in range(runs)
+        ]
+        atom_param, atom_q = _representative_atoms(*map(np.stack, zip(*pairs)), mass)
+        diff, info_comp = _compressed_rows(
+            instance, belief, mean_rewards, cell_of, mass, atom_param, atom_q, idx, weights, slot
+        )
+        info_psi_ts = (belief * gains[:, slot[instance.astar]]).sum(axis=1)
+        info_psi_comp = (
+            atom_q
+            * np.take_along_axis(gain_of, instance.astar[atom_param].reshape(runs, -1), axis=1)
+            .reshape(atom_q.shape)
+        ).sum(axis=(1, 2))
+        for r in range(runs):
+            report = _ratio_report(float(diff[r] * diff[r]), float(info_comp[r]))
+            gamma_bar = max(gamma_bar, report.ratio)
+            h_psi = entropy(mass[r])
             checks = {
-                "regret_slack": regret_t - diff <= eps + AUDIT_TOL,
-                "ratio_identity": abs(diff * diff - report.ratio * info_comp)
-                <= AUDIT_TOL,
-                "data_processing_rep": info_comp <= info_psi_comp + AUDIT_TOL,
-                "data_processing_ts": info_psi_comp <= info_psi_ts + AUDIT_TOL,
-                "entropy_cap": info_psi_ts <= h_psi + AUDIT_TOL,
+                "regret_slack": bool(regret[r] - diff[r] <= eps + AUDIT_TOL),
+                "ratio_identity": bool(
+                    abs(diff[r] * diff[r] - report.ratio * info_comp[r]) <= AUDIT_TOL
+                ),
+                "data_processing_rep": bool(info_comp[r] <= info_psi_comp[r] + AUDIT_TOL),
+                "data_processing_ts": bool(info_psi_comp[r] <= info_psi_ts[r] + AUDIT_TOL),
+                "entropy_cap": bool(info_psi_ts[r] <= h_psi + AUDIT_TOL),
             }
             all_ok = all_ok and all(checks.values())
-            rows.append(
+            rows[r].append(
                 {
-                    "run": run,
-                    "t": t,
-                    "expected_regret": regret_t,
-                    "compressed_regret": diff,
+                    "run": r,
+                    "t": t + 1,
+                    "expected_regret": float(regret[r]),
+                    "compressed_regret": float(diff[r]),
                     "ratio": report.ratio,
-                    "info_compressed": info_comp,
-                    "info_psi_compressed": info_psi_comp,
-                    "info_psi_ts": info_psi_ts,
+                    "info_compressed": float(info_comp[r]),
+                    "info_psi_compressed": float(info_psi_comp[r]),
+                    "info_psi_ts": float(info_psi_ts[r]),
                     "entropy_psi": h_psi,
                     **checks,
                 }
             )
-            cum += regret_t
-            psi_gain_series.append(info_psi_ts)
+        totals += regret
+        psi_series[t] = info_psi_ts
 
-            param_idx, action = thompson_step(instance, belief, run_rng)
-            y = sample_outcome(instance, action, theta_star, run_rng)
-            belief = posterior_update(belief, instance, action, y)
-        totals.append(cum)
+        # one Thompson sampling step of every run, as in simulate_ts
+        action = instance.astar[inverse_cdf(belief, draws[:, 2 * t + 1])]
+        s = slot[action]
+        k = inverse_cdf(weights[s, theta_star], draws[:, 2 * t + 2])
+        y = points[s, theta_star, k]
+        like = _match_likelihood(points[s], weights[s], y[:, None, None])
+        belief = posterior_update_rows(belief, like)
+    for series in psi_series.T.tolist():
         # Cauchy-Schwarz across the run's periods
-        lhs = sum(np.sqrt(np.maximum(psi_gain_series, 0.0)))
-        rhs = np.sqrt(T * sum(psi_gain_series))
-        all_ok = all_ok and (lhs <= rhs + AUDIT_TOL)
+        lhs = sum(np.sqrt(np.maximum(series, 0.0)))
+        rhs = np.sqrt(T * sum(series))
+        all_ok = all_ok and bool(lhs <= rhs + AUDIT_TOL)
     mean_cum = float(np.mean(totals))
     bound = compressed_bound(gamma_bar, info_prior, eps, T)
     passed = all_ok and mean_cum <= bound + AUDIT_TOL
     return AuditReport(
-        rows=rows,
+        rows=[row for run_rows in rows for row in run_rows],
         gamma_bar=gamma_bar,
         info_prior_nats=info_prior,
         epsilon=eps,

@@ -58,8 +58,9 @@ CELL_MASS_TOL = 1e-9
 # epsilon + CERT_TOL.
 CERT_TOL = 1e-12
 
-# ``two_point_pair``: feasibility slack on each mixture inequality, and how
-# negative a weight may be.
+# ``two_point_pair``: feasibility slack on each mixture inequality, how
+# negative a weight may be, and how far apart two scores may be and still
+# constrain the mixture as equal scores do.
 PAIR_TOL = 1e-12
 
 # The logistic ladder counts ceil(gap / epsilon - LADDER_TOL) levels, so a gap

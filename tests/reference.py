@@ -1,0 +1,255 @@
+"""The per-run, per-action implementations that the batched information layer
+replaced, kept verbatim as test oracles.
+
+Each function here computes one belief, one action and one run at a time,
+from the dense ``outcome_support`` rows, exactly as ``rdts.information``,
+``rdts.compression.build_representation`` and ``rdts.policy`` did before the
+information terms of every (run, action) pair came from one grouped kernel.
+The batched code must agree with these to rounding.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from rdts.bounds import compressed_bound
+from rdts.compression import Representation, statistic_mutual_information, two_point_pair
+from rdts.information import _checked_cell_mass, _checked_input_pmf, _ratio_report, entropy
+from rdts.inference import posterior_update, sample_parameter
+from rdts.model import outcome_support
+from rdts.policy import (
+    AuditReport,
+    GuardExceeded,
+    _outcome_cardinality,
+    sample_outcome,
+    thompson_step,
+)
+from rdts.tolerances import AUDIT_TOL
+
+
+def mutual_information(joint):
+    """Mutual information of a dense 2-D joint pmf, in nats."""
+    j = np.clip(_checked_input_pmf(joint, 2), 0.0, None)
+    pu = j.sum(axis=1)
+    pv = j.sum(axis=0)
+    outer = pu[:, None] * pv[None, :]
+    mask = j > 0.0
+    total = float((j[mask] * np.log(j[mask] / outer[mask])).sum())
+    return max(total, 0.0)
+
+
+def _mi_rows(weights, rows):
+    """MI of the joint weights[i] * rows[i, y], assuming valid inputs."""
+    marginal = weights @ rows
+    mask = (rows > 0.0) & (weights[:, None] > 0.0) & (marginal[None, :] > 0.0)
+    ratio = np.ones_like(rows)
+    np.divide(rows, marginal[None, :], out=ratio, where=mask)
+    terms = weights[:, None] * rows * np.log(ratio, where=mask, out=np.zeros_like(rows))
+    return max(float(terms[mask].sum()), 0.0)
+
+
+def action_information(instance, belief, action_idx):
+    """I(theta*; Y_a) from the action's dense outcome rows."""
+    _, probs = outcome_support(instance, action_idx)
+    return _mi_rows(belief.probs, probs)
+
+
+def ts_expected_regret(instance, belief):
+    p = belief.probs
+    mu = instance.mu
+    astar = instance.astar
+    e_star = float(p @ mu[np.arange(mu.shape[0]), astar])
+    mean_rewards = p @ mu
+    e_ts = float(p @ mean_rewards[astar])
+    return e_star - e_ts
+
+
+def ts_info_ratio(instance, belief):
+    """The TS information ratio, one realized action at a time."""
+    p = belief.probs
+    diff = ts_expected_regret(instance, belief)
+    realized, inverse = np.unique(instance.astar, return_inverse=True)
+    action_mass = np.bincount(inverse, weights=p, minlength=realized.size)
+    denominator = 0.0
+    for col, a in enumerate(realized):
+        if action_mass[col] <= 0.0:
+            continue
+        denominator += action_mass[col] * action_information(instance, belief, int(a))
+    return _ratio_report(diff * diff, denominator)
+
+
+def info_gain_about_statistic(instance, belief, partition, action_idx):
+    """I(psi; Y_a) from a dense scatter of the (cell, outcome) joint."""
+    table = instance.outcome_table(action_idx)
+    joint = np.zeros((partition.K, table.values.size))
+    np.add.at(
+        joint,
+        (partition.cell_of[:, None], table.idx),
+        belief.probs[:, None] * table.w,
+    )
+    return mutual_information(joint)
+
+
+def _representation_support(belief, representation):
+    mass = _checked_cell_mass(belief, representation)
+    support = []
+    for k, (i1, i2, r) in enumerate(representation.cells):
+        if mass[k] <= 0.0:
+            continue
+        if i1 == i2:
+            support.append((i1, k, float(mass[k])))
+            continue
+        if r > 0.0:
+            support.append((i1, k, float(mass[k] * r)))
+        if r < 1.0:
+            support.append((i2, k, float(mass[k] * (1.0 - r))))
+    return support, mass
+
+
+def compressed_moments(instance, belief, representation):
+    """Compressed-step (diff, info), one representative action at a time."""
+    part = representation.partition
+    p = belief.probs
+    support, mass = _representation_support(belief, representation)
+    mu = instance.mu
+    mean_rewards = p @ mu
+    cond = np.zeros((part.K, p.size))
+    np.add.at(cond, (part.cell_of, np.arange(p.size)), p)
+    positive = mass > 0.0
+    cond[positive] /= mass[positive, None]
+    diff = 0.0
+    for param_idx, cell, q in support:
+        a = instance.astar[param_idx]
+        diff += q * float(cond[cell] @ mu[:, a] - mean_rewards[a])
+    q_vec = np.array([q for _, _, q in support])
+    cells_arr = np.array([c for _, c, _ in support])
+    rep_actions = np.array([instance.astar[i] for i, _, _ in support])
+    info = 0.0
+    for a in np.unique(rep_actions):
+        weight = q_vec[rep_actions == a].sum()
+        _, probs = outcome_support(instance, int(a))
+        rows = cond[cells_arr] @ probs
+        info += weight * _mi_rows(q_vec, rows)
+    return diff, info
+
+
+def build_representation(instance, belief, partition):
+    """Per-cell two-point representatives, scoring one action at a time."""
+    p = belief.probs
+    mean_rewards = p @ instance.mu
+    mass = np.bincount(partition.cell_of, weights=p, minlength=partition.K)
+    info_cache = {}
+
+    def gain(action_idx):
+        if action_idx not in info_cache:
+            info_cache[action_idx] = info_gain_about_statistic(
+                instance, belief, partition, action_idx
+            )
+        return info_cache[action_idx]
+
+    cells = []
+    for k in range(partition.K):
+        members = partition.members(k)
+        if mass[k] <= 0.0:
+            cells.append((int(members[0]), int(members[0]), 1.0))
+            continue
+        weights = p[members] / mass[k]
+        scores_reward = np.array([mean_rewards[instance.astar[i]] for i in members])
+        scores_info = np.array([gain(int(instance.astar[i])) for i in members])
+        j, kk, r = two_point_pair(scores_reward, scores_info, weights)
+        cells.append((int(members[j]), int(members[kk]), r))
+    return Representation(partition=partition, cells=tuple(cells), cell_mass=mass)
+
+
+def audit_regret_chain(instance, prior, partition, T, rng, runs=1):
+    """The regret-chain audit, one run and one period at a time."""
+    q = _outcome_cardinality(instance)
+    if instance.n_params * instance.n_actions * q > 1_000_000:
+        raise GuardExceeded("m * n * |outcomes| exceeds the exact-audit guard")
+    eps = partition.epsilon
+    info_prior = statistic_mutual_information(prior, partition)
+    rows = []
+    gamma_bar = 0.0
+    totals = []
+    all_ok = True
+    for run, run_rng in enumerate(rng.spawn(runs)):
+        theta_star = sample_parameter(prior, run_rng)
+        belief = prior
+        cum = 0.0
+        psi_gain_series = []
+        for t in range(1, T + 1):
+            regret_t = ts_expected_regret(instance, belief)
+            rep = build_representation(instance, belief, partition)
+            diff, info_comp = compressed_moments(instance, belief, rep)
+            report = _ratio_report(diff * diff, info_comp)
+            gamma_bar = max(gamma_bar, report.ratio)
+            p = belief.probs
+            gain_cache = {}
+
+            def psi_gain(action):
+                if action not in gain_cache:
+                    gain_cache[action] = info_gain_about_statistic(
+                        instance, belief, partition, action
+                    )
+                return gain_cache[action]
+
+            info_psi_ts = sum(
+                float(p[i]) * psi_gain(int(instance.astar[i]))
+                for i in range(p.size)
+                if p[i] > 0.0
+            )
+            mass = np.bincount(partition.cell_of, weights=p, minlength=partition.K)
+            info_psi_comp = 0.0
+            for k, (i1, i2, r) in enumerate(rep.cells):
+                if mass[k] <= 0.0:
+                    continue
+                info_psi_comp += mass[k] * (
+                    r * psi_gain(int(instance.astar[i1]))
+                    + (1.0 - r) * psi_gain(int(instance.astar[i2]))
+                )
+            h_psi = entropy(mass)
+            checks = {
+                "regret_slack": regret_t - diff <= eps + AUDIT_TOL,
+                "ratio_identity": abs(diff * diff - report.ratio * info_comp) <= AUDIT_TOL,
+                "data_processing_rep": info_comp <= info_psi_comp + AUDIT_TOL,
+                "data_processing_ts": info_psi_comp <= info_psi_ts + AUDIT_TOL,
+                "entropy_cap": info_psi_ts <= h_psi + AUDIT_TOL,
+            }
+            all_ok = all_ok and all(checks.values())
+            rows.append(
+                {
+                    "run": run,
+                    "t": t,
+                    "expected_regret": regret_t,
+                    "compressed_regret": diff,
+                    "ratio": report.ratio,
+                    "info_compressed": info_comp,
+                    "info_psi_compressed": info_psi_comp,
+                    "info_psi_ts": info_psi_ts,
+                    "entropy_psi": h_psi,
+                    **checks,
+                }
+            )
+            cum += regret_t
+            psi_gain_series.append(info_psi_ts)
+            param_idx, action = thompson_step(instance, belief, run_rng)
+            y = sample_outcome(instance, action, theta_star, run_rng)
+            belief = posterior_update(belief, instance, action, y)
+        totals.append(cum)
+        lhs = sum(np.sqrt(np.maximum(psi_gain_series, 0.0)))
+        rhs = np.sqrt(T * sum(psi_gain_series))
+        all_ok = all_ok and (lhs <= rhs + AUDIT_TOL)
+    mean_cum = float(np.mean(totals))
+    bound = compressed_bound(gamma_bar, info_prior, eps, T)
+    passed = all_ok and mean_cum <= bound + AUDIT_TOL
+    return AuditReport(
+        rows=rows,
+        gamma_bar=gamma_bar,
+        info_prior_nats=info_prior,
+        epsilon=eps,
+        horizon=T,
+        runs=runs,
+        mean_cumulative_regret=mean_cum,
+        bound_value=bound,
+        passed=passed,
+    )

@@ -38,6 +38,7 @@ from rdts.information import (
 )
 from rdts.model import GLM, LINEAR_BINARY, LOGISTIC, sample_instance
 from rdts.policy import audit_regret_chain, simulate_ts
+from rdts.tolerances import CERT_TOL, PAIR_TOL, RATIO_CEILING_TOL
 from test_information import (
     oracle_compressed_moments,
     oracle_mutual_information,
@@ -83,7 +84,7 @@ def test_criterion_01_info_ratio_sweep(capsys):
         belief = BeliefState(rng.dirichlet(np.ones(100)))
         ratio = ts_info_ratio(inst, belief).ratio
         worst = max(worst, ratio - d / 2.0)
-        if ratio > d / 2.0 + 1e-9:
+        if ratio > d / 2.0 + RATIO_CEILING_TOL:
             violations += 1
     ok = violations == 0
     report(capsys, 1, "information-ratio sweep vs d/2 ceiling", ok,
@@ -102,12 +103,12 @@ def test_criterion_02_linear_ratio_ceiling(capsys):
         inst = sample_instance(rng, d, n, m, make_model(LINEAR_BINARY))
         belief = random_belief(rng, m)
         eps = float(rng.choice([0.05, 0.1, 0.3]))
-        if ts_info_ratio(inst, belief).ratio > d / 2.0 + 1e-9:
+        if ts_info_ratio(inst, belief).ratio > d / 2.0 + RATIO_CEILING_TOL:
             violations += 1
             continue
         part = build_partition_linear(inst, eps)
         rep = build_representation(inst, belief, part)
-        if compressed_info_ratio(inst, belief, rep).ratio > d / 2.0 + 1e-9:
+        if compressed_info_ratio(inst, belief, rep).ratio > d / 2.0 + RATIO_CEILING_TOL:
             violations += 1
     ok = violations == 0
     report(capsys, 2, "linear vanilla+compressed ratio ceiling", ok,
@@ -131,7 +132,7 @@ def test_criterion_03_two_point_solver(capsys):
             continue
         mix_a = r * a[j] + (1.0 - r) * a[k]
         mix_b = r * b[j] + (1.0 - r) * b[k]
-        if not (0.0 <= r <= 1.0 and mix_a <= p @ a + 1e-12 and mix_b <= p @ b + 1e-12):
+        if not (0.0 <= r <= 1.0 and mix_a <= p @ a + PAIR_TOL and mix_b <= p @ b + PAIR_TOL):
             failures += 1
     ok = failures == 0
     report(capsys, 3, "two-point mixture solver existence", ok,
@@ -241,7 +242,7 @@ def test_criterion_08_partition_certificates(capsys):
                                int(rng.integers(3, 13)), make_model(LINEAR_BINARY))
         eps = float(rng.choice([0.05, 0.15, 0.4]))
         part = build_partition_linear(inst, eps)
-        if max_intra_cell_distortion(inst, part.cell_of, part.K) > eps + 1e-12:
+        if max_intra_cell_distortion(inst, part.cell_of, part.K) > eps + CERT_TOL:
             failures += 1
         if part.K > (1.0 + 2.0 / eps) ** d:
             failures += 1
@@ -253,7 +254,7 @@ def test_criterion_08_partition_certificates(capsys):
                                make_model(GLM, beta=0.8, eta=0.02))
         eps = float(rng.choice([0.05, 0.15]))
         part = build_partition_glm(inst, eps)
-        if max_intra_cell_distortion(inst, part.cell_of, part.K) > eps + 1e-12:
+        if max_intra_cell_distortion(inst, part.cell_of, part.K) > eps + CERT_TOL:
             failures += 1
         slope = realized_link_slope(inst)
         if part.K > (1.0 + 4.0 * slope / eps) ** d:
@@ -265,7 +266,7 @@ def test_criterion_08_partition_certificates(capsys):
         phi_delta = float(inst.model.link(delta))
         eps = min(0.2, 0.5 * (phi_delta - 0.5))
         part = build_partition_logistic(inst, eps, delta)
-        if max_intra_cell_distortion(inst, part.cell_of, part.K) > eps + 1e-12:
+        if max_intra_cell_distortion(inst, part.cell_of, part.K) > eps + CERT_TOL:
             failures += 1
         s = logistic_ladder(inst.model, eps, delta)
         bands = max(len(s) - 2, 1)

@@ -5,6 +5,7 @@ import warnings
 import pytest
 
 from rdts.cli import main
+from rdts.tolerances import CERT_TOL, RATIO_CEILING_TOL
 
 
 def run(argv):
@@ -46,7 +47,7 @@ def test_ir_sweep_csv_contract(tmp_path):
     for line in lines[1:]:
         cols = line.split(",")
         assert cols[7] in ("true", "false")
-        assert float(cols[5]) <= float(cols[6]) + 1e-9
+        assert float(cols[5]) <= float(cols[6]) + RATIO_CEILING_TOL
 
 
 def test_ir_sweep_determinism_across_threads(tmp_path):
@@ -95,7 +96,7 @@ def test_partition_json_contract(tmp_path):
         "K", "epsilon", "max_intra_cell_distortion", "formula_bound",
         "I_theta_psi_nats",
     }
-    assert doc["max_intra_cell_distortion"] <= doc["epsilon"] + 1e-12
+    assert doc["max_intra_cell_distortion"] <= doc["epsilon"] + CERT_TOL
     assert doc["K"] <= doc["formula_bound"]
 
 
@@ -117,7 +118,7 @@ def test_partition_logistic_at_saturating_beta(tmp_path):
                     "--n", "100", "--m", "100", "--seed", "3", "--out", str(out)])
     assert code == 0
     doc = json.loads(out.read_text())
-    assert doc["max_intra_cell_distortion"] <= doc["epsilon"] + 1e-12
+    assert doc["max_intra_cell_distortion"] <= doc["epsilon"] + CERT_TOL
 
 
 def test_epsilon_too_large_is_config_error(capsys):

@@ -36,6 +36,7 @@ from rdts.compression import (
 from rdts.inference import BeliefState
 from rdts.information import entropy, info_gain_about_statistic
 from rdts.model import GLM, LINEAR_BINARY, LOGISTIC, OutcomeModel, sample_instance
+from rdts.tolerances import CERT_TOL, PAIR_TOL
 
 
 def margin_logistic_instance(rng, d=2, n=10, m=8, beta=4.0, delta=0.25):
@@ -224,7 +225,7 @@ def test_linear_builder_certificate(seed, epsilon):
     inst = random_instance(rng, LINEAR_BINARY, d=3, n=12, m=10)
     part = build_partition_linear(inst, epsilon)
     assert part.K >= 1
-    assert max_intra_cell_distortion(inst, part.cell_of, part.K) <= epsilon + 1e-12
+    assert max_intra_cell_distortion(inst, part.cell_of, part.K) <= epsilon + CERT_TOL
 
 
 @given(st.integers(min_value=0), st.sampled_from([0.02, 0.1, 0.3]))
@@ -233,7 +234,7 @@ def test_glm_builder_certificate(seed, epsilon):
     rng = np.random.default_rng(seed)
     inst = random_instance(rng, GLM, d=3, n=12, m=10, beta=0.8, eta=0.02)
     part = build_partition_glm(inst, epsilon)
-    assert max_intra_cell_distortion(inst, part.cell_of, part.K) <= epsilon + 1e-12
+    assert max_intra_cell_distortion(inst, part.cell_of, part.K) <= epsilon + CERT_TOL
 
 
 def test_builder_input_validation(tiny_linear, tiny_logistic):
@@ -292,7 +293,7 @@ def test_logistic_builder_certificate(seed, epsilon):
     inst = margin_logistic_instance(rng, d=2, n=10, m=8, beta=4.0, delta=0.25)
     delta = float(np.min(np.abs(best_action_margins(inst))))
     part = build_partition_logistic(inst, epsilon, delta)
-    assert max_intra_cell_distortion(inst, part.cell_of, part.K) <= epsilon + 1e-12
+    assert max_intra_cell_distortion(inst, part.cell_of, part.K) <= epsilon + CERT_TOL
 
 
 def test_logistic_margins_come_from_exact_inner_products():
@@ -329,14 +330,27 @@ def test_two_point_pair_exists_and_underperforms(seed, n):
     p = rng.dirichlet(np.ones(n))
     j, k, r = two_point_pair(a, b, p)
     assert 0.0 <= r <= 1.0
-    assert r * a[j] + (1.0 - r) * a[k] <= float(p @ a) + 1e-12
-    assert r * b[j] + (1.0 - r) * b[k] <= float(p @ b) + 1e-12
+    assert r * a[j] + (1.0 - r) * a[k] <= float(p @ a) + PAIR_TOL
+    assert r * b[j] + (1.0 - r) * b[k] <= float(p @ b) + PAIR_TOL
 
 
 def test_two_point_pair_is_deterministic():
     rng = np.random.default_rng(5)
     a, b, p = rng.normal(size=6), rng.normal(size=6), rng.dirichlet(np.ones(6))
     assert two_point_pair(a, b, p) == two_point_pair(a, b, p)
+
+
+def test_two_point_pair_ignores_rounding_noise_in_tied_scores():
+    # glm outcomes that identify theta give every action the same I(psi; Y_a)
+    # up to rounding; the sign of that rounding must not pick the pair
+    a = np.array([0.6, 0.6, 0.4])
+    p = np.array([0.3, 0.3, 0.4])
+    g = 0.7
+    picks = {
+        two_point_pair(a, np.array([g, g, x]), p)[:2]
+        for x in (np.nextafter(g, 0.0), g, np.nextafter(g, 1.0))
+    }
+    assert picks == {(0, 2)}
 
 
 def test_two_point_pair_validation():
@@ -377,8 +391,8 @@ def test_representation_underperforms_cell_averages(seed):
             two = float(values[list(members).index(idx2)])
             return r * one + (1.0 - r) * two
 
-        assert score(rew, i1, i2) <= float(w @ rew) + 1e-12
-        assert score(inf, i1, i2) <= float(w @ inf) + 1e-12
+        assert score(rew, i1, i2) <= float(w @ rew) + PAIR_TOL
+        assert score(inf, i1, i2) <= float(w @ inf) + PAIR_TOL
     np.testing.assert_allclose(rep.cell_mass, mass, atol=1e-15)
 
 
@@ -419,7 +433,7 @@ def test_bruteforce_is_optimal_and_valid(seed, epsilon):
     belief = random_belief(rng, 5)
     K, info, part = rate_distortion_bruteforce(inst, belief, epsilon)
     assert part.K == K
-    assert max_intra_cell_distortion(inst, part.cell_of, K) <= epsilon + 1e-12
+    assert max_intra_cell_distortion(inst, part.cell_of, K) <= epsilon + CERT_TOL
     # the greedy construction can never beat the exhaustive minimum
     greedy = build_partition_linear(inst, epsilon)
     assert statistic_mutual_information(belief, greedy) >= info - 1e-12

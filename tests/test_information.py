@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from conftest import instance_with_shared_points, random_belief, random_instance
 from rdts.compression import Partition, build_partition_linear, build_representation
 from rdts.inference import BeliefState
@@ -142,6 +143,13 @@ def test_entropy_known_values():
 
 def test_entropy_of_point_mass_is_positive_zero():
     assert math.copysign(1.0, entropy(np.array([1.0, 0.0]))) == 1.0
+
+
+def test_entropy_of_a_point_mass_rounded_above_one_is_zero():
+    # a cell mass summed to 1 + 2**-52 once made entropy -2.2e-16, and
+    # compressed_bound then rejected that I(theta*; psi) as negative
+    assert entropy(np.array([1.0 + 2.0**-52])) == 0.0
+    assert entropy(np.array([1.0 + 2.0**-52, 0.0])) == 0.0
 
 
 def test_entropy_validation():
@@ -299,3 +307,38 @@ def test_compressed_regret_within_epsilon_of_ts(seed):
     rep = build_representation(inst, belief, part)
     diff, _ = compressed_moments(inst, belief, rep)
     assert ts_expected_regret(inst, belief) - diff <= eps + 1e-9
+
+
+@given(
+    st.integers(min_value=0),
+    st.sampled_from([(LINEAR_BINARY, 0.05), (LOGISTIC, 0.05), (GLM, 0.05), (GLM, 0.0)]),
+    st.integers(min_value=1, max_value=8),
+)
+@settings(max_examples=60, deadline=None)
+def test_one_belief_calls_match_per_action_reference(seed, kind_eta, K):
+    # every public information function is a one-belief call of the grouped
+    # kernel; the per-action code it replaced must agree to rounding
+    inst = instance_with_shared_points(seed, *kind_eta)
+    rng = np.random.default_rng(seed)
+    m = inst.n_params
+    part = Partition(cell_of=rng.permutation(np.arange(m) % K), epsilon=0.1, K=K)
+    p = rng.dirichlet(np.ones(m))
+    p[rng.random(m) < 0.25] = 0.0
+    belief = BeliefState(p / p.sum()) if p.sum() > 0 else BeliefState.uniform(m)
+    close = dict(rel=1e-10, abs=1e-15)
+    for a in range(inst.n_actions):
+        assert action_information(inst, belief, a) == pytest.approx(
+            reference.action_information(inst, belief, a), **close)
+        assert info_gain_about_statistic(inst, belief, part, a) == pytest.approx(
+            reference.info_gain_about_statistic(inst, belief, part, a), **close)
+    got, want = ts_info_ratio(inst, belief), reference.ts_info_ratio(inst, belief)
+    assert got.numerator == pytest.approx(want.numerator, **close)
+    assert got.denominator == pytest.approx(want.denominator, **close)
+    rep = build_representation(inst, belief, part)
+    ref_rep = reference.build_representation(inst, belief, part)
+    assert [c[:2] for c in rep.cells] == [c[:2] for c in ref_rep.cells]
+    assert [c[2] for c in rep.cells] == pytest.approx([c[2] for c in ref_rep.cells], **close)
+    diff, info = compressed_moments(inst, belief, rep)
+    ref_diff, ref_info = reference.compressed_moments(inst, belief, rep)
+    assert diff == pytest.approx(ref_diff, **close)
+    assert info == pytest.approx(ref_info, **close)

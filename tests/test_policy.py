@@ -5,9 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from conftest import instance_with_shared_points, make_model, random_belief, random_instance
 from rdts import model as model_mod
-from rdts.compression import build_partition_glm, build_partition_linear, build_representation
+from rdts.compression import (
+    Partition,
+    build_partition_glm,
+    build_partition_linear,
+    build_representation,
+)
 from rdts.inference import BeliefState, inverse_cdf, posterior_update, sample_parameter
 from rdts.information import InconsistentRepresentation, ts_expected_regret
 from rdts.model import GLM, LINEAR_BINARY, LOGISTIC, BanditInstance, OutcomeModel, outcome_support
@@ -298,6 +304,65 @@ def test_sample_outcome_matches_dense_inverse_cdf(seed, kind_eta):
             for _ in range(4):
                 dense = float(values[inverse_cdf(probs[i], rng_b.random())])
                 assert sample_outcome(inst, a, i, rng_a) == dense
+
+
+def _agree(a: float, b: float, slack: float = 0.0) -> bool:
+    """Equal to rounding: 1e-10 relative, or 1e-15 absolute near 0, plus ``slack``."""
+    return abs(a - b) <= max(1e-10 * max(abs(a), abs(b)), 1e-15) + slack
+
+
+def _ratio_slack(row: dict) -> float:
+    """How far the ratio diff**2 / info_compressed moves when its denominator
+    moves by the 1e-15 that two sums of the same information may differ by;
+    near-independent joints make info_compressed small and this large."""
+    info = row["info_compressed"]
+    return row["ratio"] * 1e-15 / info if info > 0.0 else 0.0
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from([(LINEAR_BINARY, 0.05), (LOGISTIC, 0.05), (GLM, 0.05), (GLM, 0.0)]),
+    st.sampled_from([1, 3]),
+)
+@settings(max_examples=60, deadline=None)
+def test_batched_audit_matches_per_run_oracle(seed, kind_eta, runs):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(3, 10))
+    inst = random_instance(rng, kind_eta[0], d=2, n=int(rng.integers(2, 7)), m=m,
+                           eta=kind_eta[1])
+    # any partition will do: the audit reports its checks whether or not they hold
+    K = int(rng.integers(1, m + 1))
+    cell_of = rng.permutation(np.arange(m) % K)
+    p = rng.dirichlet(np.ones(m))
+    if K > 1:
+        p[cell_of == rng.integers(K)] = 0.0  # a cell of zero prior mass
+    prior = BeliefState(p / p.sum())
+    part = Partition(cell_of=cell_of, epsilon=float(rng.choice([0.02, 0.2])), K=K)
+    T = int(rng.integers(1, 7))
+    got = audit_regret_chain(inst, prior, part, T, np.random.default_rng(seed), runs=runs)
+    want = reference.audit_regret_chain(inst, prior, part, T, np.random.default_rng(seed),
+                                        runs=runs)
+    assert got.passed == want.passed
+    assert (got.epsilon, got.horizon, got.runs) == (want.epsilon, want.horizon, want.runs)
+    assert len(got.rows) == len(want.rows) == runs * T
+    gamma_slack = max([_ratio_slack(w) for w in want.rows], default=0.0)
+    assert _agree(got.gamma_bar, want.gamma_bar, gamma_slack)
+    for key in ("info_prior_nats", "mean_cumulative_regret"):
+        assert _agree(getattr(got, key), getattr(want, key)), key
+    # the bound grows with sqrt(gamma_bar), so its relative slack is at most gamma_bar's
+    bound_slack = want.bound_value * gamma_slack / want.gamma_bar if want.gamma_bar > 0 else 0.0
+    assert _agree(got.bound_value, want.bound_value, bound_slack)
+    for g, w in zip(got.rows, want.rows):
+        assert list(g) == list(w)
+        for key, value in w.items():
+            where = (g["run"], g["t"], key, g[key], value)
+            if isinstance(value, (bool, np.bool_)):
+                assert g[key] is bool(value), where
+            elif isinstance(value, int):
+                assert g[key] == value, where
+            else:
+                slack = _ratio_slack(w) if key == "ratio" else 0.0
+                assert _agree(g[key], value, slack), where
 
 
 def test_audit_guard_rejects_large_instances():
