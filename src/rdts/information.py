@@ -88,37 +88,40 @@ def _grouped_mi(group, label, outcome, weight, n_groups: int) -> NDArray:
     Cells are merged by a bincount over the dense (group, label, outcome)
     index when that index is small, as for the binary models' two shared
     outcomes, and over the sorted distinct cells otherwise, as for glm's
-    merged supports. Returns each group's MI, clipped at 0.
+    merged supports. Both ways add every sum in index order, so they return
+    the same floats. Returns each group's MI, clipped at 0.
     """
-    group, label, outcome, weight = (
-        np.ravel(a) for a in np.broadcast_arrays(group, label, outcome, weight)
-    )
-    if weight.size and weight.min() < -INPUT_PMF_TOL:
-        raise InvalidPmf("need a non-negative joint pmf")
-    total = np.bincount(group, weights=weight, minlength=n_groups)
-    off = np.abs(total - 1.0) > INPUT_PMF_TOL
-    if off.any():
-        raise InvalidPmf(f"pmf sums to {total[off][0]!r}, not 1")
-    keep = weight > 0.0
-    group, label, outcome, weight = group[keep], label[keep], outcome[keep], weight[keep]
-    n_labels = int(label.max()) + 1
-    n_outcomes = int(outcome.max()) + 1
-    key = (group * n_labels + label) * n_outcomes + outcome
+    n_labels = int(np.max(label)) + 1
+    n_outcomes = int(np.max(outcome)) + 1
+    key = (np.asarray(group) * n_labels + label) * n_outcomes + outcome
+    key, weight = (np.ravel(a) for a in np.broadcast_arrays(key, weight))
+    if weight.size and weight.min() < 0.0:
+        if weight.min() < -INPUT_PMF_TOL:
+            raise InvalidPmf("need a non-negative joint pmf")
+        weight = np.maximum(weight, 0.0)
     size = n_groups * n_labels * n_outcomes
     if size <= _DENSE_CELLS_PER_ENTRY * key.size:
         joint = np.bincount(key, weights=weight, minlength=size)
-        cells = np.flatnonzero(joint)
-        joint = joint[cells]
-    else:
-        cells, inverse = np.unique(key, return_inverse=True)
-        joint = np.bincount(inverse, weights=weight)
+        joint = joint.reshape(n_groups, n_labels, n_outcomes)
+        _check_group_mass(joint.reshape(n_groups, -1).sum(axis=1))
+        return _dense_mi(joint)
+    keep = weight > 0.0
+    cells, inverse = np.unique(key[keep], return_inverse=True)
+    joint = np.bincount(inverse, weights=weight[keep])
     row = cells // n_outcomes  # (group, label) code
     cell_group = row // n_labels
     col = cell_group * n_outcomes + cells % n_outcomes  # (group, outcome) code
+    _check_group_mass(np.bincount(cell_group, weights=joint, minlength=n_groups))
     p_row = np.bincount(row, weights=joint)[row]
     p_col = np.bincount(col, weights=joint)[col]
     terms = joint * np.log(joint / (p_row * p_col))
     return np.maximum(np.bincount(cell_group, weights=terms, minlength=n_groups), 0.0)
+
+
+def _check_group_mass(total: NDArray) -> None:
+    off = np.abs(total - 1.0) > INPUT_PMF_TOL
+    if off.any():
+        raise InvalidPmf(f"pmf sums to {total[off][0]!r}, not 1")
 
 
 # ``_grouped_mi`` scatters into the dense (group, label, outcome) index when
@@ -126,11 +129,26 @@ def _grouped_mi(group, label, outcome, weight, n_groups: int) -> NDArray:
 _DENSE_CELLS_PER_ENTRY = 8
 
 
+def _dense_mi(joint: NDArray) -> NDArray:
+    """MI of each ``(labels, outcomes)`` slice of a ``(groups, labels,
+    outcomes)`` joint, clipped at 0. Every sum is a cumulative sum in index
+    order, which adds the positive cells in the order the sparse path of
+    ``_grouped_mi`` adds them, so both return the same floats."""
+    p_row = joint[:, :, :1]
+    for y in range(1, joint.shape[2]):  # few outcomes: slices beat a cumsum
+        p_row = p_row + joint[:, :, y : y + 1]
+    p_col = np.cumsum(joint, axis=1)[:, -1:, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = joint * np.log(joint / (p_row * p_col))
+    terms = np.where(joint > 0.0, terms, 0.0)
+    return np.maximum(np.cumsum(terms.reshape(joint.shape[0], -1), axis=1)[:, -1], 0.0)
+
+
 def _stacked_tables(instance: BanditInstance, actions: NDArray) -> tuple[NDArray, NDArray]:
     """``(idx, w)`` of the actions' ``OutcomeTable`` entries, each of shape
     ``(len(actions), m, 2)``: action ``actions[s]`` under parameter ``i``
     yields support point ``idx[s, i, k]`` with probability ``w[s, i, k]``."""
-    tables = [instance.outcome_table(a) for a in actions]
+    tables = instance.outcome_tables(actions)
     return np.stack([t.idx for t in tables]), np.stack([t.w for t in tables])
 
 

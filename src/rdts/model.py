@@ -151,14 +151,18 @@ class BanditInstance:
 
     def outcome_table(self, action_idx: int) -> "OutcomeTable":
         """The action's outcome pmfs, built on first use and then shared."""
-        action_idx = int(action_idx)
-        table = self._outcomes.get(action_idx)
-        if table is None:
-            # two threads may both build an entry; setdefault keeps the first
-            table = self._outcomes.setdefault(
-                action_idx, _build_outcome_table(self, action_idx)
-            )
-        return table
+        return self.outcome_tables([action_idx])[0]
+
+    def outcome_tables(self, actions) -> list["OutcomeTable"]:
+        """``outcome_table(a)`` for every ``a`` in ``actions``, in order; the
+        entries not yet built are built together."""
+        actions = [int(a) for a in actions]
+        missing = [a for a in dict.fromkeys(actions) if a not in self._outcomes]
+        if missing:
+            for a, table in zip(missing, _build_outcome_tables(self, missing)):
+                # two threads may both build an entry; setdefault keeps the first
+                self._outcomes.setdefault(a, table)
+        return [self._outcomes[a] for a in actions]
 
     @property
     def d(self) -> int:
@@ -236,24 +240,27 @@ _BINARY_IDX = np.arange(2, dtype=np.intp)
 _BINARY_IDX.setflags(write=False)
 
 
-def _build_outcome_table(instance: BanditInstance, action_idx: int) -> OutcomeTable:
-    """Tabulate and validate one action's pmfs (``OUTCOME_PMF_TOL``, support match)."""
+def _build_outcome_tables(instance: BanditInstance, actions: list[int]) -> list[OutcomeTable]:
+    """Tabulate and validate the actions' pmfs (``OUTCOME_PMF_TOL``, support
+    match): the binary models' weights in one pass over ``mu``, glm one
+    merged support per action."""
     kind = instance.model.kind
-    if kind != GLM:
-        p_hi = instance.mu[:, action_idx]
-        if kind == LINEAR_BINARY:
-            p_hi = p_hi + 0.5
-        w = np.empty((p_hi.size, 2))
-        w[:, 0] = 1.0 - p_hi
-        w[:, 1] = p_hi
-        return OutcomeTable(
-            values=np.array(_BINARY_VALUES[kind]),
-            # every row views the same two indices (stride 0 over parameters)
-            idx=np.ndarray(
-                w.shape, np.intp, _BINARY_IDX, strides=(0, _BINARY_IDX.itemsize)
-            ),
-            w=_checked_pmf(w),
-        )
+    if kind == GLM:
+        return [_build_outcome_table(instance, a) for a in actions]
+    p_hi = instance.mu[:, actions].T
+    if kind == LINEAR_BINARY:
+        p_hi = p_hi + 0.5
+    w = np.empty(p_hi.shape + (2,))
+    w[..., 0] = 1.0 - p_hi
+    w[..., 1] = p_hi
+    w = _checked_pmf(w)
+    # every row views the same two indices (stride 0 over parameters)
+    idx = np.ndarray(w.shape[1:], np.intp, _BINARY_IDX, strides=(0, _BINARY_IDX.itemsize))
+    return [OutcomeTable(values=np.array(_BINARY_VALUES[kind]), idx=idx, w=ws) for ws in w]
+
+
+def _build_outcome_table(instance: BanditInstance, action_idx: int) -> OutcomeTable:
+    """Tabulate and validate one glm action's pmfs on its merged support."""
     eta = float(instance.model.eta or 0.0)
     means = instance.mu[:, action_idx]
     values = _dedupe_sorted(np.sort(np.concatenate([means - eta, means + eta])))
@@ -292,10 +299,10 @@ def outcome_support(
 
 
 def _checked_pmf(w: NDArray) -> NDArray:
-    """``(m, 2)`` two-point pmfs, validated to ``OUTCOME_PMF_TOL`` and clipped to [0, 1]."""
+    """``(..., 2)`` two-point pmfs, validated to ``OUTCOME_PMF_TOL`` and clipped to [0, 1]."""
     if ((w < -OUTCOME_PMF_TOL) | (w > 1.0 + OUTCOME_PMF_TOL)).any():
         raise InvalidInstanceError("outcome probability outside [0, 1]")
-    if (abs(w[:, 0] + w[:, 1] - 1.0) > OUTCOME_PMF_TOL).any():
+    if (abs(w[..., 0] + w[..., 1] - 1.0) > OUTCOME_PMF_TOL).any():
         raise InvalidInstanceError("outcome pmf does not sum to 1")
     return w.clip(0.0, 1.0)
 
@@ -315,7 +322,7 @@ def two_point_outcomes(
     ``weights[s, i]`` picks the same value as one over the full row of
     ``outcome_support``; a single-point pmf has weight 0 on its second point.
     """
-    tables = [instance.outcome_table(a) for a in np.asarray(actions, dtype=np.intp)]
+    tables = instance.outcome_tables(np.asarray(actions, dtype=np.intp))
     shape = (len(tables), instance.n_params, 2)
     points = np.empty(shape)
     weights = np.empty(shape)

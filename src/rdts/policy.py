@@ -180,9 +180,7 @@ class AuditReport:
 
 
 def _outcome_cardinality(instance: BanditInstance) -> int:
-    return max(
-        instance.outcome_table(a).values.size for a in np.unique(instance.astar)
-    )
+    return max(table.values.size for table in instance.outcome_tables(np.unique(instance.astar)))
 
 
 def audit_regret_chain(

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import reference
 from conftest import instance_with_shared_points, random_belief, random_instance
+from rdts import information
 from rdts.compression import Partition, build_partition_linear, build_representation
 from rdts.inference import BeliefState
 from rdts.information import (
@@ -181,6 +182,31 @@ def test_mutual_information_matches_oracle(seed):
     assert mutual_information(joint) == pytest.approx(
         oracle_mutual_information(joint), abs=1e-12
     )
+
+
+@given(st.integers(min_value=0))
+@settings(max_examples=80, deadline=None)
+def test_grouped_mi_dense_and_sorted_merges_agree_bit_for_bit(seed):
+    # entries share cells, groups skip labels and outcomes, some weights are 0
+    rng = np.random.default_rng(seed)
+    n_groups = int(rng.integers(1, 5))
+    size = int(rng.integers(1, 40))
+    group = np.concatenate([np.arange(n_groups), rng.integers(0, n_groups, size)])
+    label = rng.integers(0, 6, group.size)
+    outcome = rng.integers(0, 7, group.size)
+    weight = rng.random(group.size) * (rng.random(group.size) > 0.2)
+    weight[:n_groups] += 0.1  # every group has mass
+    weight /= np.bincount(group, weights=weight)[group]
+    results = []
+    for cells_per_entry in (0, 10**9):  # always sorted, always dense
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(information, "_DENSE_CELLS_PER_ENTRY", cells_per_entry)
+            results.append(information._grouped_mi(group, label, outcome, weight, n_groups))
+    np.testing.assert_array_equal(results[0], results[1])
+    for g in range(n_groups):
+        joint = np.zeros((6, 7))
+        np.add.at(joint, (label[group == g], outcome[group == g]), weight[group == g])
+        assert results[0][g] == pytest.approx(oracle_mutual_information(joint), abs=1e-12)
 
 
 @given(st.integers(min_value=0))
