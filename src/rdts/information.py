@@ -281,7 +281,9 @@ def _representative_atoms(
     slot 1 is theta_{i2} with mass * (1 - r). A zero-mass cell has
     probability 0 in both slots."""
     single = i1 == i2
-    q = np.stack([np.where(single, mass, mass * r), np.where(single, 0.0, mass * (1.0 - r))], axis=-1)
+    q = np.stack(
+        [np.where(single, mass, mass * r), np.where(single, 0.0, mass * (1.0 - r))], axis=-1
+    )
     q[mass <= 0.0] = 0.0
     return np.stack([i1, i2], axis=-1), q
 
@@ -309,9 +311,9 @@ def _compressed_rows(
     """
     runs = probs.shape[0]
     # every positive belief entry (run, theta_i) with P(theta* = i | psi = cell)
-    run, param = np.nonzero(probs > 0.0)
+    run, param, p = _positive_entries(probs)
     cell = cell_of[param]
-    cond = probs[run, param] / mass[run, cell]
+    cond = p / mass[run, cell]
     # the two representative values of the entry's cell: probabilities, actions
     q = atom_q[run, cell]
     action = instance.astar[atom_param[run, cell]]

@@ -235,9 +235,9 @@ def audit_regret_chain(
         mean_rewards = belief @ instance.mu
         regret = _ts_regret_rows(instance, belief, mean_rewards)
         mass = np.bincount(run_cell, weights=belief.ravel(), minlength=runs * K).reshape(runs, K)
-        gains = _statistic_information(belief, cell_of, idx, weights)
+        # I(psi; Y_a) of every run and action, 0 for actions no parameter plays
         gain_of = np.zeros((runs, instance.n_actions))
-        gain_of[:, realized] = gains
+        gain_of[:, realized] = _statistic_information(belief, cell_of, idx, weights)
         pairs = [
             _representative_pairs(
                 instance, belief[r], mean_rewards[r], partition, mass[r], gain_of[r]
@@ -248,12 +248,9 @@ def audit_regret_chain(
         diff, info_comp = _compressed_rows(
             instance, belief, mean_rewards, cell_of, mass, atom_param, atom_q, idx, weights, slot
         )
-        info_psi_ts = (belief * gains[:, slot[instance.astar]]).sum(axis=1)
-        info_psi_comp = (
-            atom_q
-            * np.take_along_axis(gain_of, instance.astar[atom_param].reshape(runs, -1), axis=1)
-            .reshape(atom_q.shape)
-        ).sum(axis=(1, 2))
+        info_psi_ts = (belief * gain_of[:, instance.astar]).sum(axis=1)
+        rep_gain = gain_of[np.arange(runs)[:, None, None], instance.astar[atom_param]]
+        info_psi_comp = (atom_q * rep_gain).sum(axis=(1, 2))
         for r in range(runs):
             report = _ratio_report(float(diff[r] * diff[r]), float(info_comp[r]))
             gamma_bar = max(gamma_bar, report.ratio)
