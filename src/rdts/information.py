@@ -165,16 +165,27 @@ def _outcome_information(
 
     Run ``r``'s joint of (L, Y_a) puts ``mass[e] * w[s, param[e], k]`` on
     (``label[e]``, ``idx[s, param[e], k]``), for each entry ``e`` with
-    ``run[e] == r`` and ``k = 0, 1``. All ``n_runs * A`` joints go through one
-    ``_grouped_mi`` call.
+    ``run[e] == r`` and ``k = 0, 1``. The joints go through one
+    ``_grouped_mi`` call per block of actions, a block holding at most
+    ``_ENTRIES_PER_CALL`` entries (or one action), which bounds the memory the
+    kernel's temporaries take.
     """
     n_actions = idx.shape[0]
-    group = run[None, :, None] * n_actions + np.arange(n_actions)[:, None, None]
-    mi = _grouped_mi(
-        group, label[None, :, None], idx[:, param], mass[None, :, None] * w[:, param],
-        n_runs * n_actions,
-    )
-    return mi.reshape(n_runs, n_actions)
+    step = max(1, _ENTRIES_PER_CALL // (2 * max(1, param.size)))
+    mi = np.empty((n_runs, n_actions))
+    for lo in range(0, n_actions, step):
+        block = np.arange(lo, min(lo + step, n_actions))
+        group = run[None, :, None] * block.size + np.arange(block.size)[:, None, None]
+        mi[:, block] = _grouped_mi(
+            group, label[None, :, None], idx[block][:, param],
+            mass[None, :, None] * w[block][:, param], n_runs * block.size,
+        ).reshape(n_runs, block.size)
+    return mi
+
+
+# ``_outcome_information`` hands ``_grouped_mi`` at most this many entries at
+# once, unless one action alone has more
+_ENTRIES_PER_CALL = 4096
 
 
 def _positive_entries(probs: NDArray) -> tuple[NDArray, NDArray, NDArray]:
