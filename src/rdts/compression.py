@@ -22,8 +22,8 @@ from numpy.typing import NDArray
 
 from .bounds import EpsilonTooLarge, c_phi, ladder_start
 from .inference import BeliefState
-from .information import _stacked_tables, _statistic_information, entropy
-from .model import GLM, LINEAR_BINARY, LOGISTIC, BanditInstance
+from .information import _statistic_information, entropy
+from .model import GLM, LINEAR_BINARY, LOGISTIC, BanditInstance, two_point_outcomes
 from .tolerances import CERT_TOL, INPUT_PMF_TOL, LADDER_TOL, MARGIN_TOL, PAIR_TOL, TIE_TOL
 
 __all__ = [
@@ -82,8 +82,6 @@ class Partition:
     epsilon: float
     K: int
     _members: tuple = field(init=False, repr=False, compare=False)
-    # the lowest parameter index of each cell, read-only
-    first_members: NDArray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         cells = np.asarray(self.cell_of, dtype=np.intp)
@@ -93,9 +91,6 @@ class Partition:
         if len(members) != self.K or any(idx.size == 0 for idx in members):
             raise ValueError("cells must be exactly 0..K-1 and all non-empty")
         object.__setattr__(self, "_members", tuple(members))
-        first = np.array([idx[0] for idx in members], dtype=np.intp)
-        first.setflags(write=False)
-        object.__setattr__(self, "first_members", first)
 
     def members(self, k: int) -> NDArray:
         """Parameter indices of cell ``k`` in increasing order (read-only)."""
@@ -379,10 +374,11 @@ def two_point_pair(
 
     Existence is guaranteed for any valid inputs; the scan is lexicographic
     over ordered pairs and picks the smallest feasible r, so the result is
-    deterministic. Two scores within ``PAIR_TOL`` of each other constrain r
-    as equal scores would, so rounding noise in tied scores (glm actions
-    whose outcomes all identify theta carry the same information) cannot
-    change the pair.
+    deterministic. Two scores within ``PAIR_TOL`` of each other leave r
+    free, as equal scores would, so rounding noise in tied scores (glm
+    actions whose outcomes all identify theta carry the same information)
+    cannot change the pair; such a pair must meet its target within
+    ``PAIR_TOL`` at every r in [0, 1].
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -407,7 +403,7 @@ def two_point_pair(
                     hi = min(hi, (rhs + PAIR_TOL) / coeff)
                 elif coeff < -PAIR_TOL:
                     lo = max(lo, (rhs - PAIR_TOL) / coeff)
-                elif rhs < -PAIR_TOL:
+                elif rhs - max(coeff, 0.0) < -PAIR_TOL:  # r = 1 if coeff > 0, else r = 0
                     feasible = False
                     break
             if not feasible or lo > hi:
@@ -436,7 +432,7 @@ def build_representation(
         raise ValueError("belief and partition cover different parameter counts")
     mass = np.bincount(partition.cell_of, weights=p, minlength=partition.K)
     scored = np.unique(instance.astar[mass[partition.cell_of] > 0.0])
-    idx, w = _stacked_tables(instance, scored)
+    idx, _, w = two_point_outcomes(instance, scored)
     gain = np.zeros(instance.n_actions)
     gain[scored] = _statistic_information(p[None], partition.cell_of, idx, w)[0]
     i1, i2, r = _representative_pairs(instance, p, p @ instance.mu, partition, mass, gain)
@@ -456,11 +452,14 @@ def _representative_pairs(
     ``p`` with mean rewards ``p @ instance.mu`` and cell masses ``mass``,
     given I(psi; Y_a) as ``gain[a]`` for every action a member of a
     positive-mass cell plays."""
-    i1 = partition.first_members.copy()
-    i2 = partition.first_members.copy()
+    i1 = np.empty(partition.K, dtype=np.intp)
+    i2 = np.empty(partition.K, dtype=np.intp)
     r = np.ones(partition.K)
-    for k in np.flatnonzero(mass > 0.0):
+    for k in range(partition.K):
         members = partition.members(k)
+        if mass[k] <= 0.0:
+            i1[k] = i2[k] = members[0]
+            continue
         played = instance.astar[members]
         j, kk, r[k] = two_point_pair(mean_rewards[played], gain[played], p[members] / mass[k])
         i1[k], i2[k] = members[j], members[kk]

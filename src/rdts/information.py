@@ -23,7 +23,7 @@ from numpy.typing import NDArray
 
 from .inference import BeliefState
 # outcome_support stays importable from here for code that traces or patches it by name
-from .model import BanditInstance, outcome_support  # noqa: F401
+from .model import BanditInstance, outcome_support, two_point_outcomes  # noqa: F401
 from .tolerances import CELL_MASS_TOL, DENOMINATOR_TOL, INPUT_PMF_TOL, NUMERATOR_TOL
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -125,8 +125,11 @@ def _check_group_mass(total: NDArray) -> None:
 
 
 # ``_grouped_mi`` scatters into the dense (group, label, outcome) index when
-# it has at most this many cells per entry; beyond that, sorting is cheaper
-_DENSE_CELLS_PER_ENTRY = 8
+# it has at most this many cells per entry. Timed on 108 joints of 140 entries
+# each (BENCH_7.json), the dense merge is 6x faster than the sorted one at 0.26
+# cells per entry and 1.3x at 1, even at 2, and 1.6x or more slower from 4 on.
+# The binary models' joints have at most 1, glm's usually far more than 2
+_DENSE_CELLS_PER_ENTRY = 2
 
 
 def _dense_mi(joint: NDArray) -> NDArray:
@@ -142,14 +145,6 @@ def _dense_mi(joint: NDArray) -> NDArray:
         terms = joint * np.log(joint / (p_row * p_col))
     terms = np.where(joint > 0.0, terms, 0.0)
     return np.maximum(np.cumsum(terms.reshape(joint.shape[0], -1), axis=1)[:, -1], 0.0)
-
-
-def _stacked_tables(instance: BanditInstance, actions: NDArray) -> tuple[NDArray, NDArray]:
-    """``(idx, w)`` of the actions' ``OutcomeTable`` entries, each of shape
-    ``(len(actions), m, 2)``: action ``actions[s]`` under parameter ``i``
-    yields support point ``idx[s, i, k]`` with probability ``w[s, i, k]``."""
-    tables = instance.outcome_tables(actions)
-    return np.stack([t.idx for t in tables]), np.stack([t.w for t in tables])
 
 
 def _outcome_information(
@@ -207,7 +202,7 @@ def action_information(
     instance: BanditInstance, belief: BeliefState, action_idx: int
 ) -> float:
     """I(theta*; Y_a) under the belief, by exact summation."""
-    idx, w = _stacked_tables(instance, [action_idx])
+    idx, _, w = two_point_outcomes(instance, [action_idx])
     run, param, mass = _positive_entries(belief.probs[None])
     return float(_outcome_information(idx, w, run, param, param, mass, 1)[0, 0])
 
@@ -247,7 +242,7 @@ def ts_info_ratio(instance: BanditInstance, belief: BeliefState) -> InfoRatioRep
     diff = ts_expected_regret(instance, belief)
     action_mass = np.bincount(instance.astar, weights=p, minlength=instance.n_actions)
     played = np.flatnonzero(action_mass > 0.0)
-    idx, w = _stacked_tables(instance, played)
+    idx, _, w = two_point_outcomes(instance, played)
     run, param, mass = _positive_entries(p[None])
     info = _outcome_information(idx, w, run, param, param, mass, 1)[0]
     # actions added in index order
@@ -267,7 +262,7 @@ def info_gain_about_statistic(
     ``OutcomeTable``, only its 2m possibly nonzero terms, added in parameter
     order.
     """
-    idx, w = _stacked_tables(instance, [action_idx])
+    idx, _, w = two_point_outcomes(instance, [action_idx])
     return float(_statistic_information(belief.probs[None], partition.cell_of, idx, w)[0, 0])
 
 
@@ -316,7 +311,7 @@ def _compressed_rows(
     ``mean_rewards`` is ``probs @ instance.mu``, ``mass`` holds each row's
     cell masses ``(runs, K)`` and ``atom_param``, ``atom_q`` its
     representative values ``(runs, K, 2)`` from ``_representative_atoms``.
-    ``idx`` and ``w`` are stacked outcome tables (``_stacked_tables``) and
+    ``idx`` and ``w`` are stacked outcome tables (``two_point_outcomes``) and
     ``slot[a]`` is the stacked row of action ``a``, for every action a
     representative value with positive probability plays.
     """
@@ -371,7 +366,7 @@ def compressed_moments(
     i1, i2, r = (np.array(col) for col in zip(*representation.cells))
     atom_param, atom_q = _representative_atoms(i1, i2, r, mass)
     actions = np.unique(instance.astar[atom_param[atom_q > 0.0]])
-    idx, w = _stacked_tables(instance, actions)
+    idx, _, w = two_point_outcomes(instance, actions)
     slot = np.zeros(instance.n_actions, dtype=np.intp)
     slot[actions] = np.arange(actions.size)
     p = belief.probs[None]
@@ -380,6 +375,52 @@ def compressed_moments(
         atom_param[None], atom_q[None], idx, w, slot,
     )
     return float(diff[0]), float(info[0])
+
+
+def _chain_terms(instance: BanditInstance, partition: "Partition"):
+    """The per-period terms of the compressed-regret chain, for many beliefs.
+
+    Returns a function of a ``(runs, m)`` belief matrix that gives, per row,
+    ``(regret, diff, info_compressed, info_psi_compressed, info_psi_ts,
+    cell_mass)``: the one-step TS regret, ``compressed_moments`` of the row's
+    ``build_representation``, I(psi; Y_a) summed under the representative's
+    and under TS's action probabilities, and the cell masses ``(runs, K)``.
+    The outcome tables of every action a parameter plays are stacked once,
+    and each call takes I(psi; Y_a) for all (row, action) pairs from one
+    grouped call and the compressed information of all rows from another.
+    """
+    # compression imports this module, so it is imported on use
+    from .compression import _representative_pairs
+
+    realized = np.unique(instance.astar)
+    idx, _, w = two_point_outcomes(instance, realized)
+    slot = np.zeros(instance.n_actions, dtype=np.intp)
+    slot[realized] = np.arange(realized.size)
+    cell_of, K = partition.cell_of, partition.K
+
+    def terms(probs: NDArray) -> tuple[NDArray, ...]:
+        runs = probs.shape[0]
+        mean_rewards = probs @ instance.mu
+        regret = _ts_regret_rows(instance, probs, mean_rewards)
+        run_cell = (np.arange(runs)[:, None] * K + cell_of).ravel()
+        mass = np.bincount(run_cell, weights=probs.ravel(), minlength=runs * K).reshape(runs, K)
+        # I(psi; Y_a) of every row and action, 0 for actions no parameter plays
+        gain = np.zeros((runs, instance.n_actions))
+        gain[:, realized] = _statistic_information(probs, cell_of, idx, w)
+        pairs = [
+            _representative_pairs(instance, probs[r], mean_rewards[r], partition, mass[r], gain[r])
+            for r in range(runs)
+        ]
+        atom_param, atom_q = _representative_atoms(*map(np.stack, zip(*pairs)), mass)
+        diff, info_comp = _compressed_rows(
+            instance, probs, mean_rewards, cell_of, mass, atom_param, atom_q, idx, w, slot
+        )
+        info_psi_ts = (probs * gain[:, instance.astar]).sum(axis=1)
+        rep_gain = gain[np.arange(runs)[:, None, None], instance.astar[atom_param]]
+        info_psi_comp = (atom_q * rep_gain).sum(axis=(1, 2))
+        return regret, diff, info_comp, info_psi_comp, info_psi_ts, mass
+
+    return terms
 
 
 def compressed_info_ratio(

@@ -309,27 +309,27 @@ def _checked_pmf(w: NDArray) -> NDArray:
 
 def two_point_outcomes(
     instance: BanditInstance, actions: NDArray
-) -> tuple[NDArray, NDArray]:
+) -> tuple[NDArray, NDArray, NDArray]:
     """Outcome pmfs of several actions, as two points per (action, parameter).
 
     Every outcome model puts its mass on at most two values per pair: the
     binary models on their two outcomes, ``glm`` on ``mean -/+ eta`` after
-    merging coincident values. Returns ``(points, weights)``, both of shape
-    ``(len(actions), m, 2)``: playing ``actions[s]`` under parameter ``i``
-    yields ``points[s, i, k]`` with probability ``weights[s, i, k]``. They
-    are gathered from the instance's cached :class:`OutcomeTable` entries,
-    so the points of a pair are in support order and an inverse-CDF draw over
+    merging coincident values. Returns ``(idx, points, weights)``, each of
+    shape ``(len(actions), m, 2)``: playing ``actions[s]`` under parameter
+    ``i`` yields ``points[s, i, k]``, the action's support value
+    ``idx[s, i, k]``, with probability ``weights[s, i, k]``. They are
+    gathered from the instance's cached :class:`OutcomeTable` entries, so the
+    points of a pair are in support order and an inverse-CDF draw over
     ``weights[s, i]`` picks the same value as one over the full row of
     ``outcome_support``; a single-point pmf has weight 0 on its second point.
     """
     tables = instance.outcome_tables(np.asarray(actions, dtype=np.intp))
-    shape = (len(tables), instance.n_params, 2)
-    points = np.empty(shape)
-    weights = np.empty(shape)
-    for s, table in enumerate(tables):
-        points[s] = table.points()
-        weights[s] = table.w
-    return points, weights
+    idx = np.stack([table.idx for table in tables])
+    weights = np.stack([table.w for table in tables])
+    # each action's support values, one after another
+    start = np.cumsum([0] + [table.values.size for table in tables[:-1]])
+    values = np.concatenate([table.values for table in tables])
+    return idx, values[idx + start[:, None, None]], weights
 
 
 def _dedupe_sorted(values: NDArray) -> NDArray:

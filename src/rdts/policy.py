@@ -25,12 +25,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .bounds import compressed_bound
-from .compression import (
-    Partition,
-    Representation,
-    _representative_pairs,
-    statistic_mutual_information,
-)
+from .compression import Partition, Representation, statistic_mutual_information
 from .inference import (
     BeliefState,
     _match_likelihood,
@@ -38,16 +33,7 @@ from .inference import (
     posterior_update_rows,
     sample_parameter,
 )
-from .information import (
-    _checked_cell_mass,
-    _compressed_rows,
-    _ratio_report,
-    _representative_atoms,
-    _stacked_tables,
-    _statistic_information,
-    _ts_regret_rows,
-    entropy,
-)
+from .information import _chain_terms, _checked_cell_mass, _ratio_report, entropy
 # outcome_support stays importable from here for code that traces or patches it by name
 from .model import BanditInstance, outcome_support, two_point_outcomes  # noqa: F401
 from .tolerances import AUDIT_TOL
@@ -123,7 +109,7 @@ def simulate_ts(
     )
     slot = np.zeros(instance.n_actions, dtype=np.intp)
     slot[played] = np.arange(played.size)
-    points, weights = two_point_outcomes(instance, played)
+    _, points, weights = two_point_outcomes(instance, played)
     per_period = np.zeros(T)
     totals = np.zeros(runs)
     for t in range(T):
@@ -203,28 +189,24 @@ def audit_regret_chain(
 
     All runs advance together on a ``(runs, m)`` belief matrix, drawing their
     uniforms and stepping Thompson sampling exactly as ``simulate_ts`` does.
-    Each period, I(psi; Y_a) for every (run, realized action) pair comes from
-    one grouped mutual-information call, and the compressed information of
-    every run from another. Rows are returned run by run, period by period.
+    Each period, the chain's terms for every run come from one call of
+    ``information._chain_terms``. Rows are returned run by run, period by
+    period.
     """
     q = _outcome_cardinality(instance)
     if instance.n_params * instance.n_actions * q > 1_000_000:
         raise GuardExceeded("m * n * |outcomes| exceeds the exact-audit guard")
     eps = partition.epsilon
     info_prior = statistic_mutual_information(prior, partition)
-    cell_of = partition.cell_of
-    K = partition.K
+    chain_terms = _chain_terms(instance, partition)
     draws = np.stack([run_rng.random(1 + 2 * T) for run_rng in rng.spawn(runs)])
     belief = np.tile(prior.probs, (runs, 1))
     theta_star = inverse_cdf(belief, draws[:, 0])
-    # every action a parameter can play, as a representative or under TS
+    # every action a parameter can play
     realized = np.unique(instance.astar)
     slot = np.zeros(instance.n_actions, dtype=np.intp)
     slot[realized] = np.arange(realized.size)
-    idx, weights = _stacked_tables(instance, realized)
-    points, _ = two_point_outcomes(instance, realized)
-    # the (run, cell) code of every belief entry, for row-wise cell masses
-    run_cell = (np.arange(runs)[:, None] * K + cell_of).ravel()
+    _, points, weights = two_point_outcomes(instance, realized)
 
     rows: list[list[dict]] = [[] for _ in range(runs)]
     gamma_bar = 0.0
@@ -232,25 +214,7 @@ def audit_regret_chain(
     psi_series = np.zeros((T, runs))
     all_ok = True
     for t in range(T):
-        mean_rewards = belief @ instance.mu
-        regret = _ts_regret_rows(instance, belief, mean_rewards)
-        mass = np.bincount(run_cell, weights=belief.ravel(), minlength=runs * K).reshape(runs, K)
-        # I(psi; Y_a) of every run and action, 0 for actions no parameter plays
-        gain_of = np.zeros((runs, instance.n_actions))
-        gain_of[:, realized] = _statistic_information(belief, cell_of, idx, weights)
-        pairs = [
-            _representative_pairs(
-                instance, belief[r], mean_rewards[r], partition, mass[r], gain_of[r]
-            )
-            for r in range(runs)
-        ]
-        atom_param, atom_q = _representative_atoms(*map(np.stack, zip(*pairs)), mass)
-        diff, info_comp = _compressed_rows(
-            instance, belief, mean_rewards, cell_of, mass, atom_param, atom_q, idx, weights, slot
-        )
-        info_psi_ts = (belief * gain_of[:, instance.astar]).sum(axis=1)
-        rep_gain = gain_of[np.arange(runs)[:, None, None], instance.astar[atom_param]]
-        info_psi_comp = (atom_q * rep_gain).sum(axis=(1, 2))
+        regret, diff, info_comp, info_psi_comp, info_psi_ts, mass = chain_terms(belief)
         for r in range(runs):
             report = _ratio_report(float(diff[r] * diff[r]), float(info_comp[r]))
             gamma_bar = max(gamma_bar, report.ratio)

@@ -60,7 +60,7 @@ CERT_TOL = 1e-12
 
 # ``two_point_pair``: feasibility slack on each mixture inequality, how
 # negative a weight may be, and how far apart two scores may be and still
-# constrain the mixture as equal scores do.
+# count as tied (a tied pair must meet its target at every mixture weight).
 PAIR_TOL = 1e-12
 
 # The logistic ladder counts ceil(gap / epsilon - LADDER_TOL) levels, so a gap

@@ -353,6 +353,23 @@ def test_two_point_pair_ignores_rounding_noise_in_tied_scores():
     assert picks == {(0, 2)}
 
 
+@given(st.integers(min_value=0), st.integers(min_value=1, max_value=8))
+@settings(max_examples=200, deadline=None)
+def test_two_point_pair_underperforms_with_near_tied_scores(seed, n):
+    # scores a few ulps or up to 2 * PAIR_TOL apart fall in the tied branch,
+    # where r is left free; the mixture must still meet both targets
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=n)
+    g = rng.normal()
+    ulps = np.array([np.nextafter(g, -np.inf), g, np.nextafter(g, np.inf)])
+    b = np.where(rng.random(n) < 0.5, rng.choice(ulps, n), g + rng.uniform(-2, 2, n) * PAIR_TOL)
+    p = rng.dirichlet(np.ones(n))
+    j, k, r = two_point_pair(a, b, p)
+    assert 0.0 <= r <= 1.0
+    assert r * a[j] + (1.0 - r) * a[k] <= float(p @ a) + PAIR_TOL
+    assert r * b[j] + (1.0 - r) * b[k] <= float(p @ b) + PAIR_TOL
+
+
 def test_two_point_pair_validation():
     with pytest.raises(ValueError):
         two_point_pair(np.ones(3), np.ones(2), np.full(3, 1 / 3))

@@ -143,10 +143,11 @@ def test_outcome_support_glm_merges_coincident_points():
 def test_two_point_outcomes_match_outcome_support(kind, eta):
     inst = random_instance(np.random.default_rng(4), kind, d=3, n=6, m=9, eta=eta)
     actions = np.array([5, 0, 3])
-    points, weights = two_point_outcomes(inst, actions)
-    assert points.shape == weights.shape == (3, 9, 2)
+    idx, points, weights = two_point_outcomes(inst, actions)
+    assert idx.shape == points.shape == weights.shape == (3, 9, 2)
     for s, a in enumerate(actions):
         values, probs = outcome_support(inst, int(a))
+        np.testing.assert_array_equal(values[idx[s]], points[s])
         # the two points are support values in support order
         col = np.searchsorted(values, points[s])
         np.testing.assert_array_equal(values[col], points[s])
