@@ -22,7 +22,7 @@ from numpy.typing import NDArray
 
 from .bounds import EpsilonTooLarge, c_phi, ladder_start
 from .inference import BeliefState
-from .information import _statistic_information, entropy
+from .information import _outcome_information, entropy
 from .model import GLM, LINEAR_BINARY, LOGISTIC, BanditInstance, two_point_outcomes
 from .tolerances import CERT_TOL, INPUT_PMF_TOL, LADDER_TOL, MARGIN_TOL, PAIR_TOL, TIE_TOL
 
@@ -434,7 +434,7 @@ def build_representation(
     scored = np.unique(instance.astar[mass[partition.cell_of] > 0.0])
     idx, _, w = two_point_outcomes(instance, scored)
     gain = np.zeros(instance.n_actions)
-    gain[scored] = _statistic_information(p[None], partition.cell_of, idx, w)[0]
+    gain[scored] = _outcome_information(idx, w, p[None, :, None], partition.cell_of[:, None])[0]
     i1, i2, r = _representative_pairs(instance, p, p @ instance.mu, partition, mass, gain)
     cells = tuple(zip(i1.tolist(), i2.tolist(), r.tolist()))
     return Representation(partition=partition, cells=cells, cell_mass=mass)

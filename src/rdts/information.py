@@ -147,34 +147,31 @@ def _dense_mi(joint: NDArray) -> NDArray:
     return np.maximum(np.cumsum(terms.reshape(joint.shape[0], -1), axis=1)[:, -1], 0.0)
 
 
-def _outcome_information(
-    idx: NDArray,
-    w: NDArray,
-    run: NDArray,
-    param: NDArray,
-    label: NDArray,
-    mass: NDArray,
-    n_runs: int,
-) -> NDArray:
-    """I(L; Y_a) for every run and every stacked action, as ``(n_runs, A)``.
+def _outcome_information(idx: NDArray, w: NDArray, weight: NDArray, label: NDArray) -> NDArray:
+    """I(L; Y_a) for every row of ``weight`` and every stacked action, as ``(runs, A)``.
 
-    Run ``r``'s joint of (L, Y_a) puts ``mass[e] * w[s, param[e], k]`` on
-    (``label[e]``, ``idx[s, param[e], k]``), for each entry ``e`` with
-    ``run[e] == r`` and ``k = 0, 1``. The joints go through one
-    ``_grouped_mi`` call per block of actions, a block holding at most
-    ``_ENTRIES_PER_CALL`` entries (or one action), which bounds the memory the
-    kernel's temporaries take.
+    Row ``r``'s joint of (L, Y_a) puts ``weight[r, i, j] * w[s, i, k]`` on
+    (``label[i, j]``, ``idx[s, i, k]``) for every positive ``weight[r, i, j]``
+    and ``k = 0, 1``, where ``weight`` has shape ``(runs, m, J)``, ``label``
+    broadcasts to ``(m, J)`` and ``idx``, ``w`` are stacked outcome tables
+    (``two_point_outcomes``). The joints go through one ``_grouped_mi`` call
+    per block of actions, a block holding at most ``_ENTRIES_PER_CALL``
+    entries (or one action), which bounds the memory the kernel's
+    temporaries take.
     """
-    n_actions = idx.shape[0]
+    runs, n_actions = weight.shape[0], idx.shape[0]
+    run, param, j = np.nonzero(weight > 0.0)
+    mass = weight[run, param, j]
+    label = np.broadcast_to(label, weight.shape[1:])[param, j]
     step = max(1, _ENTRIES_PER_CALL // (2 * max(1, param.size)))
-    mi = np.empty((n_runs, n_actions))
+    mi = np.empty((runs, n_actions))
     for lo in range(0, n_actions, step):
         block = np.arange(lo, min(lo + step, n_actions))
         group = run[None, :, None] * block.size + np.arange(block.size)[:, None, None]
         mi[:, block] = _grouped_mi(
             group, label[None, :, None], idx[block][:, param],
-            mass[None, :, None] * w[block][:, param], n_runs * block.size,
-        ).reshape(n_runs, block.size)
+            mass[None, :, None] * w[block][:, param], runs * block.size,
+        ).reshape(runs, block.size)
     return mi
 
 
@@ -183,28 +180,13 @@ def _outcome_information(
 _ENTRIES_PER_CALL = 4096
 
 
-def _positive_entries(probs: NDArray) -> tuple[NDArray, NDArray, NDArray]:
-    """``(run, param, mass)`` of the positive entries of a ``(runs, m)``
-    belief matrix, run by run in parameter order."""
-    run, param = np.nonzero(probs > 0.0)
-    return run, param, probs[run, param]
-
-
-def _statistic_information(
-    probs: NDArray, cell_of: NDArray, idx: NDArray, w: NDArray
-) -> NDArray:
-    """I(psi; Y_a) for every belief row and every stacked action, ``(runs, A)``."""
-    run, param, mass = _positive_entries(probs)
-    return _outcome_information(idx, w, run, param, cell_of[param], mass, probs.shape[0])
-
-
 def action_information(
     instance: BanditInstance, belief: BeliefState, action_idx: int
 ) -> float:
     """I(theta*; Y_a) under the belief, by exact summation."""
     idx, _, w = two_point_outcomes(instance, [action_idx])
-    run, param, mass = _positive_entries(belief.probs[None])
-    return float(_outcome_information(idx, w, run, param, param, mass, 1)[0, 0])
+    labels = np.arange(instance.n_params)[:, None]
+    return float(_outcome_information(idx, w, belief.probs[None, :, None], labels)[0, 0])
 
 
 def _ratio_report(numerator: float, denominator: float) -> InfoRatioReport:
@@ -243,8 +225,7 @@ def ts_info_ratio(instance: BanditInstance, belief: BeliefState) -> InfoRatioRep
     action_mass = np.bincount(instance.astar, weights=p, minlength=instance.n_actions)
     played = np.flatnonzero(action_mass > 0.0)
     idx, _, w = two_point_outcomes(instance, played)
-    run, param, mass = _positive_entries(p[None])
-    info = _outcome_information(idx, w, run, param, param, mass, 1)[0]
+    info = _outcome_information(idx, w, p[None, :, None], np.arange(p.size)[:, None])[0]
     # actions added in index order
     denominator = float(np.cumsum(action_mass[played] * info)[-1])
     return _ratio_report(diff * diff, denominator)
@@ -263,7 +244,8 @@ def info_gain_about_statistic(
     order.
     """
     idx, _, w = two_point_outcomes(instance, [action_idx])
-    return float(_statistic_information(belief.probs[None], partition.cell_of, idx, w)[0, 0])
+    labels = partition.cell_of[:, None]
+    return float(_outcome_information(idx, w, belief.probs[None, :, None], labels)[0, 0])
 
 
 def _checked_cell_mass(belief: BeliefState, representation: "Representation") -> NDArray:
@@ -317,9 +299,9 @@ def _compressed_rows(
     """
     runs = probs.shape[0]
     # every positive belief entry (run, theta_i) with P(theta* = i | psi = cell)
-    run, param, p = _positive_entries(probs)
+    run, param = np.nonzero(probs > 0.0)
     cell = cell_of[param]
-    cond = p / mass[run, cell]
+    cond = probs[run, param] / mass[run, cell]
     # the two representative values of the entry's cell: probabilities, actions
     q = atom_q[run, cell]
     action = instance.astar[atom_param[run, cell]]
@@ -336,10 +318,9 @@ def _compressed_rows(
         atom_group.ravel(), weights=atom_q.ravel(), minlength=runs * n_stacked
     ).reshape(runs, n_stacked)
     used = np.flatnonzero(weight.any(axis=0))
-    info = _outcome_information(
-        idx[used], w[used], np.repeat(run, 2), np.repeat(param, 2),
-        (2 * cell[:, None] + np.arange(2)).ravel(), (q * cond[:, None]).ravel(), runs,
-    )
+    value_mass = np.zeros(probs.shape + (2,))
+    value_mass[run, param] = q * cond[:, None]
+    info = _outcome_information(idx[used], w[used], value_mass, 2 * cell_of[:, None] + np.arange(2))
     return diff, (weight[:, used] * info).sum(axis=1)
 
 
@@ -406,7 +387,7 @@ def _chain_terms(instance: BanditInstance, partition: "Partition"):
         mass = np.bincount(run_cell, weights=probs.ravel(), minlength=runs * K).reshape(runs, K)
         # I(psi; Y_a) of every row and action, 0 for actions no parameter plays
         gain = np.zeros((runs, instance.n_actions))
-        gain[:, realized] = _statistic_information(probs, cell_of, idx, w)
+        gain[:, realized] = _outcome_information(idx, w, probs[:, :, None], cell_of[:, None])
         pairs = [
             _representative_pairs(instance, probs[r], mean_rewards[r], partition, mass[r], gain[r])
             for r in range(runs)

@@ -6,19 +6,22 @@ variance than realized rewards; the realized estimator is available via a
 flag. Per-run generators are spawned from the root generator by run index,
 so runs are reproducible and order-independent.
 
-``simulate_ts`` and ``audit_regret_chain`` advance all runs together: the
-beliefs are a ``(runs, m)`` matrix updated row by row with the arithmetic of
-``posterior_update``, and the outcome pmfs of every action Thompson sampling
-can play are gathered once per call from the instance's outcome tables
-(``model.two_point_outcomes``). Each run still draws from its
+``simulate_ts`` and ``audit_regret_chain`` follow the same Thompson
+sampling trajectories, from one rollout (``_ts_rollout``) that advances all
+runs together: the beliefs are a ``(runs, m)`` matrix updated row by row with
+the arithmetic of ``posterior_update``, and the outcome pmfs of every action
+Thompson sampling can play are gathered once per call from the instance's
+outcome tables (``model.two_point_outcomes``). Each run still draws from its
 own generator, ``1 + 2T`` uniforms in a fixed order: one for the true
 parameter, then a (sampled parameter, outcome) pair per period, exactly the
 draws of a per-run loop over ``thompson_step`` and ``sample_outcome``, so the
-trajectories are identical to that loop's.
+trajectories are identical to that loop's and a run's trajectory does not
+depend on how many runs there are.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,6 +81,45 @@ def sample_outcome(
     return float(table.values[table.idx[true_param, k]])
 
 
+def _ts_rollout(
+    instance: BanditInstance, prior: BeliefState, T: int, runs: int, rng: np.random.Generator
+) -> Iterator[tuple[NDArray, NDArray, NDArray, NDArray]]:
+    """Thompson sampling on ``runs`` runs at once, one period at a time.
+
+    Run ``r`` draws its ``1 + 2T`` uniforms up front from the ``r``-th
+    generator spawned from ``rng``: the first picks the true parameter from
+    the prior, then period ``t`` uses ``2t + 1`` to sample a parameter from
+    the run's belief and ``2t + 2`` to sample the outcome of that
+    parameter's best action. ``T`` and ``runs`` are checked before anything
+    is drawn. Returns an iterator over the periods that yields ``(belief,
+    theta_star, action, outcome)``: the ``(runs, m)`` belief matrix before the
+    period's update, then each run's true parameter, played action and
+    observed outcome.
+    """
+    if T < 0 or runs < 1:
+        raise ValueError("need T >= 0 and runs >= 1")
+    draws = np.stack([run_rng.random(1 + 2 * T) for run_rng in rng.spawn(runs)])
+    belief = np.tile(prior.probs, (runs, 1))
+    theta_star = inverse_cdf(belief, draws[:, 0])
+    # Thompson sampling only plays best actions of parameters with prior mass
+    played = np.unique(instance.astar[prior.probs > 0.0])
+    slot = np.zeros(instance.n_actions, dtype=np.intp)
+    slot[played] = np.arange(played.size)
+    _, points, weights = two_point_outcomes(instance, played)
+
+    def periods(belief: NDArray):
+        for t in range(T):
+            action = instance.astar[inverse_cdf(belief, draws[:, 2 * t + 1])]
+            s = slot[action]
+            k = inverse_cdf(weights[s, theta_star], draws[:, 2 * t + 2])
+            y = points[s, theta_star, k]
+            yield belief, theta_star, action, y
+            like = _match_likelihood(points[s], weights[s], y[:, None, None])
+            belief = posterior_update_rows(belief, like)
+
+    return periods(belief)
+
+
 def simulate_ts(
     instance: BanditInstance,
     prior: BeliefState,
@@ -88,43 +130,20 @@ def simulate_ts(
 ) -> RegretTrace:
     """Monte Carlo Bayesian regret of Thompson sampling over ``runs`` runs.
 
-    All runs advance together, one period at a time, on a ``(runs, m)``
-    belief matrix. Run ``r`` draws its ``1 + 2T`` uniforms up front from the
-    ``r``-th generator spawned from ``rng``: the first picks the true
-    parameter from the prior, then period ``t`` uses ``2t + 1`` to sample a
-    parameter from the run's belief and ``2t + 2`` to sample the outcome.
+    All runs advance together on the trajectories of ``_ts_rollout``.
     Per-period regret is summed over runs in run order and each run's total
     over periods in period order, so the trace is bit-identical to a per-run
     loop of ``thompson_step``, ``sample_outcome`` and ``posterior_update``.
     """
-    if T < 0 or runs < 1:
-        raise ValueError("need T >= 0 and runs >= 1")
+    periods = _ts_rollout(instance, prior, T, runs, rng)
     best = instance.mu[np.arange(instance.n_params), instance.astar]
-    draws = np.stack([run_rng.random(1 + 2 * T) for run_rng in rng.spawn(runs)])
-    belief = np.tile(prior.probs, (runs, 1))
-    theta_star = inverse_cdf(belief, draws[:, 0])
-    # Thompson sampling only plays best actions of parameters with prior mass
-    played = np.flatnonzero(
-        np.bincount(instance.astar[prior.probs > 0.0], minlength=instance.n_actions)
-    )
-    slot = np.zeros(instance.n_actions, dtype=np.intp)
-    slot[played] = np.arange(played.size)
-    _, points, weights = two_point_outcomes(instance, played)
     per_period = np.zeros(T)
     totals = np.zeros(runs)
-    for t in range(T):
-        action = instance.astar[inverse_cdf(belief, draws[:, 2 * t + 1])]
-        s = slot[action]
-        k = inverse_cdf(weights[s, theta_star], draws[:, 2 * t + 2])
-        y = points[s, theta_star, k]
-        if realized_rewards:
-            regret = best[theta_star] - y
-        else:
-            regret = best[theta_star] - instance.mu[theta_star, action]
+    for t, (_, theta_star, action, y) in enumerate(periods):
+        reward = y if realized_rewards else instance.mu[theta_star, action]
+        regret = best[theta_star] - reward
         per_period[t] = np.cumsum(regret)[-1]  # runs added in run order
         totals += regret
-        like = _match_likelihood(points[s], weights[s], y[:, None, None])
-        belief = posterior_update_rows(belief, like)
     per_period /= runs
     std_error = float(totals.std(ddof=1) / np.sqrt(runs)) if runs > 1 else 0.0
     return RegretTrace(
@@ -187,33 +206,24 @@ def audit_regret_chain(
     Cauchy-Schwarz and the final regret bound with the audited worst-case
     ratio.
 
-    All runs advance together on a ``(runs, m)`` belief matrix, drawing their
-    uniforms and stepping Thompson sampling exactly as ``simulate_ts`` does.
-    Each period, the chain's terms for every run come from one call of
+    All runs advance together on the trajectories of ``_ts_rollout``, the
+    ones ``simulate_ts`` follows. Each period, the chain's terms for every run come from one call of
     ``information._chain_terms``. Rows are returned run by run, period by
     period.
     """
     q = _outcome_cardinality(instance)
     if instance.n_params * instance.n_actions * q > 1_000_000:
         raise GuardExceeded("m * n * |outcomes| exceeds the exact-audit guard")
+    periods = _ts_rollout(instance, prior, T, runs, rng)
     eps = partition.epsilon
     info_prior = statistic_mutual_information(prior, partition)
     chain_terms = _chain_terms(instance, partition)
-    draws = np.stack([run_rng.random(1 + 2 * T) for run_rng in rng.spawn(runs)])
-    belief = np.tile(prior.probs, (runs, 1))
-    theta_star = inverse_cdf(belief, draws[:, 0])
-    # every action a parameter can play
-    realized = np.unique(instance.astar)
-    slot = np.zeros(instance.n_actions, dtype=np.intp)
-    slot[realized] = np.arange(realized.size)
-    _, points, weights = two_point_outcomes(instance, realized)
-
     rows: list[list[dict]] = [[] for _ in range(runs)]
     gamma_bar = 0.0
     totals = np.zeros(runs)
     psi_series = np.zeros((T, runs))
     all_ok = True
-    for t in range(T):
+    for t, (belief, *_) in enumerate(periods):
         regret, diff, info_comp, info_psi_comp, info_psi_ts, mass = chain_terms(belief)
         for r in range(runs):
             report = _ratio_report(float(diff[r] * diff[r]), float(info_comp[r]))
@@ -245,14 +255,6 @@ def audit_regret_chain(
             )
         totals += regret
         psi_series[t] = info_psi_ts
-
-        # one Thompson sampling step of every run, as in simulate_ts
-        action = instance.astar[inverse_cdf(belief, draws[:, 2 * t + 1])]
-        s = slot[action]
-        k = inverse_cdf(weights[s, theta_star], draws[:, 2 * t + 2])
-        y = points[s, theta_star, k]
-        like = _match_likelihood(points[s], weights[s], y[:, None, None])
-        belief = posterior_update_rows(belief, like)
     for series in psi_series.T.tolist():
         # Cauchy-Schwarz across the run's periods
         lhs = sum(np.sqrt(np.maximum(series, 0.0)))

@@ -143,6 +143,15 @@ def test_audit_json_and_exit_code(tmp_path):
     assert len(doc["periods"]) == 5
 
 
+@pytest.mark.parametrize("flag, value", [("--runs", "0"), ("--T", "-1")])
+def test_audit_rejects_empty_rollout(flag, value, capsys):
+    code = run(["audit", "--model", "linear_binary", "--d", "2", "--n", "8", "--m", "6",
+                "--seed", "11", flag, value])
+    assert code == 2
+    doc = json.loads(capsys.readouterr().err)
+    assert doc == {"error": "ValueError", "message": "need T >= 0 and runs >= 1"}
+
+
 def test_config_file_merge_and_flag_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"d": 10, "T": 10000, "which": "linear", "format": "json"}))

@@ -19,6 +19,7 @@ from rdts.information import InconsistentRepresentation, ts_expected_regret
 from rdts.model import GLM, LINEAR_BINARY, LOGISTIC, BanditInstance, OutcomeModel, outcome_support
 from rdts.policy import (
     GuardExceeded,
+    _ts_rollout,
     audit_regret_chain,
     compressed_ts_step,
     sample_outcome,
@@ -139,6 +140,64 @@ def test_generator_random_block_equals_successive_draws():
         )
 
 
+KINDS = [(LINEAR_BINARY, 0.05), (LOGISTIC, 0.05), (GLM, 0.05), (GLM, 0.0)]
+KIND_IDS = ["linear_binary", "logistic", "glm", "glm-eta0"]
+
+
+@pytest.mark.parametrize("kind, eta", KINDS, ids=KIND_IDS)
+def test_ts_rollout_run_does_not_depend_on_run_count(kind, eta):
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(2, 12))
+        instance = random_instance(rng, kind, d=2, n=int(rng.integers(2, 8)), m=m, eta=eta)
+        prior = random_belief(rng, m)
+        alone, batched = (
+            list(_ts_rollout(instance, prior, 12, runs, np.random.default_rng(seed)))
+            for runs in (1, 4)
+        )
+        assert len(alone) == len(batched) == 12
+        for one, many in zip(alone, batched):
+            for a, b in zip(one, many):
+                np.testing.assert_array_equal(a[0], b[0])
+
+
+@pytest.mark.parametrize("kind, eta", KINDS, ids=KIND_IDS)
+def test_audit_run_rows_do_not_depend_on_run_count(kind, eta):
+    # the trajectories are the same; the chain's terms of a run may move by
+    # rounding, since a matrix product over all runs' beliefs may add in
+    # another order than one over a single belief
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        inst = random_instance(rng, kind, d=2, n=6, m=8, eta=eta)
+        part = (build_partition_linear if kind == LINEAR_BINARY else build_partition_glm)(
+            inst, 0.2
+        )
+        alone, batched = (
+            audit_regret_chain(inst, BeliefState.uniform(8), part, 8,
+                               np.random.default_rng(seed), runs=runs).rows
+            for runs in (1, 3)
+        )
+        assert len(alone) == 8
+        for one, many in zip(alone, batched):
+            assert list(one) == list(many)
+            for key, value in one.items():
+                if isinstance(value, float):
+                    assert math.isclose(value, many[key], rel_tol=1e-13), (seed, key)
+                else:
+                    assert value == many[key], (seed, key)
+
+
+def test_rollout_validation_comes_before_any_allocation(two_param_line):
+    part = build_partition_linear(two_param_line, 0.2)
+    for T, runs in ((-1, 1), (1, 0), (-3, -2)):
+        with pytest.raises(ValueError, match="need T >= 0 and runs >= 1"):
+            _ts_rollout(two_param_line, BeliefState.uniform(2), T, runs,
+                        np.random.default_rng(0))
+        with pytest.raises(ValueError, match="need T >= 0 and runs >= 1"):
+            audit_regret_chain(two_param_line, BeliefState.uniform(2), part, T,
+                               np.random.default_rng(0), runs=runs)
+
+
 @pytest.fixture
 def two_param_line():
     actions = np.array([[1.0], [-1.0]])
@@ -202,10 +261,10 @@ def test_simulate_ts_realized_estimator(two_param_line):
 
 
 def test_simulate_ts_validation(two_param_line):
-    with pytest.raises(ValueError):
-        simulate_ts(two_param_line, BeliefState.uniform(2), -1, 5, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        simulate_ts(two_param_line, BeliefState.uniform(2), 1, 0, np.random.default_rng(0))
+    for T, runs in ((-1, 5), (1, 0), (1, -1)):
+        with pytest.raises(ValueError, match="need T >= 0 and runs >= 1"):
+            simulate_ts(two_param_line, BeliefState.uniform(2), T, runs,
+                        np.random.default_rng(0))
 
 
 def test_regret_trace_csv_rows(two_param_line):
