@@ -2,7 +2,6 @@
 sampling on finite Bayesian bandits."""
 
 from .bounds import (
-    BoundReport,
     EpsilonTooLarge,
     c_phi,
     compressed_bound,

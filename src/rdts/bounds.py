@@ -1,14 +1,11 @@
 """Closed-form evaluators for the regret bounds and their constants.
 
-All logarithms are natural. Each evaluator is a pure function; the CLI
-packages the results as :class:`BoundReport` rows.
+All logarithms are natural. Each evaluator is a pure function.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
 from .model import GLM, LINEAR_BINARY, LOGISTIC, OutcomeModel
 
 
@@ -16,16 +13,9 @@ class EpsilonTooLarge(ValueError):
     """epsilon at or above phi(delta) - 1/2: the logistic ladder cannot start."""
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    name: str
-    value: float
-    inputs: dict = field(default_factory=dict)
-
-
 def _require_nonnegative(**kwargs: float) -> None:
     for name, v in kwargs.items():
-        if v < 0:
+        if not v >= 0:  # NaN fails
             raise ValueError(f"{name} must be non-negative, got {v!r}")
 
 
@@ -54,7 +44,7 @@ def linear_bound(d: int, horizon: int) -> float:
 
 def glm_bound(d: int, horizon: int, c_phi_value: float) -> float:
     """2 * C(phi) * d * sqrt(T * log(3 + 3*sqrt(2T)/d)) for GLM bandits."""
-    if c_phi_value <= 0:
+    if not c_phi_value > 0:
         raise ValueError("c_phi must be positive")
     return 2.0 * c_phi_value * linear_bound(d, horizon)
 
@@ -68,7 +58,7 @@ def logistic_bound(
     to 2d*sqrt(T log 3) as beta grows; the simplified form replaces it with
     min(1/delta, beta)/4 and always dominates the primary one.
     """
-    if d < 1 or horizon < 1 or beta <= 0 or delta <= 0:
+    if d < 1 or horizon < 1 or not (beta > 0 and delta > 0):
         raise ValueError("need d, T >= 1 and beta, delta > 0")
     # beta * e^{beta delta} / (1 + e^{beta delta})^2, computed overflow-safe
     x = beta * delta
@@ -129,16 +119,16 @@ def partition_count_bounds(
     delta: float | None = None,
 ) -> float:
     """Covering-number bounds on the number of cells K, by model kind."""
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if kind == LINEAR_BINARY:
         return (1.0 / epsilon + 1.0) ** d
     if kind == GLM:
-        if c_phi_value is None or c_phi_value <= 0:
+        if c_phi_value is None or not c_phi_value > 0:
             raise ValueError("glm bound needs c_phi > 0")
         return (2.0 * c_phi_value / epsilon + 1.0) ** d
     if kind == LOGISTIC:
-        if beta is None or delta is None or beta <= 0 or delta <= 0:
+        if beta is None or delta is None or not (beta > 0 and delta > 0):
             raise ValueError("logistic bound needs beta, delta > 0")
         _, s0 = ladder_start(OutcomeModel(kind=LOGISTIC, beta=beta), epsilon, delta)
         return (1.0 / epsilon) * (1.0 + 2.0 / (delta - s0)) ** d

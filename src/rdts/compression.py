@@ -173,18 +173,20 @@ def max_intra_cell_distortion(instance: BanditInstance, cell_of: NDArray, K: int
     return worst
 
 
-def _greedy_cover(points: NDArray, radius: float) -> list[list[int]]:
-    """Greedy center-based covering: lowest-index uncovered point becomes a center."""
-    remaining = list(range(points.shape[0]))
-    groups: list[list[int]] = []
-    while remaining:
-        center = remaining[0]
-        dist = np.linalg.norm(points[remaining] - points[center], axis=1)
-        absorbed = [remaining[t] for t in np.flatnonzero(dist <= radius)]
-        groups.append(absorbed)
-        taken = set(absorbed)
-        remaining = [t for t in remaining if t not in taken]
-    return groups
+def _greedy_cover(points: NDArray, radius: float) -> NDArray:
+    """Greedy center-based covering: the lowest-index uncovered point becomes a
+    center and takes every uncovered point within ``radius``. Returns each
+    point's group index, groups numbered in the order they are made."""
+    uncovered = np.ones(points.shape[0], dtype=bool)
+    group = np.empty(points.shape[0], dtype=np.intp)
+    count = 0
+    while uncovered.any():
+        center = points[np.argmax(uncovered)]
+        taken = uncovered & (np.linalg.norm(points - center, axis=1) <= radius)
+        group[taken] = count
+        uncovered &= ~taken
+        count += 1
+    return group
 
 
 def _cover_best_actions(
@@ -195,11 +197,9 @@ def _cover_best_actions(
     Returns the group index of each entry of ``astar`` and the number of
     groups.
     """
-    realized = np.unique(astar)
-    groups = _greedy_cover(instance.actions[realized], radius)
-    group_of_action = {int(realized[t]): g for g, grp in enumerate(groups) for t in grp}
-    group_of = np.array([group_of_action[int(a)] for a in astar], dtype=np.intp)
-    return group_of, len(groups)
+    realized, inverse = np.unique(astar, return_inverse=True)
+    group = _greedy_cover(instance.actions[realized], radius)
+    return group[inverse], int(group.max()) + 1
 
 
 def _refine_certified(
@@ -259,7 +259,7 @@ def build_partition_linear(instance: BanditInstance, epsilon: float) -> Partitio
     Cell diameter <= 2 * epsilon in action space implies intra-cell distortion
     <= epsilon for the linear model (Cauchy-Schwarz with ||theta|| <= 1).
     """
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:  # NaN fails
         raise InvalidEpsilon("epsilon must be positive")
     if instance.model.kind != LINEAR_BINARY:
         raise InvalidEpsilon("linear partition builder requires a linear_binary model")
@@ -278,7 +278,7 @@ def build_partition_glm(instance: BanditInstance, epsilon: float) -> Partition:
     Cell diameter <= epsilon / C(phi) in action space bounds the intra-cell
     distortion by epsilon through the link's Lipschitz constant.
     """
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:  # NaN fails
         raise InvalidEpsilon("epsilon must be positive")
     if instance.model.kind not in (GLM, LOGISTIC):
         raise InvalidEpsilon("glm partition builder requires a glm or logistic model")
@@ -320,11 +320,11 @@ def build_partition_logistic(
     mirrored negative side); each band's best actions are greedily covered at
     half the preceding level gap, which certifies distortion <= epsilon.
     """
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:  # NaN fails
         raise InvalidEpsilon("epsilon must be positive")
     if instance.model.kind != LOGISTIC:
         raise InvalidEpsilon("logistic partition builder requires a logistic model")
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise MarginViolated("delta must be positive")
     inner = best_action_margins(instance)
     if np.min(np.abs(inner)) < delta - MARGIN_TOL:
@@ -385,7 +385,7 @@ def two_point_pair(
     p = np.asarray(p, dtype=float)
     if a.shape != b.shape or a.shape != p.shape or a.ndim != 1 or a.size < 1:
         raise ValueError("a, b, p must be 1-D arrays of equal positive length")
-    if np.any(p < -PAIR_TOL) or abs(p.sum() - 1.0) > INPUT_PMF_TOL:
+    if np.any(p < -PAIR_TOL) or not abs(p.sum() - 1.0) <= INPUT_PMF_TOL:  # NaN fails
         raise ValueError("p must be a valid pmf")
     mean_a = float(p @ a)
     mean_b = float(p @ b)

@@ -70,7 +70,7 @@ def _normalised(p: NDArray) -> NDArray:
     if (p < -BELIEF_TOL).any():
         raise ValueError("belief entries must be non-negative")
     total = p.sum(axis=-1, keepdims=True)
-    off = np.abs(total - 1.0) > BELIEF_TOL
+    off = ~(np.abs(total - 1.0) <= BELIEF_TOL)  # NaN is off
     if off.any():
         raise ValueError(f"belief must sum to 1, got {total[off][0]!r}")
     return np.clip(p, 0.0, None) / total

@@ -56,7 +56,7 @@ def _checked_input_pmf(p: NDArray, ndim: int) -> NDArray:
     p = np.asarray(p, dtype=float)
     if p.ndim != ndim or p.size < 1 or np.any(p < -INPUT_PMF_TOL):
         raise InvalidPmf(f"need a non-negative {ndim}-D pmf")
-    if abs(p.sum() - 1.0) > INPUT_PMF_TOL:
+    if not abs(p.sum() - 1.0) <= INPUT_PMF_TOL:  # NaN fails
         raise InvalidPmf(f"pmf sums to {p.sum()!r}, not 1")
     return p
 
@@ -105,7 +105,7 @@ def _grouped_mi(group, label, outcome, weight, n_groups: int) -> NDArray:
         joint = joint.reshape(n_groups, n_labels, n_outcomes)
         _check_group_mass(joint.reshape(n_groups, -1).sum(axis=1))
         return _dense_mi(joint)
-    keep = weight > 0.0
+    keep = ~(weight <= 0.0)  # NaN is kept, so the mass check sees it
     cells, inverse = np.unique(key[keep], return_inverse=True)
     joint = np.bincount(inverse, weights=weight[keep])
     row = cells // n_outcomes  # (group, label) code
@@ -119,7 +119,7 @@ def _grouped_mi(group, label, outcome, weight, n_groups: int) -> NDArray:
 
 
 def _check_group_mass(total: NDArray) -> None:
-    off = np.abs(total - 1.0) > INPUT_PMF_TOL
+    off = ~(np.abs(total - 1.0) <= INPUT_PMF_TOL)  # NaN is off
     if off.any():
         raise InvalidPmf(f"pmf sums to {total[off][0]!r}, not 1")
 
@@ -253,7 +253,7 @@ def _checked_cell_mass(belief: BeliefState, representation: "Representation") ->
     stored ``cell_mass`` to ``CELL_MASS_TOL``."""
     part = representation.partition
     mass = np.bincount(part.cell_of, weights=belief.probs, minlength=part.K)
-    if np.max(np.abs(mass - representation.cell_mass)) > CELL_MASS_TOL:
+    if not np.max(np.abs(mass - representation.cell_mass)) <= CELL_MASS_TOL:  # NaN fails
         raise InconsistentRepresentation(
             "cell masses do not match the belief pushforward"
         )

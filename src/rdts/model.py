@@ -49,12 +49,13 @@ class OutcomeModel:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise InvalidInstanceError(f"unknown model kind {self.kind!r}")
+        # written so that NaN fails each check
         if self.kind in (GLM, LOGISTIC):
-            if self.beta is None or self.beta <= 0:
-                raise InvalidInstanceError("glm/logistic models need beta > 0")
+            if self.beta is None or not 0 < self.beta < np.inf:
+                raise InvalidInstanceError("glm/logistic models need a finite beta > 0")
         if self.kind == GLM:
-            if self.eta is None or self.eta < 0:
-                raise InvalidInstanceError("glm models need noise half-width eta >= 0")
+            if self.eta is None or not 0 <= self.eta < np.inf:
+                raise InvalidInstanceError("glm models need a finite noise half-width eta >= 0")
 
     def link(self, x: NDArray | float) -> NDArray | float:
         """Strictly increasing link: sigmoid with steepness beta."""
@@ -160,8 +161,7 @@ class BanditInstance:
         missing = [a for a in dict.fromkeys(actions) if a not in self._outcomes]
         if missing:
             for a, table in zip(missing, _build_outcome_tables(self, missing)):
-                # two threads may both build an entry; setdefault keeps the first
-                self._outcomes.setdefault(a, table)
+                self._outcomes[a] = table
         return [self._outcomes[a] for a in actions]
 
     @property
@@ -302,7 +302,7 @@ def _checked_pmf(w: NDArray) -> NDArray:
     """``(..., 2)`` two-point pmfs, validated to ``OUTCOME_PMF_TOL`` and clipped to [0, 1]."""
     if ((w < -OUTCOME_PMF_TOL) | (w > 1.0 + OUTCOME_PMF_TOL)).any():
         raise InvalidInstanceError("outcome probability outside [0, 1]")
-    if (abs(w[..., 0] + w[..., 1] - 1.0) > OUTCOME_PMF_TOL).any():
+    if not (abs(w[..., 0] + w[..., 1] - 1.0) <= OUTCOME_PMF_TOL).all():  # NaN fails
         raise InvalidInstanceError("outcome pmf does not sum to 1")
     return w.clip(0.0, 1.0)
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdts.bounds import (
-    BoundReport,
     EpsilonTooLarge,
     c_phi,
     compressed_bound,
@@ -118,6 +117,21 @@ def test_partition_count_bounds_logistic():
         partition_count_bounds(2, phi_delta - 0.5 + 1e-9, LOGISTIC, beta=beta, delta=delta)
 
 
-def test_bound_report_holds_inputs():
-    rep = BoundReport("linear", 1.0, {"d": 2})
-    assert rep.name == "linear" and rep.inputs["d"] == 2
+
+@pytest.mark.parametrize("call", [
+    lambda nan: entropy_bound(nan, 1.0, 10),
+    lambda nan: entropy_bound(1.0, nan, 10),
+    lambda nan: compressed_bound(nan, 1.0, 0.1, 10),
+    lambda nan: compressed_bound(1.0, 1.0, nan, 10),
+    lambda nan: glm_bound(2, 10, nan),
+    lambda nan: logistic_bound(2, 10, nan, 0.5),
+    lambda nan: logistic_bound(2, 10, 2.0, nan),
+    lambda nan: partition_count_bounds(2, nan, LINEAR_BINARY),
+    lambda nan: partition_count_bounds(2, 0.1, GLM, c_phi_value=nan),
+    lambda nan: partition_count_bounds(2, 0.05, LOGISTIC, beta=nan, delta=0.5),
+], ids=["entropy-gamma", "entropy-H", "compressed-gamma", "compressed-epsilon", "glm-c_phi",
+        "logistic-beta", "logistic-delta", "count-epsilon", "count-c_phi", "count-beta"])
+def test_bounds_reject_nan_inputs(call):
+    # NaN compares False against every bound, so "v < 0" let it through
+    with pytest.raises(ValueError):
+        call(math.nan)

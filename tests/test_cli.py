@@ -152,6 +152,21 @@ def test_audit_rejects_empty_rollout(flag, value, capsys):
     assert doc == {"error": "ValueError", "message": "need T >= 0 and runs >= 1"}
 
 
+@pytest.mark.parametrize("argv", [
+    ["ir-sweep", "--beta-list", "nan", "--d-list", "2", "--instances", "1", "--n", "5",
+     "--m", "5"],
+    ["audit", "--model", "glm", "--eta", "nan", "--n", "8", "--m", "6", "--T", "2",
+     "--runs", "1"],
+    ["regret", "--model", "logistic", "--beta", "inf", "--n", "5", "--m", "5", "--T", "2",
+     "--runs", "1"],
+    ["bounds", "--which", "compressed", "--gamma-bar", "nan", "--info-nats", "1",
+     "--T", "10"],
+], ids=["ir-sweep-beta", "audit-eta", "regret-beta", "bounds-gamma"])
+def test_non_finite_inputs_are_config_errors(argv, capsys):
+    assert run(argv) == 2
+    json.loads(capsys.readouterr().err)
+
+
 def test_config_file_merge_and_flag_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"d": 10, "T": 10000, "which": "linear", "format": "json"}))

@@ -1,5 +1,6 @@
 import json
 import math
+import signal
 import tracemalloc
 import warnings
 
@@ -248,6 +249,28 @@ def test_builder_input_validation(tiny_linear, tiny_logistic):
         build_partition_logistic(tiny_linear, 0.1, 0.5)
 
 
+def test_builders_reject_nan_epsilon_and_delta(tiny_linear, tiny_logistic):
+    # a NaN covering radius takes no point, so the greedy cover used to loop
+    # for ever; the alarm turns such a hang into a failure
+    def hang(signum, frame):
+        raise TimeoutError("builder did not return")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(10)
+    try:
+        with pytest.raises(InvalidEpsilon):
+            build_partition_linear(tiny_linear, math.nan)
+        with pytest.raises(InvalidEpsilon):
+            build_partition_glm(tiny_logistic, math.nan)
+        with pytest.raises(InvalidEpsilon):
+            build_partition_logistic(tiny_logistic, math.nan, 0.01)
+        with pytest.raises(MarginViolated):
+            build_partition_logistic(tiny_logistic, 0.01, math.nan)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_realized_link_slope_peaks_at_zero():
     from rdts.model import BanditInstance
 
@@ -332,6 +355,12 @@ def test_two_point_pair_exists_and_underperforms(seed, n):
     assert 0.0 <= r <= 1.0
     assert r * a[j] + (1.0 - r) * a[k] <= float(p @ a) + PAIR_TOL
     assert r * b[j] + (1.0 - r) * b[k] <= float(p @ b) + PAIR_TOL
+
+
+def test_two_point_pair_rejects_nan_pmf():
+    a = np.array([0.1, 0.2, 0.3])
+    with pytest.raises(ValueError, match="valid pmf"):
+        two_point_pair(a, a, np.array([np.nan, 0.5, 0.5]))
 
 
 def test_two_point_pair_is_deterministic():

@@ -24,6 +24,9 @@ def test_belief_validation():
         BeliefState(np.array([1.5, -0.5]))
     with pytest.raises(ValueError):
         BeliefState(np.zeros((2, 2)))
+    for bad in ([np.nan, 0.5, 0.5], [np.inf, 0.5, 0.5]):
+        with pytest.raises(ValueError, match="sum to 1"):
+            BeliefState(np.array(bad))
     b = BeliefState.uniform(4)
     np.testing.assert_allclose(b.probs, 0.25, atol=1e-15)
     pm = BeliefState.point_mass(3, 1)

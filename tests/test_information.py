@@ -8,10 +8,16 @@ from hypothesis import strategies as st
 import reference
 from conftest import instance_with_shared_points, random_belief, random_instance
 from rdts import information
-from rdts.compression import Partition, build_partition_linear, build_representation
+from rdts.compression import (
+    Partition,
+    Representation,
+    build_partition_linear,
+    build_representation,
+)
 from rdts.inference import BeliefState
 from rdts.information import (
     DegenerateInformation,
+    InconsistentRepresentation,
     InvalidPmf,
     action_information,
     compressed_info_ratio,
@@ -158,6 +164,25 @@ def test_entropy_validation():
         entropy(np.array([0.4, 0.4]))
     with pytest.raises(InvalidPmf):
         entropy(np.array([-0.2, 1.2]))
+    with pytest.raises(InvalidPmf):
+        entropy(np.array([np.nan, 1.0]))
+
+
+def test_nan_joint_is_rejected():
+    with pytest.raises(InvalidPmf):
+        mutual_information(np.array([[np.nan, 0.5], [0.25, 0.25]]))
+    # the grouped kernel's own mass check, on both of its merges
+    for label in (np.array([0, 1]), np.array([0, 40])):
+        with pytest.raises(InvalidPmf):
+            information._grouped_mi(0, label, np.array([0, 1]), np.array([np.nan, 1.0]), 1)
+
+
+def test_nan_cell_mass_is_inconsistent(tiny_linear):
+    belief = BeliefState(np.array([0.4, 0.3, 0.2, 0.1]))
+    rep = build_representation(tiny_linear, belief, build_partition_linear(tiny_linear, 0.3))
+    stale = Representation(rep.partition, rep.cells, np.full(rep.partition.K, np.nan))
+    with pytest.raises(InconsistentRepresentation):
+        compressed_moments(tiny_linear, belief, stale)
 
 
 def test_mutual_information_known_value():

@@ -37,6 +37,23 @@ def test_model_kind_validation():
         OutcomeModel(kind=GLM, beta=-1.0, eta=0.1)
 
 
+@pytest.mark.parametrize("beta, eta", [
+    (math.nan, 0.05), (math.inf, 0.05), (1.0, math.nan), (1.0, math.inf),
+])
+def test_model_rejects_non_finite_beta_and_eta(beta, eta):
+    # NaN compares False against every bound, so "beta <= 0" let it through
+    with pytest.raises(InvalidInstanceError, match="finite"):
+        OutcomeModel(kind=GLM, beta=beta, eta=eta)
+    if not math.isfinite(beta):
+        with pytest.raises(InvalidInstanceError, match="finite"):
+            OutcomeModel(kind=LOGISTIC, beta=beta)
+
+
+def test_checked_pmf_rejects_nan():
+    with pytest.raises(InvalidInstanceError, match="sum to 1"):
+        model_mod._checked_pmf(np.array([[math.nan, 0.5], [0.5, 0.5]]))
+
+
 def test_link_matches_sigmoid():
     model = OutcomeModel(kind=LOGISTIC, beta=2.0)
     x = 0.7
