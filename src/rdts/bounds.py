@@ -6,6 +6,7 @@ All logarithms are natural. Each evaluator is a pure function.
 from __future__ import annotations
 
 import math
+
 from .model import GLM, LINEAR_BINARY, LOGISTIC, OutcomeModel
 
 

@@ -101,8 +101,11 @@ def _ts_rollout(
     draws = np.stack([run_rng.random(1 + 2 * T) for run_rng in rng.spawn(runs)])
     belief = np.tile(prior.probs, (runs, 1))
     theta_star = inverse_cdf(belief, draws[:, 0])
-    # Thompson sampling only plays best actions of parameters with prior mass
-    played = np.unique(instance.astar[prior.probs > 0.0])
+    # Thompson sampling only plays best actions of parameters with prior mass;
+    # np.unique would import numpy.ma on first use, 1.2 MiB and ~15 ms
+    played = np.flatnonzero(
+        np.bincount(instance.astar[prior.probs > 0.0], minlength=instance.n_actions)
+    )
     slot = np.zeros(instance.n_actions, dtype=np.intp)
     slot[played] = np.arange(played.size)
     _, points, weights = two_point_outcomes(instance, played)

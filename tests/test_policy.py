@@ -187,7 +187,7 @@ def test_audit_run_rows_do_not_depend_on_run_count(kind, eta):
                     assert value == many[key], (seed, key)
 
 
-def test_rollout_validation_comes_before_any_allocation(two_param_line):
+def test_rollout_and_audit_reject_bad_T_and_runs(two_param_line):
     part = build_partition_linear(two_param_line, 0.2)
     for T, runs in ((-1, 1), (1, 0), (-3, -2)):
         with pytest.raises(ValueError, match="need T >= 0 and runs >= 1"):
