@@ -102,7 +102,7 @@ def _ts_rollout(
     belief = np.tile(prior.probs, (runs, 1))
     theta_star = inverse_cdf(belief, draws[:, 0])
     # Thompson sampling only plays best actions of parameters with prior mass;
-    # np.unique would import numpy.ma on first use, 1.2 MiB and ~15 ms
+    # with numpy 2.4, np.unique would import numpy.ma, which nothing here needs
     played = np.flatnonzero(
         np.bincount(instance.astar[prior.probs > 0.0], minlength=instance.n_actions)
     )
