@@ -59,8 +59,9 @@ def logistic_bound(
     to 2d*sqrt(T log 3) as beta grows; the simplified form replaces it with
     min(1/delta, beta)/4 and always dominates the primary one.
     """
-    if d < 1 or horizon < 1 or not (beta > 0 and delta > 0):
-        raise ValueError("need d, T >= 1 and beta, delta > 0")
+    # written so that NaN fails; an infinite beta would make the slope inf * 0
+    if d < 1 or horizon < 1 or not (0 < beta < math.inf and 0 < delta < math.inf):
+        raise ValueError("need d, T >= 1 and finite beta, delta > 0")
     # beta * e^{beta delta} / (1 + e^{beta delta})^2, computed overflow-safe
     x = beta * delta
     slope = beta * math.exp(-x) / (1.0 + math.exp(-x)) ** 2

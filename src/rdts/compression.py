@@ -23,7 +23,7 @@ from numpy.typing import NDArray
 from .bounds import EpsilonTooLarge, c_phi, ladder_start
 from .inference import BeliefState
 from .information import _outcome_information, entropy
-from .model import GLM, LINEAR_BINARY, LOGISTIC, BanditInstance, two_point_outcomes
+from .model import GLM, LINEAR_BINARY, LOGISTIC, BanditInstance, _distinct, two_point_outcomes
 from .tolerances import CERT_TOL, INPUT_PMF_TOL, LADDER_TOL, MARGIN_TOL, PAIR_TOL, TIE_TOL
 
 __all__ = [
@@ -431,7 +431,7 @@ def build_representation(
     if p.size != partition.cell_of.size:
         raise ValueError("belief and partition cover different parameter counts")
     mass = np.bincount(partition.cell_of, weights=p, minlength=partition.K)
-    scored = np.unique(instance.astar[mass[partition.cell_of] > 0.0])
+    scored = _distinct(instance.astar[mass[partition.cell_of] > 0.0], instance.n_actions)
     idx, _, w = two_point_outcomes(instance, scored)
     gain = np.zeros(instance.n_actions)
     gain[scored] = _outcome_information(idx, w, p[None, :, None], partition.cell_of[:, None])[0]

@@ -23,7 +23,7 @@ from numpy.typing import NDArray
 
 from .inference import BeliefState
 # outcome_support stays importable from here for code that traces or patches it by name
-from .model import BanditInstance, outcome_support, two_point_outcomes  # noqa: F401
+from .model import BanditInstance, _distinct, outcome_support, two_point_outcomes  # noqa: F401
 from .tolerances import CELL_MASS_TOL, DENOMINATOR_TOL, INPUT_PMF_TOL, NUMERATOR_TOL
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -346,7 +346,7 @@ def compressed_moments(
     mass = _checked_cell_mass(belief, representation)
     i1, i2, r = (np.array(col) for col in zip(*representation.cells))
     atom_param, atom_q = _representative_atoms(i1, i2, r, mass)
-    actions = np.unique(instance.astar[atom_param[atom_q > 0.0]])
+    actions = _distinct(instance.astar[atom_param[atom_q > 0.0]], instance.n_actions)
     idx, _, w = two_point_outcomes(instance, actions)
     slot = np.zeros(instance.n_actions, dtype=np.intp)
     slot[actions] = np.arange(actions.size)
@@ -373,7 +373,7 @@ def _chain_terms(instance: BanditInstance, partition: "Partition"):
     # compression imports this module, so it is imported on use
     from .compression import _representative_pairs
 
-    realized = np.unique(instance.astar)
+    realized = _distinct(instance.astar, instance.n_actions)
     idx, _, w = two_point_outcomes(instance, realized)
     slot = np.zeros(instance.n_actions, dtype=np.intp)
     slot[realized] = np.arange(realized.size)

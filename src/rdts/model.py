@@ -332,6 +332,14 @@ def two_point_outcomes(
     return idx, values[idx + start[:, None, None]], weights
 
 
+def _distinct(codes: NDArray, n: int) -> NDArray:
+    """The distinct values of non-negative integer ``codes`` below ``n``, in
+    increasing order, as ``np.unique(codes)`` gives them. With numpy 2.4 a
+    flag-less ``np.unique`` imports ``numpy.ma`` on first use, which costs
+    time and memory and which nothing here needs."""
+    return np.flatnonzero(np.bincount(codes, minlength=n))
+
+
 def _dedupe_sorted(values: NDArray) -> NDArray:
     keep = [values[0]]
     for v in values[1:]:

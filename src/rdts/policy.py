@@ -38,7 +38,7 @@ from .inference import (
 )
 from .information import _chain_terms, _checked_cell_mass, _ratio_report, entropy
 # outcome_support stays importable from here for code that traces or patches it by name
-from .model import BanditInstance, outcome_support, two_point_outcomes  # noqa: F401
+from .model import BanditInstance, _distinct, outcome_support, two_point_outcomes  # noqa: F401
 from .tolerances import AUDIT_TOL
 
 
@@ -101,11 +101,8 @@ def _ts_rollout(
     draws = np.stack([run_rng.random(1 + 2 * T) for run_rng in rng.spawn(runs)])
     belief = np.tile(prior.probs, (runs, 1))
     theta_star = inverse_cdf(belief, draws[:, 0])
-    # Thompson sampling only plays best actions of parameters with prior mass;
-    # with numpy 2.4, np.unique would import numpy.ma, which nothing here needs
-    played = np.flatnonzero(
-        np.bincount(instance.astar[prior.probs > 0.0], minlength=instance.n_actions)
-    )
+    # Thompson sampling only plays best actions of parameters with prior mass
+    played = _distinct(instance.astar[prior.probs > 0.0], instance.n_actions)
     slot = np.zeros(instance.n_actions, dtype=np.intp)
     slot[played] = np.arange(played.size)
     _, points, weights = two_point_outcomes(instance, played)
@@ -188,7 +185,8 @@ class AuditReport:
 
 
 def _outcome_cardinality(instance: BanditInstance) -> int:
-    return max(table.values.size for table in instance.outcome_tables(np.unique(instance.astar)))
+    realized = _distinct(instance.astar, instance.n_actions)
+    return max(table.values.size for table in instance.outcome_tables(realized))
 
 
 def audit_regret_chain(
@@ -210,9 +208,12 @@ def audit_regret_chain(
     ratio.
 
     All runs advance together on the trajectories of ``_ts_rollout``, the
-    ones ``simulate_ts`` follows. Each period, the chain's terms for every run come from one call of
-    ``information._chain_terms``. Rows are returned run by run, period by
-    period.
+    ones ``simulate_ts`` follows. Each period, the chain's terms for every
+    run come from one call of ``information._chain_terms``, unless the belief
+    matrix equals the previous period's (as on glm instances once one
+    outcome has identified theta*): then the previous period's rows are
+    repeated with the new ``t``, which gives the same bytes as recomputing
+    them. Rows are returned run by run, period by period.
     """
     q = _outcome_cardinality(instance)
     if instance.n_params * instance.n_actions * q > 1_000_000:
@@ -226,36 +227,42 @@ def audit_regret_chain(
     totals = np.zeros(runs)
     psi_series = np.zeros((T, runs))
     all_ok = True
+    previous = None
     for t, (belief, *_) in enumerate(periods):
-        regret, diff, info_comp, info_psi_comp, info_psi_ts, mass = chain_terms(belief)
-        for r in range(runs):
-            report = _ratio_report(float(diff[r] * diff[r]), float(info_comp[r]))
-            gamma_bar = max(gamma_bar, report.ratio)
-            h_psi = entropy(mass[r])
-            checks = {
-                "regret_slack": bool(regret[r] - diff[r] <= eps + AUDIT_TOL),
-                "ratio_identity": bool(
-                    abs(diff[r] * diff[r] - report.ratio * info_comp[r]) <= AUDIT_TOL
-                ),
-                "data_processing_rep": bool(info_comp[r] <= info_psi_comp[r] + AUDIT_TOL),
-                "data_processing_ts": bool(info_psi_comp[r] <= info_psi_ts[r] + AUDIT_TOL),
-                "entropy_cap": bool(info_psi_ts[r] <= h_psi + AUDIT_TOL),
-            }
-            all_ok = all_ok and all(checks.values())
-            rows[r].append(
-                {
-                    "run": r,
-                    "t": t + 1,
-                    "expected_regret": float(regret[r]),
-                    "compressed_regret": float(diff[r]),
-                    "ratio": report.ratio,
-                    "info_compressed": float(info_comp[r]),
-                    "info_psi_compressed": float(info_psi_comp[r]),
-                    "info_psi_ts": float(info_psi_ts[r]),
-                    "entropy_psi": h_psi,
-                    **checks,
+        # the terms depend on the belief matrix alone: an unchanged matrix
+        # repeats the last row bodies (all but "run" and "t") bit for bit
+        if previous is None or not np.array_equal(belief, previous):
+            previous = belief
+            regret, diff, info_comp, info_psi_comp, info_psi_ts, mass = chain_terms(belief)
+            bodies = []
+            for r in range(runs):
+                report = _ratio_report(float(diff[r] * diff[r]), float(info_comp[r]))
+                gamma_bar = max(gamma_bar, report.ratio)
+                h_psi = entropy(mass[r])
+                checks = {
+                    "regret_slack": bool(regret[r] - diff[r] <= eps + AUDIT_TOL),
+                    "ratio_identity": bool(
+                        abs(diff[r] * diff[r] - report.ratio * info_comp[r]) <= AUDIT_TOL
+                    ),
+                    "data_processing_rep": bool(info_comp[r] <= info_psi_comp[r] + AUDIT_TOL),
+                    "data_processing_ts": bool(info_psi_comp[r] <= info_psi_ts[r] + AUDIT_TOL),
+                    "entropy_cap": bool(info_psi_ts[r] <= h_psi + AUDIT_TOL),
                 }
-            )
+                all_ok = all_ok and all(checks.values())
+                bodies.append(
+                    {
+                        "expected_regret": float(regret[r]),
+                        "compressed_regret": float(diff[r]),
+                        "ratio": report.ratio,
+                        "info_compressed": float(info_comp[r]),
+                        "info_psi_compressed": float(info_psi_comp[r]),
+                        "info_psi_ts": float(info_psi_ts[r]),
+                        "entropy_psi": h_psi,
+                        **checks,
+                    }
+                )
+        for r, body in enumerate(bodies):
+            rows[r].append({"run": r, "t": t + 1, **body})
         totals += regret
         psi_series[t] = info_psi_ts
     for series in psi_series.T.tolist():

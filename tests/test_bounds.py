@@ -67,6 +67,13 @@ def test_logistic_bound_no_overflow_and_positive():
     assert 0.0 < primary <= simplified
 
 
+@pytest.mark.parametrize("beta, delta", [(math.inf, 0.5), (2.0, math.inf), (math.inf, math.inf)])
+def test_logistic_bound_rejects_infinite_beta_and_delta(beta, delta):
+    # an infinite beta made the slope inf * exp(-inf) = nan, returned as the bound
+    with pytest.raises(ValueError, match="finite beta, delta"):
+        logistic_bound(2, 10, beta, delta)
+
+
 @given(
     st.floats(min_value=0.01, max_value=1000.0),
     st.floats(min_value=0.01, max_value=1.0),

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import rdts
 from rdts.cli import main
 from rdts.tolerances import CERT_TOL, RATIO_CEILING_TOL
 
@@ -161,7 +166,8 @@ def test_audit_rejects_empty_rollout(flag, value, capsys):
      "--runs", "1"],
     ["bounds", "--which", "compressed", "--gamma-bar", "nan", "--info-nats", "1",
      "--T", "10"],
-], ids=["ir-sweep-beta", "audit-eta", "regret-beta", "bounds-gamma"])
+    ["bounds", "--which", "logistic", "--beta", "inf", "--delta", "0.5", "--T", "10"],
+], ids=["ir-sweep-beta", "audit-eta", "regret-beta", "bounds-gamma", "bounds-logistic-beta"])
 def test_non_finite_inputs_are_config_errors(argv, capsys):
     assert run(argv) == 2
     json.loads(capsys.readouterr().err)
@@ -249,3 +255,38 @@ def test_csv_and_json_carry_the_same_values(argv, tmp_path):
         doc = doc["periods"]
     json_rows = [list(row.items()) for row in (doc if isinstance(doc, list) else [doc])]
     assert json_rows and csv_rows == json_rows
+
+
+_SMALL_RUNS = {
+    "ir-sweep": ["--d-list", "2", "--beta-list", "1,100", "--n", "6", "--m", "6",
+                 "--instances", "2"],
+    "regret": ["--model", "glm", "--d", "2", "--n", "6", "--m", "6", "--T", "5",
+               "--runs", "3"],
+    "partition": ["--model", "logistic", "--builder", "logistic", "--beta", "20",
+                  "--delta", "0.01", "--epsilon", "0.02", "--d", "2", "--n", "8",
+                  "--m", "12"],
+    "bounds": ["--which", "logistic", "--d", "2", "--T", "50", "--beta", "2",
+               "--delta", "0.5"],
+    "audit": ["--model", "glm", "--d", "2", "--n", "8", "--m", "8", "--T", "4",
+              "--runs", "2"],
+}
+
+
+@pytest.mark.parametrize("command", list(_SMALL_RUNS))
+def test_subcommand_never_imports_numpy_ma(command):
+    # a flag-less np.unique imports numpy.ma (about 1.2 MiB and 15 ms) on first use
+    script = (
+        "import io, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "from rdts.cli import main\n"
+        "with redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        "print(code, 'numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(rdts.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, command, *_SMALL_RUNS[command], "--seed", "3"],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert proc.stdout.split() == ["0", "False"], proc.stderr

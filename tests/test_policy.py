@@ -8,14 +8,23 @@ from hypothesis import strategies as st
 import reference
 from conftest import instance_with_shared_points, make_model, random_belief, random_instance
 from rdts import model as model_mod
+from rdts import policy as policy_mod
+from rdts.bounds import compressed_bound
 from rdts.compression import (
     Partition,
     build_partition_glm,
     build_partition_linear,
     build_representation,
+    statistic_mutual_information,
 )
 from rdts.inference import BeliefState, inverse_cdf, posterior_update, sample_parameter
-from rdts.information import InconsistentRepresentation, ts_expected_regret
+from rdts.information import (
+    InconsistentRepresentation,
+    _chain_terms,
+    _ratio_report,
+    entropy,
+    ts_expected_regret,
+)
 from rdts.model import GLM, LINEAR_BINARY, LOGISTIC, BanditInstance, OutcomeModel, outcome_support
 from rdts.policy import (
     GuardExceeded,
@@ -26,6 +35,7 @@ from rdts.policy import (
     simulate_ts,
     thompson_step,
 )
+from rdts.tolerances import AUDIT_TOL
 
 
 def _tree_expected_pseudo_regret(instance, prior, T):
@@ -196,6 +206,82 @@ def test_rollout_and_audit_reject_bad_T_and_runs(two_param_line):
         with pytest.raises(ValueError, match="need T >= 0 and runs >= 1"):
             audit_regret_chain(two_param_line, BeliefState.uniform(2), part, T,
                                np.random.default_rng(0), runs=runs)
+
+
+def _audit_on_every_period(instance, prior, partition, T, seed, runs):
+    """The audit's rows and report fields with ``_chain_terms`` evaluated at
+    every period of the rollout, whether or not the beliefs moved."""
+    terms = _chain_terms(instance, partition)
+    eps = partition.epsilon
+    rows = [[] for _ in range(runs)]
+    gamma_bar, totals, psi, ok = 0.0, np.zeros(runs), [], True
+    rollout = _ts_rollout(instance, prior, T, runs, np.random.default_rng(seed))
+    for t, (belief, *_) in enumerate(rollout):
+        regret, diff, info_comp, info_psi_comp, info_psi_ts, mass = terms(belief)
+        for r in range(runs):
+            ratio = _ratio_report(float(diff[r] * diff[r]), float(info_comp[r])).ratio
+            gamma_bar = max(gamma_bar, ratio)
+            h_psi = entropy(mass[r])
+            checks = {
+                "regret_slack": bool(regret[r] - diff[r] <= eps + AUDIT_TOL),
+                "ratio_identity": bool(abs(diff[r] * diff[r] - ratio * info_comp[r]) <= AUDIT_TOL),
+                "data_processing_rep": bool(info_comp[r] <= info_psi_comp[r] + AUDIT_TOL),
+                "data_processing_ts": bool(info_psi_comp[r] <= info_psi_ts[r] + AUDIT_TOL),
+                "entropy_cap": bool(info_psi_ts[r] <= h_psi + AUDIT_TOL),
+            }
+            ok = ok and all(checks.values())
+            rows[r].append({
+                "run": r, "t": t + 1, "expected_regret": float(regret[r]),
+                "compressed_regret": float(diff[r]), "ratio": ratio,
+                "info_compressed": float(info_comp[r]),
+                "info_psi_compressed": float(info_psi_comp[r]),
+                "info_psi_ts": float(info_psi_ts[r]), "entropy_psi": h_psi, **checks,
+            })
+        totals += regret
+        psi.append(info_psi_ts)
+    for series in np.array(psi).T.tolist():
+        lhs = sum(np.sqrt(np.maximum(series, 0.0)))
+        ok = ok and bool(lhs <= np.sqrt(T * sum(series)) + AUDIT_TOL)
+    info_prior = statistic_mutual_information(prior, partition)
+    bound = compressed_bound(gamma_bar, info_prior, eps, T)
+    mean_cum = float(np.mean(totals))
+    return {
+        "rows": [row for run_rows in rows for row in run_rows],
+        "gamma_bar": gamma_bar, "info_prior_nats": info_prior, "epsilon": eps, "horizon": T,
+        "runs": runs, "mean_cumulative_regret": mean_cum, "bound_value": bound,
+        "passed": ok and mean_cum <= bound + AUDIT_TOL,
+    }
+
+
+@pytest.mark.parametrize("kind, eta", KINDS, ids=KIND_IDS)
+def test_audit_repeats_terms_of_an_unchanged_belief_exactly(kind, eta, monkeypatch):
+    evaluations = []
+
+    def counting_chain_terms(instance, partition):
+        terms = _chain_terms(instance, partition)
+
+        def counted(probs):
+            evaluations.append(probs.shape)
+            return terms(probs)
+
+        return counted
+
+    monkeypatch.setattr(policy_mod, "_chain_terms", counting_chain_terms)
+    T, runs = 50, 3
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        inst = random_instance(rng, kind, d=2, n=6, m=8, eta=eta)
+        part = (build_partition_linear if kind == LINEAR_BINARY else build_partition_glm)(
+            inst, 0.05
+        )
+        prior = BeliefState.uniform(8)
+        evaluations.clear()
+        report = audit_regret_chain(inst, prior, part, T, np.random.default_rng(seed), runs=runs)
+        # glm: one outcome identifies theta*, so the beliefs only move at t = 1;
+        # Bernoulli outcomes move them every period
+        assert len(evaluations) == (2 if kind == GLM else T), seed
+        want = _audit_on_every_period(inst, prior, part, T, seed, runs)
+        assert {key: getattr(report, key) for key in want} == want
 
 
 @pytest.fixture
