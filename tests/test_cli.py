@@ -283,8 +283,7 @@ def test_subcommand_never_imports_numpy_ma(command):
         "    code = main(sys.argv[1:])\n"
         "print(code, 'numpy.ma' in sys.modules)\n"
     )
-    src = str(Path(rdts.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env = {**os.environ, "PYTHONPATH": str(Path(rdts.__file__).resolve().parents[1])}
     proc = subprocess.run(
         [sys.executable, "-c", script, command, *_SMALL_RUNS[command], "--seed", "3"],
         env=env, capture_output=True, text=True, timeout=120, check=True,
