@@ -274,7 +274,7 @@ _SMALL_RUNS = {
 
 @pytest.mark.parametrize("command", list(_SMALL_RUNS))
 def test_subcommand_never_imports_numpy_ma(command):
-    # a flag-less np.unique imports numpy.ma (about 1.2 MiB and 15 ms) on first use
+    # a flag-less np.unique imports numpy.ma on first use, which costs time and memory
     script = (
         "import io, sys\n"
         "from contextlib import redirect_stdout\n"
