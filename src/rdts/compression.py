@@ -7,9 +7,12 @@ best-action set), certify the intra-cell distortion pairwise, and the
 representation builder compresses each cell onto a two-point mixture whose
 expected reward and information gain are no better than the cell average.
 
-Certification reads one cell's distortion block at a time
-(``distortion_block``), so it costs O(sum of |cell|^2) memory, not O(m^2);
-only the brute-force oracle builds the full m x m ``distortion_matrix``.
+A cell's worst distortion depends on its members only through their
+distinct best actions, so certification reads the sum over cells of
+|cell| * |distinct best actions in the cell| mean rewards, in one pass over
+all cells. Only a cell over epsilon reads its |cell|^2 ``distortion_block``,
+to re-split it, and only the brute-force oracle builds the full m x m
+``distortion_matrix``.
 """
 
 from __future__ import annotations
@@ -67,11 +70,11 @@ class Infeasible(ArithmeticError):
 def _split_cells(cell_of: NDArray, K: int = 0) -> list[NDArray]:
     """Read-only member arrays of cells 0, 1, ..., max(K, max(cell_of) + 1) - 1,
     each in increasing index order (an unused cell number gets an empty one)."""
-    counts = np.bincount(cell_of, minlength=K)
+    ends = np.cumsum(np.bincount(cell_of, minlength=K)).tolist()
     # a stable sort keeps each cell's members in increasing index order
     order = np.argsort(cell_of, kind="stable")
     order.setflags(write=False)
-    return np.split(order, np.cumsum(counts)[:-1])
+    return [order[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
 
 @dataclass(frozen=True)
@@ -145,18 +148,17 @@ class Representation:
 def distortion(instance: BanditInstance, i: int, j: int) -> float:
     """Regret of playing theta_i's best action when theta_j is true."""
     return float(
-        instance.mu[j, instance.astar[j]] - instance.mu[j, instance.astar[i]]
+        instance.mean_rewards(j, instance.astar[j]) - instance.mean_rewards(j, instance.astar[i])
     )
 
 
 def distortion_block(instance: BanditInstance, idx: NDArray) -> NDArray:
     """``distortion_matrix(instance)[np.ix_(idx, idx)]``, bit for bit, from
-    the |idx|^2 entries of ``mu`` it needs."""
+    the |idx|^2 mean rewards it needs."""
     idx = np.asarray(idx, dtype=np.intp)
-    mu = instance.mu
     played = instance.astar[idx]
-    best = mu[idx, played]
-    return (best[:, None] - mu[np.ix_(idx, played)]).T
+    best = instance.mean_rewards(idx, played)
+    return (best[:, None] - instance.mean_rewards(*np.ix_(idx, played))).T
 
 
 def distortion_matrix(instance: BanditInstance) -> NDArray:
@@ -164,28 +166,68 @@ def distortion_matrix(instance: BanditInstance) -> NDArray:
     return distortion_block(instance, np.arange(instance.n_params))
 
 
-def max_intra_cell_distortion(instance: BanditInstance, cell_of: NDArray, K: int) -> float:
-    """Largest pairwise distortion within cells 0..K-1, one cell block at a time."""
-    worst = 0.0
-    for idx in _split_cells(cell_of, K)[:K]:
-        if idx.size > 1:
-            worst = max(worst, float(distortion_block(instance, idx).max()))
+def _cell_distortions(instance: BanditInstance, cell_of: NDArray, K: int = 0) -> NDArray:
+    """Largest pairwise distortion within each cell 0, 1, ...,
+    max(K, max(cell_of) + 1) - 1, equal to the max of its ``distortion_block``
+    (0 for an unused cell number).
+
+    D[i, j] = mu[j, a*_j] - mu[j, a*_i] depends on i only through a*_i, and
+    a rounded difference b - x never grows with x, so a cell's worst is the
+    max over its members j of mu[j, a*_j] - min_a mu[j, a], the min taken
+    over the cell's distinct best actions a. That reads each member's mean
+    rewards of those actions only.
+    """
+    m, n = cell_of.size, instance.n_actions
+    # the distinct (cell, best action) pairs, by cell and then action (a
+    # flag-less np.unique would import numpy.ma, see model._distinct)
+    pairs = np.sort(cell_of * n + instance.astar)
+    pairs = pairs[np.r_[True, pairs[1:] != pairs[:-1]]]
+    pair_cell, pair_action = np.divmod(pairs, n)
+    actions_in = np.bincount(pair_cell)
+    first = np.cumsum(actions_in) - actions_in
+    # member j reads its cell's actions as entries start[j] .. start[j] + reps[j] - 1
+    reps = actions_in[cell_of]
+    start = np.cumsum(reps) - reps
+    entry = np.arange(start[-1] + reps[-1]) + np.repeat(first[cell_of] - start, reps)
+    lowest = np.minimum.reduceat(
+        instance.mean_rewards(np.repeat(np.arange(m), reps), pair_action[entry]), start
+    )
+    worst = np.zeros(max(K, actions_in.size))
+    np.maximum.at(worst, cell_of, instance.mean_rewards(np.arange(m), instance.astar) - lowest)
     return worst
+
+
+def max_intra_cell_distortion(instance: BanditInstance, cell_of: NDArray, K: int) -> float:
+    """Largest pairwise distortion within cells 0..K-1."""
+    cell_of = np.asarray(cell_of, dtype=np.intp)
+    return float(_cell_distortions(instance, cell_of, K)[:K].max(initial=0.0))
+
+
+# ``_greedy_cover`` computes the distances of a block of centers to every
+# point at once, the block's (center, point, coordinate) differences taking
+# at most this many bytes, or one center's if that is more
+_COVER_BLOCK_BYTES = 1 << 20
 
 
 def _greedy_cover(points: NDArray, radius: float) -> NDArray:
     """Greedy center-based covering: the lowest-index uncovered point becomes a
     center and takes every uncovered point within ``radius``. Returns each
     point's group index, groups numbered in the order they are made."""
-    uncovered = np.ones(points.shape[0], dtype=bool)
-    group = np.empty(points.shape[0], dtype=np.intp)
+    count_points = points.shape[0]
+    uncovered = np.ones(count_points, dtype=bool)
+    group = np.empty(count_points, dtype=np.intp)
     count = 0
-    while uncovered.any():
-        center = points[np.argmax(uncovered)]
-        taken = uncovered & (np.linalg.norm(points - center, axis=1) <= radius)
-        group[taken] = count
-        uncovered &= ~taken
-        count += 1
+    step = max(1, _COVER_BLOCK_BYTES // (points.itemsize * max(1, points.size)))
+    for lo in range(0, count_points, step):
+        if not uncovered[lo : lo + step].any():
+            continue
+        near = np.linalg.norm(points[lo : lo + step, None] - points[None], axis=2) <= radius
+        for center in range(lo, min(lo + step, count_points)):
+            if uncovered[center]:
+                taken = uncovered & near[center - lo]
+                group[taken] = count
+                uncovered &= ~taken
+                count += 1
     return group
 
 
@@ -212,30 +254,28 @@ def _refine_certified(
     certificate regardless of floating-point edge cases.
     """
     limit = epsilon + CERT_TOL
-    out = np.empty_like(cell_of)
-    next_cell = 0
-    for idx in _split_cells(cell_of):
-        if idx.size == 0:
-            continue
+    # each used cell number becomes parts[k] consecutive cells, numbered in
+    # cell order; a member's local number picks its part
+    parts = (np.bincount(cell_of) > 0).astype(np.intp)
+    local = np.zeros_like(cell_of)
+    for k in np.flatnonzero(_cell_distortions(instance, cell_of) > limit):
+        idx = np.flatnonzero(cell_of == k)
         block = distortion_block(instance, idx)
-        if idx.size == 1 or block.max() <= limit:
-            out[idx] = next_cell
-            next_cell += 1
-            continue
         # greedy re-split over local positions in the block: the lowest
         # remaining member seeds a cell that takes every later member within
         # epsilon of all its members, in both directions
         left = list(range(idx.size))
+        parts[k] = 0
         while left:
             sub = [left[0]]
             for cand in left[1:]:
                 if np.all(block[cand, sub] <= limit) and np.all(block[sub, cand] <= limit):
                     sub.append(cand)
-            out[idx[sub]] = next_cell
-            next_cell += 1
+            local[idx[sub]] = parts[k]
+            parts[k] += 1
             taken = set(sub)
             left = [t for t in left if t not in taken]
-    return out
+    return (np.cumsum(parts) - parts)[cell_of] + local
 
 
 def _finish_partition(
@@ -268,7 +308,7 @@ def build_partition_linear(instance: BanditInstance, epsilon: float) -> Partitio
 
 def realized_link_slope(instance: BanditInstance) -> float:
     """C(phi): supremum of the link derivative over the realized inner products."""
-    inner = instance.params @ instance.actions.T
+    inner = instance.inner
     return c_phi(instance.model, float(inner.min()), float(inner.max()))
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -97,12 +98,15 @@ def _check_ball(vectors: NDArray, name: str) -> None:
 
 @dataclass(frozen=True)
 class BanditInstance:
-    """Immutable bandit instance with cached mean-reward table and argmaxes.
+    """Immutable bandit instance with its inner products and argmaxes.
 
-    ``mu[i, j]`` is the exact mean reward of action ``j`` under parameter
-    ``i``; ``astar[i]`` is the lowest-index maximizer of the inner products
-    ``a_j . theta_i``. Every link is strictly increasing, so that is the best
-    action of row ``i`` even where the float link saturates and ``mu`` ties.
+    ``inner[i, j]`` is ``a_j . theta_i``; ``astar[i]`` is the lowest-index
+    maximizer of row ``i``. Every link is strictly increasing, so that is the
+    best action of row ``i`` even where the float link saturates and the mean
+    rewards tie. ``mu[i, j]``, the exact mean reward of action ``j`` under
+    parameter ``i``, is built from ``inner`` on first read and then kept;
+    ``mean_rewards(rows, cols)`` gives ``mu[rows, cols]`` bit for bit from
+    the entries of ``inner`` it needs, without building the table.
 
     The outcome pmfs are tabulated lazily, one :class:`OutcomeTable` per
     action, built and validated the first time ``outcome_table`` is asked for
@@ -115,7 +119,7 @@ class BanditInstance:
     actions: NDArray
     params: NDArray
     model: OutcomeModel
-    mu: NDArray = field(init=False, repr=False)
+    inner: NDArray = field(init=False, repr=False)
     astar: NDArray = field(init=False, repr=False)
     _outcomes: dict = field(init=False, repr=False, compare=False)
 
@@ -129,26 +133,42 @@ class BanditInstance:
         object.__setattr__(self, "actions", actions)
         object.__setattr__(self, "params", params)
         inner = params @ actions.T
+        # np.argmax breaks ties at the lowest index
+        astar = np.argmax(inner, axis=1).astype(np.intp)
+        for arr in (actions, params, inner, astar):
+            arr.setflags(write=False)
+        object.__setattr__(self, "inner", inner)
+        object.__setattr__(self, "astar", astar)
+        object.__setattr__(self, "_outcomes", {})
         if self.model.kind == LINEAR_BINARY:
-            mu = 0.5 * inner
             # success probability 1/2 + a.theta/2 must be a probability
             if np.any(np.abs(inner) > 1.0 + OUTCOME_PMF_TOL):
                 raise InvalidInstanceError("linear_binary requires |a.theta| <= 1")
-        else:
-            mu = np.asarray(self.model.link(inner))
-            if self.model.kind == GLM:
-                eta = float(self.model.eta or 0.0)
-                spread = float(mu.max() - mu.min()) + 2.0 * eta
-                if spread > 1.0 + OUTCOME_PMF_TOL:
-                    raise InvalidInstanceError(
-                        "glm reward range exceeds 1 (link spread + 2*eta)"
-                    )
-        astar = np.argmax(inner, axis=1)  # np.argmax breaks ties at the lowest index
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "astar", astar.astype(np.intp))
-        object.__setattr__(self, "_outcomes", {})
-        for arr in (self.actions, self.params, self.mu, self.astar):
-            arr.setflags(write=False)
+        elif self.model.kind == GLM:
+            eta = float(self.model.eta or 0.0)
+            spread = float(self.mu.max() - self.mu.min()) + 2.0 * eta
+            if spread > 1.0 + OUTCOME_PMF_TOL:
+                raise InvalidInstanceError(
+                    "glm reward range exceeds 1 (link spread + 2*eta)"
+                )
+
+    @cached_property
+    def mu(self) -> NDArray:
+        """Read-only ``(m, n)`` mean-reward table, built on first read."""
+        mu = self.mean_rewards(slice(None), slice(None))
+        mu.setflags(write=False)
+        return mu
+
+    def mean_rewards(self, rows, cols) -> NDArray:
+        """``mu[rows, cols]``: the model's mean applied to ``inner[rows, cols]``.
+
+        The mean is elementwise, so the values equal the table's bit for bit
+        whatever the index shapes, and only the gathered entries are computed.
+        """
+        x = self.inner[rows, cols]
+        if self.model.kind == LINEAR_BINARY:
+            return 0.5 * x
+        return np.asarray(self.model.link(x))
 
     def outcome_table(self, action_idx: int) -> "OutcomeTable":
         """The action's outcome pmfs, built on first use and then shared."""

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_belief, random_instance
@@ -18,6 +18,8 @@ from rdts.compression import (
     MarginViolated,
     Partition,
     TooLarge,
+    _COVER_BLOCK_BYTES,
+    _greedy_cover,
     _refine_certified,
     best_action_margins,
     build_partition_glm,
@@ -34,9 +36,10 @@ from rdts.compression import (
     statistic_mutual_information,
     two_point_pair,
 )
+from rdts.bounds import c_phi
 from rdts.inference import BeliefState
 from rdts.information import entropy, info_gain_about_statistic
-from rdts.model import GLM, LINEAR_BINARY, LOGISTIC, OutcomeModel, sample_instance
+from rdts.model import GLM, LINEAR_BINARY, LOGISTIC, OutcomeModel, sample_in_ball, sample_instance
 from rdts.tolerances import CERT_TOL, PAIR_TOL
 
 
@@ -141,19 +144,22 @@ def test_block_certification_matches_full_matrix_oracle(seed, kind, m, K, epsilo
     # any index list: unsorted, repeated or empty
     idx = rng.integers(0, m, size=int(rng.integers(0, m + 2)))
     assert np.array_equal(_bits(distortion_block(inst, idx)), _bits(full[np.ix_(idx, idx)]))
-    # few cells for many parameters: cells wider than epsilon, some numbers unused
-    cell_of = rng.integers(0, K, size=m).astype(np.intp)
-    refined = _refine_certified(inst, cell_of, epsilon)
-    assert np.array_equal(refined, oracle_refine_certified(inst, cell_of, epsilon))
-    for cells in (cell_of, refined):
-        k = int(cells.max()) + 1
-        assert max_intra_cell_distortion(inst, cells, k) == oracle_max_intra_cell_distortion(
-            inst, cells, k
+    # few cells for many parameters: cells wider than epsilon, some numbers
+    # unused; and cells that each take the parameters of one or two best
+    # actions, so members share 1-2 distinct best actions
+    by_action = rng.permutation(inst.n_actions) // int(rng.integers(1, 3))
+    for cell_of in (rng.integers(0, K, size=m).astype(np.intp), by_action[inst.astar]):
+        refined = _refine_certified(inst, cell_of, epsilon)
+        assert np.array_equal(refined, oracle_refine_certified(inst, cell_of, epsilon))
+        for cells in (cell_of, refined):
+            k = int(cells.max()) + 1
+            assert max_intra_cell_distortion(inst, cells, k) == oracle_max_intra_cell_distortion(
+                inst, cells, k
+            )
+        # a K below the largest cell number ignores the cells past it
+        assert max_intra_cell_distortion(inst, cell_of, 1) == oracle_max_intra_cell_distortion(
+            inst, cell_of, 1
         )
-    # a K below the largest cell number ignores the cells past it
-    assert max_intra_cell_distortion(inst, cell_of, 1) == oracle_max_intra_cell_distortion(
-        inst, cell_of, 1
-    )
 
 
 def test_refine_resplits_an_over_wide_cell_like_the_oracle():
@@ -176,6 +182,41 @@ def test_refine_resplits_an_over_wide_cell_like_the_oracle():
     assert np.array_equal(refined, oracle_refine_certified(inst, pair, tight))
 
 
+def oracle_greedy_cover(points, radius):
+    """The greedy cover as it was before it computed blocks of center
+    distances at once, kept verbatim as the oracle."""
+    uncovered = np.ones(points.shape[0], dtype=bool)
+    group = np.empty(points.shape[0], dtype=np.intp)
+    count = 0
+    while uncovered.any():
+        center = points[np.argmax(uncovered)]
+        taken = uncovered & (np.linalg.norm(points - center, axis=1) <= radius)
+        group[taken] = count
+        uncovered &= ~taken
+        count += 1
+    return group
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=20),
+    st.integers(min_value=1, max_value=150),
+    st.sampled_from(["zero", "small", "diameter"]),
+)
+@example(seed=0, d=20, count=150, radius_kind="small")  # four blocks of center rows
+@settings(max_examples=150, deadline=None)
+def test_greedy_cover_matches_per_center_oracle(seed, d, count, radius_kind):
+    rng = np.random.default_rng(seed)
+    # drawn from fewer distinct points, so some points repeat
+    distinct = sample_in_ball(rng, int(rng.integers(1, count + 1)), d)
+    points = distinct[rng.integers(0, distinct.shape[0], size=count)]
+    radius = {"zero": 0.0, "small": float(rng.uniform(0.0, 1.0)), "diameter": 2.0}[radius_kind]
+    group = _greedy_cover(points, radius)
+    assert np.array_equal(group, oracle_greedy_cover(points, radius))
+    if (seed, d, count) == (0, 20, 150):
+        assert _COVER_BLOCK_BYTES // (8 * points.size) < count / 3
+
+
 def test_certification_memory_is_per_cell_not_m_squared():
     m = 3000
     model = OutcomeModel(kind=LOGISTIC, beta=5.0)
@@ -189,6 +230,22 @@ def test_certification_memory_is_per_cell_not_m_squared():
         tracemalloc.stop()
     # one m x m float matrix is m*m*8 bytes; allow an eighth of one
     assert peak < m * m * 8 / 8
+
+
+def test_partition_never_builds_the_mean_reward_table():
+    m, n = 3000, 200
+    model = OutcomeModel(kind=LOGISTIC, beta=5.0)
+    tracemalloc.start()
+    try:
+        inst = sample_instance(np.random.default_rng(0), 3, n, m, model)
+        part = build_partition_logistic(inst, 0.02, 0.02)
+        max_intra_cell_distortion(inst, part.cell_of, part.K)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "mu" not in vars(inst)
+    # the inner products are one m x n float table; the mean rewards would be another
+    assert peak < 2 * m * n * 8
 
 
 def test_max_intra_cell_distortion(tiny_linear):
@@ -280,6 +337,13 @@ def test_realized_link_slope_peaks_at_zero():
     inst = BanditInstance(actions=actions, params=params, model=model)
     # realized inner products are {-0.5, 0.5}, straddling 0: slope = beta/4
     assert realized_link_slope(inst) == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", [LOGISTIC, GLM])
+def test_realized_link_slope_reads_the_instance_inner_products(kind):
+    inst = random_instance(np.random.default_rng(6), kind, d=3, n=40, m=50, beta=3.0)
+    inner = inst.params @ inst.actions.T
+    assert realized_link_slope(inst) == c_phi(inst.model, float(inner.min()), float(inner.max()))
 
 
 def test_logistic_ladder_structure():

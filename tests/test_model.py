@@ -104,6 +104,36 @@ def test_mean_reward_logistic(tiny_logistic):
             assert tiny_logistic.mu[i, j] == pytest.approx(expected, abs=1e-14)
 
 
+@given(
+    st.integers(min_value=0),
+    st.sampled_from([LINEAR_BINARY, LOGISTIC, GLM]),
+    st.sampled_from([0.1, 5.0, 100.0]),
+)
+@settings(max_examples=60, deadline=None)
+def test_mean_rewards_gather_equals_table_entries(seed, kind, beta):
+    rng = np.random.default_rng(seed)
+    # eta = 0 keeps any glm link spread inside the reward range
+    inst = random_instance(rng, kind, d=int(rng.integers(1, 6)), n=int(rng.integers(1, 30)),
+                           m=int(rng.integers(1, 30)), beta=beta, eta=0.0)
+    # the table as the instance built it before it was built on first read
+    inner = inst.params @ inst.actions.T
+    old_mu = 0.5 * inner if kind == LINEAR_BINARY else np.asarray(inst.model.link(inner))
+    assert "mu" not in vars(inst) or kind == GLM  # glm reads it for its spread check
+    mu = inst.mu
+    assert mu is inst.mu and not mu.flags.writeable and not inst.inner.flags.writeable
+    assert np.array_equal(mu, old_mu) and np.array_equal(inst.inner, inner)
+    m, n = mu.shape
+    for _ in range(10):
+        rows = rng.integers(0, m, size=int(rng.integers(0, 50)))
+        cols = rng.integers(0, n, size=rows.size)
+        assert np.array_equal(inst.mean_rewards(rows, cols), mu[rows, cols])
+        ix = np.ix_(rng.integers(0, m, size=int(rng.integers(0, 8))),
+                    rng.integers(0, n, size=int(rng.integers(0, 8))))
+        assert np.array_equal(inst.mean_rewards(*ix), mu[ix])
+        i, j = int(rng.integers(0, m)), int(rng.integers(0, n))
+        assert inst.mean_rewards(i, j) == mu[i, j]
+
+
 def test_best_action_lowest_index_tie():
     actions = np.array([[0.5, 0.0], [0.5, 0.0], [0.0, 0.5]])
     params = np.array([[1.0, 0.0]])
