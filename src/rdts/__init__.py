@@ -53,9 +53,6 @@ from .model import (
     BanditInstance,
     InvalidInstanceError,
     OutcomeModel,
-    best_action,
-    mean_reward,
-    outcome_distribution,
     sample_instance,
 )
 from .policy import (
@@ -63,7 +60,6 @@ from .policy import (
     GuardExceeded,
     RegretTrace,
     audit_regret_chain,
-    compressed_ts_step,
     simulate_ts,
     thompson_step,
 )

@@ -399,6 +399,36 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, sub.choices
 
 
+def _config_defaults(command: argparse.ArgumentParser, values: dict) -> dict:
+    """The config entries that name one of ``command``'s flags (by dest),
+    each converted as argparse converts that flag's command-line text: a
+    string is the text, a number its JSON text, and an on/off flag takes a
+    bool. A value the flag could not take is a ConfigError."""
+    defaults = {}
+    for action in command._actions:
+        key = action.dest
+        if key not in values or key in ("help", "config"):
+            continue
+        value = values[key]
+        if action.nargs == 0:  # an on/off flag
+            ok = isinstance(value, bool)
+        elif value is None:
+            ok = action.default is None
+        elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
+            try:
+                value = action.type(value if isinstance(value, str) else json.dumps(value))
+                ok = action.choices is None or value in action.choices
+            except ValueError:
+                ok = False
+        else:
+            ok = False
+        if not ok:
+            flag = action.option_strings[0]
+            raise ConfigError(f"config value {values[key]!r} is not valid for {flag}")
+        defaults[key] = value
+    return defaults
+
+
 def main(argv: list[str] | None = None) -> int:
     parser, commands = build_parser()
     args = parser.parse_args(argv)
@@ -409,10 +439,8 @@ def main(argv: list[str] | None = None) -> int:
             if not isinstance(values, dict):
                 raise ConfigError("config file must hold a JSON object")
             # the file's keys become this subcommand's defaults, then flags win
-            own = vars(args).keys() - {"func", "command", "config"}
-            commands[args.command].set_defaults(
-                **{k: v for k, v in values.items() if k in own}
-            )
+            command = commands[args.command]
+            command.set_defaults(**_config_defaults(command, values))
             args = parser.parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:

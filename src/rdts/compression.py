@@ -26,7 +26,7 @@ from numpy.typing import NDArray
 from .bounds import EpsilonTooLarge, c_phi, ladder_start
 from .inference import BeliefState
 from .information import _outcome_information, entropy
-from .model import GLM, LINEAR_BINARY, LOGISTIC, BanditInstance, _distinct, two_point_outcomes
+from .model import GLM, LINEAR_BINARY, LOGISTIC, BanditInstance, _distinct
 from .tolerances import CERT_TOL, INPUT_PMF_TOL, LADDER_TOL, MARGIN_TOL, PAIR_TOL, TIE_TOL
 
 __all__ = [
@@ -472,9 +472,12 @@ def build_representation(
         raise ValueError("belief and partition cover different parameter counts")
     mass = np.bincount(partition.cell_of, weights=p, minlength=partition.K)
     scored = _distinct(instance.astar[mass[partition.cell_of] > 0.0], instance.n_actions)
-    idx, _, w = two_point_outcomes(instance, scored)
+    slot, idx, _, w = instance.outcomes
+    rows = slot[scored]
     gain = np.zeros(instance.n_actions)
-    gain[scored] = _outcome_information(idx, w, p[None, :, None], partition.cell_of[:, None])[0]
+    gain[scored] = _outcome_information(
+        idx[rows], w[rows], p[None, :, None], partition.cell_of[:, None]
+    )[0]
     i1, i2, r = _representative_pairs(instance, p, p @ instance.mu, partition, mass, gain)
     cells = tuple(zip(i1.tolist(), i2.tolist(), r.tolist()))
     return Representation(partition=partition, cells=cells, cell_mass=mass)

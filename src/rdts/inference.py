@@ -7,8 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
+from .model import BanditInstance, two_point_outcomes
 # outcome_support stays importable from here for code that traces or patches it by name
-from .model import BanditInstance, outcome_support  # noqa: F401
+from .model import outcome_support  # noqa: F401
 from .tolerances import BELIEF_TOL, OUTCOME_MATCH_TOL
 
 
@@ -47,12 +48,12 @@ def outcome_likelihoods(
     """P(outcome | action, theta_i) for every parameter i.
 
     The mass on the support points within ``OUTCOME_MATCH_TOL`` of
-    ``outcome``, read from the action's two-point ``OutcomeTable``; a pmf has
-    at most two nonzero terms, so this is the same float as the sum over the
-    matching columns of ``outcome_support``.
+    ``outcome``, read from the action's two-point pmfs
+    (``two_point_outcomes``); a pmf has at most two nonzero terms, so this is
+    the same float as the sum over the matching columns of ``outcome_support``.
     """
-    table = instance.outcome_table(action_idx)
-    return _match_likelihood(table.points(), table.w, outcome)
+    _, points, weights = two_point_outcomes(instance, [action_idx])
+    return _match_likelihood(points[0], weights[0], outcome)
 
 
 def _match_likelihood(points: NDArray, weights: NDArray, y: NDArray | float) -> NDArray:

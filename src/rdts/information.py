@@ -7,8 +7,9 @@ with the squared one-step expected regret in the numerator.
 
 Every mutual information here comes from one private kernel,
 ``_grouped_mi``, which takes the joints of many (belief, action) pairs as
-flat entries built from the instances' cached two-point ``OutcomeTable``
-arrays and returns one MI per joint. The public functions are one-belief
+flat entries built from two-point outcome pmfs (``model.two_point_outcomes``,
+read as rows of ``BanditInstance.outcomes`` for the realized actions) and
+returns one MI per joint. The public functions are one-belief
 calls of the same code that the batched audit (``policy.audit_regret_chain``)
 runs on all of its runs at once.
 """
@@ -21,9 +22,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 from numpy.typing import NDArray
 
-from .inference import BeliefState
+from .inference import BeliefState, optimal_action_distribution
+from .model import BanditInstance, two_point_outcomes
 # outcome_support stays importable from here for code that traces or patches it by name
-from .model import BanditInstance, _distinct, outcome_support, two_point_outcomes  # noqa: F401
+from .model import outcome_support  # noqa: F401
 from .tolerances import CELL_MASS_TOL, DENOMINATOR_TOL, INPUT_PMF_TOL, NUMERATOR_TOL
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -148,16 +150,16 @@ def _dense_mi(joint: NDArray) -> NDArray:
 
 
 def _outcome_information(idx: NDArray, w: NDArray, weight: NDArray, label: NDArray) -> NDArray:
-    """I(L; Y_a) for every row of ``weight`` and every stacked action, as ``(runs, A)``.
+    """I(L; Y_a) for every row of ``weight`` and every action row, as ``(runs, A)``.
 
     Row ``r``'s joint of (L, Y_a) puts ``weight[r, i, j] * w[s, i, k]`` on
     (``label[i, j]``, ``idx[s, i, k]``) for every positive ``weight[r, i, j]``
     and ``k = 0, 1``, where ``weight`` has shape ``(runs, m, J)``, ``label``
-    broadcasts to ``(m, J)`` and ``idx``, ``w`` are stacked outcome tables
-    (``two_point_outcomes``). The joints go through one ``_grouped_mi`` call
-    per block of actions, a block holding at most ``_ENTRIES_PER_CALL``
-    entries (or one action), which bounds the memory the kernel's
-    temporaries take.
+    broadcasts to ``(m, J)`` and ``idx``, ``w`` hold the two-point outcome
+    pmfs of A actions (``two_point_outcomes``). The joints go through one
+    ``_grouped_mi`` call per block of actions, a block holding at most
+    ``_ENTRIES_PER_CALL`` entries (or one action), which bounds the memory
+    the kernel's temporaries take.
     """
     runs, n_actions = weight.shape[0], idx.shape[0]
     run, param, j = np.nonzero(weight > 0.0)
@@ -218,14 +220,16 @@ def ts_info_ratio(instance: BanditInstance, belief: BeliefState) -> InfoRatioRep
 
     The denominator sum_a P(alpha(theta) = a) I(theta*; Y_a) takes the
     information of every realized action with positive mass from one
-    ``_grouped_mi`` call.
+    ``_grouped_mi`` call over those rows of the instance's outcome table.
     """
     p = belief.probs
     diff = ts_expected_regret(instance, belief)
-    action_mass = np.bincount(instance.astar, weights=p, minlength=instance.n_actions)
+    action_mass = optimal_action_distribution(belief, instance)
     played = np.flatnonzero(action_mass > 0.0)
-    idx, _, w = two_point_outcomes(instance, played)
-    info = _outcome_information(idx, w, p[None, :, None], np.arange(p.size)[:, None])[0]
+    slot, idx, _, w = instance.outcomes
+    rows = slot[played]
+    labels = np.arange(p.size)[:, None]
+    info = _outcome_information(idx[rows], w[rows], p[None, :, None], labels)[0]
     # actions added in index order
     denominator = float(np.cumsum(action_mass[played] * info)[-1])
     return _ratio_report(diff * diff, denominator)
@@ -239,9 +243,9 @@ def info_gain_about_statistic(
 ) -> float:
     """I(psi; Y_a): information one action's outcome carries about the cell index.
 
-    The (cell, outcome) joint is built from the action's two-point
-    ``OutcomeTable``, only its 2m possibly nonzero terms, added in parameter
-    order.
+    The (cell, outcome) joint is built from the action's two-point pmfs
+    (``two_point_outcomes``), only its 2m possibly nonzero terms, added in
+    parameter order.
     """
     idx, _, w = two_point_outcomes(instance, [action_idx])
     labels = partition.cell_of[:, None]
@@ -284,17 +288,13 @@ def _compressed_rows(
     mass: NDArray,
     atom_param: NDArray,
     atom_q: NDArray,
-    idx: NDArray,
-    w: NDArray,
-    slot: NDArray,
 ) -> tuple[NDArray, NDArray]:
     """``compressed_moments`` at each row of a ``(runs, m)`` belief matrix.
 
     ``mean_rewards`` is ``probs @ instance.mu``, ``mass`` holds each row's
     cell masses ``(runs, K)`` and ``atom_param``, ``atom_q`` its
     representative values ``(runs, K, 2)`` from ``_representative_atoms``.
-    ``idx`` and ``w`` are stacked outcome tables (``two_point_outcomes``) and
-    ``slot[a]`` is the stacked row of action ``a``, for every action a
+    The outcome pmfs are the rows of the instance's outcome table that a
     representative value with positive probability plays.
     """
     runs = probs.shape[0]
@@ -312,11 +312,12 @@ def _compressed_rows(
     # I(theta~*; Y_a) for every run and every action a representative plays,
     # from the joint of (representative value, outcome): the value in slot j
     # of cell k puts q * P(theta* = i | psi = k) * P(y | a, theta_i) on y
-    n_stacked = idx.shape[0]
-    atom_group = np.arange(runs)[:, None, None] * n_stacked + slot[instance.astar[atom_param]]
+    slot, idx, _, w = instance.outcomes
+    n_rows = idx.shape[0]
+    atom_group = np.arange(runs)[:, None, None] * n_rows + slot[instance.astar[atom_param]]
     weight = np.bincount(
-        atom_group.ravel(), weights=atom_q.ravel(), minlength=runs * n_stacked
-    ).reshape(runs, n_stacked)
+        atom_group.ravel(), weights=atom_q.ravel(), minlength=runs * n_rows
+    ).reshape(runs, n_rows)
     used = np.flatnonzero(weight.any(axis=0))
     value_mass = np.zeros(probs.shape + (2,))
     value_mass[run, param] = q * cond[:, None]
@@ -346,14 +347,10 @@ def compressed_moments(
     mass = _checked_cell_mass(belief, representation)
     i1, i2, r = (np.array(col) for col in zip(*representation.cells))
     atom_param, atom_q = _representative_atoms(i1, i2, r, mass)
-    actions = _distinct(instance.astar[atom_param[atom_q > 0.0]], instance.n_actions)
-    idx, _, w = two_point_outcomes(instance, actions)
-    slot = np.zeros(instance.n_actions, dtype=np.intp)
-    slot[actions] = np.arange(actions.size)
     p = belief.probs[None]
     diff, info = _compressed_rows(
         instance, p, p @ instance.mu, representation.partition.cell_of, mass[None],
-        atom_param[None], atom_q[None], idx, w, slot,
+        atom_param[None], atom_q[None],
     )
     return float(diff[0]), float(info[0])
 
@@ -366,17 +363,15 @@ def _chain_terms(instance: BanditInstance, partition: "Partition"):
     cell_mass)``: the one-step TS regret, ``compressed_moments`` of the row's
     ``build_representation``, I(psi; Y_a) summed under the representative's
     and under TS's action probabilities, and the cell masses ``(runs, K)``.
-    The outcome tables of every action a parameter plays are stacked once,
-    and each call takes I(psi; Y_a) for all (row, action) pairs from one
-    grouped call and the compressed information of all rows from another.
+    Each call takes I(psi; Y_a) for every belief row and every realized
+    action from one grouped call over the instance's outcome table, and the
+    compressed information of all rows from another.
     """
     # compression imports this module, so it is imported on use
     from .compression import _representative_pairs
 
-    realized = _distinct(instance.astar, instance.n_actions)
-    idx, _, w = two_point_outcomes(instance, realized)
-    slot = np.zeros(instance.n_actions, dtype=np.intp)
-    slot[realized] = np.arange(realized.size)
+    slot, idx, _, w = instance.outcomes
+    realized = np.flatnonzero(slot >= 0)
     cell_of, K = partition.cell_of, partition.K
 
     def terms(probs: NDArray) -> tuple[NDArray, ...]:
@@ -394,7 +389,7 @@ def _chain_terms(instance: BanditInstance, partition: "Partition"):
         ]
         atom_param, atom_q = _representative_atoms(*map(np.stack, zip(*pairs)), mass)
         diff, info_comp = _compressed_rows(
-            instance, probs, mean_rewards, cell_of, mass, atom_param, atom_q, idx, w, slot
+            instance, probs, mean_rewards, cell_of, mass, atom_param, atom_q
         )
         info_psi_ts = (probs * gain[:, instance.astar]).sum(axis=1)
         rep_gain = gain[np.arange(runs)[:, None, None], instance.astar[atom_param]]

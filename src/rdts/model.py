@@ -108,12 +108,9 @@ class BanditInstance:
     ``mean_rewards(rows, cols)`` gives ``mu[rows, cols]`` bit for bit from
     the entries of ``inner`` it needs, without building the table.
 
-    The outcome pmfs are tabulated lazily, one :class:`OutcomeTable` per
-    action, built and validated the first time ``outcome_table`` is asked for
-    that action and shared by every later call. An entry holds O(q + m)
-    read-only numbers (q support values, two point indices and two weights
-    per parameter); no dense ``(m, q)`` array is cached, and actions nothing
-    asks for cost nothing.
+    ``outcomes`` tabulates the two-point outcome pmfs of the realized actions
+    (the distinct entries of ``astar``, the only actions Thompson sampling can
+    play) on first read and then keeps them; see ``two_point_outcomes``.
     """
 
     actions: NDArray
@@ -121,7 +118,6 @@ class BanditInstance:
     model: OutcomeModel
     inner: NDArray = field(init=False, repr=False)
     astar: NDArray = field(init=False, repr=False)
-    _outcomes: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         actions = np.asarray(self.actions, dtype=float)
@@ -139,7 +135,6 @@ class BanditInstance:
             arr.setflags(write=False)
         object.__setattr__(self, "inner", inner)
         object.__setattr__(self, "astar", astar)
-        object.__setattr__(self, "_outcomes", {})
         if self.model.kind == LINEAR_BINARY:
             # success probability 1/2 + a.theta/2 must be a probability
             if np.any(np.abs(inner) > 1.0 + OUTCOME_PMF_TOL):
@@ -170,19 +165,24 @@ class BanditInstance:
             return 0.5 * x
         return np.asarray(self.model.link(x))
 
-    def outcome_table(self, action_idx: int) -> "OutcomeTable":
-        """The action's outcome pmfs, built on first use and then shared."""
-        return self.outcome_tables([action_idx])[0]
+    @cached_property
+    def outcomes(self) -> tuple[NDArray, NDArray, NDArray, NDArray]:
+        """Read-only ``(slot, idx, points, weights)`` of the realized actions,
+        built on first read.
 
-    def outcome_tables(self, actions) -> list["OutcomeTable"]:
-        """``outcome_table(a)`` for every ``a`` in ``actions``, in order; the
-        entries not yet built are built together."""
-        actions = [int(a) for a in actions]
-        missing = [a for a in dict.fromkeys(actions) if a not in self._outcomes]
-        if missing:
-            for a, table in zip(missing, _build_outcome_tables(self, missing)):
-                self._outcomes[a] = table
-        return [self._outcomes[a] for a in actions]
+        ``idx``, ``points`` and ``weights`` are ``two_point_outcomes`` of the
+        realized actions in increasing order, shape ``(A, m, 2)``;
+        ``slot[a]`` is the row of action ``a``, -1 for an action no parameter
+        plays. Every support value of an action is a point of some parameter,
+        so row ``s`` has ``idx[s].max() + 1`` support values.
+        """
+        realized = _distinct(self.astar, self.n_actions)
+        slot = np.full(self.n_actions, -1, dtype=np.intp)
+        slot[realized] = np.arange(realized.size)
+        table = (slot, *two_point_outcomes(self, realized))
+        for arr in table:
+            arr.setflags(write=False)
+        return table
 
     @property
     def d(self) -> int:
@@ -215,82 +215,8 @@ class BanditInstance:
         )
 
 
-def mean_reward(instance: BanditInstance, action_idx: int, param_idx: int) -> float:
-    """Exact mean reward of one (action, parameter) pair, from the formula."""
-    a = instance.actions[action_idx]
-    theta = instance.params[param_idx]
-    x = float(a @ theta)
-    if instance.model.kind == LINEAR_BINARY:
-        return 0.5 * x
-    return float(instance.model.link(x))
-
-
-def best_action(instance: BanditInstance, param_idx: int) -> int:
-    """Index of the optimal action under the given parameter (lowest-index ties)."""
-    return int(instance.astar[param_idx])
-
-
-@dataclass(frozen=True)
-class OutcomeTable:
-    """Outcome pmfs of one action, at most two points per parameter.
-
-    ``values`` (shape ``(q,)``) is the sorted merged support. Under parameter
-    ``i`` the action yields ``values[idx[i, k]]`` with probability ``w[i, k]``
-    for ``k = 0, 1``; ``idx[i, 0] <= idx[i, 1]``, so the points are in support
-    order. A single-point pmf has weights ``(1, 0)`` and repeats its index.
-    All three arrays are read-only.
-    """
-
-    values: NDArray
-    idx: NDArray
-    w: NDArray
-
-    def __post_init__(self) -> None:
-        for arr in (self.values, self.idx, self.w):
-            arr.setflags(write=False)
-
-    def points(self) -> NDArray:
-        """``(m, 2)`` outcome values of the two points of every parameter."""
-        return self.values[self.idx]
-
-
-# (low, high) outcome values of the binary models, and their point indices
+# (low, high) outcome values of the binary models
 _BINARY_VALUES = {LINEAR_BINARY: (-0.5, 0.5), LOGISTIC: (0.0, 1.0)}
-_BINARY_IDX = np.arange(2, dtype=np.intp)
-_BINARY_IDX.setflags(write=False)
-
-
-def _build_outcome_tables(instance: BanditInstance, actions: list[int]) -> list[OutcomeTable]:
-    """Tabulate and validate the actions' pmfs (``OUTCOME_PMF_TOL``, support
-    match): the binary models' weights in one pass over ``mu``, glm one
-    merged support per action."""
-    kind = instance.model.kind
-    if kind == GLM:
-        return [_build_outcome_table(instance, a) for a in actions]
-    p_hi = instance.mu[:, actions].T
-    if kind == LINEAR_BINARY:
-        p_hi = p_hi + 0.5
-    w = np.empty(p_hi.shape + (2,))
-    w[..., 0] = 1.0 - p_hi
-    w[..., 1] = p_hi
-    w = _checked_pmf(w)
-    # every row views the same two indices (stride 0 over parameters)
-    idx = np.ndarray(w.shape[1:], np.intp, _BINARY_IDX, strides=(0, _BINARY_IDX.itemsize))
-    return [OutcomeTable(values=np.array(_BINARY_VALUES[kind]), idx=idx, w=ws) for ws in w]
-
-
-def _build_outcome_table(instance: BanditInstance, action_idx: int) -> OutcomeTable:
-    """Tabulate and validate one glm action's pmfs on its merged support."""
-    eta = float(instance.model.eta or 0.0)
-    means = instance.mu[:, action_idx]
-    values = _dedupe_sorted(np.sort(np.concatenate([means - eta, means + eta])))
-    lo = _locate(values, means - eta)
-    hi = _locate(values, means + eta)
-    # each point carries half the mass; a merged pair is one point of mass 1
-    w = np.where((lo == hi)[:, None], [1.0, 0.0], 0.5)
-    return OutcomeTable(
-        values=values, idx=np.stack([lo, hi], axis=1), w=_checked_pmf(w)
-    )
 
 
 def outcome_support(
@@ -301,21 +227,21 @@ def outcome_support(
     Returns ``(values, probs)`` where ``values`` has shape ``(q,)`` and
     ``probs`` has shape ``(m, q)``: ``probs[i, y]`` is the probability that
     playing the action yields ``values[y]`` when parameter ``i`` is true.
-    Both arrays are read-only and come from the instance's cached
-    :class:`OutcomeTable` (``BanditInstance.outcome_table``): for the binary
-    models ``probs`` is the table's weights, for ``glm`` a fresh dense array
-    scattered from it, which is never cached.
+    Both arrays are read-only, built from ``two_point_outcomes`` on every
+    call and never cached.
     """
-    table = instance.outcome_table(action_idx)
-    if instance.model.kind != GLM:
-        return table.values, table.w  # points (low, high) in every row
+    idx, points, w = (arr[0] for arr in two_point_outcomes(instance, [action_idx]))
+    # every support value is a point of some parameter
+    values = np.empty(int(idx.max()) + 1)
+    values[idx] = points
     rows = np.arange(instance.n_params)
-    probs = np.zeros((rows.size, table.values.size))
+    probs = np.zeros((rows.size, values.size))
     # second point first, so a single point's weight 1 overwrites its 0
-    probs[rows, table.idx[:, 1]] = table.w[:, 1]
-    probs[rows, table.idx[:, 0]] = table.w[:, 0]
-    probs.setflags(write=False)
-    return table.values, probs
+    probs[rows, idx[:, 1]] = w[:, 1]
+    probs[rows, idx[:, 0]] = w[:, 0]
+    for arr in (values, probs):
+        arr.setflags(write=False)
+    return values, probs
 
 
 def _checked_pmf(w: NDArray) -> NDArray:
@@ -337,19 +263,32 @@ def two_point_outcomes(
     merging coincident values. Returns ``(idx, points, weights)``, each of
     shape ``(len(actions), m, 2)``: playing ``actions[s]`` under parameter
     ``i`` yields ``points[s, i, k]``, the action's support value
-    ``idx[s, i, k]``, with probability ``weights[s, i, k]``. They are
-    gathered from the instance's cached :class:`OutcomeTable` entries, so the
-    points of a pair are in support order and an inverse-CDF draw over
-    ``weights[s, i]`` picks the same value as one over the full row of
-    ``outcome_support``; a single-point pmf has weight 0 on its second point.
+    ``idx[s, i, k]``, with probability ``weights[s, i, k]``. The pmfs are
+    validated (``OUTCOME_PMF_TOL``, support match) and built on every call:
+    the binary models' weights in one pass over ``mu``, glm one merged,
+    sorted support per action. The points of a pair are in support order, so
+    an inverse-CDF draw over ``weights[s, i]`` picks the same value as one
+    over the full row of ``outcome_support``; a single-point pmf has weight 0
+    on its second point, which repeats the first.
     """
-    tables = instance.outcome_tables(np.asarray(actions, dtype=np.intp))
-    idx = np.stack([table.idx for table in tables])
-    weights = np.stack([table.w for table in tables])
-    # each action's support values, one after another
-    start = np.cumsum([0] + [table.values.size for table in tables[:-1]])
-    values = np.concatenate([table.values for table in tables])
-    return idx, values[idx + start[:, None, None]], weights
+    means = instance.mu[:, np.asarray(actions, dtype=np.intp)].T
+    kind = instance.model.kind
+    if kind == GLM:
+        eta = float(instance.model.eta or 0.0)
+        idx = np.empty(means.shape + (2,), dtype=np.intp)
+        points = np.empty(idx.shape)
+        for s, row in enumerate(means):
+            values = _dedupe_sorted(np.sort(np.concatenate([row - eta, row + eta])))
+            idx[s] = np.stack([_locate(values, row - eta), _locate(values, row + eta)], axis=1)
+            points[s] = values[idx[s]]
+        # each point carries half the mass; a merged pair is one point of mass 1
+        w = np.where((idx[..., 0] == idx[..., 1])[..., None], [1.0, 0.0], 0.5)
+    else:
+        p_hi = means + 0.5 if kind == LINEAR_BINARY else means
+        w = np.stack([1.0 - p_hi, p_hi], axis=-1)
+        idx = np.broadcast_to(np.arange(2, dtype=np.intp), w.shape)
+        points = np.array(_BINARY_VALUES[kind])[idx]
+    return idx, points, _checked_pmf(w)
 
 
 def _distinct(codes: NDArray, n: int) -> NDArray:
@@ -378,15 +317,6 @@ def _locate(grid: NDArray, values: NDArray) -> NDArray:
     if np.any(np.abs(grid[out] - values) > SUPPORT_MATCH_TOL):
         raise InvalidInstanceError("outcome value does not match merged support")
     return out
-
-
-def outcome_distribution(
-    instance: BanditInstance, action_idx: int, param_idx: int
-) -> dict[float, float]:
-    """Exact outcome pmf of one (action, parameter) pair as {value: prob}."""
-    values, probs = outcome_support(instance, action_idx)
-    row = probs[param_idx]
-    return {float(v): float(p) for v, p in zip(values, row) if p > 0.0}
 
 
 def sample_in_ball(rng: np.random.Generator, count: int, d: int) -> NDArray:

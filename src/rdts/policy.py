@@ -9,9 +9,9 @@ so runs are reproducible and order-independent.
 ``simulate_ts`` and ``audit_regret_chain`` follow the same Thompson
 sampling trajectories, from one rollout (``_ts_rollout``) that advances all
 runs together: the beliefs are a ``(runs, m)`` matrix updated row by row with
-the arithmetic of ``posterior_update``, and the outcome pmfs of every action
-Thompson sampling can play are gathered once per call from the instance's
-outcome tables (``model.two_point_outcomes``). Each run still draws from its
+the arithmetic of ``posterior_update``, and the outcome pmfs of the actions
+Thompson sampling plays are rows of the instance's outcome table
+(``BanditInstance.outcomes``). Each run still draws from its
 own generator, ``1 + 2T`` uniforms in a fixed order: one for the true
 parameter, then a (sampled parameter, outcome) pair per period, exactly the
 draws of a per-run loop over ``thompson_step`` and ``sample_outcome``, so the
@@ -28,7 +28,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .bounds import compressed_bound
-from .compression import Partition, Representation, statistic_mutual_information
+from .compression import Partition, statistic_mutual_information
 from .inference import (
     BeliefState,
     _match_likelihood,
@@ -36,9 +36,10 @@ from .inference import (
     posterior_update_rows,
     sample_parameter,
 )
-from .information import _chain_terms, _checked_cell_mass, _ratio_report, entropy
+from .information import _chain_terms, _ratio_report, entropy
+from .model import BanditInstance, two_point_outcomes
 # outcome_support stays importable from here for code that traces or patches it by name
-from .model import BanditInstance, _distinct, outcome_support, two_point_outcomes  # noqa: F401
+from .model import outcome_support  # noqa: F401
 from .tolerances import AUDIT_TOL
 
 
@@ -76,9 +77,9 @@ def thompson_step(
 def sample_outcome(
     instance: BanditInstance, action_idx: int, true_param: int, rng: np.random.Generator
 ) -> float:
-    table = instance.outcome_table(action_idx)
-    k = inverse_cdf(table.w[true_param], rng.random())
-    return float(table.values[table.idx[true_param, k]])
+    _, points, weights = two_point_outcomes(instance, [action_idx])
+    k = inverse_cdf(weights[0, true_param], rng.random())
+    return float(points[0, true_param, k])
 
 
 def _ts_rollout(
@@ -101,11 +102,7 @@ def _ts_rollout(
     draws = np.stack([run_rng.random(1 + 2 * T) for run_rng in rng.spawn(runs)])
     belief = np.tile(prior.probs, (runs, 1))
     theta_star = inverse_cdf(belief, draws[:, 0])
-    # Thompson sampling only plays best actions of parameters with prior mass
-    played = _distinct(instance.astar[prior.probs > 0.0], instance.n_actions)
-    slot = np.zeros(instance.n_actions, dtype=np.intp)
-    slot[played] = np.arange(played.size)
-    _, points, weights = two_point_outcomes(instance, played)
+    slot, _, points, weights = instance.outcomes
 
     def periods(belief: NDArray):
         for t in range(T):
@@ -155,20 +152,6 @@ def simulate_ts(
     )
 
 
-def compressed_ts_step(
-    instance: BanditInstance,
-    belief: BeliefState,
-    representation: Representation,
-    rng: np.random.Generator,
-) -> tuple[int, int]:
-    """Sample a cell by mass, then the cell's two-point representative."""
-    _checked_cell_mass(belief, representation)
-    k = int(inverse_cdf(representation.cell_mass, rng.random()))
-    i1, i2, r = representation.cells[k]
-    param_idx = i1 if rng.random() < r else i2
-    return param_idx, int(instance.astar[param_idx])
-
-
 @dataclass(frozen=True)
 class AuditReport:
     """Numerical audit of the compressed-regret bound chain along TS runs."""
@@ -185,8 +168,8 @@ class AuditReport:
 
 
 def _outcome_cardinality(instance: BanditInstance) -> int:
-    realized = _distinct(instance.astar, instance.n_actions)
-    return max(table.values.size for table in instance.outcome_tables(realized))
+    """The largest support size of a realized action (see ``BanditInstance.outcomes``)."""
+    return int(instance.outcomes[1].max()) + 1
 
 
 def audit_regret_chain(

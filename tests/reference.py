@@ -80,13 +80,9 @@ def ts_info_ratio(instance, belief):
 
 def info_gain_about_statistic(instance, belief, partition, action_idx):
     """I(psi; Y_a) from a dense scatter of the (cell, outcome) joint."""
-    table = instance.outcome_table(action_idx)
-    joint = np.zeros((partition.K, table.values.size))
-    np.add.at(
-        joint,
-        (partition.cell_of[:, None], table.idx),
-        belief.probs[:, None] * table.w,
-    )
+    values, probs = outcome_support(instance, action_idx)
+    joint = np.zeros((partition.K, values.size))
+    np.add.at(joint, partition.cell_of, belief.probs[:, None] * probs)
     return mutual_information(joint)
 
 

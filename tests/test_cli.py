@@ -194,6 +194,21 @@ def test_bad_config_file_is_exit_2(tmp_path, capsys):
     assert run(["bounds", "--config", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize("argv, doc", [
+    (["regret", "--model", "linear_binary", "--d", "2", "--n", "6", "--m", "6"], {"T": 2.5}),
+    (["ir-sweep", "--n", "6", "--m", "6", "--instances", "1"], {"d_list": [2, 3]}),
+    (["regret", "--d", "2", "--n", "6", "--m", "6", "--T", "3"], {"runs": True}),
+    (["regret", "--d", "2", "--n", "6", "--m", "6", "--T", "3"], {"realized": "yes"}),
+    (["bounds"], {"format": "xml"}),
+])
+def test_ill_typed_config_value_is_exit_2(tmp_path, capsys, argv, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert run([*argv, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and next(iter(doc)).replace("_", "-") in err["message"]
+
+
 def test_unknown_bound_is_exit_2(capsys):
     assert run(["bounds", "--which", "nope"]) == 2
 

@@ -185,6 +185,14 @@ def test_nan_cell_mass_is_inconsistent(tiny_linear):
         compressed_moments(tiny_linear, belief, stale)
 
 
+def test_compressed_moments_rejects_stale_representation(rng):
+    inst = random_instance(rng, LINEAR_BINARY, d=2, n=6, m=6)
+    part = build_partition_linear(inst, 0.15)
+    rep = build_representation(inst, random_belief(rng, 6), part)
+    with pytest.raises(InconsistentRepresentation):
+        compressed_moments(inst, random_belief(rng, 6), rep)
+
+
 def test_mutual_information_known_value():
     # binary channel: P(Y=1 | row 0) = 0.2, P(Y=1 | row 1) = 0.8, uniform rows
     joint = 0.5 * np.array([[0.8, 0.2], [0.2, 0.8]])

@@ -8,6 +8,16 @@ from hypothesis import strategies as st
 
 from conftest import instance_with_shared_points, make_model, random_instance
 from rdts import model as model_mod
+from rdts.compression import (
+    best_action_margins,
+    build_partition_glm,
+    build_partition_linear,
+    build_partition_logistic,
+    build_representation,
+    max_intra_cell_distortion,
+)
+from rdts.inference import BeliefState
+from rdts.information import compressed_moments, ts_info_ratio
 from rdts.model import (
     GLM,
     LINEAR_BINARY,
@@ -15,15 +25,12 @@ from rdts.model import (
     BanditInstance,
     InvalidInstanceError,
     OutcomeModel,
-    OutcomeTable,
-    best_action,
-    mean_reward,
-    outcome_distribution,
     outcome_support,
     sample_in_ball,
     sample_instance,
     two_point_outcomes,
 )
+from rdts.policy import audit_regret_chain, simulate_ts
 
 
 def test_model_kind_validation():
@@ -92,7 +99,7 @@ def test_mean_reward_linear(tiny_linear):
     for i in range(tiny_linear.n_params):
         for j in range(tiny_linear.n_actions):
             x = float(tiny_linear.actions[j] @ tiny_linear.params[i])
-            assert mean_reward(tiny_linear, j, i) == pytest.approx(0.5 * x, abs=1e-15)
+            assert tiny_linear.mean_rewards(i, j) == pytest.approx(0.5 * x, abs=1e-15)
             assert tiny_linear.mu[i, j] == pytest.approx(0.5 * x, abs=1e-15)
 
 
@@ -138,7 +145,7 @@ def test_best_action_lowest_index_tie():
     actions = np.array([[0.5, 0.0], [0.5, 0.0], [0.0, 0.5]])
     params = np.array([[1.0, 0.0]])
     inst = BanditInstance(actions=actions, params=params, model=make_model(LINEAR_BINARY))
-    assert best_action(inst, 0) == 0
+    assert inst.astar[0] == 0
 
 
 def test_outcome_support_linear(tiny_linear):
@@ -167,7 +174,7 @@ def test_outcome_support_glm_two_point_noise():
     assert values.size == 4
     for i in range(2):
         mean = inst.mu[i, 0]
-        dist = outcome_distribution(inst, 0, i)
+        dist = {float(v): float(p) for v, p in zip(values, probs[i]) if p > 0.0}
         assert dist == pytest.approx(
             {mean - 0.03: 0.5, mean + 0.03: 0.5}, abs=1e-12
         )
@@ -242,31 +249,61 @@ def test_outcome_support_bit_identical_to_dense_build(seed, kind_eta):
         np.testing.assert_array_equal(probs, ref_probs)
 
 
-def test_outcome_table_is_lazy_and_built_once_per_action(monkeypatch):
+def _count_table_builds(monkeypatch) -> list:
+    """The actions of every call through ``model.two_point_outcomes``, the
+    builder ``BanditInstance.outcomes`` calls."""
     built = []
-    original = model_mod._build_outcome_table
+    original = model_mod.two_point_outcomes
 
-    def counting(instance, action_idx):
-        built.append(action_idx)
-        return original(instance, action_idx)
+    def counting(instance, actions):
+        built.append(np.asarray(actions).tolist())
+        return original(instance, actions)
 
-    monkeypatch.setattr(model_mod, "_build_outcome_table", counting)
-    inst = random_instance(np.random.default_rng(2), GLM, d=2, n=6, m=5)
-    assert built == []
-    table = inst.outcome_table(3)
-    for _ in range(3):
-        outcome_support(inst, 3)
-        two_point_outcomes(inst, np.array([3, 3]))
-        assert inst.outcome_table(np.int64(3)) is table
-    assert built == [3]
+    monkeypatch.setattr(model_mod, "two_point_outcomes", counting)
+    return built
+
+
+def test_outcome_table_is_lazy_and_built_once(monkeypatch):
+    built = _count_table_builds(monkeypatch)
+    rng = np.random.default_rng(2)
+    audited = random_instance(rng, GLM, d=2, n=6, m=5)
+    regret = random_instance(rng, LINEAR_BINARY, d=2, n=6, m=5)
+    assert built == [] and "outcomes" not in vars(audited)
+    prior = BeliefState.uniform(5)
+    partition = build_partition_glm(audited, 0.2)
+    audit_regret_chain(audited, prior, partition, T=4, rng=rng, runs=2)
+    realized = np.unique(audited.astar).tolist()
+    assert built == [realized]
+    # the information layer reads the same table
+    belief = BeliefState(rng.dirichlet(np.ones(5)))
+    ts_info_ratio(audited, belief)
+    compressed_moments(audited, belief, build_representation(audited, belief, partition))
+    assert built == [realized]
+    simulate_ts(regret, prior, T=6, runs=3, rng=rng)
+    simulate_ts(regret, prior, T=6, runs=3, rng=rng)
+    assert built == [realized, np.unique(regret.astar).tolist()]
+
+
+def test_partition_path_builds_no_outcome_table():
+    rng = np.random.default_rng(3)
+    for kind in (LINEAR_BINARY, GLM, LOGISTIC):
+        inst = random_instance(rng, kind, d=2, n=12, m=10)
+        if kind == LINEAR_BINARY:
+            part = build_partition_linear(inst, 0.2)
+        elif kind == GLM:
+            part = build_partition_glm(inst, 0.2)
+        else:
+            delta = float(np.min(np.abs(best_action_margins(inst))))
+            part = build_partition_logistic(inst, 0.2, delta)
+        max_intra_cell_distortion(inst, part.cell_of, part.K)
+        assert "outcomes" not in vars(inst)
 
 
 @pytest.mark.parametrize("kind", [LINEAR_BINARY, LOGISTIC, GLM])
 def test_outcome_table_arrays_are_read_only(kind):
     inst = random_instance(np.random.default_rng(5), kind, d=2, n=4, m=6)
-    table = inst.outcome_table(1)
-    assert isinstance(table, OutcomeTable)
-    for arr in (table.values, table.idx, table.w):
+    assert inst.outcomes is inst.outcomes
+    for arr in inst.outcomes:
         with pytest.raises(ValueError):
             arr[0] = 0
     for arr in outcome_support(inst, 1):
@@ -274,22 +311,46 @@ def test_outcome_table_arrays_are_read_only(kind):
             arr[0] = 0
 
 
+@pytest.mark.parametrize(
+    "kind, eta", [(LINEAR_BINARY, 0.05), (LOGISTIC, 0.05), (GLM, 0.05), (GLM, 0.0)]
+)
+def test_outcome_table_rows_match_two_point_outcomes(kind, eta):
+    inst = random_instance(np.random.default_rng(4), kind, d=3, n=12, m=9, eta=eta)
+    slot, idx, points, weights = inst.outcomes
+    realized = np.unique(inst.astar)
+    assert realized.size < inst.n_actions  # some action is never best
+    np.testing.assert_array_equal(slot[realized], np.arange(realized.size))
+    assert np.all(np.delete(slot, realized) == -1)
+    for got, want in zip((idx, points, weights), two_point_outcomes(inst, realized)):
+        np.testing.assert_array_equal(got, want)
+    for s, a in enumerate(realized):
+        values, probs = outcome_support(inst, int(a))
+        assert values.size == idx[s].max() + 1
+        np.testing.assert_array_equal(values[idx[s]], points[s])
+        dense = np.zeros_like(probs)
+        np.add.at(dense, (np.arange(9)[:, None], idx[s]), weights[s])
+        np.testing.assert_array_equal(dense, probs)
+
+
 def test_outcome_table_glm_eta0_is_single_points():
     inst = random_instance(np.random.default_rng(6), GLM, d=2, n=4, m=7, eta=0.0)
-    for a in range(inst.n_actions):
-        table = inst.outcome_table(a)
-        assert table.values.size == np.unique(inst.mu[:, a]).size
-        np.testing.assert_array_equal(table.idx[:, 0], table.idx[:, 1])
-        np.testing.assert_array_equal(table.w, np.tile([1.0, 0.0], (7, 1)))
-        np.testing.assert_array_equal(table.points()[:, 0], inst.mu[:, a])
+    everything = np.arange(inst.n_actions)
+    for actions, (idx, points, w) in [
+        (np.unique(inst.astar), inst.outcomes[1:]),
+        (everything, two_point_outcomes(inst, everything)),
+    ]:
+        for s, a in enumerate(actions):
+            assert idx[s].max() + 1 == np.unique(inst.mu[:, a]).size
+            np.testing.assert_array_equal(idx[s, :, 0], idx[s, :, 1])
+            np.testing.assert_array_equal(w[s], np.tile([1.0, 0.0], (7, 1)))
+            np.testing.assert_array_equal(points[s, :, 0], inst.mu[:, a])
 
 
 def test_outcome_table_glm_two_points_in_support_order():
     inst = instance_with_shared_points(8, GLM, eta=0.05)
-    for a in range(inst.n_actions):
-        table = inst.outcome_table(a)
-        assert np.all(table.idx[:, 0] < table.idx[:, 1])
-        np.testing.assert_array_equal(table.w, np.full((inst.n_params, 2), 0.5))
+    _, idx, points, w = inst.outcomes
+    assert np.all(idx[..., 0] < idx[..., 1]) and np.all(points[..., 0] < points[..., 1])
+    np.testing.assert_array_equal(w, np.full(idx.shape, 0.5))
 
 
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0))

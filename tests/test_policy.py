@@ -30,7 +30,6 @@ from rdts.policy import (
     GuardExceeded,
     _ts_rollout,
     audit_regret_chain,
-    compressed_ts_step,
     sample_outcome,
     simulate_ts,
     thompson_step,
@@ -363,36 +362,6 @@ def test_regret_trace_csv_rows(two_param_line):
         cum += r
         assert c == pytest.approx(cum, abs=1e-12)
         assert se == trace.std_error
-
-
-def test_compressed_ts_step_frequencies(rng):
-    inst = random_instance(rng, LINEAR_BINARY, d=2, n=6, m=6)
-    belief = random_belief(rng, 6)
-    part = build_partition_linear(inst, 0.15)
-    rep = build_representation(inst, belief, part)
-    draws = np.zeros(inst.n_params)
-    sampler = np.random.default_rng(77)
-    N = 30_000
-    for _ in range(N):
-        param_idx, action = compressed_ts_step(inst, belief, rep, sampler)
-        assert action == int(inst.astar[param_idx])
-        draws[param_idx] += 1
-    expected = np.zeros(inst.n_params)
-    for k, (i1, i2, r) in enumerate(rep.cells):
-        mass = float(rep.cell_mass[k])
-        expected[i1] += mass * r
-        expected[i2] += mass * (1.0 - r)
-    np.testing.assert_allclose(draws / N, expected, atol=0.02)
-
-
-def test_compressed_ts_step_rejects_stale_representation(rng):
-    inst = random_instance(rng, LINEAR_BINARY, d=2, n=6, m=6)
-    belief = random_belief(rng, 6)
-    part = build_partition_linear(inst, 0.15)
-    rep = build_representation(inst, belief, part)
-    other = random_belief(rng, 6)
-    with pytest.raises(InconsistentRepresentation):
-        compressed_ts_step(inst, other, rep, np.random.default_rng(0))
 
 
 def test_audit_chain_passes_on_small_instances():
