@@ -14,7 +14,9 @@ holds its ``periods`` rows.
 
 Each flag carries its default. ``--config`` names a JSON object whose keys
 that match the subcommand's own flags (by argparse dest) replace those
-defaults; flags given on the command line still win. ``--threads`` is
+defaults; flags given on the command line still win. Keys that name a flag
+of another subcommand are ignored, and a key that names no subcommand's
+flag is a config error. ``--threads`` is
 accepted and ignored: cells run in order in one thread, so it changes
 neither the output nor the speed.
 
@@ -438,6 +440,10 @@ def main(argv: list[str] | None = None) -> int:
                 values = json.load(fh)
             if not isinstance(values, dict):
                 raise ConfigError("config file must hold a JSON object")
+            flags = {action.dest for sub in commands.values() for action in sub._actions}
+            unknown = sorted(set(values) - flags)
+            if unknown:
+                raise ConfigError(f"config key {unknown[0]!r} names no flag of any subcommand")
             # the file's keys become this subcommand's defaults, then flags win
             command = commands[args.command]
             command.set_defaults(**_config_defaults(command, values))

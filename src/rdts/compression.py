@@ -25,8 +25,8 @@ from numpy.typing import NDArray
 
 from .bounds import EpsilonTooLarge, c_phi, ladder_start
 from .inference import BeliefState
-from .information import _outcome_information, entropy
-from .model import GLM, LINEAR_BINARY, LOGISTIC, BanditInstance, _distinct
+from .information import _cell_masses_and_gains, entropy
+from .model import GLM, LINEAR_BINARY, LOGISTIC, BanditInstance
 from .tolerances import CERT_TOL, INPUT_PMF_TOL, LADDER_TOL, MARGIN_TOL, PAIR_TOL, TIE_TOL
 
 __all__ = [
@@ -464,48 +464,43 @@ def build_representation(
     Each positive-mass cell is compressed onto a pair of its own parameters
     whose mixture underperforms the cell's conditional expected reward and
     conditional information gain simultaneously. Zero-mass cells get a
-    trivial in-cell singleton. The information scores I(psi; Y_a) of every
-    action a member of a positive-mass cell plays come from one grouped call.
+    trivial in-cell singleton. This is the audit's step
+    (``information._chain_terms``) on a one-row belief matrix.
     """
-    p = belief.probs
-    if p.size != partition.cell_of.size:
+    p = belief.probs[None]
+    if p.shape[1] != partition.cell_of.size:
         raise ValueError("belief and partition cover different parameter counts")
-    mass = np.bincount(partition.cell_of, weights=p, minlength=partition.K)
-    scored = _distinct(instance.astar[mass[partition.cell_of] > 0.0], instance.n_actions)
-    slot, idx, _, w = instance.outcomes
-    rows = slot[scored]
-    gain = np.zeros(instance.n_actions)
-    gain[scored] = _outcome_information(
-        idx[rows], w[rows], p[None, :, None], partition.cell_of[:, None]
-    )[0]
+    mass, gain = _cell_masses_and_gains(instance, p, partition)
     i1, i2, r = _representative_pairs(instance, p, p @ instance.mu, partition, mass, gain)
-    cells = tuple(zip(i1.tolist(), i2.tolist(), r.tolist()))
-    return Representation(partition=partition, cells=cells, cell_mass=mass)
+    cells = tuple(zip(i1[0].tolist(), i2[0].tolist(), r[0].tolist()))
+    return Representation(partition=partition, cells=cells, cell_mass=mass[0])
 
 
 def _representative_pairs(
     instance: BanditInstance,
-    p: NDArray,
+    probs: NDArray,
     mean_rewards: NDArray,
     partition: Partition,
     mass: NDArray,
     gain: NDArray,
 ) -> tuple[NDArray, NDArray, NDArray]:
-    """``build_representation``'s cells as arrays ``(i1, i2, r)`` at belief
-    ``p`` with mean rewards ``p @ instance.mu`` and cell masses ``mass``,
-    given I(psi; Y_a) as ``gain[a]`` for every action a member of a
-    positive-mass cell plays."""
-    i1 = np.empty(partition.K, dtype=np.intp)
-    i2 = np.empty(partition.K, dtype=np.intp)
-    r = np.ones(partition.K)
-    for k in range(partition.K):
-        members = partition.members(k)
-        if mass[k] <= 0.0:
-            i1[k] = i2[k] = members[0]
-            continue
-        played = instance.astar[members]
-        j, kk, r[k] = two_point_pair(mean_rewards[played], gain[played], p[members] / mass[k])
-        i1[k], i2[k] = members[j], members[kk]
+    """``build_representation``'s cells at each row of a ``(runs, m)`` belief
+    matrix, as ``(runs, K)`` arrays ``(i1, i2, r)``, given the rows' mean
+    rewards ``probs @ instance.mu``, cell masses ``mass`` and I(psi; Y_a) as
+    ``gain[run, a]`` for every action a that a member of a positive-mass cell
+    plays."""
+    members = [partition.members(k) for k in range(partition.K)]
+    played = [instance.astar[idx] for idx in members]
+    i1 = np.tile(np.asarray([idx[0] for idx in members], dtype=np.intp), (mass.shape[0], 1))
+    i2 = i1.copy()
+    r = np.ones(mass.shape)
+    # Python ints and row views index faster than numpy scalars and 2-D picks
+    for run, k in np.argwhere(mass > 0.0).tolist():
+        a = played[k]
+        j, jj, r[run, k] = two_point_pair(
+            mean_rewards[run][a], gain[run][a], probs[run][members[k]] / mass[run, k]
+        )
+        i1[run, k], i2[run, k] = members[k][j], members[k][jj]
     return i1, i2, r
 
 

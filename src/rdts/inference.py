@@ -89,8 +89,8 @@ def _bayes_numerator(probs: NDArray, like: NDArray) -> tuple[NDArray, NDArray]:
     for r in np.flatnonzero(total <= 0.0):
         p, l = probs[r], like[r]
         if np.any((p > 0) & (l > 0)):
-            logp = np.where(p > 0, np.log(p, where=p > 0), -np.inf)
-            logl = np.where(l > 0, np.log(l, where=l > 0), -np.inf)
+            logp = np.log(p, out=np.full_like(p, -np.inf), where=p > 0)
+            logl = np.log(l, out=np.full_like(l, -np.inf), where=l > 0)
             logpost = logp + logl
             logpost -= logpost.max()
             post[r] = np.exp(logpost)

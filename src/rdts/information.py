@@ -9,9 +9,10 @@ Every mutual information here comes from one private kernel,
 ``_grouped_mi``, which takes the joints of many (belief, action) pairs as
 flat entries built from two-point outcome pmfs (``model.two_point_outcomes``,
 read as rows of ``BanditInstance.outcomes`` for the realized actions) and
-returns one MI per joint. The public functions are one-belief
-calls of the same code that the batched audit (``policy.audit_regret_chain``)
-runs on all of its runs at once.
+returns one MI per joint, from one formula over the joints' positive cells.
+The public functions, and ``compression.build_representation``, are
+one-belief calls of the same code that the batched audit
+(``policy.audit_regret_chain``) runs on all of its runs at once.
 """
 
 from __future__ import annotations
@@ -87,11 +88,12 @@ def _grouped_mi(group, label, outcome, weight, n_groups: int) -> NDArray:
     labels and outcomes are non-negative integer codes, and entries sharing a
     cell add up in entry order. Each group's masses must be non-negative and
     sum to 1 within ``INPUT_PMF_TOL``, as ``mutual_information`` requires.
-    Cells are merged by a bincount over the dense (group, label, outcome)
-    index when that index is small, as for the binary models' two shared
-    outcomes, and over the sorted distinct cells otherwise, as for glm's
-    merged supports. Both ways add every sum in index order, so they return
-    the same floats. Returns each group's MI, clipped at 0.
+    The positive cells are found by a bincount over the dense (group, label,
+    outcome) index when that index is small, as for the binary models' two
+    shared outcomes, and by sorting the entries' cells otherwise, as for
+    glm's merged supports. Both give the same cells in index order with the
+    same masses, and one formula takes every MI from them, adding each sum in
+    cell order. Returns each group's MI, clipped at 0.
     """
     n_labels = int(np.max(label)) + 1
     n_outcomes = int(np.max(outcome)) + 1
@@ -102,51 +104,37 @@ def _grouped_mi(group, label, outcome, weight, n_groups: int) -> NDArray:
             raise InvalidPmf("need a non-negative joint pmf")
         weight = np.maximum(weight, 0.0)
     size = n_groups * n_labels * n_outcomes
+    # NaN is kept as a cell, so the mass check sees it
     if size <= _DENSE_CELLS_PER_ENTRY * key.size:
         joint = np.bincount(key, weights=weight, minlength=size)
-        joint = joint.reshape(n_groups, n_labels, n_outcomes)
-        _check_group_mass(joint.reshape(n_groups, -1).sum(axis=1))
-        return _dense_mi(joint)
-    keep = ~(weight <= 0.0)  # NaN is kept, so the mass check sees it
-    cells, inverse = np.unique(key[keep], return_inverse=True)
-    joint = np.bincount(inverse, weights=weight[keep])
+        cells = np.flatnonzero(~(joint <= 0.0))
+        joint = joint[cells]
+    else:
+        keep = ~(weight <= 0.0)
+        cells, inverse = np.unique(key[keep], return_inverse=True)
+        joint = np.bincount(inverse, weights=weight[keep])
     row = cells // n_outcomes  # (group, label) code
     cell_group = row // n_labels
     col = cell_group * n_outcomes + cells % n_outcomes  # (group, outcome) code
-    _check_group_mass(np.bincount(cell_group, weights=joint, minlength=n_groups))
+    total = np.bincount(cell_group, weights=joint, minlength=n_groups)
+    off = ~(np.abs(total - 1.0) <= INPUT_PMF_TOL)  # NaN is off
+    if off.any():
+        raise InvalidPmf(f"pmf sums to {total[off][0]!r}, not 1")
     p_row = np.bincount(row, weights=joint)[row]
     p_col = np.bincount(col, weights=joint)[col]
     terms = joint * np.log(joint / (p_row * p_col))
     return np.maximum(np.bincount(cell_group, weights=terms, minlength=n_groups), 0.0)
 
 
-def _check_group_mass(total: NDArray) -> None:
-    off = ~(np.abs(total - 1.0) <= INPUT_PMF_TOL)  # NaN is off
-    if off.any():
-        raise InvalidPmf(f"pmf sums to {total[off][0]!r}, not 1")
-
-
-# ``_grouped_mi`` scatters into the dense (group, label, outcome) index when
-# it has at most this many cells per entry. Timed on 108 joints of 140 entries
-# each (BENCH_7.json), the dense merge is 6x faster than the sorted one at 0.26
-# cells per entry and 1.3x at 1, even at 2, and 1.6x or more slower from 4 on.
-# The binary models' joints have at most 1, glm's usually far more than 2
+# ``_grouped_mi`` finds the positive cells by a bincount over the dense
+# (group, label, outcome) index when it has at most this many cells per entry,
+# and by sorting the entries' cells otherwise. The MI formula is the same
+# either way, so the switch changes only speed. The value came from timings
+# of a dense MI formula that is now deleted (BENCH_7.json); timed for finding
+# cells alone (BENCH_12.json), the bincount was as fast or faster at every
+# ratio tried, 0.26 to 8. The binary models' joints have at most 1 cell per
+# entry, glm's usually far more than 2
 _DENSE_CELLS_PER_ENTRY = 2
-
-
-def _dense_mi(joint: NDArray) -> NDArray:
-    """MI of each ``(labels, outcomes)`` slice of a ``(groups, labels,
-    outcomes)`` joint, clipped at 0. Every sum is a cumulative sum in index
-    order, which adds the positive cells in the order the sparse path of
-    ``_grouped_mi`` adds them, so both return the same floats."""
-    p_row = joint[:, :, :1]
-    for y in range(1, joint.shape[2]):  # few outcomes: slices beat a cumsum
-        p_row = p_row + joint[:, :, y : y + 1]
-    p_col = np.cumsum(joint, axis=1)[:, -1:, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = joint * np.log(joint / (p_row * p_col))
-    terms = np.where(joint > 0.0, terms, 0.0)
-    return np.maximum(np.cumsum(terms.reshape(joint.shape[0], -1), axis=1)[:, -1], 0.0)
 
 
 def _outcome_information(idx: NDArray, w: NDArray, weight: NDArray, label: NDArray) -> NDArray:
@@ -355,6 +343,24 @@ def compressed_moments(
     return float(diff[0]), float(info[0])
 
 
+def _cell_masses_and_gains(
+    instance: BanditInstance, probs: NDArray, partition: "Partition"
+) -> tuple[NDArray, NDArray]:
+    """The cell masses ``(runs, K)`` of each row of a ``(runs, m)`` belief
+    matrix, and I(psi; Y_a) ``(runs, n_actions)`` for every row and every
+    realized action a (0 for actions no parameter plays), the latter from one
+    grouped call over the instance's outcome table."""
+    runs, K = probs.shape[0], partition.K
+    run_cell = (np.arange(runs)[:, None] * K + partition.cell_of).ravel()
+    mass = np.bincount(run_cell, weights=probs.ravel(), minlength=runs * K).reshape(runs, K)
+    slot, idx, _, w = instance.outcomes
+    gain = np.zeros((runs, instance.n_actions))
+    gain[:, slot >= 0] = _outcome_information(
+        idx, w, probs[:, :, None], partition.cell_of[:, None]
+    )
+    return mass, gain
+
+
 def _chain_terms(instance: BanditInstance, partition: "Partition"):
     """The per-period terms of the compressed-regret chain, for many beliefs.
 
@@ -363,33 +369,22 @@ def _chain_terms(instance: BanditInstance, partition: "Partition"):
     cell_mass)``: the one-step TS regret, ``compressed_moments`` of the row's
     ``build_representation``, I(psi; Y_a) summed under the representative's
     and under TS's action probabilities, and the cell masses ``(runs, K)``.
-    Each call takes I(psi; Y_a) for every belief row and every realized
-    action from one grouped call over the instance's outcome table, and the
-    compressed information of all rows from another.
+    The masses, gains and representatives of all rows come from the code
+    that ``build_representation`` runs on one row, and the compressed
+    information of all rows from one more grouped call.
     """
     # compression imports this module, so it is imported on use
     from .compression import _representative_pairs
-
-    slot, idx, _, w = instance.outcomes
-    realized = np.flatnonzero(slot >= 0)
-    cell_of, K = partition.cell_of, partition.K
 
     def terms(probs: NDArray) -> tuple[NDArray, ...]:
         runs = probs.shape[0]
         mean_rewards = probs @ instance.mu
         regret = _ts_regret_rows(instance, probs, mean_rewards)
-        run_cell = (np.arange(runs)[:, None] * K + cell_of).ravel()
-        mass = np.bincount(run_cell, weights=probs.ravel(), minlength=runs * K).reshape(runs, K)
-        # I(psi; Y_a) of every row and action, 0 for actions no parameter plays
-        gain = np.zeros((runs, instance.n_actions))
-        gain[:, realized] = _outcome_information(idx, w, probs[:, :, None], cell_of[:, None])
-        pairs = [
-            _representative_pairs(instance, probs[r], mean_rewards[r], partition, mass[r], gain[r])
-            for r in range(runs)
-        ]
-        atom_param, atom_q = _representative_atoms(*map(np.stack, zip(*pairs)), mass)
+        mass, gain = _cell_masses_and_gains(instance, probs, partition)
+        pairs = _representative_pairs(instance, probs, mean_rewards, partition, mass, gain)
+        atom_param, atom_q = _representative_atoms(*pairs, mass)
         diff, info_comp = _compressed_rows(
-            instance, probs, mean_rewards, cell_of, mass, atom_param, atom_q
+            instance, probs, mean_rewards, partition.cell_of, mass, atom_param, atom_q
         )
         info_psi_ts = (probs * gain[:, instance.astar]).sum(axis=1)
         rep_gain = gain[np.arange(runs)[:, None, None], instance.astar[atom_param]]

@@ -209,6 +209,20 @@ def test_ill_typed_config_value_is_exit_2(tmp_path, capsys, argv, doc):
     assert err["error"] == "ConfigError" and next(iter(doc)).replace("_", "-") in err["message"]
 
 
+def test_unknown_config_key_is_exit_2(tmp_path, capsys):
+    argv = ["regret", "--model", "linear_binary", "--d", "2", "--n", "5", "--m", "5"]
+    cfg, out = tmp_path / "cfg.json", tmp_path / "o.csv"
+    cfg.write_text(json.dumps({"rusn": 3, "T": 4}))
+    assert run([*argv, "--config", str(cfg), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "rusn" in err["message"]
+    assert not out.exists()
+    # a key that names another subcommand's flag is still ignored
+    cfg.write_text(json.dumps({"runs": 3, "T": 4, "which": "glm", "d_list": "2"}))
+    assert run([*argv, "--config", str(cfg), "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 5
+
+
 def test_unknown_bound_is_exit_2(capsys):
     assert run(["bounds", "--which", "nope"]) == 2
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +14,7 @@ from rdts.inference import (
     optimal_action_distribution,
     outcome_likelihoods,
     posterior_update,
+    posterior_update_rows,
     sample_parameter,
 )
 from rdts.model import GLM, LINEAR_BINARY, LOGISTIC, outcome_support
@@ -72,6 +75,19 @@ def test_posterior_update_all_zero_raises(tiny_linear):
     prior = BeliefState.uniform(4)
     with pytest.raises(AllZeroLikelihood):
         posterior_update(prior, tiny_linear, 0, 7.0)
+
+
+def test_underflowing_posterior_is_redone_in_log_space_without_warnings():
+    # every product belief * likelihood underflows to 0, although parameter 1
+    # (row 0) and parameters 0 and 1 (row 1) have both mass and likelihood
+    beliefs = np.array([[1.0 - 1e-200, 1e-200, 0.0], [1e-10, 2e-10, 1.0 - 3e-10]])
+    like = np.array([[0.0, 1e-200, 3e-201], [1e-320, 2e-320, 0.0]])
+    assert not (beliefs * like).any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        post = posterior_update_rows(beliefs, like)
+    assert post[0].tolist() == [0.0, 1.0, 0.0]
+    assert post[1] == pytest.approx([0.2, 0.8, 0.0], rel=1e-12)
 
 
 @given(

@@ -12,6 +12,7 @@ from rdts import policy as policy_mod
 from rdts.bounds import compressed_bound
 from rdts.compression import (
     Partition,
+    _representative_pairs,
     build_partition_glm,
     build_partition_linear,
     build_representation,
@@ -20,8 +21,10 @@ from rdts.compression import (
 from rdts.inference import BeliefState, inverse_cdf, posterior_update, sample_parameter
 from rdts.information import (
     InconsistentRepresentation,
+    _cell_masses_and_gains,
     _chain_terms,
     _ratio_report,
+    compressed_moments,
     entropy,
     ts_expected_regret,
 )
@@ -281,6 +284,39 @@ def test_audit_repeats_terms_of_an_unchanged_belief_exactly(kind, eta, monkeypat
         assert len(evaluations) == (2 if kind == GLM else T), seed
         want = _audit_on_every_period(inst, prior, part, T, seed, runs)
         assert {key: getattr(report, key) for key in want} == want
+
+
+@pytest.mark.parametrize("kind, eta", KINDS, ids=KIND_IDS)
+def test_build_representation_is_the_audit_steps_row(kind, eta):
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        inst = random_instance(rng, kind, d=2, n=10, m=16, eta=eta)
+        part = (build_partition_linear if kind == LINEAR_BINARY else build_partition_glm)(
+            inst, 0.05
+        )
+        # beliefs that leave about half of the cells (at least one) at zero mass
+        beliefs = []
+        for _ in range(4):
+            kept = rng.random(part.K) < 0.5
+            kept[rng.integers(part.K)] = True
+            p = rng.dirichlet(np.ones(16)) * kept[part.cell_of]
+            beliefs.append(BeliefState(p / p.sum()))
+        probs = np.stack([b.probs for b in beliefs])
+        # the audit step's masses, gains and pairs of all rows at once, given
+        # each row's own mean rewards
+        mean_rewards = np.stack([p @ inst.mu for p in probs])
+        mass, gain = _cell_masses_and_gains(inst, probs, part)
+        i1, i2, r = _representative_pairs(inst, probs, mean_rewards, part, mass, gain)
+        assert (mass == 0.0).any()
+        step = _chain_terms(inst, part)
+        for row, belief in enumerate(beliefs):
+            rep = build_representation(inst, belief, part)
+            assert rep.cells == tuple(zip(i1[row].tolist(), i2[row].tolist(), r[row].tolist()))
+            assert rep.cell_mass.tobytes() == mass[row].tobytes()
+            # the audit's terms at this one belief are those of the representation
+            _, diff, info, *_, one_mass = step(belief.probs[None])
+            assert (float(diff[0]), float(info[0])) == compressed_moments(inst, belief, rep)
+            assert one_mass[0].tobytes() == mass[row].tobytes()
 
 
 @pytest.fixture
