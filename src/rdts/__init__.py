@@ -19,7 +19,6 @@ from .compression import (
     Representation,
     TooLarge,
     build_partition_glm,
-    build_partition_linear,
     build_partition_logistic,
     build_representation,
     distortion,

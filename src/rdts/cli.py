@@ -37,7 +37,6 @@ from . import bounds as bounds_mod
 from .compression import (
     best_action_margins,
     build_partition_glm,
-    build_partition_linear,
     build_partition_logistic,
     max_intra_cell_distortion,
     realized_link_slope,
@@ -141,8 +140,6 @@ def _svg_scatter(path: str, points: list[tuple[float, float]], slope: float) -> 
 
 def cmd_ir_sweep(args) -> int:
     kind = args.model
-    if kind not in (LOGISTIC, LINEAR_BINARY):
-        raise ConfigError("ir-sweep supports logistic or linear_binary models")
     d_list = _parse_list(args.d_list, int)
     beta_list = _parse_list(args.beta_list, float) if kind == LOGISTIC else [0.0]
     if args.instances < 0 or args.n < 1 or args.m < 1 or not d_list:
@@ -218,18 +215,7 @@ def cmd_partition(args) -> int:
     model = _make_model(args.model, args.beta, args.eta)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     instance = sample_instance(rng, args.d, args.n, args.m, model)
-    builder = args.builder or (
-        "linear" if args.model == LINEAR_BINARY else "glm"
-    )
-    if builder == "linear":
-        partition = build_partition_linear(instance, args.epsilon)
-        formula = bounds_mod.partition_count_bounds(args.d, args.epsilon, LINEAR_BINARY)
-    elif builder == "glm":
-        partition = build_partition_glm(instance, args.epsilon)
-        formula = bounds_mod.partition_count_bounds(
-            args.d, args.epsilon, GLM, c_phi_value=realized_link_slope(instance)
-        )
-    elif builder == "logistic":
+    if args.builder == "logistic":
         if args.delta is None:
             raise ConfigError("logistic builder needs --delta")
         partition = build_partition_logistic(instance, args.epsilon, args.delta)
@@ -237,7 +223,12 @@ def cmd_partition(args) -> int:
             args.d, args.epsilon, LOGISTIC, beta=args.beta, delta=args.delta
         )
     else:
-        raise ConfigError(f"unknown builder {builder!r}")
+        # the one cover builder; at the linear model's C(phi) = 1/2 the glm
+        # count (2 C(phi) / epsilon + 1)^d is the linear (1 / epsilon + 1)^d
+        partition = build_partition_glm(instance, args.epsilon)
+        formula = bounds_mod.partition_count_bounds(
+            args.d, args.epsilon, GLM, c_phi_value=realized_link_slope(instance)
+        )
     belief = BeliefState.uniform(args.m)
     report = {
         "K": partition.K,
@@ -305,10 +296,7 @@ def cmd_audit(args) -> int:
     model = _make_model(args.model, args.beta, args.eta)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     instance = sample_instance(rng, args.d, args.n, args.m, model)
-    if args.model == LINEAR_BINARY:
-        partition = build_partition_linear(instance, args.epsilon)
-    else:
-        partition = build_partition_glm(instance, args.epsilon)
+    partition = build_partition_glm(instance, args.epsilon)
     prior = BeliefState.uniform(args.m)
     report = audit_regret_chain(instance, prior, partition, args.T, rng, runs=args.runs)
     periods = report.rows
@@ -386,7 +374,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = _command(sub, "partition", cmd_partition,
                  "build a partition and report diagnostics", "json",
                  "d n m epsilon delta beta eta")
-    p.add_argument("--builder", type=str, default=None, choices=["linear", "glm", "logistic"])
+    p.add_argument("--builder", type=str, default=None, choices=["linear", "glm", "logistic"],
+                   help="logistic: the layered builder (needs --delta); linear, glm or "
+                        "unset: the one cover builder, at radius epsilon / (2 C(phi))")
 
     p = _command(sub, "bounds", cmd_bounds, "evaluate a closed-form bound", "csv",
                  "d T beta delta epsilon", models=None)

@@ -1,9 +1,12 @@
 """Distortion-bounded partitions of the parameter set and two-point representatives.
 
 The distortion of theta with respect to theta' is the regret of playing
-theta's best action when theta' is true. Partition builders group parameters
-whose best actions are close (greedy epsilon-net covering of the realized
-best-action set), certify the intra-cell distortion pairwise, and the
+theta's best action when theta' is true. Two partition builders group
+parameters whose best actions are close and certify the intra-cell
+distortion pairwise: ``build_partition_glm``, the one cover builder for
+every model kind, greedily covers the realized best-action set at radius
+epsilon / (2 C(phi)) (the linear model is the case C(phi) = 1/2), and
+``build_partition_logistic`` covers the logistic model layer by layer. The
 representation builder compresses each cell onto a two-point mixture whose
 expected reward and information gain are no better than the cell average.
 
@@ -26,7 +29,7 @@ from numpy.typing import NDArray
 from .bounds import EpsilonTooLarge, c_phi, ladder_start
 from .inference import BeliefState
 from .information import _cell_masses_and_gains, entropy
-from .model import GLM, LINEAR_BINARY, LOGISTIC, BanditInstance
+from .model import LOGISTIC, BanditInstance
 from .tolerances import CERT_TOL, INPUT_PMF_TOL, LADDER_TOL, MARGIN_TOL, PAIR_TOL, TIE_TOL
 
 __all__ = [
@@ -36,7 +39,6 @@ __all__ = [
     "distortion_block",
     "distortion_matrix",
     "best_action_margins",
-    "build_partition_linear",
     "build_partition_glm",
     "build_partition_logistic",
     "two_point_pair",
@@ -285,27 +287,6 @@ def _finish_partition(
     return Partition(cell_of=cell_of, epsilon=epsilon, K=int(cell_of.max()) + 1)
 
 
-def _link_cover_partition(instance: BanditInstance, epsilon: float) -> Partition:
-    """Greedy covering of the realized best-action set at center radius
-    epsilon / (2 C(phi)); C(phi) = 1/2 makes the linear radius epsilon exactly."""
-    radius = epsilon / (2.0 * realized_link_slope(instance))
-    cell_of, _ = _cover_best_actions(instance, instance.astar, radius)
-    return _finish_partition(instance, cell_of, epsilon)
-
-
-def build_partition_linear(instance: BanditInstance, epsilon: float) -> Partition:
-    """Greedy covering of the realized best-action set at center radius epsilon.
-
-    Cell diameter <= 2 * epsilon in action space implies intra-cell distortion
-    <= epsilon for the linear model (Cauchy-Schwarz with ||theta|| <= 1).
-    """
-    if not epsilon > 0.0:  # NaN fails
-        raise InvalidEpsilon("epsilon must be positive")
-    if instance.model.kind != LINEAR_BINARY:
-        raise InvalidEpsilon("linear partition builder requires a linear_binary model")
-    return _link_cover_partition(instance, epsilon)
-
-
 def realized_link_slope(instance: BanditInstance) -> float:
     """C(phi): supremum of the link derivative over the realized inner products."""
     inner = instance.inner
@@ -313,16 +294,19 @@ def realized_link_slope(instance: BanditInstance) -> float:
 
 
 def build_partition_glm(instance: BanditInstance, epsilon: float) -> Partition:
-    """Greedy covering at center radius epsilon / (2 C(phi)).
+    """Greedy covering of the realized best-action set at center radius
+    epsilon / (2 C(phi)), for every model kind.
 
     Cell diameter <= epsilon / C(phi) in action space bounds the intra-cell
-    distortion by epsilon through the link's Lipschitz constant.
+    distortion by epsilon through the link's Lipschitz constant (Cauchy-Schwarz
+    with ||theta|| <= 1). The linear mean a.theta / 2 has C(phi) = 1/2, which
+    makes its radius epsilon exactly.
     """
     if not epsilon > 0.0:  # NaN fails
         raise InvalidEpsilon("epsilon must be positive")
-    if instance.model.kind not in (GLM, LOGISTIC):
-        raise InvalidEpsilon("glm partition builder requires a glm or logistic model")
-    return _link_cover_partition(instance, epsilon)
+    radius = epsilon / (2.0 * realized_link_slope(instance))
+    cell_of, _ = _cover_best_actions(instance, instance.astar, radius)
+    return _finish_partition(instance, cell_of, epsilon)
 
 
 def best_action_margins(instance: BanditInstance) -> NDArray:
@@ -401,8 +385,6 @@ def build_partition_logistic(
             next_cell += count
     if np.any(cell_of < 0):
         raise MarginViolated("some parameter fell outside every layer band")
-    # greedy groups that absorbed no member leave gaps in the numbering
-    _, cell_of = np.unique(cell_of, return_inverse=True)
     return _finish_partition(instance, cell_of, epsilon)
 
 

@@ -77,7 +77,8 @@ def mutual_information(joint: NDArray) -> float:
     """Mutual information of a joint pmf given as a 2-D array, in nats."""
     j = _checked_input_pmf(joint, 2)
     rows, cols = np.indices(j.shape)
-    return float(_grouped_mi(0, rows, cols, j, 1)[0])
+    # the check lets entries down to -INPUT_PMF_TOL through; they count as 0
+    return float(_grouped_mi(0, rows, cols, np.maximum(j, 0.0), 1)[0])
 
 
 def _grouped_mi(group, label, outcome, weight, n_groups: int) -> NDArray:
@@ -99,10 +100,6 @@ def _grouped_mi(group, label, outcome, weight, n_groups: int) -> NDArray:
     n_outcomes = int(np.max(outcome)) + 1
     key = (np.asarray(group) * n_labels + label) * n_outcomes + outcome
     key, weight = (np.ravel(a) for a in np.broadcast_arrays(key, weight))
-    if weight.size and weight.min() < 0.0:
-        if weight.min() < -INPUT_PMF_TOL:
-            raise InvalidPmf("need a non-negative joint pmf")
-        weight = np.maximum(weight, 0.0)
     size = n_groups * n_labels * n_outcomes
     # NaN is kept as a cell, so the mass check sees it
     if size <= _DENSE_CELLS_PER_ENTRY * key.size:
@@ -129,11 +126,12 @@ def _grouped_mi(group, label, outcome, weight, n_groups: int) -> NDArray:
 # ``_grouped_mi`` finds the positive cells by a bincount over the dense
 # (group, label, outcome) index when it has at most this many cells per entry,
 # and by sorting the entries' cells otherwise. The MI formula is the same
-# either way, so the switch changes only speed. The value came from timings
-# of a dense MI formula that is now deleted (BENCH_7.json); timed for finding
-# cells alone (BENCH_12.json), the bincount was as fast or faster at every
-# ratio tried, 0.26 to 8. The binary models' joints have at most 1 cell per
-# entry, glm's usually far more than 2
+# either way, so the switch changes only speed. Timed for finding cells alone
+# (BENCH_12.json), the bincount was as fast as or faster than sorting at every
+# ratio tried, 0.26 to 8 cells per entry; nothing above 8 was timed, so the
+# crossover is unknown. The binary models' joints have at most 1 cell per
+# entry and the audit-glm workload's glm joints 18 to 70, so on these any
+# value from 1 to 8 picks the same way as this one
 _DENSE_CELLS_PER_ENTRY = 2
 
 

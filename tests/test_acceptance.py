@@ -17,7 +17,6 @@ from rdts.bounds import (
 from rdts.compression import (
     best_action_margins,
     build_partition_glm,
-    build_partition_linear,
     build_partition_logistic,
     build_representation,
     logistic_ladder,
@@ -106,7 +105,7 @@ def test_criterion_02_linear_ratio_ceiling(capsys):
         if ts_info_ratio(inst, belief).ratio > d / 2.0 + RATIO_CEILING_TOL:
             violations += 1
             continue
-        part = build_partition_linear(inst, eps)
+        part = build_partition_glm(inst, eps)
         rep = build_representation(inst, belief, part)
         if compressed_info_ratio(inst, belief, rep).ratio > d / 2.0 + RATIO_CEILING_TOL:
             violations += 1
@@ -188,7 +187,7 @@ def test_criterion_05_regret_chain_audit(capsys):
         m = int(rng.integers(3, 9))
         inst = sample_instance(rng, d, n, m, make_model(LINEAR_BINARY))
         eps = float(rng.choice([0.15, 0.3]))
-        part = build_partition_linear(inst, eps)
+        part = build_partition_glm(inst, eps)
         audit = audit_regret_chain(inst, BeliefState.uniform(m), part, 10, rng)
         if not audit.passed:
             failures += 1
@@ -241,7 +240,7 @@ def test_criterion_08_partition_certificates(capsys):
         inst = sample_instance(rng, d, int(rng.integers(4, 16)),
                                int(rng.integers(3, 13)), make_model(LINEAR_BINARY))
         eps = float(rng.choice([0.05, 0.15, 0.4]))
-        part = build_partition_linear(inst, eps)
+        part = build_partition_glm(inst, eps)
         if max_intra_cell_distortion(inst, part.cell_of, part.K) > eps + CERT_TOL:
             failures += 1
         if part.K > (1.0 + 2.0 / eps) ** d:
@@ -281,7 +280,7 @@ def test_criterion_08_partition_certificates(capsys):
         belief = random_belief(rng, inst.n_params)
         eps = float(rng.choice([0.1, 0.3]))
         _, oracle_info, _ = rate_distortion_bruteforce(inst, belief, eps)
-        greedy = build_partition_linear(inst, eps)
+        greedy = build_partition_glm(inst, eps)
         if statistic_mutual_information(belief, greedy) < oracle_info - 1e-12:
             failures += 1
 
@@ -315,10 +314,7 @@ def test_criterion_09_oracle_equivalence(capsys):
         )
         worst = max(worst, err)
 
-        if kind == LINEAR_BINARY:
-            part = build_partition_linear(inst, 0.15)
-        else:
-            part = build_partition_glm(inst, 0.15)
+        part = build_partition_glm(inst, 0.15)
         r = build_representation(inst, belief, part)
         rep_c = compressed_info_ratio(inst, belief, r)
         o_diff, o_info = oracle_compressed_moments(inst, belief, r)

@@ -126,6 +126,55 @@ def test_partition_logistic_at_saturating_beta(tmp_path):
     assert doc["max_intra_cell_distortion"] <= doc["epsilon"] + CERT_TOL
 
 
+def test_linear_and_glm_builders_run_one_cover(tmp_path):
+    # at the linear model's C(phi) = 1/2 the glm radius and count formula are
+    # the linear ones bit for bit, so every cover builder name prints the same
+    argv = ["partition", "--model", "linear_binary", "--d", "3", "--n", "20",
+            "--m", "30", "--epsilon", "0.2", "--seed", "8"]
+    outs = [tmp_path / f"p{i}.json" for i in range(3)]
+    for builder, out in zip((["--builder", "linear"], ["--builder", "glm"], []), outs):
+        assert run([*argv, *builder, "--out", str(out)]) == 0
+    assert len({out.read_bytes() for out in outs}) == 1
+
+
+def test_partition_config_may_leave_delta_unset(tmp_path):
+    argv = ["partition", "--model", "linear_binary", "--d", "2", "--n", "10", "--m", "10",
+            "--seed", "4"]
+    cfg, plain, configured = tmp_path / "cfg.json", tmp_path / "a.json", tmp_path / "b.json"
+    cfg.write_text(json.dumps({"delta": None}))
+    assert run([*argv, "--out", str(plain)]) == 0
+    assert run([*argv, "--config", str(cfg), "--out", str(configured)]) == 0
+    assert configured.read_bytes() == plain.read_bytes()
+
+
+def test_regret_with_no_periods_writes_the_header_only(tmp_path):
+    out = tmp_path / "r.csv"
+    assert run(["regret", "--model", "linear_binary", "--d", "2", "--n", "5", "--m", "5",
+                "--T", "0", "--runs", "2", "--out", str(out)]) == 0
+    assert out.read_text() == "t,mean_regret,cum_regret,std_err,bound_value\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["ir-sweep", "--instances", "-1", "--d-list", "2", "--n", "5", "--m", "5"],
+    ["bounds", "--which", "partition-count", "--model", "nope"],
+], ids=["ir-sweep-instances", "bounds-model"])
+def test_out_of_range_values_are_exit_2(argv, capsys):
+    assert run(argv) == 2
+    json.loads(capsys.readouterr().err)
+
+
+def test_ir_sweep_refuses_glm_through_its_model_choices(tmp_path, capsys):
+    argv = ["ir-sweep", "--d-list", "2", "--instances", "1", "--n", "5", "--m", "5"]
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--model", "glm"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "glm"}))
+    assert run([*argv, "--config", str(cfg)]) == 2
+    assert "--model" in json.loads(capsys.readouterr().err)["message"]
+
+
 def test_epsilon_too_large_is_config_error(capsys):
     code = run(["bounds", "--which", "partition-count", "--model", "logistic",
                 "--d", "2", "--epsilon", "0.4", "--beta", "2.0", "--delta", "0.5"])

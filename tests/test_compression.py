@@ -3,6 +3,7 @@ import math
 import signal
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_belief, random_instance
+from rdts import compression
 from rdts.bounds import c_phi
 from rdts.compression import (
     CERT_TOL,
@@ -20,11 +22,12 @@ from rdts.compression import (
     Partition,
     TooLarge,
     _COVER_BLOCK_BYTES,
+    _cover_best_actions,
+    _finish_partition,
     _greedy_cover,
     _refine_certified,
     best_action_margins,
     build_partition_glm,
-    build_partition_linear,
     build_partition_logistic,
     build_representation,
     distortion,
@@ -281,7 +284,7 @@ def test_partition_validation_and_json():
 def test_linear_builder_certificate(seed, epsilon):
     rng = np.random.default_rng(seed)
     inst = random_instance(rng, LINEAR_BINARY, d=3, n=12, m=10)
-    part = build_partition_linear(inst, epsilon)
+    part = build_partition_glm(inst, epsilon)
     assert part.K >= 1
     assert max_intra_cell_distortion(inst, part.cell_of, part.K) <= epsilon + CERT_TOL
 
@@ -295,13 +298,49 @@ def test_glm_builder_certificate(seed, epsilon):
     assert max_intra_cell_distortion(inst, part.cell_of, part.K) <= epsilon + CERT_TOL
 
 
-def test_builder_input_validation(tiny_linear, tiny_logistic):
+def oracle_linear_partition(instance, epsilon):
+    """The separate linear builder that ``build_partition_glm`` replaced,
+    verbatim with the helper it called: greedy covering of the realized
+    best-action set at center radius epsilon."""
+    if not epsilon > 0.0:  # NaN fails
+        raise InvalidEpsilon("epsilon must be positive")
+    if instance.model.kind != LINEAR_BINARY:
+        raise InvalidEpsilon("linear partition builder requires a linear_binary model")
+    radius = epsilon / (2.0 * realized_link_slope(instance))
+    cell_of, _ = _cover_best_actions(instance, instance.astar, radius)
+    return _finish_partition(instance, cell_of, epsilon)
+
+
+def _no_resplit(instance, idx):
+    raise AssertionError("the certificate re-split a cover cell")
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from([LINEAR_BINARY, GLM, LOGISTIC]),
+    st.integers(min_value=1, max_value=4),
+    st.floats(min_value=1e-3, max_value=1.0),
+    st.sampled_from([0.5, 2.0, 10.0, 100.0]),
+)
+@settings(max_examples=200, deadline=None)
+def test_cover_cells_pass_the_certificate_without_a_resplit(seed, kind, d, epsilon, beta):
+    # cells of action-space diameter epsilon / C(phi) have distortion <= epsilon,
+    # so the safety net's re-split (the only reader of distortion_block) never runs
+    rng = np.random.default_rng(seed)
+    # a glm's reward range must fit in [0, 1], which a steep link breaks
+    beta = beta if kind == LOGISTIC else min(beta, 2.0)
+    inst = random_instance(rng, kind, d=d, n=int(rng.integers(1, 16)),
+                           m=int(rng.integers(1, 31)), beta=beta, eta=0.02)
+    with mock.patch.object(compression, "distortion_block", _no_resplit):
+        part = build_partition_glm(inst, epsilon)
+        if kind == LINEAR_BINARY:
+            assert np.array_equal(part.cell_of, oracle_linear_partition(inst, epsilon).cell_of)
+    assert max_intra_cell_distortion(inst, part.cell_of, part.K) <= epsilon + CERT_TOL
+
+
+def test_builder_input_validation(tiny_linear):
     with pytest.raises(InvalidEpsilon):
-        build_partition_linear(tiny_linear, 0.0)
-    with pytest.raises(InvalidEpsilon):
-        build_partition_linear(tiny_logistic, 0.1)
-    with pytest.raises(InvalidEpsilon):
-        build_partition_glm(tiny_linear, 0.1)
+        build_partition_glm(tiny_linear, 0.0)
     with pytest.raises(InvalidEpsilon):
         build_partition_logistic(tiny_linear, 0.1, 0.5)
 
@@ -316,7 +355,7 @@ def test_builders_reject_nan_epsilon_and_delta(tiny_linear, tiny_logistic):
     signal.alarm(10)
     try:
         with pytest.raises(InvalidEpsilon):
-            build_partition_linear(tiny_linear, math.nan)
+            build_partition_glm(tiny_linear, math.nan)
         with pytest.raises(InvalidEpsilon):
             build_partition_glm(tiny_logistic, math.nan)
         with pytest.raises(InvalidEpsilon):
@@ -480,7 +519,7 @@ def test_representation_underperforms_cell_averages(seed):
     rng = np.random.default_rng(seed)
     inst = random_instance(rng, LINEAR_BINARY, d=2, n=6, m=8)
     belief = random_belief(rng, 8)
-    part = build_partition_linear(inst, 0.15)
+    part = build_partition_glm(inst, 0.15)
     rep = build_representation(inst, belief, part)
     p = belief.probs
     mean_rewards = p @ inst.mu
@@ -507,7 +546,7 @@ def test_representation_underperforms_cell_averages(seed):
 
 
 def test_representation_json_round_trip(tiny_linear):
-    part = build_partition_linear(tiny_linear, 0.2)
+    part = build_partition_glm(tiny_linear, 0.2)
     rep = build_representation(tiny_linear, BeliefState.uniform(4), part)
     from rdts.compression import Representation
 
@@ -517,7 +556,7 @@ def test_representation_json_round_trip(tiny_linear):
 
 
 def test_statistic_mutual_information_is_pushforward_entropy(tiny_linear):
-    part = build_partition_linear(tiny_linear, 0.2)
+    part = build_partition_glm(tiny_linear, 0.2)
     belief = BeliefState(np.array([0.4, 0.3, 0.2, 0.1]))
     mass = np.bincount(part.cell_of, weights=belief.probs, minlength=part.K)
     assert statistic_mutual_information(belief, part) == pytest.approx(
@@ -545,7 +584,7 @@ def test_bruteforce_is_optimal_and_valid(seed, epsilon):
     assert part.K == K
     assert max_intra_cell_distortion(inst, part.cell_of, K) <= epsilon + CERT_TOL
     # the greedy construction can never beat the exhaustive minimum
-    greedy = build_partition_linear(inst, epsilon)
+    greedy = build_partition_glm(inst, epsilon)
     assert statistic_mutual_information(belief, greedy) >= info - 1e-12
     assert info >= -1e-15
 

@@ -11,7 +11,7 @@ from rdts import information
 from rdts.compression import (
     Partition,
     Representation,
-    build_partition_linear,
+    build_partition_glm,
     build_representation,
 )
 from rdts.inference import BeliefState
@@ -177,9 +177,18 @@ def test_nan_joint_is_rejected():
             information._grouped_mi(0, label, np.array([0, 1]), np.array([np.nan, 1.0]), 1)
 
 
+def test_tiny_negative_joint_entries_count_as_zero():
+    # the pmf check lets entries down to -INPUT_PMF_TOL through, and
+    # mutual_information clips them before the kernel sees them
+    tiny = np.array([[0.4, -1e-12], [0.1, 0.5 + 1e-12]])
+    assert mutual_information(tiny) == mutual_information(np.maximum(tiny, 0.0))
+    with pytest.raises(InvalidPmf):
+        mutual_information(np.array([[0.4, -2e-9], [0.1, 0.5 + 2e-9]]))
+
+
 def test_nan_cell_mass_is_inconsistent(tiny_linear):
     belief = BeliefState(np.array([0.4, 0.3, 0.2, 0.1]))
-    rep = build_representation(tiny_linear, belief, build_partition_linear(tiny_linear, 0.3))
+    rep = build_representation(tiny_linear, belief, build_partition_glm(tiny_linear, 0.3))
     stale = Representation(rep.partition, rep.cells, np.full(rep.partition.K, np.nan))
     with pytest.raises(InconsistentRepresentation):
         compressed_moments(tiny_linear, belief, stale)
@@ -187,7 +196,7 @@ def test_nan_cell_mass_is_inconsistent(tiny_linear):
 
 def test_compressed_moments_rejects_stale_representation(rng):
     inst = random_instance(rng, LINEAR_BINARY, d=2, n=6, m=6)
-    part = build_partition_linear(inst, 0.15)
+    part = build_partition_glm(inst, 0.15)
     rep = build_representation(inst, random_belief(rng, 6), part)
     with pytest.raises(InconsistentRepresentation):
         compressed_moments(inst, random_belief(rng, 6), rep)
@@ -303,7 +312,7 @@ def test_degenerate_information_raises():
 # ---------------------------------------------------------------------------
 
 def test_info_gain_about_statistic_vs_direct_joint(tiny_linear):
-    part = build_partition_linear(tiny_linear, 0.3)
+    part = build_partition_glm(tiny_linear, 0.3)
     belief = BeliefState(np.array([0.4, 0.3, 0.2, 0.1]))
     for a in range(tiny_linear.n_actions):
         values, probs = outcome_support(tiny_linear, a)
@@ -344,7 +353,7 @@ def test_compressed_moments_match_oracle(seed, epsilon):
     rng = np.random.default_rng(seed)
     inst = random_instance(rng, LINEAR_BINARY, d=2, n=4, m=4)
     belief = random_belief(rng, 4)
-    part = build_partition_linear(inst, epsilon)
+    part = build_partition_glm(inst, epsilon)
     rep = build_representation(inst, belief, part)
     diff, info = compressed_moments(inst, belief, rep)
     o_diff, o_info = oracle_compressed_moments(inst, belief, rep)
@@ -362,7 +371,7 @@ def test_compressed_regret_within_epsilon_of_ts(seed):
     inst = random_instance(rng, LINEAR_BINARY, d=2, n=5, m=6)
     belief = random_belief(rng, 6)
     eps = 0.1
-    part = build_partition_linear(inst, eps)
+    part = build_partition_glm(inst, eps)
     rep = build_representation(inst, belief, part)
     diff, _ = compressed_moments(inst, belief, rep)
     assert ts_expected_regret(inst, belief) - diff <= eps + 1e-9

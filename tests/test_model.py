@@ -11,7 +11,6 @@ from rdts import model as model_mod
 from rdts.compression import (
     best_action_margins,
     build_partition_glm,
-    build_partition_linear,
     build_partition_logistic,
     build_representation,
     max_intra_cell_distortion,
@@ -288,9 +287,7 @@ def test_partition_path_builds_no_outcome_table():
     rng = np.random.default_rng(3)
     for kind in (LINEAR_BINARY, GLM, LOGISTIC):
         inst = random_instance(rng, kind, d=2, n=12, m=10)
-        if kind == LINEAR_BINARY:
-            part = build_partition_linear(inst, 0.2)
-        elif kind == GLM:
+        if kind != LOGISTIC:
             part = build_partition_glm(inst, 0.2)
         else:
             delta = float(np.min(np.abs(best_action_margins(inst))))

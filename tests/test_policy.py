@@ -14,7 +14,6 @@ from rdts.compression import (
     Partition,
     _representative_pairs,
     build_partition_glm,
-    build_partition_linear,
     build_representation,
     statistic_mutual_information,
 )
@@ -181,9 +180,7 @@ def test_audit_run_rows_do_not_depend_on_run_count(kind, eta):
     for seed in range(30):
         rng = np.random.default_rng(seed)
         inst = random_instance(rng, kind, d=2, n=6, m=8, eta=eta)
-        part = (build_partition_linear if kind == LINEAR_BINARY else build_partition_glm)(
-            inst, 0.2
-        )
+        part = build_partition_glm(inst, 0.2)
         alone, batched = (
             audit_regret_chain(inst, BeliefState.uniform(8), part, 8,
                                np.random.default_rng(seed), runs=runs).rows
@@ -200,7 +197,7 @@ def test_audit_run_rows_do_not_depend_on_run_count(kind, eta):
 
 
 def test_rollout_and_audit_reject_bad_T_and_runs(two_param_line):
-    part = build_partition_linear(two_param_line, 0.2)
+    part = build_partition_glm(two_param_line, 0.2)
     for T, runs in ((-1, 1), (1, 0), (-3, -2)):
         with pytest.raises(ValueError, match="need T >= 0 and runs >= 1"):
             _ts_rollout(two_param_line, BeliefState.uniform(2), T, runs,
@@ -273,9 +270,7 @@ def test_audit_repeats_terms_of_an_unchanged_belief_exactly(kind, eta, monkeypat
     for seed in range(3):
         rng = np.random.default_rng(seed)
         inst = random_instance(rng, kind, d=2, n=6, m=8, eta=eta)
-        part = (build_partition_linear if kind == LINEAR_BINARY else build_partition_glm)(
-            inst, 0.05
-        )
+        part = build_partition_glm(inst, 0.05)
         prior = BeliefState.uniform(8)
         evaluations.clear()
         report = audit_regret_chain(inst, prior, part, T, np.random.default_rng(seed), runs=runs)
@@ -291,9 +286,7 @@ def test_build_representation_is_the_audit_steps_row(kind, eta):
     for seed in range(4):
         rng = np.random.default_rng(seed)
         inst = random_instance(rng, kind, d=2, n=10, m=16, eta=eta)
-        part = (build_partition_linear if kind == LINEAR_BINARY else build_partition_glm)(
-            inst, 0.05
-        )
+        part = build_partition_glm(inst, 0.05)
         # beliefs that leave about half of the cells (at least one) at zero mass
         beliefs = []
         for _ in range(4):
@@ -404,7 +397,7 @@ def test_audit_chain_passes_on_small_instances():
     for seed in range(5):
         rng = np.random.default_rng(seed)
         inst = random_instance(rng, LINEAR_BINARY, d=2, n=8, m=6)
-        part = build_partition_linear(inst, 0.2)
+        part = build_partition_glm(inst, 0.2)
         report = audit_regret_chain(
             inst, BeliefState.uniform(6), part, 8, rng, runs=2
         )
@@ -519,6 +512,6 @@ def test_audit_guard_rejects_large_instances():
     rng = np.random.default_rng(0)
     n = 1024
     inst = random_instance(rng, LINEAR_BINARY, d=3, n=n, m=n)
-    part = build_partition_linear(inst, 0.5)
+    part = build_partition_glm(inst, 0.5)
     with pytest.raises(GuardExceeded):
         audit_regret_chain(inst, BeliefState.uniform(n), part, 1, rng)

@@ -1,0 +1,116 @@
+"""Every top-level name that ``src/rdts`` defines is named somewhere else.
+
+A function, class or constant defined at the top of a module in
+``src/rdts`` must be referred to outside its own definition: by code or a
+string in ``src/``, ``tests/`` or ``scripts/`` (an import, a read, an
+attribute, a name patched by string), or in ``perfbench/layers.json``,
+which the benchmark reads to trace functions by name. A name listed only in
+its module's ``__all__`` counts as unnamed: a definition that nothing reads
+is dead code.
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "rdts"
+SOURCES = sorted(
+    p for folder in ("src", "tests", "scripts") for p in (ROOT / folder).rglob("*.py")
+)
+LAYERS = ROOT / "perfbench" / "layers.json"
+
+
+def _defined(tree: ast.Module) -> dict[str, ast.stmt]:
+    """The functions, classes and constants the module's top level defines,
+    each with its defining statement (dunder names are left out)."""
+    names = {}
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[stmt.name] = stmt
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            for target in targets:
+                for node in ast.walk(target):
+                    if isinstance(node, ast.Name):
+                        names[node.id] = stmt
+    return {name: stmt for name, stmt in names.items() if not name.startswith("__")}
+
+
+def _named(stmt: ast.stmt) -> set[str]:
+    """The names one statement refers to: names it reads, attributes,
+    imported names, strings that are identifiers (a name patched or looked up
+    by string) and the names in string annotations. An ``__all__`` list
+    refers to nothing."""
+    if isinstance(stmt, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets
+    ):
+        return set()
+    names = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                names.add(node.value)
+        annotation = getattr(node, "annotation", None) or getattr(node, "returns", None)
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+            names |= {n.id for n in ast.walk(ast.parse(annotation.value, mode="eval"))
+                      if isinstance(n, ast.Name)}
+    return names
+
+
+def _unreferenced(defining: Path, sources: dict[Path, ast.Module], layers: str) -> list[str]:
+    tree = sources[defining]
+    defined = _defined(tree)
+    named = set(re.findall(r"\w+", layers))
+    for path, other in sources.items():
+        for stmt in other.body:
+            refs = _named(stmt)
+            if path == defining:
+                # a definition does not name itself
+                refs -= {name for name, own in defined.items() if own is stmt}
+            named |= refs
+    return sorted(set(defined) - named)
+
+
+@pytest.fixture(scope="module")
+def sources() -> dict[Path, ast.Module]:
+    return {path: ast.parse(path.read_text()) for path in SOURCES}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_top_level_name_is_named_elsewhere(path, sources):
+    unused = _unreferenced(path, sources, LAYERS.read_text())
+    assert not unused, f"{path.name} defines names nothing else names: {unused}"
+
+
+def test_the_check_sees_an_unnamed_definition():
+    mod = Path("mod.py")
+    user = Path("user.py")
+    sources = {
+        mod: ast.parse(
+            "__all__ = ['listed']\n"
+            "LIMIT = 3\n"
+            "def listed():\n    return listed\n"
+            "def used():\n    return LIMIT\n"
+            "def patched(): pass\n"
+            "def traced(): pass\n"
+            "class Hint: pass\n"
+        ),
+        user: ast.parse(
+            "from mod import used\n"
+            "x: 'Hint | None' = None\n"
+            "monkeypatch.setattr(mod, 'patched', None)\n"
+            "print('listed is not a name here')\n"
+        ),
+    }
+    assert _unreferenced(mod, sources, '{"functions": ["traced"]}') == ["listed"]
