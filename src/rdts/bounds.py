@@ -126,8 +126,10 @@ def partition_count_bounds(
     if kind == LINEAR_BINARY:
         return (1.0 / epsilon + 1.0) ** d
     if kind == GLM:
-        if c_phi_value is None or not c_phi_value > 0:
-            raise ValueError("glm bound needs c_phi > 0")
+        # C(phi) = 0, a link saturated at every realized inner product, makes
+        # every distortion 0: one cell, and the formula gives 1
+        if c_phi_value is None or not c_phi_value >= 0:
+            raise ValueError("glm bound needs c_phi >= 0")
         return (2.0 * c_phi_value / epsilon + 1.0) ** d
     if kind == LOGISTIC:
         if beta is None or delta is None or not (beta > 0 and delta > 0):

@@ -300,11 +300,15 @@ def build_partition_glm(instance: BanditInstance, epsilon: float) -> Partition:
     Cell diameter <= epsilon / C(phi) in action space bounds the intra-cell
     distortion by epsilon through the link's Lipschitz constant (Cauchy-Schwarz
     with ||theta|| <= 1). The linear mean a.theta / 2 has C(phi) = 1/2, which
-    makes its radius epsilon exactly.
+    makes its radius epsilon exactly. A steep link whose derivative underflows
+    to 0 at every realized inner product has saturated there, every float
+    distortion is 0, and the radius is infinite; the certificate still checks
+    the one cell.
     """
     if not epsilon > 0.0:  # NaN fails
         raise InvalidEpsilon("epsilon must be positive")
-    radius = epsilon / (2.0 * realized_link_slope(instance))
+    slope = realized_link_slope(instance)
+    radius = epsilon / (2.0 * slope) if slope > 0.0 else np.inf
     cell_of, _ = _cover_best_actions(instance, instance.astar, radius)
     return _finish_partition(instance, cell_of, epsilon)
 

@@ -59,10 +59,10 @@ def outcome_likelihoods(
 def _match_likelihood(points: NDArray, weights: NDArray, y: NDArray | float) -> NDArray:
     """Mass of the two-point pmfs ``(points, weights)`` (last axis) on the
     points within ``OUTCOME_MATCH_TOL`` of ``y``, which broadcasts against
-    ``points``; a pmf has at most two nonzero terms, so the sum is the same
-    float in any order."""
-    hit = np.abs(points - y) <= OUTCOME_MATCH_TOL
-    return np.where(hit, weights, 0.0).sum(axis=-1)
+    ``points``. The two terms are added directly: the same float as
+    ``sum(axis=-1)``, without a reduction's overhead on each length-2 row."""
+    mass = np.where(np.abs(points - y) <= OUTCOME_MATCH_TOL, weights, 0.0)
+    return mass[..., 0] + mass[..., 1]
 
 
 def _normalised(p: NDArray) -> NDArray:
@@ -71,10 +71,10 @@ def _normalised(p: NDArray) -> NDArray:
     if (p < -BELIEF_TOL).any():
         raise ValueError("belief entries must be non-negative")
     total = p.sum(axis=-1, keepdims=True)
-    off = ~(np.abs(total - 1.0) <= BELIEF_TOL)  # NaN is off
-    if off.any():
-        raise ValueError(f"belief must sum to 1, got {total[off][0]!r}")
-    return np.clip(p, 0.0, None) / total
+    ok = np.abs(total - 1.0) <= BELIEF_TOL  # NaN is not ok
+    if not ok.all():
+        raise ValueError(f"belief must sum to 1, got {total[~ok][0]!r}")
+    return np.maximum(p, 0.0) / total
 
 
 def _bayes_numerator(probs: NDArray, like: NDArray) -> tuple[NDArray, NDArray]:
@@ -86,7 +86,10 @@ def _bayes_numerator(probs: NDArray, like: NDArray) -> tuple[NDArray, NDArray]:
     """
     post = probs * like
     total = post.sum(axis=1)
-    for r in np.flatnonzero(total <= 0.0):
+    empty = total <= 0.0
+    if not empty.any():
+        return post, total
+    for r in np.flatnonzero(empty):
         p, l = probs[r], like[r]
         if np.any((p > 0) & (l > 0)):
             logp = np.log(p, out=np.full_like(p, -np.inf), where=p > 0)
@@ -119,7 +122,7 @@ def posterior_update_rows(beliefs: NDArray, like: NDArray) -> NDArray:
     """``posterior_update`` of each row of a ``(runs, m)`` belief matrix, given
     the ``(runs, m)`` likelihoods of each row's observation; same arithmetic."""
     post, total = _bayes_numerator(beliefs, like)
-    if np.any(total <= 0.0):
+    if (total <= 0.0).any():
         raise AllZeroLikelihood("an observed outcome is impossible under every parameter")
     return _normalised(post / total[:, None])
 
@@ -141,10 +144,10 @@ def inverse_cdf(probs: NDArray, u: NDArray | float) -> NDArray:
     row's last index with positive mass, never to a zero-mass index.
     """
     cdf = np.cumsum(probs, axis=-1)
-    idx = np.count_nonzero(cdf <= np.asarray(u)[..., None], axis=-1)
+    idx = (cdf <= np.asarray(u)[..., None]).sum(-1)
     size = probs.shape[-1]
     over = idx == size
-    if np.any(over):
+    if over.any():
         last = size - 1 - np.argmax(probs[..., ::-1] > 0.0, axis=-1)
         idx = np.where(over, last, idx)
     return idx

@@ -127,21 +127,22 @@ def simulate_ts(
 ) -> RegretTrace:
     """Monte Carlo Bayesian regret of Thompson sampling over ``runs`` runs.
 
-    All runs advance together on the trajectories of ``_ts_rollout``.
-    Per-period regret is summed over runs in run order and each run's total
-    over periods in period order, so the trace is bit-identical to a per-run
-    loop of ``thompson_step``, ``sample_outcome`` and ``posterior_update``.
+    All runs advance together on the trajectories of ``_ts_rollout``; the
+    loop only keeps each period's rewards in a ``(T, runs)`` table. After
+    it, one ``cumsum`` along runs sums each period's regret in run order and
+    one along periods sums each run's total in period order, so the trace is
+    bit-identical to a per-run loop of ``thompson_step``, ``sample_outcome``
+    and ``posterior_update``.
     """
     periods = _ts_rollout(instance, prior, T, runs, rng)
-    best = instance.mu[np.arange(instance.n_params), instance.astar]
-    per_period = np.zeros(T)
-    totals = np.zeros(runs)
+    rewards = np.empty((T, runs))
     for t, (_, theta_star, action, y) in enumerate(periods):
-        reward = y if realized_rewards else instance.mu[theta_star, action]
-        regret = best[theta_star] - reward
-        per_period[t] = np.cumsum(regret)[-1]  # runs added in run order
-        totals += regret
-    per_period /= runs
+        rewards[t] = y if realized_rewards else instance.mu[theta_star, action]
+    per_period, totals = np.zeros(0), np.zeros(runs)
+    if T:
+        regret = instance.mu[theta_star, instance.astar[theta_star]] - rewards
+        per_period = np.cumsum(regret, axis=1)[:, -1] / runs  # runs added in run order
+        totals = np.cumsum(regret, axis=0)[-1]  # periods added in period order
     std_error = float(totals.std(ddof=1) / np.sqrt(runs)) if runs > 1 else 0.0
     return RegretTrace(
         per_period_regret=per_period,

@@ -7,7 +7,6 @@ Each test covers one release criterion and prints a single PASS/FAIL line
 import math
 
 import numpy as np
-import pytest
 
 from conftest import make_model, random_belief
 from rdts.bounds import (

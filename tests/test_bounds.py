@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -107,6 +106,10 @@ def test_partition_count_bounds_linear_and_glm():
     )
     with pytest.raises(ValueError):
         partition_count_bounds(2, 0.0, LINEAR_BINARY)
+    # C(phi) = 0 makes every distortion 0: one cell
+    assert partition_count_bounds(2, 0.5, GLM, c_phi_value=0.0) == 1.0
+    with pytest.raises(ValueError):
+        partition_count_bounds(2, 0.5, GLM, c_phi_value=-0.25)
     with pytest.raises(ValueError):
         partition_count_bounds(2, 0.5, GLM)
 

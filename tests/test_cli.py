@@ -126,6 +126,19 @@ def test_partition_logistic_at_saturating_beta(tmp_path):
     assert doc["max_intra_cell_distortion"] <= doc["epsilon"] + CERT_TOL
 
 
+def test_cover_at_zero_link_slope(tmp_path):
+    # beta = 1000 saturates the link at the one inner product: C(phi) is 0
+    # in floats, and the cover's radius is infinite rather than a division by 0
+    argv = ["--model", "logistic", "--beta", "1000", "--d", "1", "--n", "1", "--m", "1",
+            "--seed", "1"]
+    out = tmp_path / "p.json"
+    assert run(["partition", *argv, "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert (doc["K"], doc["max_intra_cell_distortion"], doc["formula_bound"]) == (1, 0.0, 1.0)
+    assert run(["audit", *argv, "--T", "3", "--runs", "2", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["passed"] is True
+
+
 def test_linear_and_glm_builders_run_one_cover(tmp_path):
     # at the linear model's C(phi) = 1/2 the glm radius and count formula are
     # the linear ones bit for bit, so every cover builder name prints the same

@@ -1,4 +1,3 @@
-import json
 import math
 import signal
 import tracemalloc
@@ -16,7 +15,6 @@ from rdts.bounds import c_phi
 from rdts.compression import (
     CERT_TOL,
     EpsilonTooLarge,
-    Infeasible,
     InvalidEpsilon,
     MarginViolated,
     Partition,
@@ -376,6 +374,29 @@ def test_realized_link_slope_peaks_at_zero():
     inst = BanditInstance(actions=actions, params=params, model=model)
     # realized inner products are {-0.5, 0.5}, straddling 0: slope = beta/4
     assert realized_link_slope(inst) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_cover_at_zero_link_slope_is_one_certified_cell(monkeypatch):
+    from rdts.model import BanditInstance
+
+    # at beta = 1000 the sigmoid rounds to 1 at every realized inner
+    # product, so C(phi) is 0 in floats and every distortion is 0
+    model = OutcomeModel(kind=LOGISTIC, beta=1000.0)
+    checked = []
+    refine = compression._refine_certified
+    monkeypatch.setattr(compression, "_refine_certified",
+                        lambda inst, cell_of, eps: checked.append(eps) or refine(inst, cell_of, eps))
+    for actions, params, realized in [
+        ([[1.0], [0.9]], [[0.9], [0.95]], 1),
+        ([[1.0, 0.0], [0.8, 0.6]], [[0.95, 0.0], [0.8, 0.6]], 2),
+    ]:
+        inst = BanditInstance(actions=np.array(actions), params=np.array(params), model=model)
+        assert realized_link_slope(inst) == 0.0
+        assert np.unique(inst.astar).size == realized
+        part = build_partition_glm(inst, 0.1)
+        assert part.K == 1 and part.cell_of.tolist() == [0, 0]
+        assert max_intra_cell_distortion(inst, part.cell_of, part.K) == 0.0
+    assert checked == [0.1, 0.1]
 
 
 @pytest.mark.parametrize("kind", [LOGISTIC, GLM])

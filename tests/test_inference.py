@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import instance_with_shared_points, random_belief, random_instance
@@ -196,3 +196,30 @@ def test_inverse_cdf_never_returns_zero_mass(k, zeros, seed, frac):
     rows = np.stack([belief.probs, belief.probs[::-1]])
     idx = inverse_cdf(rows, np.array([u, u]))
     assert rows[0, idx[0]] > 0.0 and rows[1, idx[1]] > 0.0
+
+
+@st.composite
+def _row_and_uniform(draw):
+    """A non-negative row, possibly ending in zero-mass entries, and a
+    uniform that may sit exactly on one of its cdf values."""
+    head = draw(st.lists(st.one_of(st.just(0.0), st.floats(min_value=1e-300, max_value=1.0)),
+                         min_size=1, max_size=12))
+    row = np.array(head + [0.0] * draw(st.integers(min_value=0, max_value=3)))
+    cdf = np.cumsum(row)
+    u = draw(st.one_of(st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+                       st.sampled_from(cdf.tolist())))
+    return row, u
+
+
+@given(_row_and_uniform())
+@example((np.array([0.25, 0.25, 0.5, 0.0]), 0.5))
+@example((np.array([0.0, 0.5, 0.5, 0.0, 0.0]), 0.0))
+@settings(max_examples=300, deadline=None)
+def test_inverse_cdf_is_the_first_index_whose_cdf_exceeds_u(row_u):
+    row, u = row_u
+    cdf = np.cumsum(row)
+    assume(cdf[-1] > u)
+    expected = np.searchsorted(cdf, u, side="right")
+    assert inverse_cdf(row, u) == expected
+    # row by row, the same index for each row of a matrix
+    assert inverse_cdf(np.stack([row, row]), np.array([u, u])).tolist() == [expected] * 2

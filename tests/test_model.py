@@ -147,6 +147,44 @@ def test_best_action_lowest_index_tie():
     assert inst.astar[0] == 0
 
 
+@given(
+    st.integers(min_value=0),
+    st.integers(min_value=1, max_value=13),
+    st.integers(min_value=1, max_value=100),
+    st.integers(min_value=1, max_value=100),
+)
+@settings(max_examples=40, deadline=None)
+def test_inner_products_of_one_chunk_are_one_product(seed, d, n, m):
+    # every such instance, the golden ones too, is at most one chunk
+    assert m * n * d <= model_mod._PRODUCT_CHUNK
+    inst = sample_instance(np.random.default_rng(seed), d, n, m, make_model(LOGISTIC))
+    inner = inst.params @ inst.actions.T
+    assert np.array_equal(inst.inner, inner)
+    assert np.array_equal(inst.astar, np.argmax(inner, axis=1))
+
+
+@pytest.mark.parametrize("chunk", [1, 1000, None])
+def test_inner_products_of_several_chunks(monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(model_mod, "_PRODUCT_CHUNK", chunk)
+    rng = np.random.default_rng(11)
+    # each action twice, so rows tie at their maximum unless the chunked
+    # product rounds the two copies apart
+    half = sample_in_ball(rng, 100, 3)
+    actions = np.concatenate([half, half])
+    params = sample_in_ball(rng, 500, 3)
+    assert params.size * actions.shape[0] > 2 * model_mod._PRODUCT_CHUNK
+    inst = BanditInstance(actions=actions, params=params, model=make_model(LOGISTIC, beta=5.0))
+    np.testing.assert_allclose(inst.inner, params @ actions.T, rtol=0, atol=1e-15)
+    for i, row in enumerate(inst.inner):
+        assert inst.astar[i] == np.flatnonzero(row == row.max())[0]
+    rows = rng.integers(0, 500, size=300)
+    cols = rng.integers(0, 200, size=300)
+    assert np.array_equal(inst.mean_rewards(rows, cols), inst.mu[rows, cols])
+    assert np.array_equal(inst.mean_rewards(np.arange(500), inst.astar),
+                          inst.mu[np.arange(500), inst.astar])
+
+
 def test_outcome_support_linear(tiny_linear):
     values, probs = outcome_support(tiny_linear, 0)
     assert values.tolist() == [-0.5, 0.5]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from conftest import instance_with_shared_points, make_model, random_belief, random_instance
+from conftest import instance_with_shared_points, random_belief, random_instance
 from rdts import model as model_mod
 from rdts import policy as policy_mod
 from rdts.bounds import compressed_bound
@@ -19,7 +19,6 @@ from rdts.compression import (
 )
 from rdts.inference import BeliefState, inverse_cdf, posterior_update, sample_parameter
 from rdts.information import (
-    InconsistentRepresentation,
     _cell_masses_and_gains,
     _chain_terms,
     _ratio_report,

@@ -1,9 +1,10 @@
-"""No module of ``rdts`` imports a name it never uses.
+"""No module of ``rdts`` or of its tests imports a name it never uses.
 
 A stand-in for a linter's unused-import rule (F401): every name a module in
-``src/rdts`` binds by ``import`` must be read somewhere in that module, be
-listed in its ``__all__``, or sit on a line marked ``# noqa: F401``. The
-package's ``__init__`` re-exports names by importing them, so it is exempt.
+``src/rdts`` or ``tests`` binds by ``import`` must be read somewhere in that
+module, be listed in its ``__all__``, or sit on a line marked
+``# noqa: F401``. The package's ``__init__`` re-exports names by importing
+them, so it is exempt.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "rdts"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted(p for p in (ROOT / "src" / "rdts").glob("*.py") if p.name != "__init__.py")
+MODULES += sorted((ROOT / "tests").glob("*.py"))
 
 
 def _imported(tree: ast.Module, lines: list[str]) -> dict[str, int]:
