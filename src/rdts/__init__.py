@@ -21,7 +21,6 @@ from .compression import (
     build_partition_glm,
     build_partition_logistic,
     build_representation,
-    distortion,
     distortion_matrix,
     rate_distortion_bruteforce,
     statistic_mutual_information,
@@ -39,7 +38,6 @@ from .information import (
     InconsistentRepresentation,
     InfoRatioReport,
     InvalidPmf,
-    compressed_info_ratio,
     entropy,
     info_gain_about_statistic,
     mutual_information,

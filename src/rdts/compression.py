@@ -15,12 +15,11 @@ distinct best actions, so certification reads the sum over cells of
 |cell| * |distinct best actions in the cell| mean rewards, in one pass over
 all cells. Only a cell over epsilon reads its |cell|^2 ``distortion_block``,
 to re-split it, and only the brute-force oracle builds the full m x m
-``distortion_matrix``.
+``distortion_matrix``. Partitions and representations live in memory only.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +34,6 @@ from .tolerances import CERT_TOL, INPUT_PMF_TOL, LADDER_TOL, MARGIN_TOL, PAIR_TO
 __all__ = [
     "Partition",
     "Representation",
-    "distortion",
     "distortion_block",
     "distortion_matrix",
     "best_action_margins",
@@ -101,20 +99,6 @@ class Partition:
         """Parameter indices of cell ``k`` in increasing order (read-only)."""
         return self._members[k]
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"cell_of": self.cell_of.tolist(), "epsilon": self.epsilon, "K": self.K}
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Partition":
-        doc = json.loads(text)
-        return cls(
-            cell_of=np.asarray(doc["cell_of"], dtype=np.intp),
-            epsilon=float(doc["epsilon"]),
-            K=int(doc["K"]),
-        )
-
 
 @dataclass(frozen=True)
 class Representation:
@@ -123,35 +107,6 @@ class Representation:
     partition: Partition
     cells: tuple[tuple[int, int, float], ...]
     cell_mass: NDArray
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "partition": json.loads(self.partition.to_json()),
-                "cells": [list(c) for c in self.cells],
-                "cell_mass": self.cell_mass.tolist(),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Representation":
-        doc = json.loads(text)
-        part = Partition(
-            cell_of=np.asarray(doc["partition"]["cell_of"], dtype=np.intp),
-            epsilon=float(doc["partition"]["epsilon"]),
-            K=int(doc["partition"]["K"]),
-        )
-        cells = tuple((int(a), int(b), float(r)) for a, b, r in doc["cells"])
-        return cls(
-            partition=part, cells=cells, cell_mass=np.asarray(doc["cell_mass"])
-        )
-
-
-def distortion(instance: BanditInstance, i: int, j: int) -> float:
-    """Regret of playing theta_i's best action when theta_j is true."""
-    return float(
-        instance.mean_rewards(j, instance.astar[j]) - instance.mean_rewards(j, instance.astar[i])
-    )
 
 
 def distortion_block(instance: BanditInstance, idx: NDArray) -> NDArray:

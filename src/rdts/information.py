@@ -9,7 +9,9 @@ Every mutual information here comes from one private kernel,
 ``_grouped_mi``, which takes the joints of many (belief, action) pairs as
 flat entries built from two-point outcome pmfs (``model.two_point_outcomes``,
 read as rows of ``BanditInstance.outcomes`` for the realized actions) and
-returns one MI per joint, from one formula over the joints' positive cells.
+returns one MI per joint, from one formula over the joints' positive cells
+that takes logs apart where the marginals' product underflows, so it stays
+finite at saturated logistic beta.
 The public functions, and ``compression.build_representation``, are
 one-belief calls of the same code that the batched audit
 (``policy.audit_regret_chain``) runs on all of its runs at once.
@@ -94,7 +96,9 @@ def _grouped_mi(group, label, outcome, weight, n_groups: int) -> NDArray:
     shared outcomes, and by sorting the entries' cells otherwise, as for
     glm's merged supports. Both give the same cells in index order with the
     same masses, and one formula takes every MI from them, adding each sum in
-    cell order. Returns each group's MI, clipped at 0.
+    cell order. A cell whose marginals' product is below the smallest normal
+    float (it has lost bits or reads 0) takes log(joint) - log(p_row) -
+    log(p_col) as its log ratio. Returns each group's MI, clipped at 0.
     """
     n_labels = int(np.max(label)) + 1
     n_outcomes = int(np.max(outcome)) + 1
@@ -119,7 +123,12 @@ def _grouped_mi(group, label, outcome, weight, n_groups: int) -> NDArray:
         raise InvalidPmf(f"pmf sums to {total[off][0]!r}, not 1")
     p_row = np.bincount(row, weights=joint)[row]
     p_col = np.bincount(col, weights=joint)[col]
-    terms = joint * np.log(joint / (p_row * p_col))
+    outer = p_row * p_col
+    tiny = np.finfo(float).tiny
+    terms = joint * np.log(joint / np.maximum(outer, tiny))
+    low = outer < tiny
+    if low.any():
+        terms[low] = joint[low] * (np.log(joint[low]) - np.log(p_row[low]) - np.log(p_col[low]))
     return np.maximum(np.bincount(cell_group, weights=terms, minlength=n_groups), 0.0)
 
 
@@ -391,12 +400,3 @@ def _chain_terms(instance: BanditInstance, partition: "Partition"):
 
     return terms
 
-
-def compressed_info_ratio(
-    instance: BanditInstance,
-    belief: BeliefState,
-    representation: "Representation",
-) -> InfoRatioReport:
-    """One-step information ratio of compressed Thompson sampling at a belief."""
-    diff, info = compressed_moments(instance, belief, representation)
-    return _ratio_report(diff * diff, info)

@@ -15,7 +15,6 @@ information quantities can be computed by finite summation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -61,7 +60,9 @@ class OutcomeModel:
     def link(self, x: NDArray | float) -> NDArray | float:
         """Strictly increasing link: sigmoid with steepness beta."""
         assert self.beta is not None
-        return 1.0 / (1.0 + np.exp(-self.beta * np.asarray(x, dtype=float)))
+        # exp overflows to inf for beta * x below about -709, which gives the limit 0.0
+        with np.errstate(over="ignore"):
+            return 1.0 / (1.0 + np.exp(-self.beta * np.asarray(x, dtype=float)))
 
     def link_inv(self, y: NDArray | float) -> NDArray | float:
         assert self.beta is not None
@@ -72,18 +73,6 @@ class OutcomeModel:
         assert self.beta is not None
         p = self.link(x)
         return self.beta * p * (1.0 - p)
-
-    def to_dict(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.beta is not None:
-            out["beta"] = self.beta
-        if self.eta is not None:
-            out["eta"] = self.eta
-        return out
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "OutcomeModel":
-        return cls(kind=d["kind"], beta=d.get("beta"), eta=d.get("eta"))
 
 
 def _check_ball(vectors: NDArray, name: str) -> None:
@@ -212,24 +201,6 @@ class BanditInstance:
     @property
     def n_params(self) -> int:
         return int(self.params.shape[0])
-
-    def to_json(self) -> str:
-        doc = {
-            "d": self.d,
-            "actions": self.actions.tolist(),
-            "params": self.params.tolist(),
-            "model": self.model.to_dict(),
-        }
-        return json.dumps(doc)
-
-    @classmethod
-    def from_json(cls, text: str) -> "BanditInstance":
-        doc = json.loads(text)
-        return cls(
-            actions=np.asarray(doc["actions"], dtype=float),
-            params=np.asarray(doc["params"], dtype=float),
-            model=OutcomeModel.from_dict(doc["model"]),
-        )
 
 
 # (low, high) outcome values of the binary models

@@ -5,13 +5,16 @@ Each function here computes one belief, one action and one run at a time,
 from the dense ``outcome_support`` rows, exactly as ``rdts.information``,
 ``rdts.compression.build_representation`` and ``rdts.policy`` did before the
 information terms of every (run, action) pair came from one grouped kernel.
-The batched code must agree with these to rounding.
+The batched code must agree with these to rounding. ``compressed_info_ratio``
+is the one helper here that is not an oracle: it forms the compressed ratio
+from the batched ``compressed_moments``, for tests that read that ratio.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from rdts import information
 from rdts.bounds import compressed_bound
 from rdts.compression import Representation, statistic_mutual_information, two_point_pair
 from rdts.information import _checked_cell_mass, _checked_input_pmf, _ratio_report, entropy
@@ -127,6 +130,12 @@ def compressed_moments(instance, belief, representation):
         rows = cond[cells_arr] @ probs
         info += weight * _mi_rows(q_vec, rows)
     return diff, info
+
+
+def compressed_info_ratio(instance, belief, representation):
+    """The compressed-TS information ratio from ``rdts.information.compressed_moments``."""
+    diff, info = information.compressed_moments(instance, belief, representation)
+    return _ratio_report(diff * diff, info)
 
 
 def build_representation(instance, belief, partition):

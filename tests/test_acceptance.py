@@ -9,6 +9,7 @@ import math
 import numpy as np
 
 from conftest import make_model, random_belief
+from reference import compressed_info_ratio
 from rdts.bounds import (
     linear_bound,
     logistic_bound,
@@ -27,7 +28,6 @@ from rdts.compression import (
 )
 from rdts.inference import BeliefState
 from rdts.information import (
-    compressed_info_ratio,
     compressed_moments,
     info_gain_about_statistic,
     mutual_information,

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -208,6 +209,30 @@ def test_audit_json_and_exit_code(tmp_path):
     assert doc["passed"] is True
     assert doc["mean_cumulative_regret"] <= doc["bound_value"] + 1e-8
     assert len(doc["periods"]) == 5
+
+
+# at beta = 1000 the posterior holds masses below 1e-100, so the products of
+# marginals in some I(psi; Y_a) terms fall below the smallest normal float, and
+# the logistic link's exp overflows for every inner product below about -0.71
+SATURATED_AUDIT = ["audit", "--model", "logistic", "--beta", "1000", "--d", "2", "--n", "5",
+                   "--m", "5", "--T", "3", "--runs", "2", "--seed", "1"]
+
+
+def test_audit_at_saturated_beta_keeps_information_finite(tmp_path):
+    out = tmp_path / "a.json"
+    assert run([*SATURATED_AUDIT, "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["passed"] is True
+    # a binary outcome carries at most ln 2 nats
+    for row in doc["periods"]:
+        for key in ("info_compressed", "info_psi_compressed", "info_psi_ts"):
+            assert 0.0 <= row[key] <= math.log(2), (row["run"], row["t"], key)
+
+
+def test_audit_at_saturated_beta_emits_no_runtime_warning(tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([*SATURATED_AUDIT, "--out", str(tmp_path / "a.json")]) == 0
 
 
 @pytest.mark.parametrize("flag, value", [("--runs", "0"), ("--T", "-1")])

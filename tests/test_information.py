@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,6 @@ from rdts.information import (
     InconsistentRepresentation,
     InvalidPmf,
     action_information,
-    compressed_info_ratio,
     compressed_moments,
     entropy,
     info_gain_about_statistic,
@@ -215,6 +215,15 @@ def test_mutual_information_independent_is_zero():
     assert mutual_information(joint) == pytest.approx(0.0, abs=1e-15)
 
 
+def test_mutual_information_stays_finite_when_marginal_product_underflows():
+    # cell (0, 0) has joint 1e-200 and marginals 1e-200 each: their product,
+    # 1e-400, reads 0 in floats, while the cell's term is -1e-200 ln(1e-200)
+    x = 1e-200
+    with mpmath.workdps(50):
+        exact = float(-mpmath.mpf(x) * mpmath.log(x))
+    assert mutual_information(np.array([[x, 0.0], [0.0, 1.0]])) == pytest.approx(exact, rel=1e-15)
+
+
 @given(st.integers(min_value=0))
 @settings(max_examples=80, deadline=None)
 def test_mutual_information_matches_oracle(seed):
@@ -359,7 +368,7 @@ def test_compressed_moments_match_oracle(seed, epsilon):
     o_diff, o_info = oracle_compressed_moments(inst, belief, rep)
     assert diff == pytest.approx(o_diff, abs=1e-12)
     assert info == pytest.approx(o_info, abs=1e-12)
-    report = compressed_info_ratio(inst, belief, rep)
+    report = reference.compressed_info_ratio(inst, belief, rep)
     assert report.numerator == pytest.approx(o_diff * o_diff, abs=1e-12)
 
 

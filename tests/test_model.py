@@ -1,5 +1,5 @@
-import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -71,6 +71,13 @@ def test_link_matches_sigmoid():
         2.0 * math.e / (1.0 + math.e) ** 2, abs=1e-12
     )
     assert model.link_deriv(0.5) == pytest.approx(0.393224, abs=1e-6)
+
+
+def test_link_saturates_to_zero_without_overflow_warning():
+    model = OutcomeModel(kind=LOGISTIC, beta=1000.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert model.link(np.array([-0.8, 0.8])).tolist() == [0.0, 1.0]
 
 
 def test_unit_ball_enforced():
@@ -431,34 +438,11 @@ def test_sample_instance_shapes_and_validation(rng):
         sample_instance(rng, 0, 7, 5, make_model(LINEAR_BINARY))
 
 
-@given(
-    st.sampled_from([LINEAR_BINARY, GLM, LOGISTIC]),
-    st.integers(min_value=0),
-)
-@settings(max_examples=40, deadline=None)
-def test_instance_json_round_trip(kind, seed):
-    rng = np.random.default_rng(seed)
-    inst = random_instance(rng, kind, d=2, n=4, m=3, beta=1.5, eta=0.02)
-    back = BanditInstance.from_json(inst.to_json())
-    np.testing.assert_array_equal(back.actions, inst.actions)
-    np.testing.assert_array_equal(back.params, inst.params)
-    assert back.model == inst.model
-    np.testing.assert_array_equal(back.astar, inst.astar)
-
-
 @pytest.mark.parametrize("field", ["actions", "params"])
 def test_from_json_rejects_nan_coordinates(tiny_linear, field):
     # a NaN norm compares False against 1 + NORM_TOL, so the ball check alone
     # would let it through
-    doc = json.loads(tiny_linear.to_json())
-    doc[field][0][0] = float("nan")
-    text = json.dumps(doc)
-    assert "NaN" in text
+    arrays = {"actions": tiny_linear.actions.copy(), "params": tiny_linear.params.copy()}
+    arrays[field][0, 0] = np.nan
     with pytest.raises(InvalidInstanceError, match="non-finite"):
-        BanditInstance.from_json(text)
-
-
-def test_to_json_is_plain_json(tiny_linear):
-    doc = json.loads(tiny_linear.to_json())
-    assert doc["d"] == 2
-    assert doc["model"]["kind"] == LINEAR_BINARY
+        BanditInstance(**arrays, model=tiny_linear.model)

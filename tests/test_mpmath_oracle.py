@@ -6,16 +6,25 @@ strictly better. These tests recompute the paper's quantities from the same
 float inputs (actions, parameters, belief, partition, representation) with
 60-digit ``mpmath`` arithmetic and the exact best action of each parameter,
 and compare each float result against the tolerance the program applies to
-that quantity.
+that quantity. At beta = 1000 the posterior of a short audit holds masses
+below 1e-100, and the products of marginals of its information terms fall
+below the smallest normal float; that case is checked at 500 digits.
 """
+
+import math
 
 import mpmath
 import numpy as np
 import pytest
 
-from rdts.compression import Partition, build_representation, distortion_block
+from rdts.compression import Partition, build_partition_glm, build_representation, distortion_block
 from rdts.inference import BeliefState
-from rdts.information import compressed_moments, ts_info_ratio
+from rdts.information import (
+    action_information,
+    compressed_moments,
+    info_gain_about_statistic,
+    ts_info_ratio,
+)
 from rdts.model import LOGISTIC, OutcomeModel, sample_instance
 from rdts.tolerances import AUDIT_TOL, CERT_TOL, RATIO_CEILING_TOL
 
@@ -137,3 +146,39 @@ def test_compressed_moments_match_60_digit_oracle(seed, beta):
         # the audit checks both moments with AUDIT_TOL slack
         assert _close(diff, exact_diff, AUDIT_TOL)
         assert _close(info, exact_info, AUDIT_TOL)
+
+
+# two runs' beliefs at one period of
+# ``rdts audit --model logistic --beta 1000 --d 2 --n 5 --m 5 --T 3 --runs 2 --seed 1``
+SATURATED_BELIEFS = [
+    [0.5, 1.1560586569904979e-134, 7.874122538498594e-117, 0.5, 3.669521515002374e-26],
+    [2.2214171494084478e-207, 9.6849210531032963e-129, 0.5, 0.5, 0.0],
+]
+
+
+@pytest.mark.parametrize("probs", SATURATED_BELIEFS)
+def test_information_at_saturated_beta_matches_exact_oracle(probs):
+    rng = np.random.default_rng(np.random.SeedSequence(1))
+    inst = sample_instance(rng, 2, 5, 5, OutcomeModel(kind=LOGISTIC, beta=1000.0))
+    part = build_partition_glm(inst, 0.1)
+    belief = BeliefState(np.array(probs))
+    # 1 - mu at beta = 1000 needs about 1000 / ln(10) ~ 435 digits
+    with mpmath.workdps(500):
+        ex = ExactLogistic(inst)
+        p = [mpmath.mpf(x) for x in probs]
+        cell_of = part.cell_of.tolist()
+        mass = [mpmath.fsum(p[i] for i in range(ex.m) if cell_of[i] == k) for k in range(part.K)]
+        for a in sorted(set(ex.astar)):
+            cell_mean = [mpmath.fsum(p[i] * ex.mu[i][a] for i in range(ex.m) if cell_of[i] == k)
+                         / mass[k] for k in range(part.K)]
+            pairs = [
+                (action_information(inst, belief, a),
+                 ex.mi_rows(p, [ex.mu[i][a] for i in range(ex.m)])),
+                (info_gain_about_statistic(inst, belief, part, a), ex.mi_rows(mass, cell_mean)),
+            ]
+            for value, exact in pairs:
+                # a binary outcome carries at most ln 2 nats
+                assert np.isfinite(value) and 0.0 <= value <= math.log(2), (a, value)
+                # the float outcome pmfs round 1 - mu to 0 past beta * x ~ 37,
+                # so values near 0 agree only to the audit's absolute slack
+                assert _close(value, exact, AUDIT_TOL), (a, value)
