@@ -10,7 +10,9 @@ honours ``--format csv|json``. The default format is each subcommand's
 natural one: CSV for ``ir-sweep``, ``regret`` and ``bounds``; JSON for
 ``partition`` and ``audit``. The JSON form of a table is a list of row
 objects; the CSV form of a document is one row, except ``audit``, whose CSV
-holds its ``periods`` rows.
+holds its ``periods`` rows. JSON output is exactly ``json.dumps(doc,
+indent=2)`` plus a newline: ASCII-escaped, with ``NaN`` and ``Infinity``
+spelled as Python's ``json`` spells them.
 
 Each flag carries its default. ``--config`` names a JSON object whose keys
 that match the subcommand's own flags (by argparse dest) replace those
@@ -60,16 +62,20 @@ class ConfigError(ValueError):
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
+    # floats first, as most cells are: neither bool nor np.bool_ is a float
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
     if isinstance(value, dict):
         return json.dumps(value)
     return str(value)
 
 
 def _json_default(value):
+    # returns only scalars: ``_json_pieces`` hands containers whose values are
+    # all scalars to the C encoder whole, and a container returned here would
+    # be encoded there without indentation
     if isinstance(value, np.bool_):
         return bool(value)
     if isinstance(value, np.floating):
@@ -79,25 +85,94 @@ def _json_default(value):
     raise TypeError(f"not JSON serializable: {type(value).__name__}")
 
 
+def _json_pieces(doc) -> list[str]:
+    """The text of ``json.dumps(doc, indent=2, default=_json_default)``, in
+    pieces, produced by json's C encoder.
+
+    ``json`` encodes in pure Python whenever ``indent`` is set. Here a
+    container whose values are all scalars is one C-encoder call whose item
+    separator is a comma, a newline and the items' indent; only the newlines
+    after its opening and before its closing bracket are added. Other
+    nesting recurses, with json's circular-reference check.
+    """
+    pieces: list[str] = []
+    encoders: dict[int, json.JSONEncoder] = {}
+    open_ids: set[int] = set()
+
+    def encoder(depth: int) -> json.JSONEncoder:
+        if depth not in encoders:
+            encoders[depth] = json.JSONEncoder(
+                separators=(",\n" + "  " * depth, ": "), default=_json_default
+            )
+        return encoders[depth]
+
+    def key_text(key) -> str:
+        # json's rule: a str key as is; a float, int, bool or None key as the
+        # string of its JSON text
+        if not isinstance(key, str):
+            if not (key is None or isinstance(key, (int, float))):
+                raise TypeError(
+                    f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+                )
+            key = encoder(0).encode(key)
+        return encoder(0).encode(key)
+
+    def emit(value, depth: int) -> None:
+        is_dict = isinstance(value, dict)
+        if not (is_dict or isinstance(value, (list, tuple))):
+            pieces.append(encoder(depth).encode(value))
+            return
+        types = set(map(type, value.values() if is_dict else value))
+        brackets = "{}" if is_dict else "[]"
+        pad, inner = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
+        if not value:
+            pieces.append(brackets)
+        elif not any(issubclass(t, (dict, list, tuple)) for t in types):
+            text = encoder(depth + 1).encode(value)
+            pieces.extend((text[0], inner, text[1:-1], pad, text[-1]))
+        else:
+            if id(value) in open_ids:
+                raise ValueError("Circular reference detected")
+            open_ids.add(id(value))
+            pieces.append(brackets[0])
+            for n, item in enumerate(value.items() if is_dict else value):
+                pieces.append(inner if n == 0 else "," + inner)
+                if is_dict:
+                    pieces.extend((key_text(item[0]), ": "))
+                    item = item[1]
+                emit(item, depth + 1)
+            pieces.extend((pad, brackets[1]))
+            open_ids.discard(id(value))
+
+    emit(doc, 0)
+    return pieces
+
+
 def _write(args, header: list[str], rows, doc=None) -> None:
     """Write ``header`` and ``rows`` as CSV (a field holding ``,`` or ``"``
     is quoted) or, under ``--format json``, ``doc`` (by default one object
-    per row) to ``--out`` or stdout."""
+    per row) to ``--out`` or stdout.
+
+    The JSON text is exactly ``json.dumps(doc, indent=2)`` plus a newline:
+    ASCII-escaped, with non-finite floats spelled ``NaN``, ``Infinity`` and
+    ``-Infinity`` as Python's ``json`` spells them. ``_json_pieces`` builds
+    it through json's C encoder, and the pieces are written in order."""
     if args.format == "json":
         if doc is None:
             doc = [dict(zip(header, row)) for row in rows]
-        text = json.dumps(doc, indent=2, default=_json_default) + "\n"
+        pieces = _json_pieces(doc)
+        pieces.append("\n")
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
         writer.writerows([_fmt(v) for v in row] for row in rows)
-        text = buf.getvalue()
+        pieces = [buf.getvalue()]
     if args.out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(args.out, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
 def _parse_list(text: str, conv) -> list:

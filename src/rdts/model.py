@@ -263,12 +263,7 @@ def two_point_outcomes(
     kind = instance.model.kind
     if kind == GLM:
         eta = float(instance.model.eta or 0.0)
-        idx = np.empty(means.shape + (2,), dtype=np.intp)
-        points = np.empty(idx.shape)
-        for s, row in enumerate(means):
-            values = _dedupe_sorted(np.sort(np.concatenate([row - eta, row + eta])))
-            idx[s] = np.stack([_locate(values, row - eta), _locate(values, row + eta)], axis=1)
-            points[s] = values[idx[s]]
+        idx, points = _merged_supports(means, eta)
         # each point carries half the mass; a merged pair is one point of mass 1
         w = np.where((idx[..., 0] == idx[..., 1])[..., None], [1.0, 0.0], 0.5)
     else:
@@ -287,24 +282,60 @@ def _distinct(codes: NDArray, n: int) -> NDArray:
     return np.flatnonzero(np.bincount(codes, minlength=n))
 
 
-def _dedupe_sorted(values: NDArray) -> NDArray:
-    keep = [values[0]]
-    for v in values[1:]:
-        if v - keep[-1] > MERGE_TOL:
-            keep.append(v)
-    return np.asarray(keep)
+def _merged_supports(means: NDArray, eta: float) -> tuple[NDArray, NDArray]:
+    """Merge each row's outcome values ``means -/+ eta`` into one sorted
+    support and place the values on it.
+
+    A row's support keeps its smallest value and then, in increasing order,
+    each value more than ``MERGE_TOL`` above the last value kept. Each value
+    maps to the nearer of the two support points around the place
+    ``np.searchsorted`` finds for it, a tie to the lower one, and must lie
+    within ``SUPPORT_MATCH_TOL`` of it. Returns ``(idx, points)`` of shape
+    ``means.shape + (2,)``: each value's index in its row's support and that
+    support point. Besides these two, the merge holds one row's arrays at a
+    time.
+    """
+    idx = np.empty(means.shape + (2,), dtype=np.intp)
+    points = np.empty(idx.shape)
+    for s, row in enumerate(means):
+        ranked = np.sort(np.concatenate([row - eta, row + eta]))
+        support = ranked[_kept_by_chain(ranked)]
+        values = np.stack([row - eta, row + eta], axis=1)
+        place = np.minimum(np.searchsorted(support, values), support.size - 1)
+        # searchsorted may land one slot right of the merged representative
+        below = np.maximum(place - 1, 0)
+        use_below = np.abs(support[below] - values) <= np.abs(support[place] - values)
+        idx[s] = np.where(use_below, below, place)
+        points[s] = support[idx[s]]
+        if np.any(np.abs(points[s] - values) > SUPPORT_MATCH_TOL):
+            raise InvalidInstanceError("outcome value does not match merged support")
+    return idx, points
 
 
-def _locate(grid: NDArray, values: NDArray) -> NDArray:
-    idx = np.searchsorted(grid, values)
-    idx = np.clip(idx, 0, grid.size - 1)
-    # searchsorted may land one slot right of the merged representative
-    left = np.clip(idx - 1, 0, grid.size - 1)
-    use_left = np.abs(grid[left] - values) <= np.abs(grid[idx] - values)
-    out = np.where(use_left, left, idx)
-    if np.any(np.abs(grid[out] - values) > SUPPORT_MATCH_TOL):
-        raise InvalidInstanceError("outcome value does not match merged support")
-    return out
+def _kept_by_chain(ranked: NDArray) -> NDArray:
+    """Which values of the sorted ``ranked`` the support keeps: the first,
+    then each value more than ``MERGE_TOL`` above the last value kept."""
+    # b - a rounds monotonically in b and in -a, so a value more than
+    # MERGE_TOL above its predecessor is that far above the last value kept
+    keep = np.empty(ranked.size, dtype=bool)
+    keep[:1] = True
+    np.greater(np.diff(ranked), MERGE_TOL, out=keep[1:])
+    # the other values come in runs, each after a kept value. By the same
+    # monotony a run merges whole into that value when it ends at most
+    # MERGE_TOL above it; only the rare other runs (wider, or ending in a NaN
+    # or an infinity) replay the chain
+    merged = np.flatnonzero(~keep)
+    if merged.size:
+        ends = np.diff(merged) != 1
+        first = merged[np.concatenate([[True], ends])]
+        last = merged[np.concatenate([ends, [True]])]
+        wide = ~(ranked[last] - ranked[first - 1] <= MERGE_TOL)
+        for j0, j1 in zip(first[wide], last[wide]):
+            kept = ranked[j0 - 1]
+            for j in range(j0, j1 + 1):
+                if ranked[j] - kept > MERGE_TOL:
+                    keep[j], kept = True, ranked[j]
+    return keep
 
 
 def sample_in_ball(rng: np.random.Generator, count: int, d: int) -> NDArray:

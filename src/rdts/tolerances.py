@@ -17,11 +17,11 @@ NORM_TOL = 1e-12
 OUTCOME_PMF_TOL = 1e-12
 
 # Sorted glm outcome values within this of the last kept support point merge
-# into it (``model._dedupe_sorted``).
+# into it (``model._kept_by_chain``).
 MERGE_TOL = 1e-12
 
-# A glm outcome value must lie this close to its merged support point
-# (``model._locate``), else the support is inconsistent.
+# A glm outcome value must lie this close to the nearest point of its merged
+# support (``model._merged_supports``), else the support is inconsistent.
 SUPPORT_MATCH_TOL = 10 * MERGE_TOL
 
 # --- inference: beliefs and likelihoods -------------------------------------

@@ -5,9 +5,12 @@ Each function here computes one belief, one action and one run at a time,
 from the dense ``outcome_support`` rows, exactly as ``rdts.information``,
 ``rdts.compression.build_representation`` and ``rdts.policy`` did before the
 information terms of every (run, action) pair came from one grouped kernel.
-The batched code must agree with these to rounding. ``compressed_info_ratio``
-is the one helper here that is not an oracle: it forms the compressed ratio
-from the batched ``compressed_moments``, for tests that read that ratio.
+The batched code must agree with these to rounding. ``glm_two_point_outcomes``
+is the per-action glm support merge that ``rdts.model.two_point_outcomes``
+ran before its keep mask came from array operations; that one must agree bit
+for bit. ``compressed_info_ratio`` is the one helper here that is not an
+oracle: it forms the compressed ratio from the batched ``compressed_moments``,
+for tests that read that ratio.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from rdts.bounds import compressed_bound
 from rdts.compression import Representation, statistic_mutual_information, two_point_pair
 from rdts.information import _checked_cell_mass, _checked_input_pmf, _ratio_report, entropy
 from rdts.inference import posterior_update, sample_parameter
-from rdts.model import outcome_support
+from rdts.model import InvalidInstanceError, _checked_pmf, outcome_support
 from rdts.policy import (
     AuditReport,
     GuardExceeded,
@@ -27,7 +30,41 @@ from rdts.policy import (
     sample_outcome,
     thompson_step,
 )
-from rdts.tolerances import AUDIT_TOL
+from rdts.tolerances import AUDIT_TOL, MERGE_TOL, SUPPORT_MATCH_TOL
+
+
+def _dedupe_sorted(values):
+    keep = [values[0]]
+    for v in values[1:]:
+        if v - keep[-1] > MERGE_TOL:
+            keep.append(v)
+    return np.asarray(keep)
+
+
+def _locate(grid, values):
+    idx = np.searchsorted(grid, values)
+    idx = np.clip(idx, 0, grid.size - 1)
+    # searchsorted may land one slot right of the merged representative
+    left = np.clip(idx - 1, 0, grid.size - 1)
+    use_left = np.abs(grid[left] - values) <= np.abs(grid[idx] - values)
+    out = np.where(use_left, left, idx)
+    if np.any(np.abs(grid[out] - values) > SUPPORT_MATCH_TOL):
+        raise InvalidInstanceError("outcome value does not match merged support")
+    return out
+
+
+def glm_two_point_outcomes(means, eta):
+    """``(idx, points, weights)`` of the glm outcomes ``means -/+ eta``, shape
+    ``(A, m, 2)`` for ``(A, m)`` means: one merged, sorted support per row."""
+    idx = np.empty(means.shape + (2,), dtype=np.intp)
+    points = np.empty(idx.shape)
+    for s, row in enumerate(means):
+        values = _dedupe_sorted(np.sort(np.concatenate([row - eta, row + eta])))
+        idx[s] = np.stack([_locate(values, row - eta), _locate(values, row + eta)], axis=1)
+        points[s] = values[idx[s]]
+    # each point carries half the mass; a merged pair is one point of mass 1
+    w = np.where((idx[..., 0] == idx[..., 1])[..., None], [1.0, 0.0], 0.5)
+    return idx, points, _checked_pmf(w)
 
 
 def mutual_information(joint):

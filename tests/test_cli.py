@@ -5,12 +5,18 @@ import os
 import subprocess
 import sys
 import warnings
+from contextlib import redirect_stdout
+from io import StringIO
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rdts
-from rdts.cli import main
+from rdts.cli import _json_default, _json_pieces, _write, main
 from rdts.tolerances import CERT_TOL, RATIO_CEILING_TOL
 
 
@@ -405,3 +411,82 @@ def test_subcommand_never_imports_numpy_ma(command):
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     assert proc.stdout.split() == ["0", "False"], proc.stderr
+
+
+# JSON scalars as rdts documents hold them, numpy's included, and strings
+# that hold the text between two indented items or are not ASCII
+_BOUNDARY = '"},\n      {"'
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.booleans().map(np.bool_),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.text(max_size=6),
+    st.sampled_from([_BOUNDARY, "},\n", "é ☃ \u2028", ""]),
+)
+_JSON_KEYS = st.one_of(st.text(max_size=6), st.integers(), st.floats(), st.booleans(), st.none())
+_FLAT_ROWS = st.lists(
+    st.dictionaries(_JSON_KEYS, _JSON_SCALARS, min_size=1, max_size=4), min_size=1, max_size=4
+)
+_JSON_DOCS = st.recursive(
+    _JSON_SCALARS | _FLAT_ROWS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_JSON_KEYS, children, max_size=4),
+        _FLAT_ROWS,
+    ),
+    max_leaves=20,
+)
+
+
+def _written(doc) -> str:
+    """What ``_write`` prints for the JSON document ``doc`` (not None)."""
+    out = StringIO()
+    with redirect_stdout(out):
+        _write(SimpleNamespace(format="json", out=None), [], [], doc)
+    return out.getvalue()
+
+
+@given(_JSON_DOCS)
+@settings(max_examples=150, deadline=None)
+def test_json_writer_is_json_dumps_with_indent_2(doc):
+    assert "".join(_json_pieces(doc)) == json.dumps(doc, indent=2, default=_json_default)
+
+
+@pytest.mark.parametrize(
+    "value", [np.bool_(True), np.float32(0.5), np.float64("nan"), np.int8(-3), np.uint64(7)]
+)
+def test_json_default_returns_only_scalars(value):
+    # the JSON writer encodes a container whose values are all scalars in one
+    # C-encoder call, so a container from the default would lose its indent
+    assert type(_json_default(value)) in (bool, int, float)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"a": object()}, [{"a": 1}, {"b": object()}], {"p": [{"a": 1}], "q": [object()]},
+     {(1, 2): 1}, {"p": [1], (1, 2): 1}, np.zeros(2)],
+)
+def test_json_writer_rejects_what_json_rejects(doc):
+    with pytest.raises(TypeError):
+        json.dumps(doc, indent=2, default=_json_default)
+    with pytest.raises(TypeError):
+        _written(doc)
+
+
+def test_json_writer_detects_circular_references():
+    loop = [1]
+    loop.append(loop)
+    nested = {"a": [{"b": 1}], "c": {}}
+    nested["c"]["d"] = nested
+    for doc in (loop, {"x": loop}, nested):
+        with pytest.raises(ValueError, match="Circular"):
+            json.dumps(doc, indent=2, default=_json_default)
+        with pytest.raises(ValueError, match="Circular"):
+            _written(doc)
+    shared = {"a": 1.5}
+    assert _written([shared, [shared]]) == json.dumps([shared, [shared]], indent=2) + "\n"

@@ -1,11 +1,13 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference
 from conftest import instance_with_shared_points, make_model, random_instance
 from rdts import model as model_mod
 from rdts.compression import (
@@ -30,6 +32,7 @@ from rdts.model import (
     two_point_outcomes,
 )
 from rdts.policy import audit_regret_chain, simulate_ts
+from rdts.tolerances import MERGE_TOL
 
 
 def test_model_kind_validation():
@@ -272,10 +275,10 @@ def _dense_outcome_support(instance, action_idx):
         return np.array(values), _checked_dense_pmf(probs)
     eta = float(instance.model.eta)
     means = instance.mu[:, action_idx]
-    values = model_mod._dedupe_sorted(np.sort(np.concatenate([means - eta, means + eta])))
+    values = reference._dedupe_sorted(np.sort(np.concatenate([means - eta, means + eta])))
     probs = np.zeros((m, values.size))
-    np.add.at(probs, (np.arange(m), model_mod._locate(values, means - eta)), 0.5)
-    np.add.at(probs, (np.arange(m), model_mod._locate(values, means + eta)), 0.5)
+    np.add.at(probs, (np.arange(m), reference._locate(values, means - eta)), 0.5)
+    np.add.at(probs, (np.arange(m), reference._locate(values, means + eta)), 0.5)
     return values, _checked_dense_pmf(probs)
 
 
@@ -291,6 +294,54 @@ def test_outcome_support_bit_identical_to_dense_build(seed, kind_eta):
         ref_values, ref_probs = _dense_outcome_support(inst, a)
         np.testing.assert_array_equal(values, ref_values)
         np.testing.assert_array_equal(probs, ref_probs)
+
+
+# offsets, in MERGE_TOL, of glm means around a cluster centre: 0.6 merges
+# into 0, 1.05 is kept past 0 and 2 then merges into 1.05 (a chained merge),
+# and 0.9 merges into 0 but lies nearer the kept 1.05 (the nearest-next case)
+_MERGE_OFFSETS = [0.0, 0.3, 0.6, 0.9, 1.05, 2.0]
+# cluster centres; at eta = 0.05 a mean's upper point meets the lower point of
+# a mean 0.1 above it up to rounding. The non-finite ones end a sorted row's
+# run of merged values in a NaN or an infinity
+_CENTRES = [0.2, 0.3, 0.4, 0.5, 0.5 + MERGE_TOL, math.nan, math.inf, -math.inf]
+
+
+@st.composite
+def _glm_means(draw):
+    rows, m = draw(st.integers(0, 4)), draw(st.integers(1, 8))
+    mean = st.builds(
+        lambda c, k, sign: c + sign * k * MERGE_TOL,
+        st.sampled_from(_CENTRES), st.sampled_from(_MERGE_OFFSETS), st.sampled_from([1, -1]),
+    )
+    means = draw(st.lists(mean, min_size=rows * m, max_size=rows * m))
+    return np.array(means, dtype=float).reshape(rows, m)
+
+
+@given(_glm_means(), st.sampled_from([0.0, 0.05]))
+# a chained merge whose run of small gaps ends in a NaN
+@example(np.array([[0.5, 0.5 + 0.6 * MERGE_TOL, 0.5 + 1.05 * MERGE_TOL, math.nan]]), 0.0)
+# a merged value exactly halfway between two support points goes to the lower
+@example(np.array([[0.5, 0.5 + 2.0**-40, 0.5 + 2.0**-39]]), 0.0)
+@settings(max_examples=200, deadline=None)
+def test_glm_outcomes_bit_identical_to_per_action_merge(means, eta):
+    # two_point_outcomes reads only the instance's means and model
+    instance = SimpleNamespace(mu=means.T, model=OutcomeModel(kind=GLM, beta=1.0, eta=eta))
+    outcomes = []
+    for build in (lambda: two_point_outcomes(instance, np.arange(means.shape[0])),
+                  lambda: reference.glm_two_point_outcomes(means, eta)):
+        try:
+            with np.errstate(invalid="ignore"):  # inf - inf
+                outcomes.append(build())
+        except InvalidInstanceError:
+            outcomes.append(None)
+    got, expected = outcomes
+    # a value merges only within MERGE_TOL of a kept point, so for finite
+    # means the SUPPORT_MATCH_TOL check never fires; when it does, both raise
+    assert (got is None) == (expected is None)
+    if got is not None:
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
 
 
 def _count_table_builds(monkeypatch) -> list:

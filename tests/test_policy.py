@@ -412,24 +412,25 @@ def test_audit_chain_passes_on_small_instances():
 
 def test_audit_merges_each_glm_support_once_per_action(monkeypatch):
     merges = []
-    original = model_mod._dedupe_sorted
+    original = model_mod._merged_supports
 
-    def counting(values, *args):
-        merges.append(values.size)
-        return original(values, *args)
+    def counting(means, eta):
+        merges.append(means.shape[0])
+        return original(means, eta)
 
-    monkeypatch.setattr(model_mod, "_dedupe_sorted", counting)
+    monkeypatch.setattr(model_mod, "_merged_supports", counting)
     rng = np.random.default_rng(3)
     inst = random_instance(rng, GLM, d=2, n=6, m=9)
     part = build_partition_glm(inst, 0.02)
     prior = BeliefState.uniform(9)
     report = audit_regret_chain(inst, prior, part, 6, rng, runs=3)
     assert report.passed and len(report.rows) == 18
-    # one merge per action whose outcome table the audit used, and no more
+    # one merge call over the rows of the actions whose outcomes the audit
+    # used, and none on a second audit
     used = np.unique(inst.astar).size
-    assert len(merges) == used
+    assert merges == [used]
     audit_regret_chain(inst, prior, part, 6, rng, runs=2)
-    assert len(merges) == used
+    assert merges == [used]
 
 
 @given(
