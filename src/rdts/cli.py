@@ -23,6 +23,11 @@ accepted and ignored: cells run in order in one thread, so it changes
 neither the output nor the speed.
 
 Exit codes: 0 success / criteria met, 1 criteria violated, 2 config error.
+Exit 2 also covers the two arithmetic failures an input can cause, an
+infeasible two-point representative (``compression.Infeasible``) and a
+positive regret with no information gain
+(``information.DegenerateInformation``): like a config error, each is
+reported as one JSON line ``{"error": ..., "message": ...}`` on stderr.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .compression import (
+    Infeasible,
     best_action_margins,
     build_partition_glm,
     build_partition_logistic,
@@ -45,7 +51,7 @@ from .compression import (
     statistic_mutual_information,
 )
 from .inference import BeliefState
-from .information import ts_info_ratio
+from .information import DegenerateInformation, ts_info_ratio
 from .model import (
     GLM,
     LINEAR_BINARY,
@@ -514,7 +520,7 @@ def main(argv: list[str] | None = None) -> int:
             command.set_defaults(**_config_defaults(command, values))
             args = parser.parse_args(argv)
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, Infeasible, DegenerateInformation) as exc:
         sys.stderr.write(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
         )

@@ -65,20 +65,24 @@ def _match_likelihood(points: NDArray, weights: NDArray, y: NDArray | float) -> 
     return mass[..., 0] + mass[..., 1]
 
 
-def _normalised(p: NDArray) -> NDArray:
+def _normalised(p: NDArray, owned: bool = False) -> NDArray:
     """Probability vectors along the last axis, checked to ``BELIEF_TOL`` and
-    renormalised after clipping rounding negatives to zero."""
-    if (p < -BELIEF_TOL).any():
+    renormalised after clipping rounding negatives to zero. With ``owned``
+    the clip and the division write into ``p``, which the caller must own."""
+    # fmin skips NaN as the elementwise test (p < -BELIEF_TOL).any() does
+    if np.fmin.reduce(p, axis=None) < -BELIEF_TOL:
         raise ValueError("belief entries must be non-negative")
     total = p.sum(axis=-1, keepdims=True)
     ok = np.abs(total - 1.0) <= BELIEF_TOL  # NaN is not ok
     if not ok.all():
         raise ValueError(f"belief must sum to 1, got {total[~ok][0]!r}")
-    return np.maximum(p, 0.0) / total
+    clipped = np.maximum(p, 0.0, out=p if owned else None)
+    return np.divide(clipped, total, out=clipped)
 
 
-def _bayes_numerator(probs: NDArray, like: NDArray) -> tuple[NDArray, NDArray]:
-    """Row-wise unnormalised posterior ``probs * like`` of 2-D arrays, and its sums.
+def _bayes_numerator(probs: NDArray, like: NDArray) -> tuple[NDArray, NDArray, bool]:
+    """Row-wise unnormalised posterior ``probs * like`` of 2-D arrays, its
+    sums, and whether every row has a positive sum.
 
     A row whose direct product underflows to zero although some parameter has
     both mass and likelihood (only for huge m) is redone in log space, scaled
@@ -88,7 +92,7 @@ def _bayes_numerator(probs: NDArray, like: NDArray) -> tuple[NDArray, NDArray]:
     total = post.sum(axis=1)
     empty = total <= 0.0
     if not empty.any():
-        return post, total
+        return post, total, True
     for r in np.flatnonzero(empty):
         p, l = probs[r], like[r]
         if np.any((p > 0) & (l > 0)):
@@ -98,7 +102,7 @@ def _bayes_numerator(probs: NDArray, like: NDArray) -> tuple[NDArray, NDArray]:
             logpost -= logpost.max()
             post[r] = np.exp(logpost)
             total[r] = post[r].sum()
-    return post, total
+    return post, total, not (total <= 0.0).any()
 
 
 def posterior_update(
@@ -110,8 +114,8 @@ def posterior_update(
     :class:`AllZeroLikelihood` if nothing in the support explains the outcome.
     """
     like = outcome_likelihoods(instance, action_idx, outcome)
-    post, total = _bayes_numerator(belief.probs[None], like[None])
-    if total[0] <= 0.0:
+    post, total, explained = _bayes_numerator(belief.probs[None], like[None])
+    if not explained:
         raise AllZeroLikelihood(
             f"outcome {outcome!r} impossible for action {action_idx} under every parameter"
         )
@@ -120,11 +124,12 @@ def posterior_update(
 
 def posterior_update_rows(beliefs: NDArray, like: NDArray) -> NDArray:
     """``posterior_update`` of each row of a ``(runs, m)`` belief matrix, given
-    the ``(runs, m)`` likelihoods of each row's observation; same arithmetic."""
-    post, total = _bayes_numerator(beliefs, like)
-    if (total <= 0.0).any():
+    the ``(runs, m)`` likelihoods of each row's observation; same arithmetic.
+    The division and the normalisation write into the product's own array."""
+    post, total, explained = _bayes_numerator(beliefs, like)
+    if not explained:
         raise AllZeroLikelihood("an observed outcome is impossible under every parameter")
-    return _normalised(post / total[:, None])
+    return _normalised(np.divide(post, total[:, None], out=post), owned=True)
 
 
 def optimal_action_distribution(

@@ -11,12 +11,16 @@ sampling trajectories, from one rollout (``_ts_rollout``) that advances all
 runs together: the beliefs are a ``(runs, m)`` matrix updated row by row with
 the arithmetic of ``posterior_update``, and the outcome pmfs of the actions
 Thompson sampling plays are rows of the instance's outcome table
-(``BanditInstance.outcomes``). Each run still draws from its
-own generator, ``1 + 2T`` uniforms in a fixed order: one for the true
-parameter, then a (sampled parameter, outcome) pair per period, exactly the
-draws of a per-run loop over ``thompson_step`` and ``sample_outcome``, so the
-trajectories are identical to that loop's and a run's trajectory does not
-depend on how many runs there are.
+(``BanditInstance.outcomes``). The rollout tabulates, once, each run's
+outcome CDFs by slot and, where every realized action has at most two
+support values (both binary models), the likelihood of each support value
+(``_likelihood_table``); a glm action has up to 2m support values, so glm
+matches each period's observations against the pmfs instead. Each run still
+draws from its own generator, ``1 + 2T`` uniforms in a fixed order: one for
+the true parameter, then a (sampled parameter, outcome) pair per period,
+exactly the draws of a per-run loop over ``thompson_step`` and
+``sample_outcome``, so the trajectories are identical to that loop's and a
+run's trajectory does not depend on how many runs there are.
 """
 
 from __future__ import annotations
@@ -96,25 +100,73 @@ def _ts_rollout(
     theta_star, action, outcome)``: the ``(runs, m)`` belief matrix before the
     period's update, then each run's true parameter, played action and
     observed outcome.
+
+    Each run's true parameter is fixed, so the CDFs of the outcome pmfs it
+    can meet are tabulated once, by (slot, run). A period's two draws are
+    ``inverse_cdf``'s arithmetic (``cumsum``, ``<=``, ``sum``) on the belief
+    and on that table, each reading all runs' uniforms as one contiguous
+    block; only when some uniform lies at or above its row's total does the
+    draw call ``inverse_cdf`` itself, whose fallback never picks a zero-mass
+    index. An observation's likelihood row is read from
+    ``_likelihood_table`` when every realized action has at most two support
+    values (both binary models); glm keeps one ``_match_likelihood`` call per
+    period on the played actions' pmfs.
     """
     if T < 0 or runs < 1:
         raise ValueError("need T >= 0 and runs >= 1")
-    draws = np.stack([run_rng.random(1 + 2 * T) for run_rng in rng.spawn(runs)])
+    # draw i of every run is the contiguous (runs, 1) block draws[i]
+    draws = np.empty((1 + 2 * T, runs, 1))
+    for r, run_rng in enumerate(rng.spawn(runs)):
+        draws[:, r, 0] = run_rng.random(1 + 2 * T)
     belief = np.tile(prior.probs, (runs, 1))
-    theta_star = inverse_cdf(belief, draws[:, 0])
-    slot, _, points, weights = instance.outcomes
+    theta_star = inverse_cdf(belief, draws[0, :, 0])
+    slot, idx, points, weights = instance.outcomes
+    # (slot, run): the outcome CDF of the run's true parameter
+    cdf_run = np.cumsum(weights[:, theta_star], axis=-1)
+    table = _likelihood_table(instance)
+    m = belief.shape[1]
+    run = np.arange(runs)
 
     def periods(belief: NDArray):
         for t in range(T):
-            action = instance.astar[inverse_cdf(belief, draws[:, 2 * t + 1])]
+            u_param, u_outcome = draws[2 * t + 1], draws[2 * t + 2]
+            j = (np.cumsum(belief, axis=-1) <= u_param).sum(-1)
+            if j.max() == m:
+                j = inverse_cdf(belief, u_param[:, 0])
+            action = instance.astar[j]
             s = slot[action]
-            k = inverse_cdf(weights[s, theta_star], draws[:, 2 * t + 2])
+            k = (cdf_run[s, run] <= u_outcome).sum(-1)
+            if k.max() == 2:
+                k = inverse_cdf(weights[s, theta_star], u_outcome[:, 0])
             y = points[s, theta_star, k]
             yield belief, theta_star, action, y
-            like = _match_likelihood(points[s], weights[s], y[:, None, None])
+            if table is None:
+                like = _match_likelihood(points[s], weights[s], y[:, None, None])
+            else:
+                like = table[s, idx[s, theta_star, k]]
             belief = posterior_update_rows(belief, like)
 
     return periods(belief)
+
+
+def _likelihood_table(instance: BanditInstance) -> NDArray | None:
+    """The ``(A, 2, m)`` likelihoods of every support value of every realized
+    action, when none has more than two; else None.
+
+    Row ``[s, v]`` is ``_match_likelihood`` of slot ``s``'s pmfs at its
+    ``v``-th support value, so it is the likelihood of observing that value
+    bit for bit, and no larger than the weights. A glm action has up to 2m
+    support values, and a table of all of them would take ``A * 2m * m``
+    floats: there the rollout keeps one ``_match_likelihood`` call per
+    period. A missing second value of a slot reads NaN, which matches
+    nothing; no observation indexes it.
+    """
+    if _outcome_cardinality(instance) > 2:
+        return None
+    _, idx, points, weights = instance.outcomes
+    values = np.full((idx.shape[0], 2), np.nan)
+    values[np.arange(idx.shape[0])[:, None, None], idx] = points
+    return _match_likelihood(points[:, None], weights[:, None], values[:, :, None, None])
 
 
 def simulate_ts(

@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 
 import rdts
 from rdts.cli import _json_default, _json_pieces, _write, main
+from rdts.compression import Infeasible
+from rdts.information import DegenerateInformation
 from rdts.tolerances import CERT_TOL, RATIO_CEILING_TOL
 
 
@@ -285,6 +287,25 @@ def test_bad_config_file_is_exit_2(tmp_path, capsys):
     assert run(["bounds", "--config", str(cfg)]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
     assert run(["bounds", "--config", str(tmp_path / "missing.json")]) == 2
+
+
+@pytest.mark.parametrize("error", [Infeasible, DegenerateInformation])
+@pytest.mark.parametrize("argv, target", [
+    (["audit", "--d", "2", "--n", "5", "--m", "5", "--T", "2"], "build_partition_glm"),
+    (["ir-sweep", "--n", "5", "--m", "5", "--d-list", "2", "--instances", "1"], "ts_info_ratio"),
+], ids=["audit", "ir-sweep"])
+def test_arithmetic_error_is_exit_2_with_one_json_line(monkeypatch, capsys, tmp_path,
+                                                       argv, target, error):
+    # an arithmetic failure is reported like a config error, not as a
+    # traceback with exit 1 ("criteria violated")
+    def failing(*args, **kwargs):
+        raise error("no answer for this input")
+
+    monkeypatch.setattr(f"rdts.cli.{target}", failing)
+    assert run([*argv, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": error.__name__, "message": "no answer for this input"}
 
 
 @pytest.mark.parametrize("argv, doc", [

@@ -10,6 +10,7 @@ from rdts.inference import (
     OUTCOME_MATCH_TOL,
     AllZeroLikelihood,
     BeliefState,
+    _normalised,
     inverse_cdf,
     optimal_action_distribution,
     outcome_likelihoods,
@@ -40,6 +41,32 @@ def test_belief_is_immutable():
     b = BeliefState.uniform(3)
     with pytest.raises(ValueError):
         b.probs[0] = 1.0
+
+
+def test_belief_and_row_update_leave_their_inputs_unchanged():
+    # the row update clips and divides in place, but only on its own product
+    given = np.array([0.5, 0.5 + 5e-11, -5e-11])
+    kept = given.tobytes()
+    assert BeliefState(given).probs[2] == 0.0
+    assert given.tobytes() == kept
+    beliefs = np.array([[0.25, 0.75, 0.0], [0.5, 0.25, 0.25]])
+    like = np.array([[0.5, 0.5, 1.0], [0.0, 1.0, 1.0]])
+    inputs = beliefs.tobytes(), like.tobytes()
+    post = posterior_update_rows(beliefs, like)
+    assert (beliefs.tobytes(), like.tobytes()) == inputs
+    assert post.tolist() == [[0.25, 0.75, 0.0], [0.0, 0.5, 0.5]]
+
+
+def test_belief_checks_keep_their_messages_on_nan_rows():
+    # a negative entry is reported as such even beside a NaN; NaN alone fails the sum
+    with pytest.raises(ValueError, match="non-negative"):
+        BeliefState(np.array([np.nan, -1.0, 2.0]))
+    with pytest.raises(ValueError, match="non-negative"):
+        _normalised(np.array([[0.5, 0.5], [np.nan, -1.0]]))
+    with pytest.raises(ValueError, match="sum to 1"):
+        _normalised(np.array([[0.5, 0.5], [np.nan, 1.0]]))
+    with pytest.raises(ValueError, match="sum to 1"):
+        posterior_update_rows(np.array([[np.nan, -1.0, 2.0]]), np.ones((1, 3)))
 
 
 def _hand_bayes(prior, like):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from conftest import instance_with_shared_points, random_belief, random_instance
+from conftest import instance_with_shared_points, make_model, random_belief, random_instance
 from rdts import model as model_mod
 from rdts import policy as policy_mod
 from rdts.bounds import compressed_bound
@@ -17,7 +18,13 @@ from rdts.compression import (
     build_representation,
     statistic_mutual_information,
 )
-from rdts.inference import BeliefState, inverse_cdf, posterior_update, sample_parameter
+from rdts.inference import (
+    BeliefState,
+    _match_likelihood,
+    inverse_cdf,
+    posterior_update,
+    sample_parameter,
+)
 from rdts.information import (
     _cell_masses_and_gains,
     _chain_terms,
@@ -35,7 +42,7 @@ from rdts.policy import (
     simulate_ts,
     thompson_step,
 )
-from rdts.tolerances import AUDIT_TOL
+from rdts.tolerances import AUDIT_TOL, OUTCOME_MATCH_TOL
 
 
 def _tree_expected_pseudo_regret(instance, prior, T):
@@ -97,12 +104,12 @@ def _reference_simulate_ts(instance, prior, T, runs, rng, realized_rewards=False
     return per_period, float(per_period.sum()), std_error
 
 
-def _assert_matches_reference(instance, prior, T, runs, seed, realized):
-    trace = simulate_ts(
-        instance, prior, T, runs, np.random.default_rng(seed), realized_rewards=realized
-    )
+def _assert_matches_reference(
+    instance, prior, T, runs, seed, realized, make_rng=np.random.default_rng
+):
+    trace = simulate_ts(instance, prior, T, runs, make_rng(seed), realized_rewards=realized)
     per_period, cumulative, std_error = _reference_simulate_ts(
-        instance, prior, T, runs, np.random.default_rng(seed), realized_rewards=realized
+        instance, prior, T, runs, make_rng(seed), realized_rewards=realized
     )
     np.testing.assert_array_equal(trace.per_period_regret, per_period)
     np.testing.assert_array_equal(trace.cumulative, cumulative)
@@ -135,8 +142,150 @@ def test_simulate_ts_bit_identical_on_near_coincident_glm_outcomes():
     instance = BanditInstance(
         actions=actions, params=params, model=OutcomeModel(kind=GLM, beta=1.5, eta=0.02)
     )
+    prior = BeliefState.uniform(5)
     for realized in (False, True):
-        _assert_matches_reference(instance, BeliefState.uniform(5), 40, 9, 5, realized)
+        _assert_matches_reference(instance, prior, 40, 9, 5, realized)
+    # glm keeps the matching rule: in the slot of action 0, parameter 0's
+    # upper point is another support value than parameter 1's, yet an
+    # observation of it explains both, which no per-support-value table
+    # of each value's own mass would give
+    slot, idx, points, weights = instance.outcomes
+    s = slot[0]
+    assert idx[s, 0, 1] != idx[s, 1, 1]
+    assert 0 < abs(points[s, 1, 1] - points[s, 0, 1]) <= OUTCOME_MATCH_TOL
+    like = _match_likelihood(points[s], weights[s], points[s, 0, 1])
+    assert like[:3].tolist() == [0.5, 0.5, 0.5]
+    # enough runs and periods that every realized action is played
+    played = set()
+    for _, _, action, _ in _ts_rollout(instance, prior, 120, 40, np.random.default_rng(6)):
+        played.update(action.tolist())
+    assert played == set(np.flatnonzero(slot >= 0).tolist()) == {0, 1}
+    for realized in (False, True):
+        _assert_matches_reference(instance, prior, 120, 40, 6, realized)
+
+
+def test_glm_with_one_valued_supports_reads_the_likelihood_table():
+    # two parameters with one mean and eta = 0: the played action's support is
+    # one value, so glm takes the table; its missing second value is NaN,
+    # which matches nothing
+    instance = BanditInstance(
+        actions=np.array([[1.0], [-1.0]]),
+        params=np.array([[0.4], [0.4]]),
+        model=OutcomeModel(kind=GLM, beta=2.0, eta=0.0),
+    )
+    table = policy_mod._likelihood_table(instance)
+    assert table.tolist() == [[[1.0, 1.0], [0.0, 0.0]]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for realized in (False, True):
+            _assert_matches_reference(instance, BeliefState.uniform(2), 12, 3, 8, realized)
+
+
+# the three models, and logistic at a beta whose weights hold exact 0s and 1s
+_EVERY_KIND_AND_SATURATED = pytest.mark.parametrize(
+    "kind, beta, eta",
+    [(LINEAR_BINARY, 2.0, 0.05), (LOGISTIC, 2.0, 0.05), (LOGISTIC, 1000.0, 0.05), (GLM, 2.0, 0.05)],
+    ids=["linear_binary", "logistic", "logistic-saturated", "glm"],
+)
+
+
+class _EdgeUniforms:
+    """Stand-in for a generator: each spawned run hands out a fixed stream of
+    uniforms, at or above many CDF totals in every other period. Of the
+    ``1 + 2T`` draws of a run, both of period ``t``'s are 1.0 for odd ``t``,
+    and every seventh from the second is the largest float below 1.
+    ``spawn`` and ``random`` are the calls the rollout and the per-run loop
+    make."""
+
+    def __init__(self, seed, run=None):
+        self.seed, self.drawn = seed, 0
+        if run is not None:
+            self.stream = np.random.default_rng([seed, run]).random(1024)
+            self.stream[3::4] = self.stream[4::4] = 1.0
+            self.stream[1::7] = np.nextafter(1.0, 0.0)
+
+    def spawn(self, n):
+        return [_EdgeUniforms(self.seed, run) for run in range(n)]
+
+    def random(self, size=None):
+        start = self.drawn
+        self.drawn += 1 if size is None else size
+        if size is None:
+            return float(self.stream[start])
+        return self.stream[start:self.drawn].copy()
+
+
+@_EVERY_KIND_AND_SATURATED
+def test_rollout_fallback_draws_match_per_run_loop(kind, beta, eta):
+    # uniforms at or above a row's CDF total take inverse_cdf's fallback to
+    # the row's last positive-mass index, in both the parameter and the
+    # outcome draw; the trajectories stay the per-run loop's bit for bit.
+    # The two zero-mass parameters are the only ones that play action 3. The
+    # last positive-mass parameters play action 0, from which parameter 0
+    # gets outcome 0.5 with probability exactly 0 on linear_binary and at
+    # beta = 1000
+    actions = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    params = np.array([
+        [-1.0, 0.0], [-0.8, -0.3], [0.6, 0.5], [0.3, 0.8], [-0.5, 0.6],
+        [0.002, 0.001], [1.0, 0.0], [0.0, -0.9], [0.2, -0.95],
+    ])
+    instance = BanditInstance(actions=actions, params=params, model=make_model(kind, beta, eta))
+    T, runs = 30, 8
+    prior = BeliefState(np.r_[np.full(7, 1 / 7), 0.0, 0.0])
+    assert instance.astar.tolist() == [1, 1, 0, 2, 2, 0, 0, 3, 3]
+    for realized in (False, True):
+        _assert_matches_reference(instance, prior, T, runs, 3, realized, make_rng=_EdgeUniforms)
+    # both fallbacks are reached, no run plays a zero-mass parameter's action,
+    # and every observed outcome has positive mass under the true parameter
+    draws = np.stack([r.random(1 + 2 * T) for r in _EdgeUniforms(3).spawn(runs)])
+    slot, _, points, weights = instance.outcomes
+    param_over = outcome_over = False
+    periods = _ts_rollout(instance, prior, T, runs, _EdgeUniforms(3))
+    for t, (belief, theta_star, action, y) in enumerate(periods):
+        param_over |= bool((belief.cumsum(-1)[:, -1] <= draws[:, 2 * t + 1]).any())
+        true_pmf = (points[slot[action], theta_star], weights[slot[action], theta_star])
+        outcome_over |= bool((true_pmf[1].cumsum(-1)[:, -1] <= draws[:, 2 * t + 2]).any())
+        assert (action != 3).all()
+        assert (_match_likelihood(*true_pmf, y[:, None]) > 0).all()
+    assert param_over and outcome_over
+    if kind == LINEAR_BINARY or beta == 1000.0:
+        assert weights[slot[0], 0].tolist() == [1.0, 0.0]
+
+
+@_EVERY_KIND_AND_SATURATED
+def test_rollout_matches_likelihoods_once_on_two_valued_supports(kind, beta, eta, monkeypatch):
+    # a count guard, not a timing test: the binary models read an observation's
+    # likelihoods from a table built by one _match_likelihood call; glm, with
+    # up to 2m support values per action, makes one call per period
+    T, m = 25, 12
+    rng = np.random.default_rng(23)
+    instance = random_instance(rng, kind, d=2, n=8, m=m, beta=beta, eta=eta)
+    slot, idx, points, weights = instance.outcomes
+    if beta == 1000.0:
+        assert (weights == 0.0).any() and (weights == 1.0).any()
+    calls = []
+    original = policy_mod._match_likelihood
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(policy_mod, "_match_likelihood", counting)
+    for _ in _ts_rollout(instance, BeliefState.uniform(m), T, 4, rng):
+        pass
+    monkeypatch.undo()
+    table = policy_mod._likelihood_table(instance)
+    if kind == GLM:
+        assert len(calls) == T and table is None
+        return
+    assert len(calls) == 1
+    assert table.shape == (idx.shape[0], 2, m)
+    for s in range(idx.shape[0]):
+        values = np.empty(2)
+        values[idx[s]] = points[s]
+        for v in range(2):
+            expected = _match_likelihood(points[s], weights[s], values[v])
+            assert table[s, v].tobytes() == expected.tobytes()
 
 
 def test_generator_random_block_equals_successive_draws():
