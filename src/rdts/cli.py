@@ -455,9 +455,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = _command(sub, "partition", cmd_partition,
                  "build a partition and report diagnostics", "json",
                  "d n m epsilon delta beta eta")
-    p.add_argument("--builder", type=str, default=None, choices=["linear", "glm", "logistic"],
-                   help="logistic: the layered builder (needs --delta); linear, glm or "
-                        "unset: the one cover builder, at radius epsilon / (2 C(phi))")
+    p.add_argument("--builder", type=str, default=None, choices=["logistic"],
+                   help="logistic: the layered builder (needs --delta); unset: the one "
+                        "cover builder, at radius epsilon / (2 C(phi))")
 
     p = _command(sub, "bounds", cmd_bounds, "evaluate a closed-form bound", "csv",
                  "d T beta delta epsilon", models=None)

@@ -14,8 +14,9 @@ A cell's worst distortion depends on its members only through their
 distinct best actions, so certification reads the sum over cells of
 |cell| * |distinct best actions in the cell| mean rewards, in one pass over
 all cells. Only a cell over epsilon reads its |cell|^2 ``distortion_block``,
-to re-split it, and only the brute-force oracle builds the full m x m
-``distortion_matrix``. Partitions and representations live in memory only.
+to re-split it, and no builder reads the full m x m ``distortion_matrix``
+(the brute-force rate-distortion oracle in ``tests/reference.py`` does).
+Partitions and representations live in memory only.
 """
 
 from __future__ import annotations
@@ -25,30 +26,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .bounds import EpsilonTooLarge, c_phi, ladder_start
+from .bounds import c_phi, ladder_start
 from .inference import BeliefState
 from .information import _cell_masses_and_gains, entropy
 from .model import LOGISTIC, BanditInstance
-from .tolerances import CERT_TOL, INPUT_PMF_TOL, LADDER_TOL, MARGIN_TOL, PAIR_TOL, TIE_TOL
-
-__all__ = [
-    "Partition",
-    "Representation",
-    "distortion_block",
-    "distortion_matrix",
-    "best_action_margins",
-    "build_partition_glm",
-    "build_partition_logistic",
-    "two_point_pair",
-    "build_representation",
-    "statistic_mutual_information",
-    "rate_distortion_bruteforce",
-    "InvalidEpsilon",
-    "EpsilonTooLarge",
-    "MarginViolated",
-    "TooLarge",
-    "Infeasible",
-]
+from .tolerances import CERT_TOL, INPUT_PMF_TOL, LADDER_TOL, MARGIN_TOL, PAIR_TOL
 
 
 class InvalidEpsilon(ValueError):
@@ -56,10 +38,6 @@ class InvalidEpsilon(ValueError):
 
 
 class MarginViolated(ValueError):
-    pass
-
-
-class TooLarge(ValueError):
     pass
 
 
@@ -450,49 +428,3 @@ def statistic_mutual_information(belief: BeliefState, partition: Partition) -> f
     a deterministic function of theta*)."""
     mass = np.bincount(partition.cell_of, weights=belief.probs, minlength=partition.K)
     return entropy(mass)
-
-
-def _set_partitions(m: int):
-    """All set partitions of range(m) as cell-index vectors (restricted growth)."""
-    code = np.zeros(m, dtype=np.intp)
-
-    def rec(i: int, max_used: int):
-        if i == m:
-            yield code.copy()
-            return
-        for c in range(max_used + 2):
-            code[i] = c
-            yield from rec(i + 1, max(max_used, c))
-
-    yield from rec(1, 0)
-
-
-def rate_distortion_bruteforce(
-    instance: BanditInstance, belief: BeliefState, epsilon: float
-) -> tuple[int, float, Partition]:
-    """Exhaustive minimum of I(theta*; psi) over all distortion-valid partitions.
-
-    Test oracle only: enumerates every set partition of the parameter set
-    (Bell-number growth), so m is capped at 8.
-    """
-    m = instance.n_params
-    if m > 8:
-        raise TooLarge("brute-force partition search is capped at m <= 8")
-    dmat = distortion_matrix(instance)
-    best: tuple[float, int, NDArray] | None = None
-    for code in _set_partitions(m):
-        K = int(code.max()) + 1
-        if any(
-            idx.size > 1 and dmat[np.ix_(idx, idx)].max() > epsilon + CERT_TOL
-            for idx in _split_cells(code)
-        ):
-            continue
-        mass = np.bincount(code, weights=belief.probs, minlength=K)
-        info = entropy(mass)
-        if best is None or info < best[0] - TIE_TOL or (
-            abs(info - best[0]) <= TIE_TOL and K < best[1]
-        ):
-            best = (info, K, code)
-    assert best is not None  # the singleton partition is always valid
-    info, K, code = best
-    return K, info, Partition(cell_of=code, epsilon=epsilon, K=K)

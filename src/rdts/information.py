@@ -75,14 +75,6 @@ def entropy(p: NDArray) -> float:
     return float(max(-(pos * np.log(pos)).sum(), 0.0) + 0.0)
 
 
-def mutual_information(joint: NDArray) -> float:
-    """Mutual information of a joint pmf given as a 2-D array, in nats."""
-    j = _checked_input_pmf(joint, 2)
-    rows, cols = np.indices(j.shape)
-    # the check lets entries down to -INPUT_PMF_TOL through; they count as 0
-    return float(_grouped_mi(0, rows, cols, np.maximum(j, 0.0), 1)[0])
-
-
 def _grouped_mi(group, label, outcome, weight, n_groups: int) -> NDArray:
     """Mutual information of ``n_groups`` joint pmfs at once, in nats.
 
@@ -90,7 +82,7 @@ def _grouped_mi(group, label, outcome, weight, n_groups: int) -> NDArray:
     joint pmf of group ``group[e]``; the four arguments broadcast together,
     labels and outcomes are non-negative integer codes, and entries sharing a
     cell add up in entry order. Each group's masses must be non-negative and
-    sum to 1 within ``INPUT_PMF_TOL``, as ``mutual_information`` requires.
+    sum to 1 within ``INPUT_PMF_TOL``.
     The positive cells are found by a bincount over the dense (group, label,
     outcome) index when that index is small, as for the binary models' two
     shared outcomes, and by sorting the entries' cells otherwise, as for

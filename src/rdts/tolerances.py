@@ -36,9 +36,9 @@ OUTCOME_MATCH_TOL = 1e-9
 
 # --- information: pmfs and ratios -------------------------------------------
 
-# A pmf handed to ``entropy`` or ``mutual_information`` may have entries this
-# negative, and its sum may miss 1 by this much; ``two_point_pair`` checks the
-# sum of its weights against it too.
+# A pmf handed to ``entropy`` may have entries this negative, and its sum may
+# miss 1 by this much; ``information._grouped_mi`` checks each joint's sum, and
+# ``two_point_pair`` the sum of its weights, against it too.
 INPUT_PMF_TOL = 1e-9
 
 # An information ratio whose denominator (nats) is at most this is degenerate.
@@ -71,10 +71,6 @@ LADDER_TOL = 1e-12
 # layer band edge. The margin check and the closed left edge of band 1 (at
 # delta) share it, so every parameter that clears the margin lands in a band.
 MARGIN_TOL = 1e-12
-
-# The brute-force oracle treats two statistic entropies within this as a tie,
-# which the partition with fewer cells wins.
-TIE_TOL = 1e-15
 
 # --- policy and cli: audits and reported checks ------------------------------
 

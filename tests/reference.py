@@ -11,6 +11,11 @@ ran before its keep mask came from array operations; that one must agree bit
 for bit. ``compressed_info_ratio`` is the one helper here that is not an
 oracle: it forms the compressed ratio from the batched ``compressed_moments``,
 for tests that read that ratio.
+
+Two more pieces only tests use: ``rate_distortion_bruteforce``, the
+exhaustive rate-distortion oracle over every set partition of at most 8
+parameters, and ``grouped_mutual_information``, the kernel
+``rdts.information._grouped_mi`` called on one dense 2-D joint.
 """
 
 from __future__ import annotations
@@ -19,8 +24,21 @@ import numpy as np
 
 from rdts import information
 from rdts.bounds import compressed_bound
-from rdts.compression import Representation, statistic_mutual_information, two_point_pair
-from rdts.information import _checked_cell_mass, _checked_input_pmf, _ratio_report, entropy
+from rdts.compression import (
+    Partition,
+    Representation,
+    _split_cells,
+    distortion_matrix,
+    statistic_mutual_information,
+    two_point_pair,
+)
+from rdts.information import (
+    _checked_cell_mass,
+    _checked_input_pmf,
+    _grouped_mi,
+    _ratio_report,
+    entropy,
+)
 from rdts.inference import posterior_update, sample_parameter
 from rdts.model import InvalidInstanceError, _checked_pmf, outcome_support
 from rdts.policy import (
@@ -30,7 +48,15 @@ from rdts.policy import (
     sample_outcome,
     thompson_step,
 )
-from rdts.tolerances import AUDIT_TOL, MERGE_TOL, SUPPORT_MATCH_TOL
+from rdts.tolerances import AUDIT_TOL, CERT_TOL, MERGE_TOL, SUPPORT_MATCH_TOL
+
+# The brute-force oracle treats two statistic entropies within this as a tie,
+# which the partition with fewer cells wins.
+TIE_TOL = 1e-15
+
+
+class TooLarge(ValueError):
+    pass
 
 
 def _dedupe_sorted(values):
@@ -65,6 +91,14 @@ def glm_two_point_outcomes(means, eta):
     # each point carries half the mass; a merged pair is one point of mass 1
     w = np.where((idx[..., 0] == idx[..., 1])[..., None], [1.0, 0.0], 0.5)
     return idx, points, _checked_pmf(w)
+
+
+def grouped_mutual_information(joint):
+    """Mutual information of a joint pmf given as a 2-D array, in nats."""
+    j = _checked_input_pmf(joint, 2)
+    rows, cols = np.indices(j.shape)
+    # the check lets entries down to -INPUT_PMF_TOL through; they count as 0
+    return float(_grouped_mi(0, rows, cols, np.maximum(j, 0.0), 1)[0])
 
 
 def mutual_information(joint):
@@ -295,3 +329,47 @@ def audit_regret_chain(instance, prior, partition, T, rng, runs=1):
         bound_value=bound,
         passed=passed,
     )
+
+
+def _set_partitions(m: int):
+    """All set partitions of range(m) as cell-index vectors (restricted growth)."""
+    code = np.zeros(m, dtype=np.intp)
+
+    def rec(i: int, max_used: int):
+        if i == m:
+            yield code.copy()
+            return
+        for c in range(max_used + 2):
+            code[i] = c
+            yield from rec(i + 1, max(max_used, c))
+
+    yield from rec(1, 0)
+
+
+def rate_distortion_bruteforce(instance, belief, epsilon):
+    """Exhaustive minimum of I(theta*; psi) over all distortion-valid partitions.
+
+    Enumerates every set partition of the parameter set (Bell-number growth),
+    so m is capped at 8. Returns ``(K, info, partition)``.
+    """
+    m = instance.n_params
+    if m > 8:
+        raise TooLarge("brute-force partition search is capped at m <= 8")
+    dmat = distortion_matrix(instance)
+    best = None
+    for code in _set_partitions(m):
+        K = int(code.max()) + 1
+        if any(
+            idx.size > 1 and dmat[np.ix_(idx, idx)].max() > epsilon + CERT_TOL
+            for idx in _split_cells(code)
+        ):
+            continue
+        mass = np.bincount(code, weights=belief.probs, minlength=K)
+        info = entropy(mass)
+        if best is None or info < best[0] - TIE_TOL or (
+            abs(info - best[0]) <= TIE_TOL and K < best[1]
+        ):
+            best = (info, K, code)
+    assert best is not None  # the singleton partition is always valid
+    info, K, code = best
+    return K, info, Partition(cell_of=code, epsilon=epsilon, K=K)

@@ -49,8 +49,11 @@ def test_linear_bound_values():
 def test_glm_bound_scales_linear():
     assert glm_bound(4, 200, 0.5) == pytest.approx(linear_bound(4, 200), abs=1e-12)
     assert glm_bound(4, 200, 0.25) == pytest.approx(0.5 * linear_bound(4, 200), abs=1e-12)
+    # a slope of 0 (a link saturated at every realized inner product) bounds a
+    # regret that is exactly 0
+    assert glm_bound(4, 200, 0.0) == 0.0
     with pytest.raises(ValueError):
-        glm_bound(4, 200, 0.0)
+        glm_bound(4, 200, -0.25)
 
 
 def test_logistic_bound_large_beta_limit():

@@ -148,15 +148,33 @@ def test_cover_at_zero_link_slope(tmp_path):
     assert json.loads(out.read_text())["passed"] is True
 
 
-def test_linear_and_glm_builders_run_one_cover(tmp_path):
-    # at the linear model's C(phi) = 1/2 the glm radius and count formula are
-    # the linear ones bit for bit, so every cover builder name prints the same
+def test_glm_regret_at_zero_link_slope(tmp_path):
+    # beta = 1000 saturates the glm link at the one inner product: C(phi) is 0
+    # in floats, every mean reward is equal, and regret and bound are both 0
+    out = tmp_path / "r.csv"
+    assert run(["regret", "--model", "glm", "--beta", "1000", "--eta", "0.05", "--d", "1",
+                "--n", "1", "--m", "1", "--seed", "1", "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert rows
+    assert all(float(r["cum_regret"]) == 0.0 == float(r["bound_value"]) for r in rows)
+
+
+def test_linear_and_glm_builder_names_are_refused(tmp_path, capsys):
+    # leaving --builder unset runs the one cover builder for every model;
+    # logistic, the one other builder, is the flag's only value
     argv = ["partition", "--model", "linear_binary", "--d", "3", "--n", "20",
-            "--m", "30", "--epsilon", "0.2", "--seed", "8"]
-    outs = [tmp_path / f"p{i}.json" for i in range(3)]
-    for builder, out in zip((["--builder", "linear"], ["--builder", "glm"], []), outs):
-        assert run([*argv, *builder, "--out", str(out)]) == 0
-    assert len({out.read_bytes() for out in outs}) == 1
+            "--m", "30", "--epsilon", "0.2", "--seed", "8", "--out", str(tmp_path / "p.json")]
+    for name in ("linear", "glm"):
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, "--builder", name])
+        assert exc.value.code == 2
+    capsys.readouterr()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"builder": "linear"}))
+    assert run([*argv, "--config", str(cfg)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "--builder" in err["message"]
+    assert run(argv) == 0
 
 
 def test_partition_config_may_leave_delta_unset(tmp_path):

@@ -10,15 +10,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_belief, random_instance
+from reference import TooLarge, rate_distortion_bruteforce
 from rdts import compression
-from rdts.bounds import c_phi
+from rdts.bounds import EpsilonTooLarge, c_phi
 from rdts.compression import (
     CERT_TOL,
-    EpsilonTooLarge,
     InvalidEpsilon,
     MarginViolated,
     Partition,
-    TooLarge,
     _COVER_BLOCK_BYTES,
     _cover_best_actions,
     _finish_partition,
@@ -32,7 +31,6 @@ from rdts.compression import (
     distortion_matrix,
     logistic_ladder,
     max_intra_cell_distortion,
-    rate_distortion_bruteforce,
     realized_link_slope,
     statistic_mutual_information,
     two_point_pair,

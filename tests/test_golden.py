@@ -69,10 +69,9 @@ CASES = {
         ("ir-sweep", "--model", "logistic", "--d-list", "2,5", "--beta-list", "1,100",
          "--n", "12", "--m", "12", "--instances", "2", "--seed", "7"), 0),
     "partition-linear.json": (
-        ("partition", "--model", "linear_binary", "--builder", "linear",
-         "--epsilon", "0.3", *_PARTITION), 0),
+        ("partition", "--model", "linear_binary", "--epsilon", "0.3", *_PARTITION), 0),
     "partition-glm.json": (
-        ("partition", "--model", "glm", "--builder", "glm", "--beta", "2", "--eta", "0.05",
+        ("partition", "--model", "glm", "--beta", "2", "--eta", "0.05",
          "--epsilon", "0.3", *_PARTITION), 0),
     "partition-logistic.json": (
         ("partition", "--model", "logistic", "--builder", "logistic", "--beta", "10",

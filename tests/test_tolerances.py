@@ -27,7 +27,6 @@ PINNED = {
     "PAIR_TOL": 1e-12,
     "LADDER_TOL": 1e-12,
     "MARGIN_TOL": 1e-12,
-    "TIE_TOL": 1e-15,
     "AUDIT_TOL": 1e-8,
     "RATIO_CEILING_TOL": 1e-9,
 }

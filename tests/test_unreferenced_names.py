@@ -1,12 +1,14 @@
-"""Every top-level name that ``src/rdts`` defines is named somewhere else.
+"""Every top-level name that ``src/rdts`` defines is reached by the product.
 
 A function, class or constant defined at the top of a module in
 ``src/rdts`` must be referred to outside its own definition: by code or a
-string in ``src/``, ``tests/`` or ``scripts/`` (an import, a read, an
-attribute, a name patched by string), or in ``perfbench/layers.json``,
-which the benchmark reads to trace functions by name. A name listed only in
-its module's ``__all__`` counts as unnamed: a definition that nothing reads
-is dead code.
+string in ``src/`` or ``scripts/`` (an import, a read, an attribute, a name
+patched by string), or in ``perfbench/layers.json``, which the benchmark
+reads to trace functions by name. Three kinds of mention do not count: a
+name listed only in its module's ``__all__``, a name a package
+``__init__`` imports to re-export it, and any mention in ``tests/``. A
+definition that only tests reach belongs in the tests (``tests/reference.py``
+holds such oracles); one that nothing reads is dead code.
 """
 
 from __future__ import annotations
@@ -19,9 +21,6 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "rdts"
-SOURCES = sorted(
-    p for folder in ("src", "tests", "scripts") for p in (ROOT / folder).rglob("*.py")
-)
 LAYERS = ROOT / "perfbench" / "layers.json"
 
 
@@ -41,14 +40,24 @@ def _defined(tree: ast.Module) -> dict[str, ast.stmt]:
     return {name: stmt for name, stmt in names.items() if not name.startswith("__")}
 
 
-def _named(stmt: ast.stmt) -> set[str]:
-    """The names one statement refers to: names it reads, attributes,
-    imported names, strings that are identifiers (a name patched or looked up
-    by string) and the names in string annotations. An ``__all__`` list
-    refers to nothing."""
+def _sources(root: Path) -> dict[Path, ast.Module]:
+    """The parsed modules whose mentions count: those under ``src/`` and
+    ``scripts/`` (so not ``tests/``)."""
+    paths = sorted(p for folder in ("src", "scripts") for p in (root / folder).rglob("*.py"))
+    return {path: ast.parse(path.read_text()) for path in paths}
+
+
+def _named(stmt: ast.stmt, path: Path) -> set[str]:
+    """The names one statement of ``path`` refers to: names it reads,
+    attributes, imported names, strings that are identifiers (a name patched
+    or looked up by string) and the names in string annotations. An
+    ``__all__`` list, and an import in a package ``__init__`` (a re-export),
+    refer to nothing."""
     if isinstance(stmt, ast.Assign) and any(
         isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets
     ):
+        return set()
+    if path.name == "__init__.py" and isinstance(stmt, (ast.Import, ast.ImportFrom)):
         return set()
     names = set()
     for node in ast.walk(stmt):
@@ -74,7 +83,7 @@ def _unreferenced(defining: Path, sources: dict[Path, ast.Module], layers: str) 
     named = set(re.findall(r"\w+", layers))
     for path, other in sources.items():
         for stmt in other.body:
-            refs = _named(stmt)
+            refs = _named(stmt, path)
             if path == defining:
                 # a definition does not name itself
                 refs -= {name for name, own in defined.items() if own is stmt}
@@ -84,13 +93,13 @@ def _unreferenced(defining: Path, sources: dict[Path, ast.Module], layers: str) 
 
 @pytest.fixture(scope="module")
 def sources() -> dict[Path, ast.Module]:
-    return {path: ast.parse(path.read_text()) for path in SOURCES}
+    return _sources(ROOT)
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_top_level_name_is_named_elsewhere(path, sources):
     unused = _unreferenced(path, sources, LAYERS.read_text())
-    assert not unused, f"{path.name} defines names nothing else names: {unused}"
+    assert not unused, f"{path.name} defines names only tests or nothing name: {unused}"
 
 
 def test_the_check_sees_an_unnamed_definition():
@@ -114,3 +123,30 @@ def test_the_check_sees_an_unnamed_definition():
         ),
     }
     assert _unreferenced(mod, sources, '{"functions": ["traced"]}') == ["listed"]
+
+
+def _unreferenced_in_tree(root: Path, files: dict[str, str]) -> list[str]:
+    """The unreferenced names of ``src/pkg/mod.py`` in a tree of ``files``."""
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+    return _unreferenced(root / "src" / "pkg" / "mod.py", _sources(root), "{}")
+
+
+MOD = "def exported(): pass\ndef scripted(): pass\n"
+
+
+def test_the_check_skips_a_package_reexport(tmp_path):
+    assert _unreferenced_in_tree(tmp_path, {
+        "src/pkg/__init__.py": "from .mod import exported\n",
+        "src/pkg/mod.py": MOD,
+        "scripts/run.py": "from pkg.mod import scripted\n",
+    }) == ["exported"]
+
+
+def test_the_check_skips_tests(tmp_path):
+    assert _unreferenced_in_tree(tmp_path, {
+        "src/pkg/mod.py": MOD,
+        "scripts/run.py": "from pkg.mod import scripted\n",
+        "tests/test_mod.py": "from pkg.mod import exported\n",
+    }) == ["exported"]
