@@ -28,7 +28,7 @@ from numpy.typing import NDArray
 
 from .bounds import c_phi, ladder_start
 from .inference import BeliefState
-from .information import _cell_masses_and_gains, entropy
+from .information import _cell_masses_and_gains, _row_products, entropy
 from .model import LOGISTIC, BanditInstance
 from .tolerances import CERT_TOL, INPUT_PMF_TOL, LADDER_TOL, MARGIN_TOL, PAIR_TOL
 
@@ -390,7 +390,8 @@ def build_representation(
     if p.shape[1] != partition.cell_of.size:
         raise ValueError("belief and partition cover different parameter counts")
     mass, gain = _cell_masses_and_gains(instance, p, partition)
-    i1, i2, r = _representative_pairs(instance, p, p @ instance.mu, partition, mass, gain)
+    mean_rewards = _row_products(p, instance.mu)
+    i1, i2, r = _representative_pairs(instance, p, mean_rewards, partition, mass, gain)
     cells = tuple(zip(i1[0].tolist(), i2[0].tolist(), r[0].tolist()))
     return Representation(partition=partition, cells=cells, cell_mass=mass[0])
 
@@ -405,9 +406,10 @@ def _representative_pairs(
 ) -> tuple[NDArray, NDArray, NDArray]:
     """``build_representation``'s cells at each row of a ``(runs, m)`` belief
     matrix, as ``(runs, K)`` arrays ``(i1, i2, r)``, given the rows' mean
-    rewards ``probs @ instance.mu``, cell masses ``mass`` and I(psi; Y_a) as
-    ``gain[run, a]`` for every action a that a member of a positive-mass cell
-    plays."""
+    rewards ``information._row_products(probs, instance.mu)``, cell masses
+    ``mass`` and I(psi; Y_a) as ``gain[run, a]`` for every action a that a
+    member of a positive-mass cell plays. A row's cells depend on that row's
+    inputs alone."""
     members = [partition.members(k) for k in range(partition.K)]
     played = [instance.astar[idx] for idx in members]
     i1 = np.tile(np.asarray([idx[0] for idx in members], dtype=np.intp), (mass.shape[0], 1))

@@ -14,7 +14,13 @@ that takes logs apart where the marginals' product underflows, so it stays
 finite at saturated logistic beta.
 The public functions, and ``compression.build_representation``, are
 one-belief calls of the same code that the batched audit
-(``policy.audit_regret_chain``) runs on all of its runs at once.
+(``policy.audit_regret_chain``) runs on a matrix of belief rows. Every
+per-row quantity of that code is batch-invariant: row ``r`` of a batched
+call equals the one-row call on that row bit for bit, whatever the other
+rows are. The mean rewards of the rows come from one one-row product per row
+(``_row_products``), not from one matrix product over all rows, which BLAS
+may add in another order, and each sum over a row's terms runs over that
+row's own terms only.
 """
 
 from __future__ import annotations
@@ -188,18 +194,29 @@ def _ratio_report(numerator: float, denominator: float) -> InfoRatioReport:
     return InfoRatioReport(numerator, denominator, numerator / denominator, False)
 
 
+def _row_products(probs: NDArray, table: NDArray) -> NDArray:
+    """``probs @ table`` for a ``(runs, m)`` belief matrix, as one one-row
+    product per row: row ``r`` is ``probs[r][None] @ table`` bit for bit,
+    whatever the other rows are. A single product over all rows would let
+    BLAS add a many-row product in another order than a one-row one."""
+    return np.matmul(probs[:, None, :], table)[:, 0]
+
+
 def _ts_regret_rows(instance: BanditInstance, probs: NDArray, mean_rewards: NDArray) -> NDArray:
     """One-step expected regret of vanilla TS at each row of a ``(runs, m)``
-    belief matrix, given the rows' mean rewards ``probs @ instance.mu``."""
-    e_star = probs @ instance.mu[np.arange(instance.n_params), instance.astar]
-    e_ts = np.einsum("ri,ri->r", probs, mean_rewards[:, instance.astar])
+    belief matrix, given the rows' mean rewards ``_row_products(probs,
+    instance.mu)``. Row ``r`` does not depend on the other rows."""
+    e_star = _row_products(probs, instance.mu[np.arange(instance.n_params), instance.astar])
+    # the gather of a many-row matrix comes out column-major, and einsum adds
+    # a column-major row in another order than a one-row one
+    e_ts = np.einsum("ri,ri->r", probs, np.ascontiguousarray(mean_rewards[:, instance.astar]))
     return e_star - e_ts
 
 
 def ts_expected_regret(instance: BanditInstance, belief: BeliefState) -> float:
     """Exact one-step expected regret of vanilla Thompson sampling at a belief."""
     p = belief.probs[None]
-    return float(_ts_regret_rows(instance, p, p @ instance.mu)[0])
+    return float(_ts_regret_rows(instance, p, _row_products(p, instance.mu))[0])
 
 
 def ts_info_ratio(instance: BanditInstance, belief: BeliefState) -> InfoRatioReport:
@@ -278,8 +295,8 @@ def _compressed_rows(
 ) -> tuple[NDArray, NDArray]:
     """``compressed_moments`` at each row of a ``(runs, m)`` belief matrix.
 
-    ``mean_rewards`` is ``probs @ instance.mu``, ``mass`` holds each row's
-    cell masses ``(runs, K)`` and ``atom_param``, ``atom_q`` its
+    ``mean_rewards`` is ``_row_products(probs, instance.mu)``, ``mass`` holds
+    each row's cell masses ``(runs, K)`` and ``atom_param``, ``atom_q`` its
     representative values ``(runs, K, 2)`` from ``_representative_atoms``.
     The outcome pmfs are the rows of the instance's outcome table that a
     representative value with positive probability plays.
@@ -309,7 +326,11 @@ def _compressed_rows(
     value_mass = np.zeros(probs.shape + (2,))
     value_mass[run, param] = q * cond[:, None]
     info = _outcome_information(idx[used], w[used], value_mass, 2 * cell_of[:, None] + np.arange(2))
-    return diff, (weight[:, used] * info).sum(axis=1)
+    # a row sums over its own actions only, as a one-row call does: the zero
+    # terms of actions that only other rows play would regroup numpy's
+    # pairwise sum
+    rows = zip(weight[:, used], info)
+    return diff, np.array([(row * gains)[row != 0.0].sum() for row, gains in rows])
 
 
 def compressed_moments(
@@ -336,8 +357,8 @@ def compressed_moments(
     atom_param, atom_q = _representative_atoms(i1, i2, r, mass)
     p = belief.probs[None]
     diff, info = _compressed_rows(
-        instance, p, p @ instance.mu, representation.partition.cell_of, mass[None],
-        atom_param[None], atom_q[None],
+        instance, p, _row_products(p, instance.mu), representation.partition.cell_of,
+        mass[None], atom_param[None], atom_q[None],
     )
     return float(diff[0]), float(info[0])
 
@@ -370,14 +391,16 @@ def _chain_terms(instance: BanditInstance, partition: "Partition"):
     and under TS's action probabilities, and the cell masses ``(runs, K)``.
     The masses, gains and representatives of all rows come from the code
     that ``build_representation`` runs on one row, and the compressed
-    information of all rows from one more grouped call.
+    information of all rows from one more grouped call. Each row's terms are
+    those of the one-row call on it, bit for bit, so a caller may evaluate a
+    distinct row once and share its terms.
     """
     # compression imports this module, so it is imported on use
     from .compression import _representative_pairs
 
     def terms(probs: NDArray) -> tuple[NDArray, ...]:
         runs = probs.shape[0]
-        mean_rewards = probs @ instance.mu
+        mean_rewards = _row_products(probs, instance.mu)
         regret = _ts_regret_rows(instance, probs, mean_rewards)
         mass, gain = _cell_masses_and_gains(instance, probs, partition)
         pairs = _representative_pairs(instance, probs, mean_rewards, partition, mass, gain)

@@ -225,6 +225,35 @@ def _outcome_cardinality(instance: BanditInstance) -> int:
     return int(instance.outcomes[1].max()) + 1
 
 
+_AUDIT_CHECKS = (
+    "regret_slack", "ratio_identity", "data_processing_rep", "data_processing_ts", "entropy_cap"
+)
+
+
+def _audit_body(regret, diff, info_comp, info_psi_comp, info_psi_ts, mass, eps: float) -> dict:
+    """An audit row without "run" and "t": one belief row's ``_chain_terms``
+    and the checks of the chain's almost-sure inequalities on them."""
+    report = _ratio_report(float(diff * diff), float(info_comp))
+    h_psi = entropy(mass)
+    checks = (
+        regret - diff <= eps + AUDIT_TOL,
+        abs(diff * diff - report.ratio * info_comp) <= AUDIT_TOL,
+        info_comp <= info_psi_comp + AUDIT_TOL,
+        info_psi_comp <= info_psi_ts + AUDIT_TOL,
+        info_psi_ts <= h_psi + AUDIT_TOL,
+    )
+    return {
+        "expected_regret": float(regret),
+        "compressed_regret": float(diff),
+        "ratio": report.ratio,
+        "info_compressed": float(info_comp),
+        "info_psi_compressed": float(info_psi_comp),
+        "info_psi_ts": float(info_psi_ts),
+        "entropy_psi": h_psi,
+        **{name: bool(ok) for name, ok in zip(_AUDIT_CHECKS, checks)},
+    }
+
+
 def audit_regret_chain(
     instance: BanditInstance,
     prior: BeliefState,
@@ -244,12 +273,14 @@ def audit_regret_chain(
     ratio.
 
     All runs advance together on the trajectories of ``_ts_rollout``, the
-    ones ``simulate_ts`` follows. Each period, the chain's terms for every
-    run come from one call of ``information._chain_terms``, unless the belief
-    matrix equals the previous period's (as on glm instances once one
-    outcome has identified theta*): then the previous period's rows are
-    repeated with the new ``t``, which gives the same bytes as recomputing
-    them. Rows are returned run by run, period by period.
+    ones ``simulate_ts`` follows. A row's terms depend on that row of the
+    belief matrix alone (``information._chain_terms`` is row-invariant), so
+    the audit evaluates them once per distinct belief row: each period, the
+    rows not met at this period or the last (bitwise equal, keyed by their
+    bytes) go through one ``_chain_terms`` call, and every run holding a
+    row gets that row's body (every field but "run" and "t"), the same
+    bytes as evaluating the run alone. Rows are returned run by run, period
+    by period.
     """
     q = _outcome_cardinality(instance)
     if instance.n_params * instance.n_actions * q > 1_000_000:
@@ -263,44 +294,22 @@ def audit_regret_chain(
     totals = np.zeros(runs)
     psi_series = np.zeros((T, runs))
     all_ok = True
-    previous = None
+    bodies: dict[bytes, dict] = {}  # the last period's row bodies, by belief row bytes
     for t, (belief, *_) in enumerate(periods):
-        # the terms depend on the belief matrix alone: an unchanged matrix
-        # repeats the last row bodies (all but "run" and "t") bit for bit
-        if previous is None or not np.array_equal(belief, previous):
-            previous = belief
-            regret, diff, info_comp, info_psi_comp, info_psi_ts, mass = chain_terms(belief)
-            bodies = []
-            for r in range(runs):
-                report = _ratio_report(float(diff[r] * diff[r]), float(info_comp[r]))
-                gamma_bar = max(gamma_bar, report.ratio)
-                h_psi = entropy(mass[r])
-                checks = {
-                    "regret_slack": bool(regret[r] - diff[r] <= eps + AUDIT_TOL),
-                    "ratio_identity": bool(
-                        abs(diff[r] * diff[r] - report.ratio * info_comp[r]) <= AUDIT_TOL
-                    ),
-                    "data_processing_rep": bool(info_comp[r] <= info_psi_comp[r] + AUDIT_TOL),
-                    "data_processing_ts": bool(info_psi_comp[r] <= info_psi_ts[r] + AUDIT_TOL),
-                    "entropy_cap": bool(info_psi_ts[r] <= h_psi + AUDIT_TOL),
-                }
-                all_ok = all_ok and all(checks.values())
-                bodies.append(
-                    {
-                        "expected_regret": float(regret[r]),
-                        "compressed_regret": float(diff[r]),
-                        "ratio": report.ratio,
-                        "info_compressed": float(info_comp[r]),
-                        "info_psi_compressed": float(info_psi_comp[r]),
-                        "info_psi_ts": float(info_psi_ts[r]),
-                        "entropy_psi": h_psi,
-                        **checks,
-                    }
-                )
-        for r, body in enumerate(bodies):
+        keys = [row.tobytes() for row in belief]
+        known = {key: bodies[key] for key in keys if key in bodies}
+        new = {key: r for r, key in enumerate(keys) if key not in known}
+        if new:
+            for key, terms in zip(new, zip(*chain_terms(belief[list(new.values())]))):
+                body = known[key] = _audit_body(*terms, eps)
+                gamma_bar = max(gamma_bar, body["ratio"])
+                all_ok = all_ok and all(body[check] for check in _AUDIT_CHECKS)
+        bodies = known
+        period = [bodies[key] for key in keys]
+        for r, body in enumerate(period):
             rows[r].append({"run": r, "t": t + 1, **body})
-        totals += regret
-        psi_series[t] = info_psi_ts
+        totals += [body["expected_regret"] for body in period]
+        psi_series[t] = [body["info_psi_ts"] for body in period]
     for series in psi_series.T.tolist():
         # Cauchy-Schwarz across the run's periods
         lhs = sum(np.sqrt(np.maximum(series, 0.0)))

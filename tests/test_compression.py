@@ -14,7 +14,6 @@ from reference import TooLarge, rate_distortion_bruteforce
 from rdts import compression
 from rdts.bounds import EpsilonTooLarge, c_phi
 from rdts.compression import (
-    CERT_TOL,
     InvalidEpsilon,
     MarginViolated,
     Partition,
@@ -37,7 +36,15 @@ from rdts.compression import (
 )
 from rdts.inference import BeliefState
 from rdts.information import entropy, info_gain_about_statistic
-from rdts.model import GLM, LINEAR_BINARY, LOGISTIC, OutcomeModel, sample_in_ball, sample_instance
+from rdts.model import (
+    GLM,
+    LINEAR_BINARY,
+    LOGISTIC,
+    BanditInstance,
+    OutcomeModel,
+    sample_in_ball,
+    sample_instance,
+)
 from rdts.tolerances import CERT_TOL, PAIR_TOL
 
 
@@ -357,8 +364,6 @@ def test_builders_reject_nan_epsilon_and_delta(tiny_linear, tiny_logistic):
 
 
 def test_realized_link_slope_peaks_at_zero():
-    from rdts.model import BanditInstance
-
     model = OutcomeModel(kind=LOGISTIC, beta=2.0)
     actions = np.array([[1.0, 0.0], [-1.0, 0.0]])
     params = np.array([[0.5, 0.0]])
@@ -368,8 +373,6 @@ def test_realized_link_slope_peaks_at_zero():
 
 
 def test_cover_at_zero_link_slope_is_one_certified_cell(monkeypatch):
-    from rdts.model import BanditInstance
-
     # at beta = 1000 the sigmoid rounds to 1 at every realized inner
     # product, so C(phi) is 0 in floats and every distortion is 0
     model = OutcomeModel(kind=LOGISTIC, beta=1000.0)

@@ -11,6 +11,7 @@ from conftest import instance_with_shared_points, make_model, random_belief, ran
 from rdts import model as model_mod
 from rdts import policy as policy_mod
 from rdts.bounds import compressed_bound
+from rdts.cli import main
 from rdts.compression import (
     Partition,
     _representative_pairs,
@@ -322,9 +323,6 @@ def test_ts_rollout_run_does_not_depend_on_run_count(kind, eta):
 
 @pytest.mark.parametrize("kind, eta", KINDS, ids=KIND_IDS)
 def test_audit_run_rows_do_not_depend_on_run_count(kind, eta):
-    # the trajectories are the same; the chain's terms of a run may move by
-    # rounding, since a matrix product over all runs' beliefs may add in
-    # another order than one over a single belief
     for seed in range(30):
         rng = np.random.default_rng(seed)
         inst = random_instance(rng, kind, d=2, n=6, m=8, eta=eta)
@@ -338,10 +336,65 @@ def test_audit_run_rows_do_not_depend_on_run_count(kind, eta):
         for one, many in zip(alone, batched):
             assert list(one) == list(many)
             for key, value in one.items():
-                if isinstance(value, float):
-                    assert math.isclose(value, many[key], rel_tol=1e-13), (seed, key)
-                else:
-                    assert value == many[key], (seed, key)
+                assert repr(value) == repr(many[key]), (seed, key)
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from(KINDS),
+    st.integers(min_value=1, max_value=6),
+)
+@settings(max_examples=60, deadline=None)
+def test_chain_terms_row_is_its_one_row_call_bit_for_bit(seed, kind_eta, runs):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 40))
+    inst = random_instance(rng, kind_eta[0], d=3, n=int(rng.integers(2, 30)), m=m,
+                           eta=kind_eta[1])
+    part = build_partition_glm(inst, float(rng.choice([0.02, 0.2])))
+    # Dirichlet rows with zero entries, point masses, and copies of earlier rows
+    rows = []
+    for _ in range(runs):
+        pick = rng.integers(3 if rows else 2)
+        if pick == 0:
+            p = rng.dirichlet(np.ones(m)) * (rng.random(m) < 0.6)
+            p[rng.integers(m)] += 0.5
+            rows.append(p / p.sum())
+        elif pick == 1:
+            rows.append(np.eye(m)[rng.integers(m)])
+        else:
+            rows.append(rows[rng.integers(len(rows))].copy())
+    probs = np.array(rows)
+    terms = _chain_terms(inst, part)
+    batched = terms(probs)
+    for r in range(runs):
+        for got, want in zip(batched, terms(probs[r][None])):
+            assert got[r].tobytes() == want[0].tobytes(), r
+
+
+@pytest.mark.parametrize("model, rows_at", [
+    # one glm outcome identifies theta*: rows are new only at t = 1 and t = 2
+    (("glm", "--beta", "2", "--eta", "0.05"), lambda rows: rows[0] == 1 and len(rows) == 2),
+    (("logistic", "--beta", "3"), lambda rows: rows[0] == 1),
+], ids=["glm", "logistic"])
+def test_audit_evaluates_each_distinct_belief_row_once(model, rows_at, monkeypatch, tmp_path):
+    evaluated = []
+
+    def counting_chain_terms(instance, partition):
+        terms = _chain_terms(instance, partition)
+
+        def counted(probs):
+            evaluated.append(probs.shape[0])
+            return terms(probs)
+
+        return counted
+
+    monkeypatch.setattr(policy_mod, "_chain_terms", counting_chain_terms)
+    argv = ["audit", "--model", *model, "--epsilon", "0.05", "--T", "6", "--runs", "4",
+            "--d", "2", "--n", "8", "--m", "8", "--seed", "7", "--out", str(tmp_path / "a")]
+    assert main(argv) == 0
+    # every run starts from the prior, so t = 1 holds one distinct row, and it
+    # is the first call: the rows of t = 1 are met at no earlier period
+    assert rows_at(evaluated), evaluated
 
 
 def test_rollout_and_audit_reject_bad_T_and_runs(two_param_line):
