@@ -1,4 +1,6 @@
-"""Closed-form evaluators for the regret bounds and their constants.
+"""Closed-form evaluators for the regret bounds and their constants, and
+the logistic ladder whose bands both the partition-count bound and the
+layered partition builder use.
 
 All logarithms are natural. Each evaluator is a pure function.
 """
@@ -7,7 +9,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+from numpy.typing import NDArray
+
 from .model import GLM, LINEAR_BINARY, LOGISTIC, OutcomeModel
+from .tolerances import LADDER_TOL, MARGIN_TOL
 
 
 class EpsilonTooLarge(ValueError):
@@ -98,20 +104,94 @@ def c_phi(model: OutcomeModel, interval_lo: float, interval_hi: float) -> float:
     raise ValueError(f"unsupported model kind {model.kind!r}")
 
 
-def ladder_start(
-    model: OutcomeModel, epsilon: float, delta: float
-) -> tuple[float, float]:
-    """``(phi(delta), s_0)`` of the logistic ladder, with phi(s_0) = phi(delta) - epsilon.
+class LogisticLadder:
+    """The logistic levels s_0 < s_1 = delta < ... < s_L = 1, with equal link
+    increments, computed on demand.
+
+    phi(s_0) = phi(delta) - epsilon, and L is the smallest integer with
+    phi(delta) + (L-1) * epsilon >= phi(1), so consecutive levels past s_0
+    advance the link value by exactly epsilon: s_ell = link_inv(phi(delta)
+    + (ell-1) * epsilon) for 1 < ell < L, a function of ell alone. Band b
+    spans (s_b, s_{b+1}] for b = 1, ..., L - 1, closed on the left for
+    b = 1; if delta >= 1, or the link saturates there, L = 1 and the one band
+    spans [s_0, s_1 = 1].
 
     Raises :class:`EpsilonTooLarge` unless epsilon < phi(delta) - 1/2, which
     is what puts s_0 above 0.
     """
-    phi_delta = float(model.link(delta))
-    if epsilon >= phi_delta - 0.5:
-        raise EpsilonTooLarge(
-            f"epsilon {epsilon!r} must be < phi(delta) - 1/2 = {phi_delta - 0.5!r}"
-        )
-    return phi_delta, float(model.link_inv(phi_delta - epsilon))
+
+    def __init__(self, model: OutcomeModel, epsilon: float, delta: float) -> None:
+        self.model, self.epsilon, self.delta = model, epsilon, delta
+        self.phi_delta = float(model.link(delta))
+        if epsilon >= self.phi_delta - 0.5:
+            raise EpsilonTooLarge(
+                f"epsilon {epsilon!r} must be < phi(delta) - 1/2 = {self.phi_delta - 0.5!r}"
+            )
+        self.s0 = float(model.link_inv(self.phi_delta - epsilon))
+        gap = float(model.link(1.0)) - self.phi_delta
+        levels_needed = int(np.ceil(gap / epsilon - LADDER_TOL)) if gap > 0 else 0
+        self.L = max(1, levels_needed + 1)
+
+    @property
+    def bands(self) -> int:
+        """The number of bands: L - 1, or the degenerate ladder's one."""
+        return max(self.L - 1, 1)
+
+    def levels(self, ell: NDArray) -> NDArray:
+        """s_ell for each entry of the integer array ``ell`` (0 <= ell <= L)."""
+        if self.L < 2:
+            return np.where(ell == 0, self.s0, 1.0)
+        s = np.where(ell == 0, self.s0, np.where(ell == 1, self.delta, 1.0))
+        middle = (ell > 1) & (ell < self.L)
+        s[middle] = self.model.link_inv(self.phi_delta + (ell[middle] - 1) * self.epsilon)
+        return s
+
+    def gaps(self, band: NDArray) -> NDArray:
+        """Each band's covering diameter: s_b - s_{b-1}, which for the
+        degenerate band is s_1 - s_0."""
+        s = self.levels(np.concatenate([band - 1, band]))
+        return s[band.size :] - s[: band.size]
+
+    def band_of(self, v: NDArray) -> NDArray:
+        """For each margin v > 0, the first band whose edges, widened by
+        ``MARGIN_TOL``, hold it, or 0 if none does.
+
+        Band b ends at s_{b+1} + MARGIN_TOL, which never decreases with b, so
+        only the first band that ends at or above v can hold v. The link
+        guesses that band, two edges confirm the guess, and a bisection over
+        the bands finds it where they do not; every edge is a float the
+        full ladder holds. Each step computes the level of each distinct
+        band once.
+        """
+        nb = self.bands
+        if nb >= 2**62:  # band numbers are 64-bit integers
+            raise ValueError(f"epsilon {self.epsilon!r} gives 2**62 or more ladder bands")
+        shift = -1 if self.L < 2 else 0
+
+        def ends(band: NDArray) -> NDArray:
+            ell = band + 1 + shift
+            distinct = np.sort(ell)
+            distinct = distinct[np.diff(distinct, prepend=-1) != 0]
+            return self.levels(distinct)[np.searchsorted(distinct, ell)] + MARGIN_TOL
+
+        guess = np.ceil((self.model.link(v) - self.phi_delta) / self.epsilon)
+        guess = np.clip(guess, 1, nb).astype(np.intp)
+        # the band sought lies in [lo, hi]
+        reaches = ends(guess) >= v
+        lo = np.where(reaches, 1, np.minimum(guess + 1, nb))
+        hi = np.where(reaches, guess, nb)
+        confirmed = np.flatnonzero(reaches & (guess > 1))
+        confirmed = confirmed[ends(guess[confirmed] - 1) < v[confirmed]]
+        lo[confirmed] = guess[confirmed]
+        while (open_ := np.flatnonzero(lo < hi)).size:
+            mid = lo[open_] + (hi[open_] - lo[open_]) // 2
+            reaches = ends(mid) >= v[open_]
+            hi[open_] = np.where(reaches, mid, hi[open_])
+            lo[open_] = np.where(reaches, lo[open_], mid + 1)
+        # band 1 is closed on the left, at s_1 (s_0 for the degenerate band)
+        start = self.s0 if self.L < 2 else self.delta
+        opens = np.where(lo == 1, v >= start - MARGIN_TOL, v > ends(lo - 1))
+        return np.where(opens & (v <= ends(lo)), lo, 0)
 
 
 def partition_count_bounds(
@@ -136,6 +216,6 @@ def partition_count_bounds(
     if kind == LOGISTIC:
         if beta is None or delta is None or not (beta > 0 and delta > 0):
             raise ValueError("logistic bound needs beta, delta > 0")
-        _, s0 = ladder_start(OutcomeModel(kind=LOGISTIC, beta=beta), epsilon, delta)
-        return (1.0 / epsilon) * (1.0 + 2.0 / (delta - s0)) ** d
+        ladder = LogisticLadder(OutcomeModel(kind=LOGISTIC, beta=beta), epsilon, delta)
+        return (1.0 / epsilon) * (1.0 + 2.0 / (delta - ladder.s0)) ** d
     raise ValueError(f"unsupported kind {kind!r}")

@@ -413,62 +413,88 @@ _SHARED = {
     "delta": dict(type=float, default=None),
 }
 
+# the flag table, from which both the parsers and --config's known keys come:
+# subcommand -> (function, summary, default --format, --model choices (None:
+# any), shared flags, its own flags as (option string, add_argument keywords))
+_COMMANDS = {
+    "ir-sweep": (
+        cmd_ir_sweep, "information-ratio sweep over random instances", "csv",
+        (LOGISTIC, LINEAR_BINARY), "n m", (
+            ("--d-list", dict(dest="d_list", type=str,
+                              default="2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20")),
+            ("--beta-list", dict(dest="beta_list", type=str, default="0.1,1,10,100")),
+            ("--instances", dict(type=int, default=100)),
+            ("--svg", dict(type=str, default=None)),
+        ),
+    ),
+    "regret": (
+        cmd_regret, "Monte Carlo regret vs. the closed-form bound", "csv", _MODELS,
+        "d n m T runs beta eta", (("--realized", dict(action="store_true")),),
+    ),
+    "partition": (
+        cmd_partition, "build a partition and report diagnostics", "json", _MODELS,
+        "d n m epsilon delta beta eta", (
+            ("--builder", dict(type=str, default=None, choices=["logistic"],
+                               help="logistic: the layered builder (needs --delta); unset: "
+                                    "the one cover builder, at radius epsilon / (2 C(phi))")),
+        ),
+    ),
+    "bounds": (
+        cmd_bounds, "evaluate a closed-form bound", "csv", None, "d T beta delta epsilon", (
+            ("--which", dict(type=str, default="linear")),
+            ("--c-phi", dict(dest="c_phi", type=float, default=0.5)),
+            ("--gamma-bar", dict(dest="gamma_bar", type=float, default=0.0)),
+            ("--entropy-nats", dict(dest="entropy_nats", type=float, default=0.0)),
+            ("--info-nats", dict(dest="info_nats", type=float, default=0.0)),
+        ),
+    ),
+    "audit": (
+        cmd_audit, "audit the regret-bound inequality chain", "json", _MODELS,
+        "d n m T runs epsilon beta eta", (),
+    ),
+}
 
-def _command(sub, name: str, func, summary: str, fmt: str, shared: str,
-             models=_MODELS) -> argparse.ArgumentParser:
-    """Add subcommand ``name`` with the flags every subcommand has, --model
-    (restricted to ``models`` unless None) and the ``shared`` flags."""
-    p = sub.add_parser(name, help=summary)
-    p.add_argument("--model", type=str, default=LOGISTIC, choices=models)
-    for flag in shared.split():
-        p.add_argument(f"--{flag}", **_SHARED[flag])
-    p.add_argument("--seed", type=int, default=0, help="root RNG seed")
-    p.add_argument("--out", type=str, default=None, help="output path (default stdout)")
-    p.add_argument("--format", type=str, default=fmt, choices=["csv", "json"])
-    p.add_argument("--config", type=str, default=None,
-                   help="JSON config file; flags override")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted and ignored; changes neither output nor speed")
-    p.set_defaults(func=func)
-    return p
+
+def _flags(name: str) -> list[tuple[str, dict]]:
+    """Subcommand ``name``'s flags in the order its help lists them: the ones
+    every subcommand has, --model and the shared flags first, then its own."""
+    _, _, fmt, models, shared, own = _COMMANDS[name]
+    return [
+        ("--model", dict(type=str, default=LOGISTIC, choices=models)),
+        *((f"--{flag}", _SHARED[flag]) for flag in shared.split()),
+        ("--seed", dict(type=int, default=0, help="root RNG seed")),
+        ("--out", dict(type=str, default=None, help="output path (default stdout)")),
+        ("--format", dict(type=str, default=fmt, choices=["csv", "json"])),
+        ("--config", dict(type=str, default=None, help="JSON config file; flags override")),
+        ("--threads", dict(type=int, default=1,
+                           help="accepted and ignored; changes neither output nor speed")),
+        *own,
+    ]
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The ``rdts`` parser and its subcommand parsers by name."""
+def _config_keys() -> set[str]:
+    """Every subcommand's flags by argparse dest, and ``help``, the dest of
+    each parser's -h."""
+    return {"help"} | {
+        keywords.get("dest", option[2:].replace("-", "_"))
+        for name in _COMMANDS for option, keywords in _flags(name)
+    }
+
+
+def build_parser(
+    flagged=tuple(_COMMANDS),
+) -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The ``rdts`` parser and its subcommand parsers by name. Every
+    subcommand is registered, so the top-level help, usage and errors never
+    change, but only the subcommands in ``flagged`` get their flags."""
     parser = argparse.ArgumentParser(prog="rdts")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = _command(sub, "ir-sweep", cmd_ir_sweep,
-                 "information-ratio sweep over random instances", "csv", "n m",
-                 models=(LOGISTIC, LINEAR_BINARY))
-    p.add_argument("--d-list", dest="d_list", type=str,
-                   default="2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20")
-    p.add_argument("--beta-list", dest="beta_list", type=str, default="0.1,1,10,100")
-    p.add_argument("--instances", type=int, default=100)
-    p.add_argument("--svg", type=str, default=None)
-
-    p = _command(sub, "regret", cmd_regret,
-                 "Monte Carlo regret vs. the closed-form bound", "csv",
-                 "d n m T runs beta eta")
-    p.add_argument("--realized", action="store_true")
-
-    p = _command(sub, "partition", cmd_partition,
-                 "build a partition and report diagnostics", "json",
-                 "d n m epsilon delta beta eta")
-    p.add_argument("--builder", type=str, default=None, choices=["logistic"],
-                   help="logistic: the layered builder (needs --delta); unset: the one "
-                        "cover builder, at radius epsilon / (2 C(phi))")
-
-    p = _command(sub, "bounds", cmd_bounds, "evaluate a closed-form bound", "csv",
-                 "d T beta delta epsilon", models=None)
-    p.add_argument("--which", type=str, default="linear")
-    p.add_argument("--c-phi", dest="c_phi", type=float, default=0.5)
-    p.add_argument("--gamma-bar", dest="gamma_bar", type=float, default=0.0)
-    p.add_argument("--entropy-nats", dest="entropy_nats", type=float, default=0.0)
-    p.add_argument("--info-nats", dest="info_nats", type=float, default=0.0)
-
-    _command(sub, "audit", cmd_audit, "audit the regret-bound inequality chain", "json",
-             "d n m T runs epsilon beta eta")
+    for name, (func, summary, *_) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        if name in flagged:
+            for option, keywords in _flags(name):
+                p.add_argument(option, **keywords)
+        p.set_defaults(func=func)
     return parser, sub.choices
 
 
@@ -503,7 +529,11 @@ def _config_defaults(command: argparse.ArgumentParser, values: dict) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser, commands = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # argparse runs the first positional argument as the subcommand, and the
+    # top-level parser takes no values, so the first argument that names a
+    # subcommand is the only one whose flags can be read (or it errs)
+    parser, commands = build_parser([arg for arg in argv if arg in _COMMANDS][:1])
     args = parser.parse_args(argv)
     try:
         if args.config:
@@ -511,8 +541,7 @@ def main(argv: list[str] | None = None) -> int:
                 values = json.load(fh)
             if not isinstance(values, dict):
                 raise ConfigError("config file must hold a JSON object")
-            flags = {action.dest for sub in commands.values() for action in sub._actions}
-            unknown = sorted(set(values) - flags)
+            unknown = sorted(set(values) - _config_keys())
             if unknown:
                 raise ConfigError(f"config key {unknown[0]!r} names no flag of any subcommand")
             # the file's keys become this subcommand's defaults, then flags win

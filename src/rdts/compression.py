@@ -10,6 +10,14 @@ epsilon / (2 C(phi)) (the linear model is the case C(phi) = 1/2), and
 representation builder compresses each cell onto a two-point mixture whose
 expected reward and information gain are no better than the cell average.
 
+The greedy cover visits one at a time only its contested points, those with
+an earlier point within the radius, and reads each point's distances to the
+earlier points in row blocks under a byte cap. The logistic builder finds
+each parameter's band from the ladder levels its bands need alone
+(``bounds.LogisticLadder``) and covers every non-empty band in one call, so
+its work follows m and the cells, not the ladder's length, which grows like
+1 / epsilon.
+
 A cell's worst distortion depends on its members only through their
 distinct best actions, so certification reads the sum over cells of
 |cell| * |distinct best actions in the cell| mean rewards, in one pass over
@@ -26,11 +34,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .bounds import c_phi, ladder_start
+from .bounds import LogisticLadder, c_phi
 from .inference import BeliefState
 from .information import _cell_masses_and_gains, _row_products, entropy
-from .model import LOGISTIC, BanditInstance
-from .tolerances import CERT_TOL, INPUT_PMF_TOL, LADDER_TOL, MARGIN_TOL, PAIR_TOL
+from .model import LOGISTIC, BanditInstance, _distinct
+from .tolerances import CERT_TOL, INPUT_PMF_TOL, MARGIN_TOL, PAIR_TOL
 
 
 class InvalidEpsilon(ValueError):
@@ -48,9 +56,12 @@ class Infeasible(ArithmeticError):
 def _split_cells(cell_of: NDArray, K: int = 0) -> list[NDArray]:
     """Read-only member arrays of cells 0, 1, ..., max(K, max(cell_of) + 1) - 1,
     each in increasing index order (an unused cell number gets an empty one)."""
-    ends = np.cumsum(np.bincount(cell_of, minlength=K)).tolist()
-    # a stable sort keeps each cell's members in increasing index order
-    order = np.argsort(cell_of, kind="stable")
+    counts = np.bincount(cell_of, minlength=K)
+    ends = np.cumsum(counts).tolist()
+    # a stable sort keeps each cell's members in increasing index order; on
+    # 16-bit keys numpy's stable sort is a radix sort, several times faster
+    keys = cell_of.astype(np.uint16) if counts.size <= 1 << 16 else cell_of
+    order = np.argsort(keys, kind="stable")
     order.setflags(write=False)
     return [order[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
@@ -138,45 +149,87 @@ def max_intra_cell_distortion(instance: BanditInstance, cell_of: NDArray, K: int
     return float(_cell_distortions(instance, cell_of, K)[:K].max(initial=0.0))
 
 
-# ``_greedy_cover`` computes the distances of a block of centers to every
-# point at once, the block's (center, point, coordinate) differences taking
-# at most this many bytes, or one center's if that is more
+# ``_greedy_cover`` decides its points in row blocks, the differences of a
+# block's (point, earlier point) pairs taking at most this many bytes, or
+# one point's if that is more
 _COVER_BLOCK_BYTES = 1 << 20
 
 
-def _greedy_cover(points: NDArray, radius: float) -> NDArray:
+def _pair_distances(points: NDArray, row: NDArray, col: NDArray) -> NDArray:
+    """``np.linalg.norm(points[row] - points[col], axis=1)``, bit for bit.
+
+    numpy sums fewer than 8 squares left to right, which adding them one
+    coordinate at a time repeats at a fraction of the cost; from 8
+    coordinates on it sums pairwise, and the norm itself runs.
+    """
+    if points.shape[1] >= 8:
+        return np.linalg.norm(points.take(row, axis=0) - points.take(col, axis=0), axis=1)
+    total = np.zeros(row.size)
+    for x in points.T:
+        diff = x.take(row) - x.take(col)
+        total += diff * diff
+    return np.sqrt(total, out=total)
+
+
+def _greedy_cover(
+    points: NDArray, radius: float | NDArray, first: NDArray | None = None
+) -> NDArray:
     """Greedy center-based covering: the lowest-index uncovered point becomes a
     center and takes every uncovered point within ``radius``. Returns each
-    point's group index, groups numbered in the order they are made."""
-    count_points = points.shape[0]
-    uncovered = np.ones(count_points, dtype=bool)
-    group = np.empty(count_points, dtype=np.intp)
-    count = 0
-    step = max(1, _COVER_BLOCK_BYTES // (points.itemsize * max(1, points.size)))
-    for lo in range(0, count_points, step):
-        if not uncovered[lo : lo + step].any():
-            continue
-        near = np.linalg.norm(points[lo : lo + step, None] - points[None], axis=2) <= radius
-        for center in range(lo, min(lo + step, count_points)):
-            if uncovered[center]:
-                taken = uncovered & near[center - lo]
-                group[taken] = count
-                uncovered &= ~taken
-                count += 1
-    return group
+    point's group index, groups numbered in the order they are made.
 
+    With ``first``, the points are consecutive segments, covered one after
+    another and each on its own: point i is in the segment that starts at
+    point ``first[i]``, and ``radius`` may be an array of each point's
+    segment radius.
 
-def _cover_best_actions(
-    instance: BanditInstance, astar: NDArray, radius: float
-) -> tuple[NDArray, int]:
-    """Greedy-cover the distinct actions in ``astar`` at center ``radius``.
-
-    Returns the group index of each entry of ``astar`` and the number of
-    groups.
+    Equivalently, a point is a center unless an earlier center of its
+    segment lies within radius, and it joins the first such center. A point
+    with no earlier point of its segment within radius is a center
+    outright, so only the contested ones, which have some, are visited one
+    at a time, in index order. A block's centers are final once its rows
+    are decided.
     """
-    realized, inverse = np.unique(astar, return_inverse=True)
-    group = _greedy_cover(instance.actions[realized], radius)
-    return group[inverse], int(group.max()) + 1
+    count = points.shape[0]
+    if first is None:
+        first = np.zeros(count, dtype=np.intp)
+    radius = np.broadcast_to(radius, (count,))
+    earlier = np.arange(count) - first
+    ends = np.cumsum(earlier)
+    limit = max(1, _COVER_BLOCK_BYTES // (points.itemsize * points.shape[1]))
+    is_center = np.ones(count, dtype=bool)
+    center = np.arange(count)
+    lo = 0
+    while lo < count:
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - earlier[lo] + limit, "right")))
+        pairs = earlier[lo:hi]
+        start = np.cumsum(pairs) - pairs
+        # each row of the block against each earlier point of its segment
+        row = np.repeat(np.arange(lo, hi), pairs)
+        col = np.arange(row.size) + np.repeat(first[lo:hi] - start, pairs)
+        near = _pair_distances(points, row, col) <= radius[row]
+        # each contested row once, in index order (the rows are sorted)
+        contested = row[near]
+        for i in contested[np.diff(contested, prepend=-1) != 0].tolist():
+            at = slice(start[i - lo], start[i - lo] + pairs[i - lo])
+            is_center[i] = not (near[at] & is_center[col[at]]).any()
+        if contested.size:
+            # a point that is no center joins its first pair with a center
+            hit = np.flatnonzero(near & is_center[col])
+            joins = row[hit]
+            taken = np.diff(joins, prepend=-1) != 0
+            center[joins[taken]] = col[hit[taken]]
+        lo = hi
+    return (np.cumsum(is_center) - 1)[center]
+
+
+def _cover_best_actions(instance: BanditInstance, astar: NDArray, radius: float) -> NDArray:
+    """Greedy-cover the distinct actions in ``astar`` at center ``radius``:
+    the group index of each entry of ``astar``."""
+    realized = _distinct(astar, instance.n_actions)
+    rank = np.empty(instance.n_actions, dtype=np.intp)
+    rank[realized] = np.arange(realized.size)
+    return _greedy_cover(instance.actions[realized], radius)[rank[astar]]
 
 
 def _refine_certified(
@@ -242,7 +295,7 @@ def build_partition_glm(instance: BanditInstance, epsilon: float) -> Partition:
         raise InvalidEpsilon("epsilon must be positive")
     slope = realized_link_slope(instance)
     radius = epsilon / (2.0 * slope) if slope > 0.0 else np.inf
-    cell_of, _ = _cover_best_actions(instance, instance.astar, radius)
+    cell_of = _cover_best_actions(instance, instance.astar, radius)
     return _finish_partition(instance, cell_of, epsilon)
 
 
@@ -250,26 +303,6 @@ def best_action_margins(instance: BanditInstance) -> NDArray:
     """alpha(theta).theta for every parameter, from exact inner products
     rather than by inverting a link that may have saturated to 0 or 1."""
     return np.einsum("ij,ij->i", instance.params, instance.actions[instance.astar])
-
-
-def logistic_ladder(model, epsilon: float, delta: float) -> list[float]:
-    """Level sequence s_0 < s_1 = delta < ... < s_L = 1 with equal link increments.
-
-    L is the smallest integer with phi(delta) + (L-1) * epsilon >= phi(1), so
-    consecutive levels (past s_0) advance the link value by exactly epsilon.
-    """
-    phi_delta, s0 = ladder_start(model, epsilon, delta)
-    gap = float(model.link(1.0)) - phi_delta
-    levels_needed = int(np.ceil(gap / epsilon - LADDER_TOL)) if gap > 0 else 0
-    L = max(1, levels_needed + 1)
-    s = [s0, delta]
-    for ell in range(2, L):
-        s.append(float(model.link_inv(phi_delta + (ell - 1) * epsilon)))
-    if L >= 2:
-        s.append(1.0)
-    else:
-        s[-1] = 1.0  # delta == 1: degenerate single band
-    return s
 
 
 def build_partition_logistic(
@@ -280,6 +313,9 @@ def build_partition_logistic(
     Parameters are banded by alpha(theta).theta into link-level layers (and a
     mirrored negative side); each band's best actions are greedily covered at
     half the preceding level gap, which certifies distortion <= epsilon.
+    Bands are numbered positive side first, each side in increasing level
+    order, and only the non-empty ones are visited: the work follows m and
+    the cells, not the ladder's length L, which grows like 1 / epsilon.
     """
     if not epsilon > 0.0:  # NaN fails
         raise InvalidEpsilon("epsilon must be positive")
@@ -292,36 +328,26 @@ def build_partition_logistic(
         raise MarginViolated(
             f"min |alpha(theta).theta| = {float(np.min(np.abs(inner)))!r} < delta"
         )
-    s = logistic_ladder(instance.model, epsilon, delta)
-    L = len(s) - 1
-
-    # band b spans (s[b], s[b+1]] with covering diameter s[b] - s[b-1]; the
-    # margin puts every parameter at |alpha(theta).theta| >= delta = s[1],
-    # so band 1 is closed at its left endpoint
-    if L >= 2:
-        bands = [(s[b], s[b + 1], s[b] - s[b - 1], b == 1) for b in range(1, L)]
-    else:
-        bands = [(s[0], s[1], s[1] - s[0], True)]
-
-    cell_of = np.full(instance.n_params, -1, dtype=np.intp)
-    next_cell = 0
-    for sign in (1.0, -1.0):
-        for lo, hi, gap, closed_left in bands:
-            v = sign * inner
-            if closed_left:
-                in_band = (v >= lo - MARGIN_TOL) & (v <= hi + MARGIN_TOL)
-            else:
-                in_band = (v > lo + MARGIN_TOL) & (v <= hi + MARGIN_TOL)
-            members = np.flatnonzero(in_band & (sign * inner > 0) & (cell_of < 0))
-            if members.size == 0:
-                continue
-            group_of, count = _cover_best_actions(
-                instance, instance.astar[members], gap / 2.0
-            )
-            cell_of[members] = next_cell + group_of
-            next_cell += count
-    if np.any(cell_of < 0):
+    ladder = LogisticLadder(instance.model, epsilon, delta)
+    band = ladder.band_of(np.abs(inner))
+    if not np.all((band > 0) & (inner != 0.0)):
         raise MarginViolated("some parameter fell outside every layer band")
+    # the negative side's band b is layer bands + b
+    layer = np.where(inner > 0.0, band, ladder.bands + band)
+    layers = np.sort(layer)
+    layers = layers[np.r_[True, layers[1:] != layers[:-1]]]
+    # each layer's distinct best actions, by layer and then action, are one
+    # segment of the cover
+    n = instance.n_actions
+    code = np.searchsorted(layers, layer) * n + instance.astar
+    entries = np.sort(code)
+    entries = entries[np.r_[True, entries[1:] != entries[:-1]]]
+    entry_layer, action = np.divmod(entries, n)
+    # both sides' band b cover at half its gap
+    radius = ladder.gaps(layers - ladder.bands * (layers > ladder.bands)) / 2.0
+    first = np.searchsorted(entry_layer, entry_layer)  # the first entry of its layer
+    group = _greedy_cover(instance.actions[action], radius[entry_layer], first)
+    cell_of = group[np.searchsorted(entries, code)]
     return _finish_partition(instance, cell_of, epsilon)
 
 

@@ -12,10 +12,13 @@ for bit. ``compressed_info_ratio`` is the one helper here that is not an
 oracle: it forms the compressed ratio from the batched ``compressed_moments``,
 for tests that read that ratio.
 
-Two more pieces only tests use: ``rate_distortion_bruteforce``, the
+Three more pieces only tests use: ``rate_distortion_bruteforce``, the
 exhaustive rate-distortion oracle over every set partition of at most 8
-parameters, and ``grouped_mutual_information``, the kernel
-``rdts.information._grouped_mi`` called on one dense 2-D joint.
+parameters, ``grouped_mutual_information``, the kernel
+``rdts.information._grouped_mi`` called on one dense 2-D joint, and
+``logistic_ladder``, every level of the logistic ladder in one list, as
+``rdts.compression.build_partition_logistic`` built it before it computed
+only the levels its bands need.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from rdts import information
-from rdts.bounds import compressed_bound
+from rdts.bounds import EpsilonTooLarge, compressed_bound
 from rdts.compression import (
     Partition,
     Representation,
@@ -48,7 +51,7 @@ from rdts.policy import (
     sample_outcome,
     thompson_step,
 )
-from rdts.tolerances import AUDIT_TOL, CERT_TOL, MERGE_TOL, SUPPORT_MATCH_TOL
+from rdts.tolerances import AUDIT_TOL, CERT_TOL, LADDER_TOL, MERGE_TOL, SUPPORT_MATCH_TOL
 
 # The brute-force oracle treats two statistic entropies within this as a tie,
 # which the partition with fewer cells wins.
@@ -373,3 +376,28 @@ def rate_distortion_bruteforce(instance, belief, epsilon):
     assert best is not None  # the singleton partition is always valid
     info, K, code = best
     return K, info, Partition(cell_of=code, epsilon=epsilon, K=K)
+
+
+def logistic_ladder(model, epsilon: float, delta: float) -> list[float]:
+    """Level sequence s_0 < s_1 = delta < ... < s_L = 1 with equal link increments.
+
+    L is the smallest integer with phi(delta) + (L-1) * epsilon >= phi(1), so
+    consecutive levels (past s_0) advance the link value by exactly epsilon.
+    """
+    phi_delta = float(model.link(delta))
+    if epsilon >= phi_delta - 0.5:
+        raise EpsilonTooLarge(
+            f"epsilon {epsilon!r} must be < phi(delta) - 1/2 = {phi_delta - 0.5!r}"
+        )
+    s0 = float(model.link_inv(phi_delta - epsilon))
+    gap = float(model.link(1.0)) - phi_delta
+    levels_needed = int(np.ceil(gap / epsilon - LADDER_TOL)) if gap > 0 else 0
+    L = max(1, levels_needed + 1)
+    s = [s0, delta]
+    for ell in range(2, L):
+        s.append(float(model.link_inv(phi_delta + (ell - 1) * epsilon)))
+    if L >= 2:
+        s.append(1.0)
+    else:
+        s[-1] = 1.0  # delta == 1: degenerate single band
+    return s

@@ -12,6 +12,7 @@ from conftest import make_model, random_belief
 from reference import (
     compressed_info_ratio,
     grouped_mutual_information,
+    logistic_ladder,
     rate_distortion_bruteforce,
 )
 from rdts.bounds import (
@@ -23,7 +24,6 @@ from rdts.compression import (
     build_partition_glm,
     build_partition_logistic,
     build_representation,
-    logistic_ladder,
     max_intra_cell_distortion,
     realized_link_slope,
     statistic_mutual_information,

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rdts
-from rdts.cli import _json_default, _json_pieces, _write, main
+from rdts.cli import _COMMANDS, _config_keys, _json_default, _json_pieces, _write, build_parser, main
 from rdts.compression import Infeasible
 from rdts.information import DegenerateInformation
 from rdts.tolerances import CERT_TOL, RATIO_CEILING_TOL
@@ -353,6 +353,28 @@ def test_unknown_config_key_is_exit_2(tmp_path, capsys):
     cfg.write_text(json.dumps({"runs": 3, "T": 4, "which": "glm", "d_list": "2"}))
     assert run([*argv, "--config", str(cfg), "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 5
+
+
+def _action_fields(parser):
+    return [(a.option_strings, a.dest, a.default, a.type, a.choices, a.help, a.nargs)
+            for a in parser._actions]
+
+
+@pytest.mark.parametrize("name", list(_COMMANDS))
+def test_one_subcommand_parser_equals_the_full_trees(name):
+    full_parser, full = build_parser()
+    parser, flagged = build_parser([name])
+    assert _action_fields(flagged[name]) == _action_fields(full[name])
+    assert flagged[name].format_help() == full[name].format_help()
+    # every subcommand stays registered, the others without their flags
+    assert parser.format_help() == full_parser.format_help()
+    assert list(flagged) == list(full)
+    assert all(len(p._actions) == 1 for other, p in flagged.items() if other != name)
+
+
+def test_config_keys_are_the_full_trees_flags():
+    _, full = build_parser()
+    assert _config_keys() == {a.dest for p in full.values() for a in p._actions}
 
 
 def test_unknown_bound_is_exit_2(capsys):

@@ -1,7 +1,10 @@
+import io
+import json
 import math
 import signal
 import tracemalloc
 import warnings
+from contextlib import redirect_stdout
 from unittest import mock
 
 import numpy as np
@@ -10,9 +13,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_belief, random_instance
-from reference import TooLarge, rate_distortion_bruteforce
+from reference import TooLarge, logistic_ladder, rate_distortion_bruteforce
 from rdts import compression
-from rdts.bounds import EpsilonTooLarge, c_phi
+from rdts.bounds import EpsilonTooLarge, LogisticLadder, c_phi, partition_count_bounds
+from rdts.cli import main
 from rdts.compression import (
     InvalidEpsilon,
     MarginViolated,
@@ -28,7 +32,6 @@ from rdts.compression import (
     build_representation,
     distortion_block,
     distortion_matrix,
-    logistic_ladder,
     max_intra_cell_distortion,
     realized_link_slope,
     statistic_mutual_information,
@@ -45,7 +48,7 @@ from rdts.model import (
     sample_in_ball,
     sample_instance,
 )
-from rdts.tolerances import CERT_TOL, PAIR_TOL
+from rdts.tolerances import CERT_TOL, MARGIN_TOL, PAIR_TOL
 
 
 def margin_logistic_instance(rng, d=2, n=10, m=8, beta=4.0, delta=0.25):
@@ -219,6 +222,78 @@ def test_greedy_cover_matches_per_center_oracle(seed, d, count, radius_kind):
         assert count > 3 * (_COVER_BLOCK_BYTES // (8 * points.size))
 
 
+def segmented_oracle_cover(points, radii, sizes):
+    """``oracle_greedy_cover`` on each segment alone, its groups numbered on
+    from the previous segment's."""
+    groups, base, lo = [], 0, 0
+    for radius, size in zip(radii, sizes):
+        group = oracle_greedy_cover(points[lo : lo + size], radius)
+        groups.append(base + group)
+        base += int(group.max()) + 1
+        lo += size
+    return np.concatenate(groups)
+
+
+@pytest.mark.parametrize("d", [1, 3, 7, 8, 12])
+@pytest.mark.parametrize("share", [0.5, 1.0])
+@pytest.mark.parametrize("seed", range(4))
+def test_greedy_cover_matches_the_oracle_when_most_points_are_contested(seed, share, d):
+    rng = np.random.default_rng(seed)
+    distinct = sample_in_ball(rng, 40, d)
+    points = distinct[rng.integers(0, 40, size=120)]  # repeated points
+    diameter = float(np.linalg.norm(points[:, None] - points[None], axis=2).max())
+    group = _greedy_cover(points, share * diameter)
+    assert np.array_equal(group, oracle_greedy_cover(points, share * diameter))
+    if share == 1.0:
+        assert not group.any()
+
+
+@pytest.mark.parametrize("d", [2, 3, 9])
+def test_greedy_cover_takes_points_at_exactly_the_radius(d):
+    # integer lattice points: every squared distance is an exact integer, and
+    # each radius below is a distance that many pairs have exactly
+    rng = np.random.default_rng(d)
+    points = rng.integers(-2, 3, size=(150, d)).astype(float)
+    dist = np.linalg.norm(points[:, None] - points[None], axis=2)
+    values, counts = np.unique(dist[dist > 0], return_counts=True)
+    for radius in values[np.argsort(counts)[-4:]].tolist():
+        assert np.array_equal(_greedy_cover(points, radius), oracle_greedy_cover(points, radius))
+
+
+@pytest.mark.parametrize("d", [3, 10])
+@pytest.mark.parametrize("block_bytes", [1, 200, 4096])
+def test_greedy_cover_in_many_blocks_and_segments(monkeypatch, d, block_bytes):
+    monkeypatch.setattr(compression, "_COVER_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(d + block_bytes)
+    sizes = [1, 30, 5, 60, 1, 25]
+    radii = [0.3, 0.0, 2.0, 0.4, 0.1, 0.7]
+    distinct = sample_in_ball(rng, 50, d)
+    points = distinct[rng.integers(0, 50, size=sum(sizes))]
+    single = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    first = np.repeat(single, sizes)
+    group = _greedy_cover(points, np.repeat(radii, sizes), first)
+    assert np.array_equal(group, segmented_oracle_cover(points, radii, sizes))
+    for radius in (0.0, 0.5):
+        assert np.array_equal(_greedy_cover(points, radius), oracle_greedy_cover(points, radius))
+
+
+@pytest.mark.parametrize("radius", [0.05, 2.0])
+def test_greedy_cover_memory_is_per_block_not_k_squared(radius):
+    k = 4000
+    points = sample_in_ball(np.random.default_rng(0), k, 3)
+    tracemalloc.start()
+    try:
+        group = _greedy_cover(points, radius)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert group.shape == (k,)
+    if radius == 2.0:
+        assert not group.any()
+    # one k x k float matrix is k*k*8 bytes; allow a sixteenth of one
+    assert peak < k * k * 8 / 16
+
+
 def test_certification_memory_is_per_cell_not_m_squared():
     m = 3000
     model = OutcomeModel(kind=LOGISTIC, beta=5.0)
@@ -303,7 +378,7 @@ def oracle_linear_partition(instance, epsilon):
     if instance.model.kind != LINEAR_BINARY:
         raise InvalidEpsilon("linear partition builder requires a linear_binary model")
     radius = epsilon / (2.0 * realized_link_slope(instance))
-    cell_of, _ = _cover_best_actions(instance, instance.astar, radius)
+    cell_of = _cover_best_actions(instance, instance.astar, radius)
     return _finish_partition(instance, cell_of, epsilon)
 
 
@@ -403,8 +478,9 @@ def test_realized_link_slope_reads_the_instance_inner_products(kind):
 def test_logistic_ladder_structure():
     model = OutcomeModel(kind=LOGISTIC, beta=2.0)
     eps, delta = 0.05, 0.5
-    s = logistic_ladder(model, eps, delta)
-    L = len(s) - 1
+    ladder = LogisticLadder(model, eps, delta)
+    L = ladder.L
+    s = ladder.levels(np.arange(L + 1)).tolist()
     phi = lambda x: float(model.link(x))
     assert s[1] == delta
     assert s[-1] == 1.0
@@ -423,8 +499,215 @@ def test_logistic_ladder_epsilon_guard():
     delta = 0.5
     limit = float(model.link(delta)) - 0.5
     with pytest.raises(EpsilonTooLarge):
-        logistic_ladder(model, limit + 1e-6, delta)
-    logistic_ladder(model, limit - 1e-6, delta)
+        LogisticLadder(model, limit + 1e-6, delta)
+    LogisticLadder(model, limit - 1e-6, delta)
+
+
+def _ladder_grid():
+    """(model, epsilon, delta) over a grid of beta, delta and epsilon as a
+    share of its ceiling phi(delta) - 1/2, each ladder at most 20000 levels."""
+    for beta in (0.5, 2.0, 5.0, 20.0, 100.0):
+        model = OutcomeModel(kind=LOGISTIC, beta=beta)
+        for delta in (0.01, 0.1, 0.5, 0.9, 1.0):
+            ceiling = float(model.link(delta)) - 0.5
+            for share in (0.999, 0.3, 0.01, 1e-3):
+                epsilon = share * ceiling
+                if (float(model.link(1.0)) - float(model.link(delta))) / epsilon < 20000:
+                    yield model, epsilon, delta
+
+
+def test_ladder_levels_on_demand_equal_the_full_ladder():
+    count = 0
+    for model, epsilon, delta in _ladder_grid():
+        s = logistic_ladder(model, epsilon, delta)
+        ladder = LogisticLadder(model, epsilon, delta)
+        assert ladder.L == len(s) - 1
+        assert ladder.levels(np.arange(ladder.L + 1)).tolist() == s
+        # in any order and with repeats
+        ell = np.random.default_rng(count).integers(0, ladder.L + 1, size=50)
+        assert ladder.levels(ell).tolist() == [s[i] for i in ell]
+        count += 1
+    assert count > 50
+
+
+def scanned_bands(s, v):
+    """Each margin's band as the builder found it before it computed levels
+    on demand: the first band of the full ladder ``s`` whose edges, widened
+    by ``MARGIN_TOL``, hold it (0 if none)."""
+    L = len(s) - 1
+    if L >= 2:
+        bands = [(s[b], s[b + 1], b == 1) for b in range(1, L)]
+    else:
+        bands = [(s[0], s[1], True)]
+    found = np.zeros(v.size, dtype=np.intp)
+    for b, (lo, hi, closed_left) in enumerate(bands, start=1):
+        if closed_left:
+            in_band = (v >= lo - MARGIN_TOL) & (v <= hi + MARGIN_TOL)
+        else:
+            in_band = (v > lo + MARGIN_TOL) & (v <= hi + MARGIN_TOL)
+        found[(found == 0) & in_band] = b
+    return found
+
+
+def test_band_of_matches_a_scan_of_every_band():
+    rng = np.random.default_rng(0)
+    for model, epsilon, delta in _ladder_grid():
+        s = np.array(logistic_ladder(model, epsilon, delta))
+        if s.size > 2000:
+            s_probe = s[rng.choice(s.size, 300, replace=False)]
+        else:
+            s_probe = s
+        # every probed edge, a few ulps either side, and random margins
+        edges = np.concatenate([s_probe - MARGIN_TOL, s_probe + MARGIN_TOL])
+        v = np.concatenate([
+            edges, np.nextafter(edges, 0.0), np.nextafter(edges, 2.0),
+            rng.uniform(0.0, 1.0 + 2 * MARGIN_TOL, size=200),
+        ])
+        v = v[v > 0.0]
+        ladder = LogisticLadder(model, epsilon, delta)
+        assert np.array_equal(ladder.band_of(v), scanned_bands(s.tolist(), v))
+
+
+class _MisguidingModel:
+    """A logistic model whose link, which ``band_of`` reads only for its
+    guess, returns noise."""
+
+    def __init__(self, model, rng):
+        self.model, self.rng = model, rng
+
+    def link(self, x):
+        return self.rng.uniform(0.0, 1.0, size=np.shape(x))
+
+    def link_inv(self, y):
+        return self.model.link_inv(y)
+
+
+def test_band_of_does_not_rely_on_its_guess():
+    rng = np.random.default_rng(1)
+    for model, epsilon, delta in _ladder_grid():
+        s = logistic_ladder(model, epsilon, delta)
+        v = np.concatenate([np.array(s[:300]) + MARGIN_TOL, rng.uniform(0.0, 1.0, 200)])
+        ladder = LogisticLadder(model, epsilon, delta)
+        ladder.model = _MisguidingModel(model, rng)
+        assert np.array_equal(ladder.band_of(v), scanned_bands(s, v))
+
+
+def test_band_of_at_an_epsilon_below_the_links_resolution():
+    # about 5e16 bands, with runs of equal edges where epsilon is below an
+    # ulp of phi; each margin's band is checked by bisecting the levels
+    model = OutcomeModel(kind=LOGISTIC, beta=5.0)
+    ladder = LogisticLadder(model, 1e-17, 0.01)
+    v = np.random.default_rng(2).uniform(0.01, 1.0, 60)
+    band = ladder.band_of(v)
+
+    def end(b):
+        return float(ladder.levels(np.array([b + 1]))[0]) + MARGIN_TOL
+
+    for x, got in zip(v.tolist(), band.tolist()):
+        lo, hi = 1, ladder.bands
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if end(mid) >= x else (mid + 1, hi)
+        opens = x >= 0.01 - MARGIN_TOL if lo == 1 else x > end(lo - 1)
+        assert got == (lo if opens and x <= end(lo) else 0)
+
+
+def test_band_of_refuses_more_bands_than_band_numbers_hold():
+    model = OutcomeModel(kind=LOGISTIC, beta=5.0)
+    ladder = LogisticLadder(model, 1e-19, 0.01)  # the count bound needs s_0 only
+    assert partition_count_bounds(2, 1e-19, LOGISTIC, beta=5.0, delta=0.01) > 0
+    with pytest.raises(ValueError, match="2\\*\\*62"):
+        ladder.band_of(np.array([0.5]))
+
+
+def oracle_logistic_partition(instance, epsilon, delta):
+    """``build_partition_logistic`` as it was before it computed levels on
+    demand and covered every band in one pass, verbatim but for its greedy
+    cover, which is ``oracle_greedy_cover`` on each band's distinct actions."""
+    inner = best_action_margins(instance)
+    if np.min(np.abs(inner)) < delta - MARGIN_TOL:
+        raise MarginViolated("margin")
+    s = logistic_ladder(instance.model, epsilon, delta)
+    L = len(s) - 1
+    if L >= 2:
+        bands = [(s[b], s[b + 1], s[b] - s[b - 1], b == 1) for b in range(1, L)]
+    else:
+        bands = [(s[0], s[1], s[1] - s[0], True)]
+    cell_of = np.full(instance.n_params, -1, dtype=np.intp)
+    next_cell = 0
+    for sign in (1.0, -1.0):
+        for lo, hi, gap, closed_left in bands:
+            v = sign * inner
+            if closed_left:
+                in_band = (v >= lo - MARGIN_TOL) & (v <= hi + MARGIN_TOL)
+            else:
+                in_band = (v > lo + MARGIN_TOL) & (v <= hi + MARGIN_TOL)
+            members = np.flatnonzero(in_band & (sign * inner > 0) & (cell_of < 0))
+            if members.size == 0:
+                continue
+            realized, inverse = np.unique(instance.astar[members], return_inverse=True)
+            group = oracle_greedy_cover(instance.actions[realized], gap / 2.0)
+            cell_of[members] = next_cell + group[inverse]
+            next_cell += int(group.max()) + 1
+    if np.any(cell_of < 0):
+        raise MarginViolated("some parameter fell outside every layer band")
+    return _finish_partition(instance, cell_of, epsilon)
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from([0.5, 2.0, 5.0, 20.0, 100.0]),
+    st.sampled_from(["margin", "low", "one"]),
+    st.sampled_from([0.999, 0.3, 0.05, 1e-3]),
+)
+@settings(max_examples=120, deadline=None)
+def test_logistic_builder_matches_the_per_band_scan(seed, d, beta, delta_kind, share):
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng, LOGISTIC, d=d, n=int(rng.integers(1, 30)),
+                           m=int(rng.integers(1, 60)), beta=beta)
+    margin = float(np.min(np.abs(best_action_margins(inst))))
+    delta = {"margin": margin, "low": margin * rng.uniform(0.1, 1.0), "one": 1.0}[delta_kind]
+    if not delta > 0.0:
+        return
+    ceiling = float(inst.model.link(delta)) - 0.5
+    if not ceiling > 0.0:
+        return
+    epsilon = share * ceiling
+    if (float(inst.model.link(1.0)) - ceiling - 0.5) / epsilon > 5000:
+        return  # the oracle scans every band twice
+    outcomes = []
+    for build in (build_partition_logistic, oracle_logistic_partition):
+        try:
+            outcomes.append(build(inst, epsilon, delta).cell_of.tolist())
+        except MarginViolated:
+            outcomes.append("MarginViolated")
+    assert outcomes[0] == outcomes[1]
+
+
+def test_logistic_builder_levels_follow_m_not_one_over_epsilon(monkeypatch):
+    # at epsilon = 1e-9 this ladder has about 4.8e8 levels
+    levels = []
+    link_inv = OutcomeModel.link_inv
+
+    def counted(self, y):
+        levels[-1] += np.size(y)
+        return link_inv(self, y)
+
+    monkeypatch.setattr(OutcomeModel, "link_inv", counted)
+    m = 50
+    for epsilon in ("1e-3", "1e-5", "1e-7", "1e-9"):
+        levels.append(0)
+        argv = ["partition", "--model", "logistic", "--builder", "logistic", "--beta", "5",
+                "--delta", "0.01", "--d", "2", "--n", "20", "--m", str(m), "--seed", "3",
+                "--epsilon", epsilon]
+        with redirect_stdout(io.StringIO()) as out:
+            assert main(argv) == 0
+        assert json.loads(out.getvalue())["epsilon"] == float(epsilon)
+    # per distinct band two edges to check the guess and two for the band
+    # found, a few more where a guess misses, two per layer for its gap, and
+    # s_0 for the builder's ladder and the formula's: a count set by m alone
+    assert max(levels) <= 8 * m, levels
 
 
 @given(st.integers(min_value=0), st.sampled_from([0.05, 0.1, 0.2]))
