@@ -129,8 +129,17 @@ class LogisticLadder:
             )
         self.s0 = float(model.link_inv(self.phi_delta - epsilon))
         gap = float(model.link(1.0)) - self.phi_delta
-        levels_needed = int(np.ceil(gap / epsilon - LADDER_TOL)) if gap > 0 else 0
-        self.L = max(1, levels_needed + 1)
+        # L - 1 as a float, infinite at a subnormal epsilon
+        self._past_delta = float(np.ceil(gap / epsilon - LADDER_TOL)) if gap > 0 else 0.0
+
+    @property
+    def L(self) -> int:
+        """The number of levels past s_0. Raises ValueError if the ladder
+        has 2**62 bands or more (band numbers are 64-bit integers); the
+        partition-count bound reads s_0 alone and evaluates at any epsilon."""
+        if not self._past_delta < 2.0**62:
+            raise ValueError(f"epsilon {self.epsilon!r} gives 2**62 or more ladder bands")
+        return max(1, int(self._past_delta) + 1)
 
     @property
     def bands(self) -> int:
@@ -164,8 +173,6 @@ class LogisticLadder:
         band once.
         """
         nb = self.bands
-        if nb >= 2**62:  # band numbers are 64-bit integers
-            raise ValueError(f"epsilon {self.epsilon!r} gives 2**62 or more ladder bands")
         shift = -1 if self.L < 2 else 0
 
         def ends(band: NDArray) -> NDArray:

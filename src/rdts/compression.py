@@ -10,9 +10,11 @@ epsilon / (2 C(phi)) (the linear model is the case C(phi) = 1/2), and
 representation builder compresses each cell onto a two-point mixture whose
 expected reward and information gain are no better than the cell average.
 
-The greedy cover visits one at a time only its contested points, those with
-an earlier point within the radius, and reads each point's distances to the
-earlier points in row blocks under a byte cap. The logistic builder finds
+The greedy cover measures each point against the centers found so far and
+against the earlier points of its row block that no center takes, in blocks
+under a byte cap, and visits one at a time only the contested points among
+those, so its work is about the number of points times the number of
+centers, at a fine radius or a coarse one. The logistic builder finds
 each parameter's band from the ladder levels its bands need alone
 (``bounds.LogisticLadder``) and covers every non-empty band in one call, so
 its work follows m and the cells, not the ladder's length, which grows like
@@ -29,7 +31,8 @@ Partitions and representations live in memory only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -56,12 +59,9 @@ class Infeasible(ArithmeticError):
 def _split_cells(cell_of: NDArray, K: int = 0) -> list[NDArray]:
     """Read-only member arrays of cells 0, 1, ..., max(K, max(cell_of) + 1) - 1,
     each in increasing index order (an unused cell number gets an empty one)."""
-    counts = np.bincount(cell_of, minlength=K)
-    ends = np.cumsum(counts).tolist()
-    # a stable sort keeps each cell's members in increasing index order; on
-    # 16-bit keys numpy's stable sort is a radix sort, several times faster
-    keys = cell_of.astype(np.uint16) if counts.size <= 1 << 16 else cell_of
-    order = np.argsort(keys, kind="stable")
+    ends = np.cumsum(np.bincount(cell_of, minlength=K)).tolist()
+    # a stable sort keeps each cell's members in increasing index order
+    order = np.argsort(cell_of, kind="stable")
     order.setflags(write=False)
     return [order[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
@@ -73,16 +73,19 @@ class Partition:
     cell_of: NDArray
     epsilon: float
     K: int
-    _members: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         cells = np.asarray(self.cell_of, dtype=np.intp)
         object.__setattr__(self, "cell_of", cells)
         cells.setflags(write=False)
-        members = _split_cells(cells, self.K)
-        if len(members) != self.K or any(idx.size == 0 for idx in members):
+        counts = np.bincount(cells, minlength=self.K)  # a negative cell raises
+        if counts.size != self.K or not counts.all():
             raise ValueError("cells must be exactly 0..K-1 and all non-empty")
-        object.__setattr__(self, "_members", tuple(members))
+
+    @functools.cached_property
+    def _members(self) -> tuple[NDArray, ...]:
+        # split on first use: the partition subcommand never reads a member list
+        return tuple(_split_cells(self.cell_of, self.K))
 
     def members(self, k: int) -> NDArray:
         """Parameter indices of cell ``k`` in increasing order (read-only)."""
@@ -150,17 +153,22 @@ def max_intra_cell_distortion(instance: BanditInstance, cell_of: NDArray, K: int
 
 
 # ``_greedy_cover`` decides its points in row blocks, the differences of a
-# block's (point, earlier point) pairs taking at most this many bytes, or
-# one point's if that is more
+# block's pairs taking at most this many bytes, or one point's if that is more
 _COVER_BLOCK_BYTES = 1 << 20
+
+
+def _ranges(starts: NDArray, counts: NDArray) -> NDArray:
+    """``arange(s, s + c)`` for each pair (s, c), concatenated."""
+    ends = np.cumsum(counts)
+    return np.arange(int(ends[-1]) if ends.size else 0) + np.repeat(starts - ends + counts, counts)
 
 
 def _pair_distances(points: NDArray, row: NDArray, col: NDArray) -> NDArray:
     """``np.linalg.norm(points[row] - points[col], axis=1)``, bit for bit.
 
     numpy sums fewer than 8 squares left to right, which adding them one
-    coordinate at a time repeats at a fraction of the cost; from 8
-    coordinates on it sums pairwise, and the norm itself runs.
+    coordinate at a time repeats without its slow reduction over a short
+    axis; from 8 coordinates on it sums pairwise, and the norm itself runs.
     """
     if points.shape[1] >= 8:
         return np.linalg.norm(points.take(row, axis=0) - points.take(col, axis=0), axis=1)
@@ -184,43 +192,78 @@ def _greedy_cover(
     segment radius.
 
     Equivalently, a point is a center unless an earlier center of its
-    segment lies within radius, and it joins the first such center. A point
-    with no earlier point of its segment within radius is a center
-    outright, so only the contested ones, which have some, are visited one
-    at a time, in index order. A block's centers are final once its rows
-    are decided.
+    segment lies within radius, and it joins the first such center. Points
+    are decided in row blocks, whose centers are final once its rows are.
+    Each row first joins the first center of an earlier block within
+    radius, if any. The first row left is a center and takes the rows left
+    within radius. The others are measured against each other: a row with
+    none of them earlier within radius is a center outright, and only the
+    rest, the contested rows, are visited one at a time (those that an
+    outright center takes are skipped). A row is measured against centers
+    and the earlier free rows of its block only, so the work is about the
+    number of points times the number of centers, whether most points are
+    centers or few are.
     """
     count = points.shape[0]
     if first is None:
         first = np.zeros(count, dtype=np.intp)
     radius = np.broadcast_to(radius, (count,))
-    earlier = np.arange(count) - first
-    ends = np.cumsum(earlier)
     limit = max(1, _COVER_BLOCK_BYTES // (points.itemsize * points.shape[1]))
-    is_center = np.ones(count, dtype=bool)
-    center = np.arange(count)
+    center = np.empty(count, dtype=np.intp)
+    centers = np.empty(0, dtype=np.intp)  # those of the earlier blocks, in order
     lo = 0
     while lo < count:
-        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - earlier[lo] + limit, "right")))
-        pairs = earlier[lo:hi]
-        start = np.cumsum(pairs) - pairs
-        # each row of the block against each earlier point of its segment
-        row = np.repeat(np.arange(lo, hi), pairs)
-        col = np.arange(row.size) + np.repeat(first[lo:hi] - start, pairs)
-        near = _pair_distances(points, row, col) <= radius[row]
-        # each contested row once, in index order (the rows are sorted)
-        contested = row[near]
-        for i in contested[np.diff(contested, prepend=-1) != 0].tolist():
-            at = slice(start[i - lo], start[i - lo] + pairs[i - lo])
-            is_center[i] = not (near[at] & is_center[col[at]]).any()
-        if contested.size:
-            # a point that is no center joins its first pair with a center
-            hit = np.flatnonzero(near & is_center[col])
-            joins = row[hit]
-            taken = np.diff(joins, prepend=-1) != 0
-            center[joins[taken]] = col[hit[taken]]
-        lo = hi
-    return (np.cumsum(is_center) - 1)[center]
+        # each row against the centers of earlier blocks in its segment, as
+        # many rows as their pairs allow
+        rows = np.arange(lo, min(count, lo + limit))
+        known = centers.size - np.searchsorted(centers, first[rows])
+        size = max(1, int(np.searchsorted(np.cumsum(known), limit, "right")))
+        rows, known = rows[:size], known[:size]
+        row = np.repeat(rows, known)
+        col = centers[_ranges(centers.size - known, known)]
+        hit = np.flatnonzero(_pair_distances(points, row, col) <= radius[row])
+        taken = hit[np.diff(row[hit], prepend=-1) != 0]
+        center[row[taken]] = col[taken]
+        left = np.ones(size, dtype=bool)
+        left[row[taken] - lo] = False
+        free = rows[left]
+        if not free.size:
+            lo += size
+            continue
+        # the first row left is a center and takes the rows left within radius
+        head, free = free[0], free[1:]
+        center[head] = head
+        near = _pair_distances(points, free, np.full(free.size, head)) <= radius[free]
+        taken = near & (first[free] == first[head])
+        center[free[taken]] = head
+        free = free[~taken]
+        # the rows left against each other, free[own] with its earlier
+        # free[other], as many as their pairs allow; the block ends there
+        pairs = np.arange(free.size) - np.searchsorted(free, first[free])
+        keep = min(free.size, int(np.searchsorted(np.cumsum(pairs), limit, "right")))
+        lo = int(free[keep]) if keep < free.size else lo + size
+        free, pairs = free[:keep], pairs[:keep]
+        own = np.repeat(np.arange(keep), pairs)
+        other = _ranges(np.arange(keep) - pairs, pairs)
+        near = _pair_distances(points[free], own, other) <= radius[free][own]
+        is_center = np.ones(keep, dtype=bool)
+        if near.any():
+            contested = np.zeros(keep, dtype=bool)
+            contested[own[near]] = True
+            # a row that an outright center takes is no center
+            is_center[own[near & ~contested[other]]] = False
+            at = np.cumsum(pairs) - pairs
+            for i in np.flatnonzero(contested & is_center).tolist():
+                span = slice(at[i], at[i] + pairs[i])
+                is_center[i] = not (near[span] & is_center[other[span]]).any()
+            # a row that is no center joins its first pair with a center
+            hit = np.flatnonzero(near & is_center[other])
+            taken = hit[np.diff(own[hit], prepend=-1) != 0]
+            center[free[own[taken]]] = free[other[taken]]
+        made = free[is_center]
+        center[made] = made
+        centers = np.concatenate([centers, [head], made])
+    return np.searchsorted(centers, center)
 
 
 def _cover_best_actions(instance: BanditInstance, astar: NDArray, radius: float) -> NDArray:

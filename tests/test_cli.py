@@ -223,6 +223,18 @@ def test_epsilon_too_large_is_config_error(capsys):
     assert doc["error"] == "EpsilonTooLarge"
 
 
+def test_logistic_ladder_at_a_subnormal_epsilon(capsys):
+    # phi(1) - phi(delta) over a subnormal epsilon is infinite: the count
+    # bound reads s_0 alone and evaluates, the layered builder refuses
+    common = ["--model", "logistic", "--d", "2", "--beta", "5", "--delta", "0.01",
+              "--epsilon", "1e-310"]
+    assert run(["bounds", "--which", "partition-count", *common]) == 0
+    assert "partition-count,inf," in capsys.readouterr().out
+    assert run(["partition", "--builder", "logistic", "--n", "20", "--m", "50", "--seed", "3",
+                *common]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+
+
 def test_audit_json_and_exit_code(tmp_path):
     out = tmp_path / "a.json"
     code = run(

@@ -25,6 +25,7 @@ from rdts.compression import (
     _cover_best_actions,
     _finish_partition,
     _greedy_cover,
+    _pair_distances,
     _refine_certified,
     best_action_margins,
     build_partition_glm,
@@ -222,6 +223,17 @@ def test_greedy_cover_matches_per_center_oracle(seed, d, count, radius_kind):
         assert count > 3 * (_COVER_BLOCK_BYTES // (8 * points.size))
 
 
+@pytest.mark.parametrize("d", range(1, 21))
+def test_pair_distances_equal_the_norm_bit_for_bit(d):
+    rng = np.random.default_rng(d)
+    # coordinates spread over many binades, so that a change of summation
+    # order would show in the last bits
+    points = rng.standard_normal((300, d)) * 10.0 ** rng.uniform(-8, 8, (300, d))
+    row, col = rng.integers(0, 300, (2, 5000))
+    expected = np.linalg.norm(points[row] - points[col], axis=1)
+    assert np.array_equal(_pair_distances(points, row, col), expected)
+
+
 def segmented_oracle_cover(points, radii, sizes):
     """``oracle_greedy_cover`` on each segment alone, its groups numbered on
     from the previous segment's."""
@@ -294,6 +306,28 @@ def test_greedy_cover_memory_is_per_block_not_k_squared(radius):
     assert peak < k * k * 8 / 16
 
 
+@pytest.mark.parametrize("radius", [0.0, 0.25, 0.5, 1.0, 2.0])
+def test_greedy_cover_measures_points_against_centers_not_every_earlier_point(
+    monkeypatch, radius
+):
+    pair_distances = compression._pair_distances
+    measured = [0]
+
+    def counted(points, row, col):
+        measured[0] += row.size
+        return pair_distances(points, row, col)
+
+    monkeypatch.setattr(compression, "_pair_distances", counted)
+    k = 4000
+    points = sample_in_ball(np.random.default_rng(0), k, 3)
+    groups = int(_greedy_cover(points, radius).max()) + 1
+    # about k times the number of centers, not k^2 / 2 when centers are few;
+    # all k^2 / 2 pairs when every point is a center
+    assert measured[0] <= min(4 * k * groups, k * (k - 1) // 2 + k), (groups, measured[0])
+    if radius == 2.0:
+        assert groups == 1 and measured[0] < k
+
+
 def test_certification_memory_is_per_cell_not_m_squared():
     m = 3000
     model = OutcomeModel(kind=LOGISTIC, beta=5.0)
@@ -344,6 +378,26 @@ def test_partition_validation_and_json():
     assert part.members(0).tolist() == [0, 2]
     with pytest.raises(ValueError):
         Partition(cell_of=np.array([0, 2]), epsilon=0.1, K=3)  # empty cell 1
+
+
+@pytest.mark.parametrize("cells", [[0, 1, 3], [-1, 0, 1], [0, 0, 1]])
+def test_partition_rejects_cells_outside_or_missing_from_zero_to_k(cells):
+    with pytest.raises(ValueError):
+        Partition(cell_of=np.array(cells), epsilon=0.1, K=3)
+
+
+def test_partition_splits_its_cells_only_when_members_are_read(monkeypatch):
+    split, calls = compression._split_cells, []
+
+    def counted(*args):
+        calls.append(args)
+        return split(*args)
+
+    monkeypatch.setattr(compression, "_split_cells", counted)
+    part = Partition(cell_of=np.array([0, 1, 0, 2]), epsilon=0.1, K=3)
+    assert not calls
+    assert [part.members(k).tolist() for k in range(3)] == [[0, 2], [1], [3]]
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -612,10 +666,11 @@ def test_band_of_at_an_epsilon_below_the_links_resolution():
         assert got == (lo if opens and x <= end(lo) else 0)
 
 
-def test_band_of_refuses_more_bands_than_band_numbers_hold():
+@pytest.mark.parametrize("epsilon", [1e-19, 1e-310])  # 1e-310 is subnormal
+def test_band_of_refuses_more_bands_than_band_numbers_hold(epsilon):
     model = OutcomeModel(kind=LOGISTIC, beta=5.0)
-    ladder = LogisticLadder(model, 1e-19, 0.01)  # the count bound needs s_0 only
-    assert partition_count_bounds(2, 1e-19, LOGISTIC, beta=5.0, delta=0.01) > 0
+    ladder = LogisticLadder(model, epsilon, 0.01)  # the count bound needs s_0 only
+    assert partition_count_bounds(2, epsilon, LOGISTIC, beta=5.0, delta=0.01) > 0
     with pytest.raises(ValueError, match="2\\*\\*62"):
         ladder.band_of(np.array([0.5]))
 
