@@ -46,7 +46,6 @@ from .compression import (
     best_action_margins,
     build_partition_glm,
     build_partition_logistic,
-    max_intra_cell_distortion,
     realized_link_slope,
     statistic_mutual_information,
 )
@@ -314,9 +313,7 @@ def cmd_partition(args) -> int:
     report = {
         "K": partition.K,
         "epsilon": partition.epsilon,
-        "max_intra_cell_distortion": max_intra_cell_distortion(
-            instance, partition.cell_of, partition.K
-        ),
+        "max_intra_cell_distortion": float(partition.distortion.max(initial=0.0)),
         "formula_bound": formula,
         "I_theta_psi_nats": statistic_mutual_information(belief, partition),
     }

@@ -21,12 +21,16 @@ its work follows m and the cells, not the ladder's length, which grows like
 1 / epsilon.
 
 A cell's worst distortion depends on its members only through their
-distinct best actions, so certification reads the sum over cells of
-|cell| * |distinct best actions in the cell| mean rewards, in one pass over
-all cells. Only a cell over epsilon reads its |cell|^2 ``distortion_block``,
-to re-split it, and no builder reads the full m x m ``distortion_matrix``
-(the brute-force rate-distortion oracle in ``tests/reference.py`` does).
-Partitions and representations live in memory only.
+distinct best actions, and every distortion in a cell of one such action
+is b - b = +0.0, so certification reads |cell| * |distinct best actions in
+the cell| mean rewards of each cell with two or more, in one
+``mean_rewards`` call, which multiplies again only the instance's product
+blocks that hold those members. A builder certifies once and keeps each
+cell's worst distortion in its partition (``Partition.distortion``). Only a
+cell over epsilon reads its |cell|^2 ``distortion_block``, to re-split it,
+and no builder reads the full m x m ``distortion_matrix`` (the brute-force
+rate-distortion oracle in ``tests/reference.py`` does). Partitions and
+representations live in memory only.
 """
 
 from __future__ import annotations
@@ -68,16 +72,24 @@ def _split_cells(cell_of: NDArray, K: int = 0) -> list[NDArray]:
 
 @dataclass(frozen=True)
 class Partition:
-    """Assignment of each parameter to a cell with certified distortion <= epsilon."""
+    """Assignment of each parameter to a cell with certified distortion <= epsilon.
+
+    ``distortion[k]``, read-only, is the largest pairwise distortion within
+    cell ``k`` as the builder certified it; a partition built by hand has
+    none.
+    """
 
     cell_of: NDArray
     epsilon: float
     K: int
+    distortion: NDArray | None = None
 
     def __post_init__(self) -> None:
         cells = np.asarray(self.cell_of, dtype=np.intp)
         object.__setattr__(self, "cell_of", cells)
         cells.setflags(write=False)
+        if self.distortion is not None:
+            self.distortion.setflags(write=False)
         counts = np.bincount(cells, minlength=self.K)  # a negative cell raises
         if counts.size != self.K or not counts.all():
             raise ValueError("cells must be exactly 0..K-1 and all non-empty")
@@ -103,7 +115,8 @@ class Representation:
 
 def distortion_block(instance: BanditInstance, idx: NDArray) -> NDArray:
     """``distortion_matrix(instance)[np.ix_(idx, idx)]``, bit for bit, from
-    the |idx|^2 mean rewards it needs."""
+    the |idx|^2 mean rewards it needs, which ``mean_rewards`` takes from the
+    product blocks that hold the rows of ``idx``."""
     idx = np.asarray(idx, dtype=np.intp)
     played = instance.astar[idx]
     best = instance.mean_rewards(idx, played)
@@ -124,25 +137,33 @@ def _cell_distortions(instance: BanditInstance, cell_of: NDArray, K: int = 0) ->
     a rounded difference b - x never grows with x, so a cell's worst is the
     max over its members j of mu[j, a*_j] - min_a mu[j, a], the min taken
     over the cell's distinct best actions a. That reads each member's mean
-    rewards of those actions only.
+    rewards of those actions only, and a cell with one distinct best action
+    reads none.
     """
-    m, n = cell_of.size, instance.n_actions
+    n = instance.n_actions
     # the distinct (cell, best action) pairs, by cell and then action (a
     # flag-less np.unique would import numpy.ma, see model._distinct)
     pairs = np.sort(cell_of * n + instance.astar)
     pairs = pairs[np.r_[True, pairs[1:] != pairs[:-1]]]
     pair_cell, pair_action = np.divmod(pairs, n)
     actions_in = np.bincount(pair_cell)
+    worst = np.zeros(max(K, actions_in.size))
+    # every distortion in a cell of one best action is b - b = +0.0, so only
+    # the members of the other cells read mean rewards
+    member = np.flatnonzero(actions_in[cell_of] > 1)
+    if not member.size:
+        return worst
+    cells = cell_of[member]
     first = np.cumsum(actions_in) - actions_in
     # member j reads its cell's actions as entries start[j] .. start[j] + reps[j] - 1
-    reps = actions_in[cell_of]
+    reps = actions_in[cells]
     start = np.cumsum(reps) - reps
-    entry = np.arange(start[-1] + reps[-1]) + np.repeat(first[cell_of] - start, reps)
-    lowest = np.minimum.reduceat(
-        instance.mean_rewards(np.repeat(np.arange(m), reps), pair_action[entry]), start
-    )
-    worst = np.zeros(max(K, actions_in.size))
-    np.maximum.at(worst, cell_of, instance.mean_rewards(np.arange(m), instance.astar) - lowest)
+    entry = np.arange(start[-1] + reps[-1]) + np.repeat(first[cells] - start, reps)
+    rows, cols = np.repeat(member, reps), pair_action[entry]
+    value = instance.mean_rewards(rows, cols)
+    # each member's own best action is one of its entries
+    best = value[cols == instance.astar[rows]]
+    np.maximum.at(worst, cells, best - np.minimum.reduceat(value, start))
     return worst
 
 
@@ -312,8 +333,14 @@ def _refine_certified(
 def _finish_partition(
     instance: BanditInstance, cell_of: NDArray, epsilon: float
 ) -> Partition:
-    cell_of = _refine_certified(instance, cell_of, epsilon)
-    return Partition(cell_of=cell_of, epsilon=epsilon, K=int(cell_of.max()) + 1)
+    """The partition into cells ``cell_of``, with each cell's certified worst
+    distortion; should one exceed epsilon, the cells re-split and are
+    certified again."""
+    worst = _cell_distortions(instance, cell_of)
+    if (worst > epsilon + CERT_TOL).any():
+        cell_of = _refine_certified(instance, cell_of, epsilon)
+        worst = _cell_distortions(instance, cell_of)
+    return Partition(cell_of=cell_of, epsilon=epsilon, K=worst.size, distortion=worst)
 
 
 def realized_link_slope(instance: BanditInstance) -> float:

@@ -95,18 +95,24 @@ _PRODUCT_CHUNK = 1 << 17
 
 @dataclass(frozen=True)
 class BanditInstance:
-    """Immutable bandit instance with its inner products and argmaxes.
+    """Immutable bandit instance with its best actions.
 
-    ``inner[i, j]`` is ``a_j . theta_i``; ``astar[i]`` is the lowest-index
-    maximizer of row ``i``. Both are built in row chunks of at most
-    ``_PRODUCT_CHUNK`` multiply-adds, so ``inner`` of an instance up to that
-    size has the bits of one ``params @ actions.T``, and of a larger one may
-    differ from them in the last bits. Every link is strictly increasing, so
+    ``astar[i]`` is the lowest-index maximizer of the inner products
+    ``a_j . theta_i`` over actions ``j``. Construction computes them in
+    blocks of ``block_rows`` consecutive parameters, each block at most
+    ``_PRODUCT_CHUNK`` multiply-adds and written into one reused buffer, and
+    keeps only the argmaxes. OpenBLAS may round a product differently when
+    its shape differs, so every later read repeats these blocks exactly:
+    ``inner[i, j] = a_j . theta_i``, built on first read and then kept, has
+    the bits of one ``params @ actions.T`` for an instance of one block,
+    which keeps its buffer as ``inner``, and may differ from them in the
+    last bits for a larger one. Every link is strictly increasing, so
     ``astar[i]`` is the best action of row ``i`` even where the float link
-    saturates and the mean rewards tie. ``mu[i, j]``, the exact mean reward of action ``j`` under
-    parameter ``i``, is built from ``inner`` on first read and then kept;
-    ``mean_rewards(rows, cols)`` gives ``mu[rows, cols]`` bit for bit from
-    the entries of ``inner`` it needs, without building the table.
+    saturates and the mean rewards tie. ``mu[i, j]``, the exact mean reward
+    of action ``j`` under parameter ``i``, is built from ``inner`` on first
+    read and then kept; ``mean_rewards(rows, cols)`` gives ``mu[rows, cols]``
+    bit for bit from the blocks its rows lie in, without building either
+    table.
 
     ``outcomes`` tabulates the two-point outcome pmfs of the realized actions
     (the distinct entries of ``astar``, the only actions Thompson sampling can
@@ -116,8 +122,8 @@ class BanditInstance:
     actions: NDArray
     params: NDArray
     model: OutcomeModel
-    inner: NDArray = field(init=False, repr=False)
     astar: NDArray = field(init=False, repr=False)
+    block_rows: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         actions = np.asarray(self.actions, dtype=float)
@@ -126,24 +132,27 @@ class BanditInstance:
         _check_ball(params, "params")
         if actions.shape[1] != params.shape[1]:
             raise InvalidInstanceError("actions and params must share dimension d")
+        for arr in (actions, params):
+            arr.setflags(write=False)
         object.__setattr__(self, "actions", actions)
         object.__setattr__(self, "params", params)
         m, n = params.shape[0], actions.shape[0]
-        inner = np.empty((m, n))
-        astar = np.empty(m, dtype=np.intp)
         step = max(1, _PRODUCT_CHUNK // (n * actions.shape[1]))
+        object.__setattr__(self, "block_rows", step)
+        astar = np.empty(m, dtype=np.intp)
+        buffer = np.empty((min(step, m), n))
         for lo in range(0, m, step):
-            rows = slice(lo, lo + step)
-            np.matmul(params[rows], actions.T, out=inner[rows])
             # np.argmax breaks ties at the lowest index
-            np.argmax(inner[rows], axis=1, out=astar[rows])
-        for arr in (actions, params, inner, astar):
-            arr.setflags(write=False)
-        object.__setattr__(self, "inner", inner)
+            np.argmax(self._block(lo, buffer), axis=1, out=astar[lo:lo + step])
+        if step >= m:
+            # one block: the buffer holds the whole table, kept as ``inner``
+            buffer.setflags(write=False)
+            self.__dict__["inner"] = buffer
+        astar.setflags(write=False)
         object.__setattr__(self, "astar", astar)
         if self.model.kind == LINEAR_BINARY:
             # success probability 1/2 + a.theta/2 must be a probability
-            if np.any(np.abs(inner) > 1.0 + OUTCOME_PMF_TOL):
+            if np.any(np.abs(self.inner) > 1.0 + OUTCOME_PMF_TOL):
                 raise InvalidInstanceError("linear_binary requires |a.theta| <= 1")
         elif self.model.kind == GLM:
             eta = float(self.model.eta or 0.0)
@@ -153,23 +162,54 @@ class BanditInstance:
                     "glm reward range exceeds 1 (link spread + 2*eta)"
                 )
 
+    def _block(self, lo: int, out: NDArray) -> NDArray:
+        """The inner products of the block of parameters that starts at row
+        ``lo``, written to the first rows of ``out`` and returned."""
+        rows = self.params[lo:lo + self.block_rows]
+        return np.matmul(rows, self.actions.T, out=out[:rows.shape[0]])
+
+    def _mean(self, x: NDArray) -> NDArray:
+        """The model's mean reward at inner products ``x``, elementwise."""
+        if self.model.kind == LINEAR_BINARY:
+            return 0.5 * x
+        return np.asarray(self.model.link(x))
+
+    @cached_property
+    def inner(self) -> NDArray:
+        """Read-only ``(m, n)`` inner-product table, built on first read."""
+        inner = np.empty((self.n_params, self.n_actions))
+        for lo in range(0, self.n_params, self.block_rows):
+            self._block(lo, inner[lo:])
+        inner.setflags(write=False)
+        return inner
+
     @cached_property
     def mu(self) -> NDArray:
         """Read-only ``(m, n)`` mean-reward table, built on first read."""
-        mu = self.mean_rewards(slice(None), slice(None))
+        mu = self._mean(self.inner)
         mu.setflags(write=False)
         return mu
 
     def mean_rewards(self, rows, cols) -> NDArray:
-        """``mu[rows, cols]``: the model's mean applied to ``inner[rows, cols]``.
+        """``mu[rows, cols]`` for integer indexes ``rows`` and ``cols``
+        (scalars or arrays that broadcast together, such as ``np.ix_``'s).
 
-        The mean is elementwise, so the values equal the table's bit for bit
-        whatever the index shapes, and only the gathered entries are computed.
+        Each block of parameters that holds an indexed row is multiplied
+        again, as construction multiplied it, and the gathered entries are
+        taken from it; the mean is elementwise, so the values equal the
+        table's bit for bit and neither ``inner`` nor ``mu`` is built.
         """
-        x = self.inner[rows, cols]
-        if self.model.kind == LINEAR_BINARY:
-            return 0.5 * x
-        return np.asarray(self.model.link(x))
+        rows, cols = np.broadcast_arrays(
+            np.arange(self.n_params)[rows], np.arange(self.n_actions)[cols]
+        )
+        x = np.empty(rows.shape)
+        block = rows // self.block_rows
+        buffer = np.empty((min(self.block_rows, self.n_params), self.n_actions))
+        for b in _distinct(block.ravel(), 0).tolist():
+            at = block == b
+            lo = b * self.block_rows
+            x[at] = self._block(lo, buffer)[rows[at] - lo, cols[at]]
+        return self._mean(x)
 
     @cached_property
     def outcomes(self) -> tuple[NDArray, NDArray, NDArray, NDArray]:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import random_belief, random_instance
 from reference import TooLarge, logistic_ladder, rate_distortion_bruteforce
-from rdts import compression
+from rdts import cli, compression
 from rdts.bounds import EpsilonTooLarge, LogisticLadder, c_phi, partition_count_bounds
 from rdts.cli import main
 from rdts.compression import (
@@ -23,6 +23,7 @@ from rdts.compression import (
     Partition,
     _COVER_BLOCK_BYTES,
     _cover_best_actions,
+    _cell_distortions,
     _finish_partition,
     _greedy_cover,
     _pair_distances,
@@ -177,6 +178,12 @@ def test_refine_resplits_an_over_wide_cell_like_the_oracle():
     assert refined.max() > 0  # the greedy re-split fired
     assert np.array_equal(refined, oracle_refine_certified(inst, cell_of, 0.05))
     assert max_intra_cell_distortion(inst, refined, int(refined.max()) + 1) <= 0.05 + CERT_TOL
+    # the partition keeps the certificate of its final cells, not the over-wide one
+    part = _finish_partition(inst, cell_of, 0.05)
+    assert np.array_equal(part.cell_of, refined)
+    assert np.array_equal(_bits(part.distortion), _bits(_cell_distortions(inst, refined)))
+    assert part.distortion.shape == (part.K,) and not part.distortion.flags.writeable
+    assert part.distortion.max() <= 0.05 + CERT_TOL
     # a pair whose distortion exceeds epsilon by less than CERT_TOL stays together
     dmat = distortion_matrix(inst)
     i, j = np.unravel_index(np.argmax(dmat), dmat.shape)
@@ -186,6 +193,43 @@ def test_refine_resplits_an_over_wide_cell_like_the_oracle():
     refined = _refine_certified(inst, pair, tight)
     assert refined[i] == refined[j]
     assert np.array_equal(refined, oracle_refine_certified(inst, pair, tight))
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from([LINEAR_BINARY, LOGISTIC, GLM]),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=3),
+)
+@settings(max_examples=100, deadline=None)
+def test_only_cells_of_two_or_more_best_actions_read_mean_rewards(seed, kind, m, per_cell):
+    rng = np.random.default_rng(seed)
+    half = sample_in_ball(rng, int(rng.integers(1, 8)), 3)
+    # duplicated actions, so best actions tie at the lowest copy
+    actions = np.concatenate([half, half[rng.integers(0, half.shape[0], size=3)]])
+    beta = 2.0 if kind == GLM else 5.0
+    inst = BanditInstance(actions=actions, params=sample_in_ball(rng, m, 3),
+                          model=OutcomeModel(kind=kind, beta=beta, eta=0.0 if kind == GLM else None))
+    # cells that each take the parameters of up to per_cell best actions;
+    # some cell numbers stay unused
+    cell_of = (rng.permutation(inst.n_actions) // per_cell)[inst.astar]
+    read = []
+    gather = BanditInstance.mean_rewards
+
+    def counted(self, rows, cols):
+        read.append(np.asarray(rows).ravel())
+        return gather(self, rows, cols)
+
+    with mock.patch.object(BanditInstance, "mean_rewards", counted):
+        worst = _cell_distortions(inst, cell_of)
+    several = [k for k in range(worst.size) if np.unique(inst.astar[cell_of == k]).size > 1]
+    assert len(read) == (1 if several else 0)
+    assert set(np.concatenate(read + [np.empty(0, dtype=np.intp)]).tolist()) == set(
+        np.flatnonzero(np.isin(cell_of, several)).tolist())
+    for k in range(worst.size):
+        idx = np.flatnonzero(cell_of == k)
+        expected = distortion_block(inst, idx).max() if idx.size else 0.0
+        assert _bits(worst[k]) == _bits(np.float64(expected)), k
 
 
 def oracle_greedy_cover(points, radius):
@@ -354,8 +398,8 @@ def test_partition_never_builds_the_mean_reward_table():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert "mu" not in vars(inst)
-    # the inner products are one m x n float table; the mean rewards would be another
+    assert "mu" not in vars(inst) and "inner" not in vars(inst)
+    # the inner products would be one m x n float table, the mean rewards another
     assert peak < 2 * m * n * 8
 
 
@@ -376,6 +420,7 @@ def test_max_intra_cell_distortion(tiny_linear):
 def test_partition_validation_and_json():
     part = Partition(cell_of=np.array([0, 1, 0, 2]), epsilon=0.1, K=3)
     assert part.members(0).tolist() == [0, 2]
+    assert part.distortion is None
     with pytest.raises(ValueError):
         Partition(cell_of=np.array([0, 2]), epsilon=0.1, K=3)  # empty cell 1
 
@@ -421,6 +466,29 @@ def test_glm_builder_certificate(seed, epsilon):
     inst = random_instance(rng, GLM, d=3, n=12, m=10, beta=0.8, eta=0.02)
     part = build_partition_glm(inst, epsilon)
     assert max_intra_cell_distortion(inst, part.cell_of, part.K) <= epsilon + CERT_TOL
+
+
+def test_partition_report_at_m_6000_builds_no_inner_product_table(monkeypatch):
+    # seed 0 gives an instance whose margins clear delta = 0.02
+    argv = ["partition", "--model", "logistic", "--builder", "logistic", "--beta", "5.0",
+            "--delta", "0.02", "--epsilon", "0.02", "--d", "3", "--n", "500", "--m", "6000",
+            "--format", "json", "--seed", "0"]
+    made = []
+    sample = cli.sample_instance
+    monkeypatch.setattr(cli, "sample_instance", lambda *args: made.append(sample(*args)) or made[-1])
+    out = io.StringIO()
+    tracemalloc.start()
+    try:
+        with redirect_stdout(out):
+            assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    (inst,) = made
+    assert "inner" not in vars(inst) and "mu" not in vars(inst)
+    assert json.loads(out.getvalue())["K"] > 1
+    # the m x n inner products alone take 24 MB
+    assert peak <= 4e6, peak
 
 
 def oracle_linear_partition(instance, epsilon):
@@ -506,9 +574,10 @@ def test_cover_at_zero_link_slope_is_one_certified_cell(monkeypatch):
     # product, so C(phi) is 0 in floats and every distortion is 0
     model = OutcomeModel(kind=LOGISTIC, beta=1000.0)
     checked = []
-    refine = compression._refine_certified
-    monkeypatch.setattr(compression, "_refine_certified",
-                        lambda inst, cell_of, eps: checked.append(eps) or refine(inst, cell_of, eps))
+    certify = compression._cell_distortions
+    monkeypatch.setattr(compression, "_cell_distortions",
+                        lambda inst, cell_of, K=0: checked.append(cell_of.tolist())
+                        or certify(inst, cell_of, K))
     for actions, params, realized in [
         ([[1.0], [0.9]], [[0.9], [0.95]], 1),
         ([[1.0, 0.0], [0.8, 0.6]], [[0.95, 0.0], [0.8, 0.6]], 2),
@@ -517,9 +586,12 @@ def test_cover_at_zero_link_slope_is_one_certified_cell(monkeypatch):
         assert realized_link_slope(inst) == 0.0
         assert np.unique(inst.astar).size == realized
         part = build_partition_glm(inst, 0.1)
+        # the certificate ran once, on the one cell
+        assert checked == [[0, 0]]
         assert part.K == 1 and part.cell_of.tolist() == [0, 0]
+        assert part.distortion.tolist() == [0.0]
         assert max_intra_cell_distortion(inst, part.cell_of, part.K) == 0.0
-    assert checked == [0.1, 0.1]
+        checked.clear()
 
 
 @pytest.mark.parametrize("kind", [LOGISTIC, GLM])

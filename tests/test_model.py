@@ -168,6 +168,8 @@ def test_inner_products_of_one_chunk_are_one_product(seed, d, n, m):
     # every such instance, the golden ones too, is at most one chunk
     assert m * n * d <= model_mod._PRODUCT_CHUNK
     inst = sample_instance(np.random.default_rng(seed), d, n, m, make_model(LOGISTIC))
+    # construction's one block is the table
+    assert "inner" in vars(inst)
     inner = inst.params @ inst.actions.T
     assert np.array_equal(inst.inner, inner)
     assert np.array_equal(inst.astar, np.argmax(inner, axis=1))
@@ -193,6 +195,44 @@ def test_inner_products_of_several_chunks(monkeypatch, chunk):
     assert np.array_equal(inst.mean_rewards(rows, cols), inst.mu[rows, cols])
     assert np.array_equal(inst.mean_rewards(np.arange(500), inst.astar),
                           inst.mu[np.arange(500), inst.astar])
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("chunk", [1, 1000, None])
+def test_reads_without_the_table_repeat_the_construction_blocks(monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(model_mod, "_PRODUCT_CHUNK", chunk)
+    rng = np.random.default_rng(12)
+    # each action twice, so best actions tie unless a product rounds the copies apart
+    half = sample_in_ball(rng, 100, 3)
+    actions = np.concatenate([half, half])
+    params = sample_in_ball(rng, 500, 3)
+
+    def make():
+        return BanditInstance(actions=actions, params=params, model=make_model(LOGISTIC, beta=5.0))
+
+    # one instance reads its tables first, the other only after the chunk
+    # size changes, and gathers before building them
+    read, fresh = make(), make()
+    inner, mu = read.inner, read.mu
+    assert np.array_equal(read.astar, fresh.astar)
+    assert np.array_equal(read.astar, [np.flatnonzero(row == row.max())[0] for row in inner])
+    monkeypatch.setattr(model_mod, "_PRODUCT_CHUNK", 7)
+    assert fresh.block_rows == read.block_rows
+    rows = rng.integers(0, 500, size=300)
+    cols = rng.integers(0, 200, size=300)
+    ix = np.ix_(rng.integers(0, 500, size=40), rng.integers(0, 200, size=30))
+    for inst in (fresh, read):
+        assert np.array_equal(_bits(inst.mean_rewards(rows, cols)), _bits(mu[rows, cols]))
+        assert np.array_equal(_bits(inst.mean_rewards(*ix)), _bits(mu[ix]))
+        assert np.array_equal(_bits(inst.mean_rewards(np.arange(500), inst.astar)),
+                              _bits(mu[np.arange(500), read.astar]))
+    assert "inner" not in vars(fresh) and "mu" not in vars(fresh)
+    assert np.array_equal(_bits(fresh.inner), _bits(inner))
+    assert np.array_equal(_bits(fresh.mu), _bits(mu))
 
 
 def test_outcome_support_linear(tiny_linear):
