@@ -345,8 +345,7 @@ def _finish_partition(
 
 def realized_link_slope(instance: BanditInstance) -> float:
     """C(phi): supremum of the link derivative over the realized inner products."""
-    inner = instance.inner
-    return c_phi(instance.model, float(inner.min()), float(inner.max()))
+    return c_phi(instance.model, *instance.inner_range)
 
 
 def build_partition_glm(instance: BanditInstance, epsilon: float) -> Partition:

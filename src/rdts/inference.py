@@ -10,7 +10,7 @@ from numpy.typing import NDArray
 from .model import BanditInstance, two_point_outcomes
 # outcome_support stays importable from here for code that traces or patches it by name
 from .model import outcome_support  # noqa: F401
-from .tolerances import BELIEF_TOL, OUTCOME_MATCH_TOL
+from .tolerances import BELIEF_TOL
 
 
 class AllZeroLikelihood(ValueError):
@@ -47,21 +47,19 @@ def outcome_likelihoods(
 ) -> NDArray:
     """P(outcome | action, theta_i) for every parameter i.
 
-    The mass on the support points within ``OUTCOME_MATCH_TOL`` of
-    ``outcome``, read from the action's two-point pmfs
-    (``two_point_outcomes``); a pmf has at most two nonzero terms, so this is
-    the same float as the sum over the matching columns of ``outcome_support``.
+    The mass on the action's support points equal to ``outcome``
+    (``two_point_outcomes``): distinct support values are distinct floats, so
+    this is the mass on the outcome's support index, and 0 off the support.
     """
     _, points, weights = two_point_outcomes(instance, [action_idx])
-    return _match_likelihood(points[0], weights[0], outcome)
+    return _mass_on(points[0], weights[0], outcome)
 
 
-def _match_likelihood(points: NDArray, weights: NDArray, y: NDArray | float) -> NDArray:
-    """Mass of the two-point pmfs ``(points, weights)`` (last axis) on the
-    points within ``OUTCOME_MATCH_TOL`` of ``y``, which broadcasts against
-    ``points``. The two terms are added directly: the same float as
-    ``sum(axis=-1)``, without a reduction's overhead on each length-2 row."""
-    mass = np.where(np.abs(points - y) <= OUTCOME_MATCH_TOL, weights, 0.0)
+def _mass_on(labels: NDArray, weights: NDArray, key: NDArray | float) -> NDArray:
+    """Mass of the two-point pmfs ``(labels, weights)`` (last axis) on the
+    entries whose label equals ``key`` (broadcast). The two terms are added
+    directly: the float of ``sum(axis=-1)``, without a reduction's overhead."""
+    mass = np.where(labels == key, weights, 0.0)
     return mass[..., 0] + mass[..., 1]
 
 

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 from numpy.typing import NDArray
 
-from .tolerances import MERGE_TOL, NORM_TOL, OUTCOME_PMF_TOL, SUPPORT_MATCH_TOL
+from .tolerances import MERGE_TOL, NORM_TOL, OUTCOME_PMF_TOL
 
 LINEAR_BINARY = "linear_binary"
 GLM = "glm"
@@ -112,7 +112,8 @@ class BanditInstance:
     of action ``j`` under parameter ``i``, is built from ``inner`` on first
     read and then kept; ``mean_rewards(rows, cols)`` gives ``mu[rows, cols]``
     bit for bit from the blocks its rows lie in, without building either
-    table.
+    table, and a linear_binary or glm construction keeps ``inner_range``,
+    the extremes of ``inner`` that its range check reads.
 
     ``outcomes`` tabulates the two-point outcome pmfs of the realized actions
     (the distinct entries of ``astar``, the only actions Thompson sampling can
@@ -141,22 +142,29 @@ class BanditInstance:
         object.__setattr__(self, "block_rows", step)
         astar = np.empty(m, dtype=np.intp)
         buffer = np.empty((min(step, m), n))
+        extremes = []  # each block's least and largest a.theta, for the range checks
         for lo in range(0, m, step):
+            block = self._block(lo, buffer)
             # np.argmax breaks ties at the lowest index
-            np.argmax(self._block(lo, buffer), axis=1, out=astar[lo:lo + step])
+            np.argmax(block, axis=1, out=astar[lo:lo + step])
+            if self.model.kind != LOGISTIC:
+                extremes += (block.min(), block.max())
         if step >= m:
             # one block: the buffer holds the whole table, kept as ``inner``
             buffer.setflags(write=False)
             self.__dict__["inner"] = buffer
         astar.setflags(write=False)
         object.__setattr__(self, "astar", astar)
+        if extremes:
+            self.__dict__["inner_range"] = (float(min(extremes)), float(max(extremes)))
         if self.model.kind == LINEAR_BINARY:
             # success probability 1/2 + a.theta/2 must be a probability
-            if np.any(np.abs(self.inner) > 1.0 + OUTCOME_PMF_TOL):
+            if np.abs(self.inner_range).max() > 1.0 + OUTCOME_PMF_TOL:
                 raise InvalidInstanceError("linear_binary requires |a.theta| <= 1")
         elif self.model.kind == GLM:
             eta = float(self.model.eta or 0.0)
-            spread = float(self.mu.max() - self.mu.min()) + 2.0 * eta
+            # the link is increasing, so it is extreme where a.theta is
+            spread = float(np.ptp(self._mean(np.array(self.inner_range)))) + 2.0 * eta
             if spread > 1.0 + OUTCOME_PMF_TOL:
                 raise InvalidInstanceError(
                     "glm reward range exceeds 1 (link spread + 2*eta)"
@@ -182,6 +190,12 @@ class BanditInstance:
             self._block(lo, inner[lo:])
         inner.setflags(write=False)
         return inner
+
+    @cached_property
+    def inner_range(self) -> tuple[float, float]:
+        """``(inner.min(), inner.max())``; a linear_binary or glm construction
+        keeps it from its blocks, without the table."""
+        return float(self.inner.min()), float(self.inner.max())
 
     @cached_property
     def mu(self) -> NDArray:
@@ -292,7 +306,7 @@ def two_point_outcomes(
     shape ``(len(actions), m, 2)``: playing ``actions[s]`` under parameter
     ``i`` yields ``points[s, i, k]``, the action's support value
     ``idx[s, i, k]``, with probability ``weights[s, i, k]``. The pmfs are
-    validated (``OUTCOME_PMF_TOL``, support match) and built on every call:
+    validated (``OUTCOME_PMF_TOL``) and built on every call:
     the binary models' weights in one pass over ``mu``, glm one merged,
     sorted support per action. The points of a pair are in support order, so
     an inverse-CDF draw over ``weights[s, i]`` picks the same value as one
@@ -329,11 +343,11 @@ def _merged_supports(means: NDArray, eta: float) -> tuple[NDArray, NDArray]:
     A row's support keeps its smallest value and then, in increasing order,
     each value more than ``MERGE_TOL`` above the last value kept. Each value
     maps to the nearer of the two support points around the place
-    ``np.searchsorted`` finds for it, a tie to the lower one, and must lie
-    within ``SUPPORT_MATCH_TOL`` of it. Returns ``(idx, points)`` of shape
-    ``means.shape + (2,)``: each value's index in its row's support and that
-    support point. Besides these two, the merge holds one row's arrays at a
-    time.
+    ``np.searchsorted`` finds for it, a tie to the lower one, so a finite
+    value lies within ``MERGE_TOL`` of its point. Returns ``(idx, points)``
+    of shape ``means.shape + (2,)``: each value's index in its row's support
+    and that support point. Besides these two, the merge holds one row's
+    arrays at a time.
     """
     idx = np.empty(means.shape + (2,), dtype=np.intp)
     points = np.empty(idx.shape)
@@ -347,8 +361,6 @@ def _merged_supports(means: NDArray, eta: float) -> tuple[NDArray, NDArray]:
         use_below = np.abs(support[below] - values) <= np.abs(support[place] - values)
         idx[s] = np.where(use_below, below, place)
         points[s] = support[idx[s]]
-        if np.any(np.abs(points[s] - values) > SUPPORT_MATCH_TOL):
-            raise InvalidInstanceError("outcome value does not match merged support")
     return idx, points
 
 

@@ -11,11 +11,13 @@ sampling trajectories, from one rollout (``_ts_rollout``) that advances all
 runs together: the beliefs are a ``(runs, m)`` matrix updated row by row with
 the arithmetic of ``posterior_update``, and the outcome pmfs of the actions
 Thompson sampling plays are rows of the instance's outcome table
-(``BanditInstance.outcomes``). The rollout tabulates, once, each run's
-outcome CDFs by slot and, where every realized action has at most two
-support values (both binary models), the likelihood of each support value
-(``_likelihood_table``); a glm action has up to 2m support values, so glm
-matches each period's observations against the pmfs instead. Each run still
+(``BanditInstance.outcomes``). An observation is its support index there,
+as in every information term, and its likelihood the mass on that index.
+The rollout tabulates, once, each run's outcome CDFs by slot and, where
+every realized action has at most two support values (both binary models),
+the likelihood of each support value (``_likelihood_table``); a glm action
+has up to 2m support values, so glm reads each period's likelihoods from the
+played slots' pmfs. Each run still
 draws from its own generator, ``1 + 2T`` uniforms in a fixed order: one for
 the true parameter, then a (sampled parameter, outcome) pair per period,
 exactly the draws of a per-run loop over ``thompson_step`` and
@@ -35,7 +37,7 @@ from .bounds import compressed_bound
 from .compression import Partition, statistic_mutual_information
 from .inference import (
     BeliefState,
-    _match_likelihood,
+    _mass_on,
     inverse_cdf,
     posterior_update_rows,
     sample_parameter,
@@ -107,10 +109,10 @@ def _ts_rollout(
     and on that table, each reading all runs' uniforms as one contiguous
     block; only when some uniform lies at or above its row's total does the
     draw call ``inverse_cdf`` itself, whose fallback never picks a zero-mass
-    index. An observation's likelihood row is read from
-    ``_likelihood_table`` when every realized action has at most two support
-    values (both binary models); glm keeps one ``_match_likelihood`` call per
-    period on the played actions' pmfs.
+    index. An observation's likelihood row, each parameter's mass on its
+    support index, is read from ``_likelihood_table`` when every realized
+    action has at most two support values (both binary models); glm makes
+    one ``_mass_on`` call per period on the played slots' pmfs.
     """
     if T < 0 or runs < 1:
         raise ValueError("need T >= 0 and runs >= 1")
@@ -138,35 +140,29 @@ def _ts_rollout(
             k = (cdf_run[s, run] <= u_outcome).sum(-1)
             if k.max() == 2:
                 k = inverse_cdf(weights[s, theta_star], u_outcome[:, 0])
-            y = points[s, theta_star, k]
-            yield belief, theta_star, action, y
+            v = idx[s, theta_star, k]
+            yield belief, theta_star, action, points[s, theta_star, k]
             if table is None:
-                like = _match_likelihood(points[s], weights[s], y[:, None, None])
+                like = _mass_on(idx[s], weights[s], v[:, None, None])
             else:
-                like = table[s, idx[s, theta_star, k]]
+                like = table[s, v]
             belief = posterior_update_rows(belief, like)
 
     return periods(belief)
 
 
 def _likelihood_table(instance: BanditInstance) -> NDArray | None:
-    """The ``(A, 2, m)`` likelihoods of every support value of every realized
-    action, when none has more than two; else None.
-
-    Row ``[s, v]`` is ``_match_likelihood`` of slot ``s``'s pmfs at its
-    ``v``-th support value, so it is the likelihood of observing that value
-    bit for bit, and no larger than the weights. A glm action has up to 2m
-    support values, and a table of all of them would take ``A * 2m * m``
-    floats: there the rollout keeps one ``_match_likelihood`` call per
-    period. A missing second value of a slot reads NaN, which matches
-    nothing; no observation indexes it.
+    """The ``(A, 2, m)`` likelihoods of every support index of every realized
+    action, when none has more than two; else None. Row ``[s, v]`` is
+    ``_mass_on`` of slot ``s``'s pmfs at index ``v``, the rollout's
+    likelihood bit for bit; a slot with one support value reads 0 at index 1.
+    A glm action has up to 2m support values, and a table of all of them
+    would take ``A * 2m * m`` floats.
     """
     if _outcome_cardinality(instance) > 2:
         return None
-    _, idx, points, weights = instance.outcomes
-    values = np.full((idx.shape[0], 2), np.nan)
-    values[np.arange(idx.shape[0])[:, None, None], idx] = points
-    return _match_likelihood(points[:, None], weights[:, None], values[:, :, None, None])
+    _, idx, _, weights = instance.outcomes
+    return _mass_on(idx[:, None], weights[:, None], np.arange(2)[:, None, None])
 
 
 def simulate_ts(

@@ -17,22 +17,15 @@ NORM_TOL = 1e-12
 OUTCOME_PMF_TOL = 1e-12
 
 # Sorted glm outcome values within this of the last kept support point merge
-# into it (``model._kept_by_chain``).
+# into it (``model._kept_by_chain``). The one rule for what an observation is:
+# its support index, which the posterior and the information terms both read.
 MERGE_TOL = 1e-12
-
-# A glm outcome value must lie this close to the nearest point of its merged
-# support (``model._merged_supports``), else the support is inconsistent.
-SUPPORT_MATCH_TOL = 10 * MERGE_TOL
 
 # --- inference: beliefs and likelihoods -------------------------------------
 
 # Belief entries may be this negative, and their sum may miss 1 by this much,
 # before a belief is rejected; within it they are clipped and renormalised.
 BELIEF_TOL = 1e-10
-
-# An observation matches an outcome support point within this distance; the
-# likelihood of an observation is the mass on the points it matches.
-OUTCOME_MATCH_TOL = 1e-9
 
 # --- information: pmfs and ratios -------------------------------------------
 

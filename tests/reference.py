@@ -43,7 +43,7 @@ from rdts.information import (
     entropy,
 )
 from rdts.inference import posterior_update, sample_parameter
-from rdts.model import InvalidInstanceError, _checked_pmf, outcome_support
+from rdts.model import _checked_pmf, outcome_support
 from rdts.policy import (
     AuditReport,
     GuardExceeded,
@@ -51,7 +51,7 @@ from rdts.policy import (
     sample_outcome,
     thompson_step,
 )
-from rdts.tolerances import AUDIT_TOL, CERT_TOL, LADDER_TOL, MERGE_TOL, SUPPORT_MATCH_TOL
+from rdts.tolerances import AUDIT_TOL, CERT_TOL, LADDER_TOL, MERGE_TOL
 
 # The brute-force oracle treats two statistic entropies within this as a tie,
 # which the partition with fewer cells wins.
@@ -76,10 +76,7 @@ def _locate(grid, values):
     # searchsorted may land one slot right of the merged representative
     left = np.clip(idx - 1, 0, grid.size - 1)
     use_left = np.abs(grid[left] - values) <= np.abs(grid[idx] - values)
-    out = np.where(use_left, left, idx)
-    if np.any(np.abs(grid[out] - values) > SUPPORT_MATCH_TOL):
-        raise InvalidInstanceError("outcome value does not match merged support")
-    return out
+    return np.where(use_left, left, idx)
 
 
 def glm_two_point_outcomes(means, eta):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from conftest import instance_with_shared_points, random_belief, random_instance
 from rdts.inference import (
-    OUTCOME_MATCH_TOL,
     AllZeroLikelihood,
     BeliefState,
     _normalised,
@@ -144,12 +143,13 @@ def test_posterior_is_martingale(kind, seed):
 )
 @settings(max_examples=40, deadline=None)
 def test_outcome_likelihoods_equal_dense_column_sums(seed, kind_eta):
+    # an observation is one support value: its likelihood is that column, and
+    # a value next to a support point, however close, is no observation
     inst = instance_with_shared_points(seed, *kind_eta)
     for a in range(inst.n_actions):
         values, probs = outcome_support(inst, a)
-        for y in (*values, values[0] + 5e-10, values[-1] + 1e-3):
-            matches = np.abs(values - y) <= OUTCOME_MATCH_TOL
-            dense = probs[:, matches].sum(axis=1)
+        for y in (*values, np.nextafter(values[0], np.inf), values[-1] + 1e-3):
+            dense = probs[:, values == y].sum(axis=1)
             np.testing.assert_array_equal(outcome_likelihoods(inst, a, float(y)), dense)
 
 

@@ -1,6 +1,8 @@
 import math
+import tracemalloc
 import warnings
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,12 +12,14 @@ from hypothesis import strategies as st
 import reference
 from conftest import instance_with_shared_points, make_model, random_instance
 from rdts import model as model_mod
+from rdts.bounds import c_phi
 from rdts.compression import (
     best_action_margins,
     build_partition_glm,
     build_partition_logistic,
     build_representation,
     max_intra_cell_distortion,
+    realized_link_slope,
 )
 from rdts.inference import BeliefState
 from rdts.information import compressed_moments, ts_info_ratio
@@ -32,7 +36,7 @@ from rdts.model import (
     two_point_outcomes,
 )
 from rdts.policy import audit_regret_chain, simulate_ts
-from rdts.tolerances import MERGE_TOL
+from rdts.tolerances import MERGE_TOL, OUTCOME_PMF_TOL
 
 
 def test_model_kind_validation():
@@ -155,6 +159,77 @@ def test_best_action_lowest_index_tie():
     params = np.array([[1.0, 0.0]])
     inst = BanditInstance(actions=actions, params=params, model=make_model(LINEAR_BINARY))
     assert inst.astar[0] == 0
+
+
+def _table_range_ok(actions, params, model) -> bool:
+    """The range check of linear_binary (|a.theta| <= 1) or glm (link spread
+    + 2 eta <= 1) read from the full ``inner`` and ``mu`` tables of the same
+    blocks, which the unchecked logistic model with glm's beta builds."""
+    table = BanditInstance(actions=actions, params=params,
+                           model=OutcomeModel(kind=LOGISTIC, beta=model.beta or 1.0))
+    if model.kind == LINEAR_BINARY:
+        return not np.any(np.abs(table.inner) > 1.0 + OUTCOME_PMF_TOL)
+    spread = float(table.mu.max() - table.mu.min()) + 2.0 * model.eta
+    return not spread > 1.0 + OUTCOME_PMF_TOL
+
+
+@given(
+    st.sampled_from([LINEAR_BINARY, GLM]),
+    st.integers(min_value=0),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=-12, max_value=12),
+    st.sampled_from([1, 4, None]),
+)
+@settings(max_examples=120, deadline=None)
+def test_range_checks_from_block_extremes_decide_as_the_tables(kind, seed, d, step, chunk):
+    # instances placed a few ulps (glm) or a few 1e-13 (linear) either side of
+    # the range bound, in one block or in blocks of 1 or 4 rows; the check and
+    # realized_link_slope read the blocks' extremes, never the tables
+    rng = np.random.default_rng(seed)
+    actions = 0.9 * sample_in_ball(rng, 7, d)
+    params = 0.9 * sample_in_ball(rng, 9, d)
+    axis = np.eye(d)[0]
+    if kind == LINEAR_BINARY:
+        actions[3] = axis * (1.0 + 1e-13 * (step % 5))
+        params[4] = -axis * (1.0 + 1e-13 * (step // 3 + 5))
+        model = OutcomeModel(kind=LINEAR_BINARY)
+    else:
+        beta = float(rng.uniform(0.5, 3.0))
+        table = BanditInstance(actions=actions, params=params,
+                               model=OutcomeModel(kind=LOGISTIC, beta=beta))
+        gap = (1.0 + OUTCOME_PMF_TOL - float(table.mu.max() - table.mu.min())) / 2.0
+        eta = gap + step * np.spacing(gap)
+        model = OutcomeModel(kind=GLM, beta=beta, eta=eta)
+    # blocks of ``chunk`` rows of 7 actions
+    size = chunk * 7 * d if chunk else model_mod._PRODUCT_CHUNK
+    with mock.patch.object(model_mod, "_PRODUCT_CHUNK", size):
+        expected = _table_range_ok(actions, params, model)
+        try:
+            inst = BanditInstance(actions=actions, params=params, model=model)
+        except InvalidInstanceError:
+            inst = None
+    assert (inst is not None) == expected
+    if inst is None:
+        return
+    assert "mu" not in vars(inst) and ("inner" in vars(inst)) == (chunk is None)
+    low, high = inst.inner_range
+    assert (low, high) == (float(inst.inner.min()), float(inst.inner.max()))
+    slope = c_phi(model, float(inst.inner.min()), float(inst.inner.max()))
+    assert realized_link_slope(inst) == slope
+
+
+@pytest.mark.parametrize("kind", [LINEAR_BINARY, GLM])
+def test_range_checked_construction_at_m_6000_builds_no_table(kind):
+    model = make_model(kind, beta=1.0, eta=0.05)
+    tracemalloc.start()
+    try:
+        inst = sample_instance(np.random.default_rng(0), 3, 500, 6000, model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "inner" not in vars(inst) and "mu" not in vars(inst)
+    # the m x n inner products alone take 24 MB
+    assert peak <= 4e6, peak
 
 
 @given(
@@ -366,22 +441,37 @@ def _glm_means(draw):
 def test_glm_outcomes_bit_identical_to_per_action_merge(means, eta):
     # two_point_outcomes reads only the instance's means and model
     instance = SimpleNamespace(mu=means.T, model=OutcomeModel(kind=GLM, beta=1.0, eta=eta))
-    outcomes = []
-    for build in (lambda: two_point_outcomes(instance, np.arange(means.shape[0])),
-                  lambda: reference.glm_two_point_outcomes(means, eta)):
-        try:
-            with np.errstate(invalid="ignore"):  # inf - inf
-                outcomes.append(build())
-        except InvalidInstanceError:
-            outcomes.append(None)
-    got, expected = outcomes
-    # a value merges only within MERGE_TOL of a kept point, so for finite
-    # means the SUPPORT_MATCH_TOL check never fires; when it does, both raise
-    assert (got is None) == (expected is None)
-    if got is not None:
-        for a, b in zip(got, expected):
-            assert a.dtype == b.dtype
-            np.testing.assert_array_equal(a, b)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        got = two_point_outcomes(instance, np.arange(means.shape[0]))
+        expected = reference.glm_two_point_outcomes(means, eta)
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+
+
+@given(_glm_means(), st.sampled_from([0.0, 0.5 * MERGE_TOL, MERGE_TOL, 0.05]))
+@example(np.array([[0.5, 0.5 + 0.6 * MERGE_TOL, 0.5 + 1.05 * MERGE_TOL, math.nan]]), 0.0)
+@example(np.array([[0.3, math.inf, 0.3 + 0.9 * MERGE_TOL, -math.inf]]), 0.5 * MERGE_TOL)
+@settings(max_examples=200, deadline=None)
+def test_glm_outcome_values_lie_within_merge_tol_of_their_support_points(means, eta):
+    # an observation is its support index: each finite outcome value lies
+    # within MERGE_TOL of its support point, and two values share an index
+    # exactly when they share a point. A NaN or infinite value lies within
+    # MERGE_TOL of no point, and an instance whose means would hold one is
+    # rejected: its parameters have non-finite coordinates
+    instance = SimpleNamespace(mu=means.T, model=OutcomeModel(kind=GLM, beta=1.0, eta=eta))
+    with np.errstate(invalid="ignore"):  # inf - inf
+        idx, points, _ = two_point_outcomes(instance, np.arange(means.shape[0]))
+        values = np.stack([means - eta, means + eta], axis=-1)
+        finite = np.isfinite(values)
+        assert ((np.abs(points - values) <= MERGE_TOL) == finite).all()
+    for s in range(idx.shape[0]):
+        i, p = idx[s][finite[s]], points[s][finite[s]]
+        assert ((i[:, None] == i[None, :]) == (p[:, None] == p[None, :])).all()
+    if not finite.all():
+        with pytest.raises(InvalidInstanceError, match="non-finite"):
+            BanditInstance(actions=np.ones((1, 1)), params=means.reshape(-1, 1),
+                           model=instance.model)
 
 
 def _count_table_builds(monkeypatch) -> list:

@@ -9,6 +9,10 @@ and compare each float result against the tolerance the program applies to
 that quantity. At beta = 1000 the posterior of a short audit holds masses
 below 1e-100, and the products of marginals of its information terms fall
 below the smallest normal float; that case is checked at 500 digits.
+
+On a glm instance whose outcome values lie 1e-10 apart, the posterior and
+the information terms must condition on the same observation classes, the
+support indexes; the oracle sums over those classes exactly.
 """
 
 import math
@@ -18,15 +22,16 @@ import numpy as np
 import pytest
 
 from rdts.compression import Partition, build_partition_glm, build_representation, distortion_block
-from rdts.inference import BeliefState
+from rdts.inference import BeliefState, outcome_likelihoods, posterior_update
 from rdts.information import (
     action_information,
     compressed_moments,
     info_gain_about_statistic,
     ts_info_ratio,
 )
-from rdts.model import LOGISTIC, OutcomeModel, sample_instance
-from rdts.tolerances import AUDIT_TOL, CERT_TOL, RATIO_CEILING_TOL
+from rdts.model import GLM, LOGISTIC, BanditInstance, OutcomeModel, sample_instance
+from rdts.policy import _ts_rollout
+from rdts.tolerances import AUDIT_TOL, BELIEF_TOL, CERT_TOL, RATIO_CEILING_TOL
 
 DIGITS = 60
 
@@ -182,3 +187,70 @@ def test_information_at_saturated_beta_matches_exact_oracle(probs):
                 # the float outcome pmfs round 1 - mu to 0 past beta * x ~ 37,
                 # so values near 0 agree only to the audit's absolute slack
                 assert _close(value, exact, AUDIT_TOL), (a, value)
+
+
+def _near_coincident_glm():
+    """Five parameters, three of them 2e-10 apart: each outcome value of
+    theirs is a support value of its own, under 1e-9 from the others'."""
+    params = np.array([[0.3], [0.3 + 2e-10], [0.3 + 4e-10], [-0.4], [0.7]])
+    actions = np.array([[1.0], [-1.0], [0.5]])
+    return BanditInstance(actions=actions, params=params,
+                          model=OutcomeModel(kind=GLM, beta=1.5, eta=0.02))
+
+
+def _class_likelihoods(instance, action):
+    """``like[i][v]``: the exact mass parameter i puts on the action's support
+    index v, the observation classes."""
+    slot, idx, _, weights = instance.outcomes
+    s = slot[action]
+    like = [[mpmath.mpf(0)] * (int(idx[s].max()) + 1) for _ in range(instance.n_params)]
+    for i in range(instance.n_params):
+        for k in range(2):
+            like[i][idx[s, i, k]] += mpmath.mpf(float(weights[s, i, k]))
+    return like
+
+
+def _bayes(prior, like, v):
+    joint = [p * row[v] for p, row in zip(prior, like)]
+    return [x / mpmath.fsum(joint) for x in joint]
+
+
+def test_near_coincident_glm_outcomes_condition_posterior_and_information_alike():
+    inst = _near_coincident_glm()
+    prior = BeliefState.uniform(5)
+    slot, idx, points, _ = inst.outcomes
+    s = slot[0]
+    with mpmath.workdps(DIGITS):
+        p = [mpmath.mpf(float(x)) for x in prior.probs]
+        like = _class_likelihoods(inst, 0)
+        # I(theta*; Y_0) sums over the support indexes: each value identifies
+        # its parameter, so it is log 5
+        exact = mpmath.mpf(0)
+        for v in range(len(like[0])):
+            marginal = mpmath.fsum(p[i] * like[i][v] for i in range(5))
+            exact += mpmath.fsum(p[i] * like[i][v] * mpmath.log(like[i][v] / marginal)
+                                 for i in range(5) if like[i][v] > 0)
+        assert _close(exact, mpmath.log(5), RATIO_CEILING_TOL)
+        assert _close(action_information(inst, prior, 0), exact, RATIO_CEILING_TOL)
+        # one observation of parameter 0's upper point separates parameters
+        # 0, 1 and 2, whose values on action 0 are under 1e-9 apart
+        y = float(points[s, 0, 1])
+        assert 0 < abs(points[s, 1, 1] - y) < 1e-9
+        assert outcome_likelihoods(inst, 0, y)[:3].tolist() == [0.5, 0.0, 0.0]
+        post = posterior_update(prior, inst, 0, y).probs
+        for got, want in zip(post, _bayes(p, like, idx[s, 0, 1])):
+            assert _close(got, want, BELIEF_TOL)
+        # every run's posterior after its first observation is the exact
+        # Bayes update on that observation's support index
+        runs = 40
+        periods = _ts_rollout(inst, prior, 2, runs, np.random.default_rng(6))
+        _, theta_star, action, observed = next(periods)
+        belief = next(periods)[0]
+        for r in range(runs):
+            a = int(action[r])
+            v = int(np.flatnonzero(points[slot[a], theta_star[r]] == observed[r])[0])
+            v = int(idx[slot[a], theta_star[r], v])
+            for got, want in zip(belief[r], _bayes(p, _class_likelihoods(inst, a), v)):
+                assert _close(got, want, BELIEF_TOL), r
+    # some runs observe one of the three near-coincident parameters
+    assert np.isin(theta_star, [0, 1, 2]).sum() >= 5

@@ -21,7 +21,7 @@ from rdts.compression import (
 )
 from rdts.inference import (
     BeliefState,
-    _match_likelihood,
+    _mass_on,
     inverse_cdf,
     posterior_update,
     sample_parameter,
@@ -43,7 +43,7 @@ from rdts.policy import (
     simulate_ts,
     thompson_step,
 )
-from rdts.tolerances import AUDIT_TOL, OUTCOME_MATCH_TOL
+from rdts.tolerances import AUDIT_TOL
 
 
 def _tree_expected_pseudo_regret(instance, prior, T):
@@ -135,8 +135,9 @@ def test_simulate_ts_bit_identical_to_per_run_loop(kind, eta, realized, T, runs,
 
 
 def test_simulate_ts_bit_identical_on_near_coincident_glm_outcomes():
-    # means 1e-10 apart stay distinct support values (merge tolerance 1e-12) but
-    # both match an observation within OUTCOME_MATCH_TOL, so likelihoods add up
+    # means 2e-10 apart stay distinct support values (merge tolerance 1e-12):
+    # the rollout's likelihood of an observation, the mass on its support
+    # index, is posterior_update's mass on the points equal to it
     base = 0.3
     params = np.array([[base], [base + 2e-10], [base + 4e-10], [-0.4], [0.7]])
     actions = np.array([[1.0], [-1.0], [0.5]])
@@ -146,16 +147,16 @@ def test_simulate_ts_bit_identical_on_near_coincident_glm_outcomes():
     prior = BeliefState.uniform(5)
     for realized in (False, True):
         _assert_matches_reference(instance, prior, 40, 9, 5, realized)
-    # glm keeps the matching rule: in the slot of action 0, parameter 0's
-    # upper point is another support value than parameter 1's, yet an
-    # observation of it explains both, which no per-support-value table
-    # of each value's own mass would give
+    # in the slot of action 0, parameter 0's upper point is another support
+    # value than parameter 1's, under 1e-9 away, and an observation of it
+    # rules parameters 1 and 2 out
     slot, idx, points, weights = instance.outcomes
     s = slot[0]
     assert idx[s, 0, 1] != idx[s, 1, 1]
-    assert 0 < abs(points[s, 1, 1] - points[s, 0, 1]) <= OUTCOME_MATCH_TOL
-    like = _match_likelihood(points[s], weights[s], points[s, 0, 1])
-    assert like[:3].tolist() == [0.5, 0.5, 0.5]
+    assert 0 < abs(points[s, 1, 1] - points[s, 0, 1]) < 1e-9
+    like = _mass_on(idx[s], weights[s], idx[s, 0, 1])
+    assert like[:3].tolist() == [0.5, 0.0, 0.0]
+    assert like.tobytes() == _mass_on(points[s], weights[s], points[s, 0, 1]).tobytes()
     # enough runs and periods that every realized action is played
     played = set()
     for _, _, action, _ in _ts_rollout(instance, prior, 120, 40, np.random.default_rng(6)):
@@ -167,8 +168,7 @@ def test_simulate_ts_bit_identical_on_near_coincident_glm_outcomes():
 
 def test_glm_with_one_valued_supports_reads_the_likelihood_table():
     # two parameters with one mean and eta = 0: the played action's support is
-    # one value, so glm takes the table; its missing second value is NaN,
-    # which matches nothing
+    # one value, so glm takes the table; its missing second value reads 0
     instance = BanditInstance(
         actions=np.array([[1.0], [-1.0]]),
         params=np.array([[0.4], [0.4]]),
@@ -247,7 +247,7 @@ def test_rollout_fallback_draws_match_per_run_loop(kind, beta, eta):
         true_pmf = (points[slot[action], theta_star], weights[slot[action], theta_star])
         outcome_over |= bool((true_pmf[1].cumsum(-1)[:, -1] <= draws[:, 2 * t + 2]).any())
         assert (action != 3).all()
-        assert (_match_likelihood(*true_pmf, y[:, None]) > 0).all()
+        assert (_mass_on(*true_pmf, y[:, None]) > 0).all()
     assert param_over and outcome_over
     if kind == LINEAR_BINARY or beta == 1000.0:
         assert weights[slot[0], 0].tolist() == [1.0, 0.0]
@@ -256,8 +256,8 @@ def test_rollout_fallback_draws_match_per_run_loop(kind, beta, eta):
 @_EVERY_KIND_AND_SATURATED
 def test_rollout_matches_likelihoods_once_on_two_valued_supports(kind, beta, eta, monkeypatch):
     # a count guard, not a timing test: the binary models read an observation's
-    # likelihoods from a table built by one _match_likelihood call; glm, with
-    # up to 2m support values per action, makes one call per period
+    # likelihoods from a table built by one _mass_on call; glm, with up to 2m
+    # support values per action, makes one call per period
     T, m = 25, 12
     rng = np.random.default_rng(23)
     instance = random_instance(rng, kind, d=2, n=8, m=m, beta=beta, eta=eta)
@@ -265,13 +265,13 @@ def test_rollout_matches_likelihoods_once_on_two_valued_supports(kind, beta, eta
     if beta == 1000.0:
         assert (weights == 0.0).any() and (weights == 1.0).any()
     calls = []
-    original = policy_mod._match_likelihood
+    original = policy_mod._mass_on
 
     def counting(*args):
         calls.append(1)
         return original(*args)
 
-    monkeypatch.setattr(policy_mod, "_match_likelihood", counting)
+    monkeypatch.setattr(policy_mod, "_mass_on", counting)
     for _ in _ts_rollout(instance, BeliefState.uniform(m), T, 4, rng):
         pass
     monkeypatch.undo()
@@ -282,11 +282,14 @@ def test_rollout_matches_likelihoods_once_on_two_valued_supports(kind, beta, eta
     assert len(calls) == 1
     assert table.shape == (idx.shape[0], 2, m)
     for s in range(idx.shape[0]):
-        values = np.empty(2)
-        values[idx[s]] = points[s]
         for v in range(2):
-            expected = _match_likelihood(points[s], weights[s], values[v])
+            expected = _mass_on(idx[s], weights[s], v)
             assert table[s, v].tobytes() == expected.tobytes()
+    # the binary values lie 1/2 or 1 apart, so the table has the bits of one
+    # that matches each value's float within any distance below that, 1e-9 here
+    values = np.array(model_mod._BINARY_VALUES[kind])
+    mass = np.where(np.abs(points[:, None] - values[:, None, None]) <= 1e-9, weights[:, None], 0.0)
+    assert table.tobytes() == (mass[..., 0] + mass[..., 1]).tobytes()
 
 
 def test_generator_random_block_equals_successive_draws():
