@@ -222,7 +222,7 @@ def cmd_ir_sweep(args) -> int:
     kind = args.model
     d_list = _parse_list(args.d_list, int)
     beta_list = _parse_list(args.beta_list, float) if kind == LOGISTIC else [0.0]
-    if args.instances < 0 or args.n < 1 or args.m < 1 or not d_list:
+    if args.instances < 0 or args.n < 1 or args.m < 1 or not d_list or not beta_list:
         raise ConfigError("invalid sweep grid")
     # one seed per grid cell, spawned in grid order
     children = iter(
@@ -296,6 +296,8 @@ def cmd_partition(args) -> int:
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     instance = sample_instance(rng, args.d, args.n, args.m, model)
     if args.builder == "logistic":
+        if args.model != LOGISTIC:
+            raise ConfigError("logistic builder needs --model logistic")
         if args.delta is None:
             raise ConfigError("logistic builder needs --delta")
         partition = build_partition_logistic(instance, args.epsilon, args.delta)
@@ -330,6 +332,8 @@ def cmd_bounds(args) -> int:
         value = bounds_mod.glm_bound(args.d, args.T, args.c_phi)
         inputs = {"d": args.d, "T": args.T, "c_phi": args.c_phi}
     elif which == "logistic":
+        if args.delta is None:
+            raise ConfigError("logistic bound needs --delta")
         value, simplified = bounds_mod.logistic_bound(
             args.d, args.T, args.beta, args.delta
         )

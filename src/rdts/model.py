@@ -15,13 +15,14 @@ information quantities can be computed by finite summation.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .tolerances import MERGE_TOL, NORM_TOL, OUTCOME_PMF_TOL
+from .tolerances import NORM_TOL, OUTCOME_PMF_TOL
 
 LINEAR_BINARY = "linear_binary"
 GLM = "glm"
@@ -112,8 +113,9 @@ class BanditInstance:
     of action ``j`` under parameter ``i``, is built from ``inner`` on first
     read and then kept; ``mean_rewards(rows, cols)`` gives ``mu[rows, cols]``
     bit for bit from the blocks its rows lie in, without building either
-    table, and a linear_binary or glm construction keeps ``inner_range``,
-    the extremes of ``inner`` that its range check reads.
+    table. ``inner_range``, the extremes of ``inner``, comes from the blocks
+    too: a linear_binary or glm construction keeps it for its range check,
+    and a logistic instance finds it on first read.
 
     ``outcomes`` tabulates the two-point outcome pmfs of the realized actions
     (the distinct entries of ``astar``, the only actions Thompson sampling can
@@ -141,18 +143,16 @@ class BanditInstance:
         step = max(1, _PRODUCT_CHUNK // (n * actions.shape[1]))
         object.__setattr__(self, "block_rows", step)
         astar = np.empty(m, dtype=np.intp)
-        buffer = np.empty((min(step, m), n))
         extremes = []  # each block's least and largest a.theta, for the range checks
-        for lo in range(0, m, step):
-            block = self._block(lo, buffer)
+        for lo, block in self._blocks():
             # np.argmax breaks ties at the lowest index
             np.argmax(block, axis=1, out=astar[lo:lo + step])
             if self.model.kind != LOGISTIC:
                 extremes += (block.min(), block.max())
         if step >= m:
             # one block: the buffer holds the whole table, kept as ``inner``
-            buffer.setflags(write=False)
-            self.__dict__["inner"] = buffer
+            block.setflags(write=False)
+            self.__dict__["inner"] = block
         astar.setflags(write=False)
         object.__setattr__(self, "astar", astar)
         if extremes:
@@ -176,6 +176,13 @@ class BanditInstance:
         rows = self.params[lo:lo + self.block_rows]
         return np.matmul(rows, self.actions.T, out=out[:rows.shape[0]])
 
+    def _blocks(self) -> Iterator[tuple[int, NDArray]]:
+        """``(lo, block)`` for every block of parameters in order, each block
+        written to the same buffer."""
+        buffer = np.empty((min(self.block_rows, self.n_params), self.n_actions))
+        for lo in range(0, self.n_params, self.block_rows):
+            yield lo, self._block(lo, buffer)
+
     def _mean(self, x: NDArray) -> NDArray:
         """The model's mean reward at inner products ``x``, elementwise."""
         if self.model.kind == LINEAR_BINARY:
@@ -193,9 +200,10 @@ class BanditInstance:
 
     @cached_property
     def inner_range(self) -> tuple[float, float]:
-        """``(inner.min(), inner.max())``; a linear_binary or glm construction
-        keeps it from its blocks, without the table."""
-        return float(self.inner.min()), float(self.inner.max())
+        """``(inner.min(), inner.max())`` from the blocks, without the table;
+        a linear_binary or glm construction keeps it from its own pass."""
+        extremes = [e for _, block in self._blocks() for e in (block.min(), block.max())]
+        return float(min(extremes)), float(max(extremes))
 
     @cached_property
     def mu(self) -> NDArray:
@@ -301,14 +309,16 @@ def two_point_outcomes(
     """Outcome pmfs of several actions, as two points per (action, parameter).
 
     Every outcome model puts its mass on at most two values per pair: the
-    binary models on their two outcomes, ``glm`` on ``mean -/+ eta`` after
-    merging coincident values. Returns ``(idx, points, weights)``, each of
-    shape ``(len(actions), m, 2)``: playing ``actions[s]`` under parameter
-    ``i`` yields ``points[s, i, k]``, the action's support value
-    ``idx[s, i, k]``, with probability ``weights[s, i, k]``. The pmfs are
-    validated (``OUTCOME_PMF_TOL``) and built on every call:
-    the binary models' weights in one pass over ``mu``, glm one merged,
-    sorted support per action. The points of a pair are in support order, so
+    binary models on their two outcomes, ``glm`` on ``mean -/+ eta``, one
+    point when the two are equal floats. Returns ``(idx, points, weights)``,
+    each of shape ``(len(actions), m, 2)``: playing ``actions[s]`` under
+    parameter ``i`` yields ``points[s, i, k]``, the action's support value
+    ``idx[s, i, k]``, with probability ``weights[s, i, k]``. An action's
+    support is its distinct outcome values in increasing order, so two
+    outcomes are the same observation exactly when their floats are equal.
+    The pmfs are validated (``OUTCOME_PMF_TOL``) and built on every call: the
+    binary models' weights in one pass over ``mu``, glm's supports in one
+    sort over all actions. The points of a pair are in support order, so
     an inverse-CDF draw over ``weights[s, i]`` picks the same value as one
     over the full row of ``outcome_support``; a single-point pmf has weight 0
     on its second point, which repeats the first.
@@ -318,7 +328,7 @@ def two_point_outcomes(
     if kind == GLM:
         eta = float(instance.model.eta or 0.0)
         idx, points = _merged_supports(means, eta)
-        # each point carries half the mass; a merged pair is one point of mass 1
+        # each point carries half the mass; two equal values are one point of mass 1
         w = np.where((idx[..., 0] == idx[..., 1])[..., None], [1.0, 0.0], 0.5)
     else:
         p_hi = means + 0.5 if kind == LINEAR_BINARY else means
@@ -337,57 +347,26 @@ def _distinct(codes: NDArray, n: int) -> NDArray:
 
 
 def _merged_supports(means: NDArray, eta: float) -> tuple[NDArray, NDArray]:
-    """Merge each row's outcome values ``means -/+ eta`` into one sorted
-    support and place the values on it.
+    """Place each row's outcome values ``means -/+ eta`` on the row's sorted
+    support of distinct values.
 
-    A row's support keeps its smallest value and then, in increasing order,
-    each value more than ``MERGE_TOL`` above the last value kept. Each value
-    maps to the nearer of the two support points around the place
-    ``np.searchsorted`` finds for it, a tie to the lower one, so a finite
-    value lies within ``MERGE_TOL`` of its point. Returns ``(idx, points)``
-    of shape ``means.shape + (2,)``: each value's index in its row's support
-    and that support point. Besides these two, the merge holds one row's
-    arrays at a time.
+    Two values are the same observation exactly when their floats are equal;
+    a NaN equals none. One sort ranks every row: a new support index starts
+    wherever a sorted value differs from the one before it. Returns ``(idx,
+    points)`` of shape ``means.shape + (2,)``: each value's index in its row's
+    support, and the value itself.
     """
-    idx = np.empty(means.shape + (2,), dtype=np.intp)
-    points = np.empty(idx.shape)
-    for s, row in enumerate(means):
-        ranked = np.sort(np.concatenate([row - eta, row + eta]))
-        support = ranked[_kept_by_chain(ranked)]
-        values = np.stack([row - eta, row + eta], axis=1)
-        place = np.minimum(np.searchsorted(support, values), support.size - 1)
-        # searchsorted may land one slot right of the merged representative
-        below = np.maximum(place - 1, 0)
-        use_below = np.abs(support[below] - values) <= np.abs(support[place] - values)
-        idx[s] = np.where(use_below, below, place)
-        points[s] = support[idx[s]]
-    return idx, points
-
-
-def _kept_by_chain(ranked: NDArray) -> NDArray:
-    """Which values of the sorted ``ranked`` the support keeps: the first,
-    then each value more than ``MERGE_TOL`` above the last value kept."""
-    # b - a rounds monotonically in b and in -a, so a value more than
-    # MERGE_TOL above its predecessor is that far above the last value kept
-    keep = np.empty(ranked.size, dtype=bool)
-    keep[:1] = True
-    np.greater(np.diff(ranked), MERGE_TOL, out=keep[1:])
-    # the other values come in runs, each after a kept value. By the same
-    # monotony a run merges whole into that value when it ends at most
-    # MERGE_TOL above it; only the rare other runs (wider, or ending in a NaN
-    # or an infinity) replay the chain
-    merged = np.flatnonzero(~keep)
-    if merged.size:
-        ends = np.diff(merged) != 1
-        first = merged[np.concatenate([[True], ends])]
-        last = merged[np.concatenate([ends, [True]])]
-        wide = ~(ranked[last] - ranked[first - 1] <= MERGE_TOL)
-        for j0, j1 in zip(first[wide], last[wide]):
-            kept = ranked[j0 - 1]
-            for j in range(j0, j1 + 1):
-                if ranked[j] - kept > MERGE_TOL:
-                    keep[j], kept = True, ranked[j]
-    return keep
+    points = means[..., None] + np.array([-eta, eta])
+    flat = points.reshape(means.shape[0], 2 * means.shape[1])
+    order = np.argsort(flat, axis=1)
+    ranked = np.take_along_axis(flat, order, axis=1)
+    ranks = np.zeros(flat.shape, dtype=np.intp)
+    np.not_equal(ranked[:, 1:], ranked[:, :-1], out=ranks[:, 1:])
+    del ranked  # so at most four arrays the size of ``points`` are live at once
+    np.cumsum(ranks, axis=1, out=ranks)
+    idx = np.empty_like(ranks)
+    np.put_along_axis(idx, order, ranks, axis=1)
+    return idx.reshape(points.shape), points
 
 
 def sample_in_ball(rng: np.random.Generator, count: int, d: int) -> NDArray:

@@ -4,6 +4,9 @@ The information ratios and rate-distortion statistics are exact finite sums,
 so each tolerance below only absorbs floating-point rounding in one named
 comparison. Modules import the names they use; no other module writes a
 tolerance value.
+
+No tolerance decides what an observation is: two outcome values of an action
+are the same observation exactly when their floats are equal.
 """
 
 # --- model: instances and their outcome pmfs -------------------------------
@@ -15,11 +18,6 @@ NORM_TOL = 1e-12
 # two-point pmf may miss sum 1, by this much before the instance is rejected;
 # also the slack on linear_binary's |a.theta| <= 1 and glm's reward range <= 1.
 OUTCOME_PMF_TOL = 1e-12
-
-# Sorted glm outcome values within this of the last kept support point merge
-# into it (``model._kept_by_chain``). The one rule for what an observation is:
-# its support index, which the posterior and the information terms both read.
-MERGE_TOL = 1e-12
 
 # --- inference: beliefs and likelihoods -------------------------------------
 

@@ -6,11 +6,11 @@ from the dense ``outcome_support`` rows, exactly as ``rdts.information``,
 ``rdts.compression.build_representation`` and ``rdts.policy`` did before the
 information terms of every (run, action) pair came from one grouped kernel.
 The batched code must agree with these to rounding. ``glm_two_point_outcomes``
-is the per-action glm support merge that ``rdts.model.two_point_outcomes``
-ran before its keep mask came from array operations; that one must agree bit
-for bit. ``compressed_info_ratio`` is the one helper here that is not an
-oracle: it forms the compressed ratio from the batched ``compressed_moments``,
-for tests that read that ratio.
+builds the glm supports one action at a time, in a Python loop of exact float
+comparisons, where ``rdts.model.two_point_outcomes`` ranks all actions in one
+sort; those two must agree bit for bit. ``compressed_info_ratio`` is the one
+helper here that is not an oracle: it forms the compressed ratio from the
+batched ``compressed_moments``, for tests that read that ratio.
 
 Three more pieces only tests use: ``rate_distortion_bruteforce``, the
 exhaustive rate-distortion oracle over every set partition of at most 8
@@ -51,7 +51,7 @@ from rdts.policy import (
     sample_outcome,
     thompson_step,
 )
-from rdts.tolerances import AUDIT_TOL, CERT_TOL, LADDER_TOL, MERGE_TOL
+from rdts.tolerances import AUDIT_TOL, CERT_TOL, LADDER_TOL
 
 # The brute-force oracle treats two statistic entropies within this as a tie,
 # which the partition with fewer cells wins.
@@ -63,32 +63,33 @@ class TooLarge(ValueError):
 
 
 def _dedupe_sorted(values):
+    """The distinct floats of the sorted ``values``, in order: each value is
+    kept unless it equals the last one kept."""
     keep = [values[0]]
     for v in values[1:]:
-        if v - keep[-1] > MERGE_TOL:
+        if v != keep[-1]:
             keep.append(v)
     return np.asarray(keep)
 
 
 def _locate(grid, values):
-    idx = np.searchsorted(grid, values)
-    idx = np.clip(idx, 0, grid.size - 1)
-    # searchsorted may land one slot right of the merged representative
-    left = np.clip(idx - 1, 0, grid.size - 1)
-    use_left = np.abs(grid[left] - values) <= np.abs(grid[idx] - values)
-    return np.where(use_left, left, idx)
+    """The index in ``grid`` of the entry equal to each of ``values``; a value
+    no entry equals (a NaN) raises ``StopIteration``."""
+    return np.array([next(j for j, g in enumerate(grid) if g == v) for v in values],
+                    dtype=np.intp)
 
 
 def glm_two_point_outcomes(means, eta):
     """``(idx, points, weights)`` of the glm outcomes ``means -/+ eta``, shape
-    ``(A, m, 2)`` for ``(A, m)`` means: one merged, sorted support per row."""
+    ``(A, m, 2)`` for ``(A, m)`` means without NaN: per row, the sorted
+    support of distinct values and each value's place on it."""
     idx = np.empty(means.shape + (2,), dtype=np.intp)
     points = np.empty(idx.shape)
     for s, row in enumerate(means):
         values = _dedupe_sorted(np.sort(np.concatenate([row - eta, row + eta])))
         idx[s] = np.stack([_locate(values, row - eta), _locate(values, row + eta)], axis=1)
         points[s] = values[idx[s]]
-    # each point carries half the mass; a merged pair is one point of mass 1
+    # each point carries half the mass; two equal values are one point of mass 1
     w = np.where((idx[..., 0] == idx[..., 1])[..., None], [1.0, 0.0], 0.5)
     return idx, points, _checked_pmf(w)
 

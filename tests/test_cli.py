@@ -197,10 +197,28 @@ def test_regret_with_no_periods_writes_the_header_only(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["ir-sweep", "--instances", "-1", "--d-list", "2", "--n", "5", "--m", "5"],
     ["bounds", "--which", "partition-count", "--model", "nope"],
-], ids=["ir-sweep-instances", "bounds-model"])
+    ["bounds", "--which", "logistic"],
+], ids=["ir-sweep-instances", "bounds-model", "bounds-logistic-no-delta"])
 def test_out_of_range_values_are_exit_2(argv, capsys):
     assert run(argv) == 2
     json.loads(capsys.readouterr().err)
+
+
+def test_empty_beta_list_is_a_config_error_like_an_empty_d_list(tmp_path, capsys):
+    argv = ["ir-sweep", "--instances", "1", "--n", "5", "--m", "5", "--out", str(tmp_path / "s.csv")]
+    for lists in (["--d-list", ","], ["--d-list", "2", "--beta-list", ","]):
+        assert run([*argv, "--model", "logistic", *lists]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    # linear_binary reads no beta list
+    assert run([*argv, "--model", "linear_binary", "--d-list", "2", "--beta-list", ","]) == 0
+
+
+@pytest.mark.parametrize("model", ["glm", "linear_binary"])
+def test_logistic_builder_on_another_model_is_a_config_error(model, capsys):
+    assert run(["partition", "--builder", "logistic", "--model", model, "--delta", "0.1",
+                "--d", "2", "--n", "10", "--m", "10"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "--model" in err["message"]
 
 
 def test_ir_sweep_refuses_glm_through_its_model_choices(tmp_path, capsys):

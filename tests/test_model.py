@@ -36,7 +36,7 @@ from rdts.model import (
     two_point_outcomes,
 )
 from rdts.policy import audit_regret_chain, simulate_ts
-from rdts.tolerances import MERGE_TOL, OUTCOME_PMF_TOL
+from rdts.tolerances import OUTCOME_PMF_TOL
 
 
 def test_model_kind_validation():
@@ -232,6 +232,25 @@ def test_range_checked_construction_at_m_6000_builds_no_table(kind):
     assert peak <= 4e6, peak
 
 
+def test_logistic_inner_range_is_read_from_the_blocks():
+    # a logistic construction keeps no range; its first read multiplies the
+    # blocks again, in one reused buffer, and builds no table
+    model = make_model(LOGISTIC, beta=1.0, eta=0.05)
+    inst = sample_instance(np.random.default_rng(0), 3, 500, 6000, model)
+    assert "inner_range" not in vars(inst)
+    tracemalloc.start()
+    try:
+        low, high = inst.inner_range
+        slope = realized_link_slope(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "inner" not in vars(inst) and "mu" not in vars(inst)
+    assert peak <= 4e6, peak
+    assert (low, high) == (float(inst.inner.min()), float(inst.inner.max()))
+    assert slope == c_phi(model, low, high)
+
+
 @given(
     st.integers(min_value=0),
     st.integers(min_value=1, max_value=13),
@@ -411,67 +430,83 @@ def test_outcome_support_bit_identical_to_dense_build(seed, kind_eta):
         np.testing.assert_array_equal(probs, ref_probs)
 
 
-# offsets, in MERGE_TOL, of glm means around a cluster centre: 0.6 merges
-# into 0, 1.05 is kept past 0 and 2 then merges into 1.05 (a chained merge),
-# and 0.9 merges into 0 but lies nearer the kept 1.05 (the nearest-next case)
-_MERGE_OFFSETS = [0.0, 0.3, 0.6, 0.9, 1.05, 2.0]
-# cluster centres; at eta = 0.05 a mean's upper point meets the lower point of
-# a mean 0.1 above it up to rounding. The non-finite ones end a sorted row's
-# run of merged values in a NaN or an infinity
-_CENTRES = [0.2, 0.3, 0.4, 0.5, 0.5 + MERGE_TOL, math.nan, math.inf, -math.inf]
+# cluster centres of glm means; at eta = 0.05 a mean's upper value meets the
+# lower value of a mean 0.1 above it up to rounding, and the values of means a
+# few ulps apart (``_ulps``) are equal or one ulp apart
+_CENTRES = [0.2, 0.3, 0.4, 0.5, math.inf, -math.inf]
+_ETAS = [0.0, 0.05, float(np.spacing(0.5))]
+
+
+def _ulps(x, k):
+    """The float ``k`` steps from ``x`` (down for negative ``k``)."""
+    for _ in range(abs(k)):
+        x = np.nextafter(x, math.copysign(math.inf, k))
+    return float(x)
 
 
 @st.composite
-def _glm_means(draw):
+def _glm_means(draw, centres=_CENTRES):
     rows, m = draw(st.integers(0, 4)), draw(st.integers(1, 8))
-    mean = st.builds(
-        lambda c, k, sign: c + sign * k * MERGE_TOL,
-        st.sampled_from(_CENTRES), st.sampled_from(_MERGE_OFFSETS), st.sampled_from([1, -1]),
-    )
+    mean = st.builds(_ulps, st.sampled_from(centres), st.integers(-3, 3))
     means = draw(st.lists(mean, min_size=rows * m, max_size=rows * m))
     return np.array(means, dtype=float).reshape(rows, m)
 
 
-@given(_glm_means(), st.sampled_from([0.0, 0.05]))
-# a chained merge whose run of small gaps ends in a NaN
-@example(np.array([[0.5, 0.5 + 0.6 * MERGE_TOL, 0.5 + 1.05 * MERGE_TOL, math.nan]]), 0.0)
-# a merged value exactly halfway between two support points goes to the lower
-@example(np.array([[0.5, 0.5 + 2.0**-40, 0.5 + 2.0**-39]]), 0.0)
-@settings(max_examples=200, deadline=None)
-def test_glm_outcomes_bit_identical_to_per_action_merge(means, eta):
+def _glm_outcomes(means, eta):
     # two_point_outcomes reads only the instance's means and model
     instance = SimpleNamespace(mu=means.T, model=OutcomeModel(kind=GLM, beta=1.0, eta=eta))
-    with np.errstate(invalid="ignore"):  # inf - inf
-        got = two_point_outcomes(instance, np.arange(means.shape[0]))
-        expected = reference.glm_two_point_outcomes(means, eta)
+    return two_point_outcomes(instance, np.arange(means.shape[0]))
+
+
+@given(_glm_means(), st.sampled_from(_ETAS))
+# a value that lies one ulp from the next: two observations, not one
+@example(np.array([[0.5, _ulps(0.5, 1), _ulps(0.5, 2)]]), 0.0)
+@settings(max_examples=200, deadline=None)
+def test_glm_outcomes_bit_identical_to_per_action_oracle(means, eta):
+    got = _glm_outcomes(means, eta)
+    expected = reference.glm_two_point_outcomes(means, eta)
     for a, b in zip(got, expected):
         assert a.dtype == b.dtype
         np.testing.assert_array_equal(a, b)
 
 
-@given(_glm_means(), st.sampled_from([0.0, 0.5 * MERGE_TOL, MERGE_TOL, 0.05]))
-@example(np.array([[0.5, 0.5 + 0.6 * MERGE_TOL, 0.5 + 1.05 * MERGE_TOL, math.nan]]), 0.0)
-@example(np.array([[0.3, math.inf, 0.3 + 0.9 * MERGE_TOL, -math.inf]]), 0.5 * MERGE_TOL)
+@given(_glm_means([*_CENTRES, math.nan]), st.sampled_from(_ETAS))
+@example(np.array([[0.3, math.nan, 0.3, math.nan]]), 0.0)
 @settings(max_examples=200, deadline=None)
-def test_glm_outcome_values_lie_within_merge_tol_of_their_support_points(means, eta):
-    # an observation is its support index: each finite outcome value lies
-    # within MERGE_TOL of its support point, and two values share an index
-    # exactly when they share a point. A NaN or infinite value lies within
-    # MERGE_TOL of no point, and an instance whose means would hold one is
-    # rejected: its parameters have non-finite coordinates
-    instance = SimpleNamespace(mu=means.T, model=OutcomeModel(kind=GLM, beta=1.0, eta=eta))
-    with np.errstate(invalid="ignore"):  # inf - inf
-        idx, points, _ = two_point_outcomes(instance, np.arange(means.shape[0]))
-        values = np.stack([means - eta, means + eta], axis=-1)
-        finite = np.isfinite(values)
-        assert ((np.abs(points - values) <= MERGE_TOL) == finite).all()
+def test_glm_outcomes_share_an_index_exactly_when_equal(means, eta):
+    # an observation is its support index: two outcome values share one
+    # exactly when their floats are equal (a NaN equals none), the indexes
+    # follow the values' order, and each point is its value. An instance
+    # whose means would hold a NaN is rejected: its parameters have
+    # non-finite coordinates
+    idx, points, _ = _glm_outcomes(means, eta)
+    values = np.stack([means - eta, means + eta], axis=-1)
+    np.testing.assert_array_equal(points, values)
     for s in range(idx.shape[0]):
-        i, p = idx[s][finite[s]], points[s][finite[s]]
-        assert ((i[:, None] == i[None, :]) == (p[:, None] == p[None, :])).all()
-    if not finite.all():
+        i, v = idx[s].ravel(), values[s].ravel()
+        equal = v[:, None] == v[None, :]
+        np.fill_diagonal(equal, True)  # a NaN value keeps its own index
+        assert ((i[:, None] == i[None, :]) == equal).all()
+        assert ((i[:, None] < i[None, :]) >= (v[:, None] < v[None, :])).all()
+        assert np.array_equal(np.unique(i), np.arange(i.max() + 1))
+    if np.isnan(means).any():
         with pytest.raises(InvalidInstanceError, match="non-finite"):
             BanditInstance(actions=np.ones((1, 1)), params=means.reshape(-1, 1),
-                           model=instance.model)
+                           model=OutcomeModel(kind=GLM, beta=1.0, eta=eta))
+
+
+@pytest.mark.parametrize("eta", _ETAS[:2])
+def test_glm_values_one_ulp_apart_are_two_observations(eta):
+    # the lower value of the second mean lies one ulp above the upper value
+    # of the first, and the third mean is one ulp above the second
+    low = 0.3
+    high = _ulps(low + eta, 1) + eta
+    means = np.array([[low, high, _ulps(high, 1)]])
+    idx, points, weights = _glm_outcomes(means, eta)
+    assert points[0, 1, 0] == np.nextafter(points[0, 0, 1], 1.0)
+    assert idx[0, 1, 0] != idx[0, 0, 1] and idx[0, 2, 0] != idx[0, 1, 0]
+    assert np.unique(idx).size == np.unique(points).size
+    assert (weights[0, :, 0] == (1.0 if eta == 0.0 else 0.5)).all()
 
 
 def _count_table_builds(monkeypatch) -> list:

@@ -29,7 +29,7 @@ from rdts.information import (
     info_gain_about_statistic,
     ts_info_ratio,
 )
-from rdts.model import GLM, LOGISTIC, BanditInstance, OutcomeModel, sample_instance
+from rdts.model import GLM, LOGISTIC, BanditInstance, OutcomeModel, outcome_support, sample_instance
 from rdts.policy import _ts_rollout
 from rdts.tolerances import AUDIT_TOL, BELIEF_TOL, CERT_TOL, RATIO_CEILING_TOL
 
@@ -254,3 +254,23 @@ def test_near_coincident_glm_outcomes_condition_posterior_and_information_alike(
                 assert _close(got, want, BELIEF_TOL), r
     # some runs observe one of the three near-coincident parameters
     assert np.isin(theta_star, [0, 1, 2]).sum() >= 5
+
+
+def test_saturated_glm_supports_hold_every_distinct_mean():
+    # at beta = 40 many means of an action lie under 1e-12 apart near 0 or 1;
+    # each distinct float is an observation of its own. With eta = 0 an
+    # outcome is its parameter's mean, so at a uniform belief I(theta*; Y_a)
+    # is the entropy of how many parameters share each mean
+    m = 60
+    inst = sample_instance(np.random.default_rng(1), 2, 30, m,
+                           OutcomeModel(kind=GLM, beta=40.0, eta=0.0))
+    prior = BeliefState.uniform(m)
+    with mpmath.workdps(DIGITS):
+        for a in range(inst.n_actions):
+            counts = {}
+            for mean in inst.mu[:, a].tolist():
+                counts[mean] = counts.get(mean, 0) + 1
+            assert outcome_support(inst, a)[0].size == len(counts), a
+            exact = -mpmath.fsum(mpmath.mpf(c) / m * mpmath.log(mpmath.mpf(c) / m)
+                                 for c in counts.values())
+            assert _close(action_information(inst, prior, a), exact, RATIO_CEILING_TOL), a

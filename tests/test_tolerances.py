@@ -17,7 +17,6 @@ SMALLEST_VALUE = 1e-6
 PINNED = {
     "NORM_TOL": 1e-12,
     "OUTCOME_PMF_TOL": 1e-12,
-    "MERGE_TOL": 1e-12,
     "BELIEF_TOL": 1e-10,
     "INPUT_PMF_TOL": 1e-9,
     "DENOMINATOR_TOL": 1e-12,
