@@ -65,15 +65,18 @@ def _mass_on(labels: NDArray, weights: NDArray, key: NDArray | float) -> NDArray
 
 def _normalised(p: NDArray, owned: bool = False) -> NDArray:
     """Probability vectors along the last axis, checked to ``BELIEF_TOL`` and
-    renormalised after clipping rounding negatives to zero. With ``owned``
-    the clip and the division write into ``p``, which the caller must own."""
-    # fmin skips NaN as the elementwise test (p < -BELIEF_TOL).any() does
+    renormalised after clipping rounding negatives to zero. Each check is one
+    reduction over every row: ``fmin`` for the entries, which skips NaN as the
+    elementwise test ``(p < -BELIEF_TOL).any()`` does, and ``maximum`` for
+    the distance of each sum from 1, which propagates NaN, so a NaN sum is
+    rejected. With ``owned`` the clip and the division write into ``p``,
+    which the caller must own."""
     if np.fmin.reduce(p, axis=None) < -BELIEF_TOL:
         raise ValueError("belief entries must be non-negative")
-    total = p.sum(axis=-1, keepdims=True)
-    ok = np.abs(total - 1.0) <= BELIEF_TOL  # NaN is not ok
-    if not ok.all():
-        raise ValueError(f"belief must sum to 1, got {total[~ok][0]!r}")
+    total = np.add.reduce(p, axis=-1, keepdims=True)
+    if not np.maximum.reduce(abs(total - 1.0), axis=None) <= BELIEF_TOL:
+        bad = total[~(abs(total - 1.0) <= BELIEF_TOL)][0]
+        raise ValueError(f"belief must sum to 1, got {bad!r}")
     clipped = np.maximum(p, 0.0, out=p if owned else None)
     return np.divide(clipped, total, out=clipped)
 
@@ -87,11 +90,11 @@ def _bayes_numerator(probs: NDArray, like: NDArray) -> tuple[NDArray, NDArray, b
     so its largest term is 1. A row that nothing explains keeps sum 0.
     """
     post = probs * like
-    total = post.sum(axis=1)
-    empty = total <= 0.0
-    if not empty.any():
+    total = np.add.reduce(post, axis=1)
+    # fmin skips NaN sums as the elementwise test (total <= 0).any() does
+    if not np.fmin.reduce(total) <= 0.0:
         return post, total, True
-    for r in np.flatnonzero(empty):
+    for r in np.flatnonzero(total <= 0.0):
         p, l = probs[r], like[r]
         if np.any((p > 0) & (l > 0)):
             logp = np.log(p, out=np.full_like(p, -np.inf), where=p > 0)
@@ -123,7 +126,10 @@ def posterior_update(
 def posterior_update_rows(beliefs: NDArray, like: NDArray) -> NDArray:
     """``posterior_update`` of each row of a ``(runs, m)`` belief matrix, given
     the ``(runs, m)`` likelihoods of each row's observation; same arithmetic.
-    The division and the normalisation write into the product's own array."""
+    The division and the normalisation write into the product's own array.
+    Whether some row is empty is one ``fmin`` reduction over the row sums,
+    and ``_normalised`` checks every row with one reduction per check; the
+    second normalisation keeps each row bit for bit the per-run update's."""
     post, total, explained = _bayes_numerator(beliefs, like)
     if not explained:
         raise AllZeroLikelihood("an observed outcome is impossible under every parameter")

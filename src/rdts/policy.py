@@ -104,15 +104,23 @@ def _ts_rollout(
     observed outcome.
 
     Each run's true parameter is fixed, so the CDFs of the outcome pmfs it
-    can meet are tabulated once, by (slot, run). A period's two draws are
-    ``inverse_cdf``'s arithmetic (``cumsum``, ``<=``, ``sum``) on the belief
-    and on that table, each reading all runs' uniforms as one contiguous
-    block; only when some uniform lies at or above its row's total does the
-    draw call ``inverse_cdf`` itself, whose fallback never picks a zero-mass
-    index. An observation's likelihood row, each parameter's mass on its
-    support index, is read from ``_likelihood_table`` when every realized
-    action has at most two support values (both binary models); glm makes
-    one ``_mass_on`` call per period on the played slots' pmfs.
+    can meet are tabulated once, by (slot, run). The parameter draw is
+    ``inverse_cdf``'s arithmetic (accumulate, ``<=``, count) on the belief,
+    into buffers reused across periods, reading all runs' uniforms as one
+    contiguous block; only when some uniform lies at or above its row's
+    total does it call ``inverse_cdf`` itself, whose fallback never picks a
+    zero-mass index. The outcome draw needs that fallback only where a run's
+    uniform reaches the total mass of its played slot, so one comparison
+    before the loop flags (``_outcome_fallback_periods``) every period in
+    which some run's outcome uniform is at or above the smallest total over
+    its true parameter's pmfs. A flagged period counts over the two-point CDF
+    and falls back as the parameter draw does; any other period draws ``k``
+    as ``first <= u``, one gather and one comparison, which is that count
+    when no total is reached. An observation's likelihood row, each
+    parameter's mass on its support index, is read from
+    ``_likelihood_table`` when every realized action has at most two
+    support values (both binary models); glm makes one ``_mass_on`` call
+    per period on the played slots' pmfs.
     """
     if T < 0 or runs < 1:
         raise ValueError("need T >= 0 and runs >= 1")
@@ -125,21 +133,32 @@ def _ts_rollout(
     slot, idx, points, weights = instance.outcomes
     # (slot, run): the outcome CDF of the run's true parameter
     cdf_run = np.cumsum(weights[:, theta_star], axis=-1)
+    first = cdf_run[..., 0]
+    u_outcome = draws[2::2, :, 0]  # (T, runs)
+    flagged = _outcome_fallback_periods(cdf_run, u_outcome).tolist()
+    astar = instance.astar
+    slot_of = slot[astar]
     table = _likelihood_table(instance)
     m = belief.shape[1]
     run = np.arange(runs)
 
     def periods(belief: NDArray):
+        cdf = np.empty_like(belief)
+        below = np.empty(belief.shape, dtype=bool)
+        k_first = np.empty(runs, dtype=np.intp)  # k indexes: a bool array would mask
         for t in range(T):
-            u_param, u_outcome = draws[2 * t + 1], draws[2 * t + 2]
-            j = (np.cumsum(belief, axis=-1) <= u_param).sum(-1)
-            if j.max() == m:
+            u_param = draws[2 * t + 1]
+            np.add.accumulate(belief, axis=1, out=cdf)
+            j = np.add.reduce(np.less_equal(cdf, u_param, out=below), axis=1)
+            if np.maximum.reduce(j) == m:
                 j = inverse_cdf(belief, u_param[:, 0])
-            action = instance.astar[j]
-            s = slot[action]
-            k = (cdf_run[s, run] <= u_outcome).sum(-1)
-            if k.max() == 2:
-                k = inverse_cdf(weights[s, theta_star], u_outcome[:, 0])
+            action, s = astar[j], slot_of[j]
+            if flagged[t]:
+                k = (cdf_run[s, run] <= draws[2 * t + 2]).sum(-1)
+                if k.max() == 2:
+                    k = inverse_cdf(weights[s, theta_star], u_outcome[t])
+            else:
+                k = np.less_equal(first[s, run], u_outcome[t], out=k_first)
             v = idx[s, theta_star, k]
             yield belief, theta_star, action, points[s, theta_star, k]
             if table is None:
@@ -149,6 +168,17 @@ def _ts_rollout(
             belief = posterior_update_rows(belief, like)
 
     return periods(belief)
+
+
+def _outcome_fallback_periods(cdf_run: NDArray, u_outcome: NDArray) -> NDArray:
+    """Which of the ``(T, runs)`` outcome uniforms' periods can need
+    ``inverse_cdf``'s fallback: those where some run's uniform is at or above
+    the smallest total mass over the ``(slot, run, 2)`` CDFs of its true
+    parameter. A played slot's total is never below that smallest one, so no
+    period that needs the fallback goes unflagged. ``fmin`` skips a NaN
+    total, which no uniform reaches."""
+    least = np.fmin.reduce(cdf_run[..., -1], axis=0)
+    return (u_outcome >= least).any(axis=1)
 
 
 def _likelihood_table(instance: BanditInstance) -> NDArray | None:
@@ -176,18 +206,21 @@ def simulate_ts(
     """Monte Carlo Bayesian regret of Thompson sampling over ``runs`` runs.
 
     All runs advance together on the trajectories of ``_ts_rollout``; the
-    loop only keeps each period's rewards in a ``(T, runs)`` table. After
-    it, one ``cumsum`` along runs sums each period's regret in run order and
-    one along periods sums each run's total in period order, so the trace is
-    bit-identical to a per-run loop of ``thompson_step``, ``sample_outcome``
-    and ``posterior_update``.
+    loop only keeps each period's actions and outcomes in ``(T, runs)``
+    tables. After it, the pseudo-regret rewards are gathered once, as
+    ``mu[theta_star, actions]``, one ``cumsum`` along runs sums each
+    period's regret in run order and one along periods sums each run's
+    total in period order, so the trace is bit-identical to a per-run loop
+    of ``thompson_step``, ``sample_outcome`` and ``posterior_update``.
     """
     periods = _ts_rollout(instance, prior, T, runs, rng)
-    rewards = np.empty((T, runs))
+    actions = np.empty((T, runs), dtype=instance.astar.dtype)
+    outcomes = np.empty((T, runs))
     for t, (_, theta_star, action, y) in enumerate(periods):
-        rewards[t] = y if realized_rewards else instance.mu[theta_star, action]
+        actions[t], outcomes[t] = action, y
     per_period, totals = np.zeros(0), np.zeros(runs)
     if T:
+        rewards = outcomes if realized_rewards else instance.mu[theta_star, actions]
         regret = instance.mu[theta_star, instance.astar[theta_star]] - rewards
         per_period = np.cumsum(regret, axis=1)[:, -1] / runs  # runs added in run order
         totals = np.cumsum(regret, axis=0)[-1]  # periods added in period order

@@ -18,6 +18,7 @@ from rdts.inference import (
     sample_parameter,
 )
 from rdts.model import GLM, LINEAR_BINARY, LOGISTIC, outcome_support
+from rdts.tolerances import BELIEF_TOL
 
 
 def test_belief_validation():
@@ -66,6 +67,67 @@ def test_belief_checks_keep_their_messages_on_nan_rows():
         _normalised(np.array([[0.5, 0.5], [np.nan, 1.0]]))
     with pytest.raises(ValueError, match="sum to 1"):
         posterior_update_rows(np.array([[np.nan, -1.0, 2.0]]), np.ones((1, 3)))
+
+
+_NOT_NEGATIVE = "belief entries must be non-negative"
+
+
+def _off_sum(total):
+    return f"belief must sum to 1, got {np.float64(total)!r}"
+
+
+_ALL_ZERO = "an observed outcome is impossible under every parameter"
+
+
+@pytest.mark.parametrize(
+    "bad_rows, error, message",
+    [
+        ([[np.nan, 1.0, 1.0]], ValueError, _off_sum(np.nan)),
+        ([[np.inf, 1.0, 1.0]], ValueError, _off_sum(np.nan)),
+        ([[1.0, np.inf, 1.0]], ValueError, _off_sum(np.nan)),
+        ([[-0.1, 1.0, 1.0]], ValueError, _NOT_NEGATIVE),
+        ([[0.0, 0.0, 0.0]], AllZeroLikelihood, _ALL_ZERO),
+        # a NaN sum does not hide an empty row from the emptiness test
+        ([[np.nan, 1.0, 1.0], [0.0, 0.0, 0.0]], AllZeroLikelihood, _ALL_ZERO),
+    ],
+    ids=["nan", "inf", "inf-on-mass", "negative", "all-zero", "nan-beside-all-zero"],
+)
+def test_row_update_checks_keep_their_errors(bad_rows, error, message):
+    # the faulty rows sit below a good one: each check reduces over all rows
+    beliefs = np.array([[0.5, 0.5, 0.0]] + [[0.2, 0.3, 0.5]] * len(bad_rows))
+    like = np.array([[1.0, 1.0, 1.0], *bad_rows])
+    with np.errstate(invalid="ignore"), pytest.raises(error) as raised:
+        posterior_update_rows(beliefs, like)
+    assert type(raised.value) is error and str(raised.value) == message
+
+
+@pytest.mark.parametrize(
+    "probs, message",
+    [
+        ([np.nan, 0.5, 0.5], _off_sum(np.nan)),
+        ([np.inf, 0.5, 0.5], _off_sum(np.inf)),
+        ([0.5, 0.5 + 1.5 * BELIEF_TOL, -1.5 * BELIEF_TOL], _NOT_NEGATIVE),
+        ([0.5, 0.5 + 1.5 * BELIEF_TOL], _off_sum(1.0 + 1.5 * BELIEF_TOL)),
+        ([0.5, 0.5 - 1.5 * BELIEF_TOL], _off_sum(1.0 - 1.5 * BELIEF_TOL)),
+        ([0.0, 0.0], _off_sum(0.0)),
+        ([0.5, 0.5 + 0.5 * BELIEF_TOL, -0.5 * BELIEF_TOL], None),
+        ([0.5, 0.5 + 0.5 * BELIEF_TOL], None),
+        ([0.5, 0.5 - 0.5 * BELIEF_TOL], None),
+    ],
+    ids=["nan", "inf", "negative", "sum-over", "sum-under", "zero",
+         "negative-within", "sum-over-within", "sum-under-within"],
+)
+def test_belief_checks_keep_their_errors(probs, message):
+    # a belief and a row of a belief matrix get the same checks
+    rows = np.array([np.full(len(probs), 1.0 / len(probs)), probs])
+    for check in (BeliefState, _normalised):
+        given = np.array(probs) if check is BeliefState else rows
+        if message is None:
+            check(given)
+            continue
+        with pytest.raises(ValueError) as raised:
+            check(given)
+        assert type(raised.value) is ValueError and str(raised.value) == message
 
 
 def _hand_bayes(prior, like):

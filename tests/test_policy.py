@@ -216,24 +216,50 @@ class _EdgeUniforms:
         return self.stream[start:self.drawn].copy()
 
 
-@_EVERY_KIND_AND_SATURATED
-def test_rollout_fallback_draws_match_per_run_loop(kind, beta, eta):
-    # uniforms at or above a row's CDF total take inverse_cdf's fallback to
-    # the row's last positive-mass index, in both the parameter and the
-    # outcome draw; the trajectories stay the per-run loop's bit for bit.
-    # The two zero-mass parameters are the only ones that play action 3. The
-    # last positive-mass parameters play action 0, from which parameter 0
-    # gets outcome 0.5 with probability exactly 0 on linear_binary and at
-    # beta = 1000
+class _CdfEdgeUniforms(_EdgeUniforms):
+    """Stand-in for a generator whose outcome uniforms lie on the outcome
+    CDFs of the run's true parameter: period ``t``'s cycles through each
+    slot's first CDF value and total mass, each exactly and as its two
+    ``np.nextafter`` neighbours, clipped to [0, 1]. The other uniforms are
+    ordinary draws."""
+
+    def __init__(self, seed, instance, prior, run=None):
+        self.seed, self.drawn, self.instance, self.prior = seed, 0, instance, prior
+        if run is not None:
+            self.stream = np.random.default_rng([seed, run]).random(1024)
+            theta_star = inverse_cdf(prior.probs, self.stream[0])
+            cdf = np.cumsum(instance.outcomes[3][:, theta_star], axis=-1)
+            edges = np.stack([np.nextafter(cdf, -1.0), cdf, np.nextafter(cdf, 2.0)], axis=-1)
+            self.stream[2::2] = np.clip(np.resize(edges, self.stream[2::2].size), 0.0, 1.0)
+
+    def spawn(self, n):
+        return [_CdfEdgeUniforms(self.seed, self.instance, self.prior, run) for run in range(n)]
+
+
+def _fallback_instance(kind, beta, eta):
+    """Nine parameters, four actions and a prior with two zero-mass parameters.
+
+    The two zero-mass parameters are the only ones that play action 3. The
+    last positive-mass parameters play action 0, from which parameter 0 gets
+    outcome 0.5 with probability exactly 0 on linear_binary and at beta = 1000.
+    """
     actions = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
     params = np.array([
         [-1.0, 0.0], [-0.8, -0.3], [0.6, 0.5], [0.3, 0.8], [-0.5, 0.6],
         [0.002, 0.001], [1.0, 0.0], [0.0, -0.9], [0.2, -0.95],
     ])
     instance = BanditInstance(actions=actions, params=params, model=make_model(kind, beta, eta))
-    T, runs = 30, 8
-    prior = BeliefState(np.r_[np.full(7, 1 / 7), 0.0, 0.0])
     assert instance.astar.tolist() == [1, 1, 0, 2, 2, 0, 0, 3, 3]
+    return instance, BeliefState(np.r_[np.full(7, 1 / 7), 0.0, 0.0])
+
+
+@_EVERY_KIND_AND_SATURATED
+def test_rollout_fallback_draws_match_per_run_loop(kind, beta, eta):
+    # uniforms at or above a row's CDF total take inverse_cdf's fallback to
+    # the row's last positive-mass index, in both the parameter and the
+    # outcome draw; the trajectories stay the per-run loop's bit for bit
+    instance, prior = _fallback_instance(kind, beta, eta)
+    T, runs = 30, 8
     for realized in (False, True):
         _assert_matches_reference(instance, prior, T, runs, 3, realized, make_rng=_EdgeUniforms)
     # both fallbacks are reached, no run plays a zero-mass parameter's action,
@@ -251,6 +277,102 @@ def test_rollout_fallback_draws_match_per_run_loop(kind, beta, eta):
     assert param_over and outcome_over
     if kind == LINEAR_BINARY or beta == 1000.0:
         assert weights[slot[0], 0].tolist() == [1.0, 0.0]
+
+
+@_EVERY_KIND_AND_SATURATED
+def test_rollout_outcome_draws_on_cdf_edges_match_per_run_loop(kind, beta, eta):
+    # outcome uniforms equal to a played slot's first CDF value or total, or
+    # one ulp beside either, draw the per-run loop's outcome bit for bit
+    instance, prior = _fallback_instance(kind, beta, eta)
+    T, runs = 60, 8
+
+    def make_rng(seed):
+        return _CdfEdgeUniforms(seed, instance, prior)
+
+    for realized in (False, True):
+        _assert_matches_reference(instance, prior, T, runs, 4, realized, make_rng=make_rng)
+    # every edge is met: (CDF entry, ulps beside it) of some run's played slot
+    draws = np.stack([r.random(1 + 2 * T) for r in make_rng(4).spawn(runs)])
+    slot, _, _, weights = instance.outcomes
+    met = set()
+    periods = _ts_rollout(instance, prior, T, runs, make_rng(4))
+    for t, (_, theta_star, action, _) in enumerate(periods):
+        cdf = np.cumsum(weights[slot[action], theta_star], axis=-1)
+        u = draws[:, 2 * t + 2, None]
+        for step, edge in ((-1, np.nextafter(cdf, -1.0)), (0, cdf), (1, np.nextafter(cdf, 2.0))):
+            met.update((entry, step) for entry in np.flatnonzero((u == edge).any(axis=0)))
+    assert {(0, -1), (0, 0), (0, 1), (1, -1), (1, 0)} <= met
+
+
+def _record_flags(monkeypatch):
+    """Patch the rollout's fallback flagging to also append each result to
+    the returned list."""
+    flagged, flag = [], policy_mod._outcome_fallback_periods
+
+    def recording(*args):
+        flagged.append(flag(*args))
+        return flagged[-1]
+
+    monkeypatch.setattr(policy_mod, "_outcome_fallback_periods", recording)
+    return flagged
+
+
+@_EVERY_KIND_AND_SATURATED
+@pytest.mark.parametrize("edges", ["totals", "cdf", "cdf-short-totals"])
+def test_outcome_fallback_periods_are_flagged_up_front(kind, beta, eta, edges, monkeypatch):
+    # a count guard, not a timing test: the outcome draw calls inverse_cdf
+    # only in flagged periods, and every period in which some run's uniform
+    # reaches its played slot's total is flagged. Every pmf of these models
+    # sums to exactly 1, so "cdf-short-totals" scales the first slot's pmfs
+    # by 1 - 2**-53 to hold totals below 1 beside totals of 1
+    instance, prior = _fallback_instance(kind, beta, eta)
+    T, runs, m = 60, 8, instance.n_params
+    if edges == "cdf-short-totals":
+        slot, idx, points, weights = instance.outcomes
+        weights = weights.copy()
+        weights[0] *= 1.0 - 2.0**-53
+        vars(instance)["outcomes"] = slot, idx, points, weights
+        totals = np.cumsum(weights, axis=-1)[..., -1]
+        assert (totals[0] < 1.0).any() and (totals[1:] == 1.0).all()
+    make_rng = _EdgeUniforms if edges == "totals" else (
+        lambda seed: _CdfEdgeUniforms(seed, instance, prior)
+    )
+    draws = np.stack([r.random(1 + 2 * T) for r in make_rng(5).spawn(runs)])
+    flagged, sizes = _record_flags(monkeypatch), []
+    counted = policy_mod.inverse_cdf
+
+    def counting(probs, u):
+        sizes.append(probs.shape[-1])
+        return counted(probs, u)
+
+    monkeypatch.setattr(policy_mod, "inverse_cdf", counting)
+    slot, _, _, weights = instance.outcomes
+    needed, called, seen = [], [], 0
+    periods = _ts_rollout(instance, prior, T, runs, make_rng(5))
+    for t, (_, theta_star, action, _) in enumerate(periods):
+        total = np.cumsum(weights[slot[action], theta_star], axis=-1)[:, -1]
+        needed.append(bool((draws[:, 2 * t + 2] >= total).any()))
+        called.append(sizes[seen:].count(2) > 0)
+        seen = len(sizes)
+    # outcome pmfs have 2 entries, beliefs m
+    assert m != 2 and len(flagged) == 1
+    flagged, needed = flagged[0], np.array(needed)
+    assert needed.any() and not flagged.all()
+    assert called == needed.tolist() and flagged[needed].all()
+
+
+@_EVERY_KIND_AND_SATURATED
+def test_ordinary_rollout_never_calls_inverse_cdf(kind, beta, eta, monkeypatch):
+    # a count guard, not a timing test: once the true parameters are drawn,
+    # an ordinary seeded rollout flags no period and calls inverse_cdf 0 times
+    T, m = 60, 12
+    rng = np.random.default_rng(29)
+    instance = random_instance(rng, kind, d=2, n=8, m=m, beta=beta, eta=eta)
+    flagged, calls = _record_flags(monkeypatch), []
+    periods = _ts_rollout(instance, BeliefState.uniform(m), T, 6, rng)
+    monkeypatch.setattr(policy_mod, "inverse_cdf", lambda *args: calls.append(args))
+    assert len(list(periods)) == T
+    assert calls == [] and not flagged[0].any()
 
 
 @_EVERY_KIND_AND_SATURATED
