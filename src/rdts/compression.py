@@ -485,7 +485,7 @@ def build_representation(
     if p.shape[1] != partition.cell_of.size:
         raise ValueError("belief and partition cover different parameter counts")
     mass, gain = _cell_masses_and_gains(instance, p, partition)
-    mean_rewards = _row_products(p, instance.mu)
+    mean_rewards = _row_products(p, instance.realized[1])
     i1, i2, r = _representative_pairs(instance, p, mean_rewards, partition, mass, gain)
     cells = tuple(zip(i1[0].tolist(), i2[0].tolist(), r[0].tolist()))
     return Representation(partition=partition, cells=cells, cell_mass=mass[0])
@@ -500,13 +500,14 @@ def _representative_pairs(
     gain: NDArray,
 ) -> tuple[NDArray, NDArray, NDArray]:
     """``build_representation``'s cells at each row of a ``(runs, m)`` belief
-    matrix, as ``(runs, K)`` arrays ``(i1, i2, r)``, given the rows' mean
-    rewards ``information._row_products(probs, instance.mu)``, cell masses
-    ``mass`` and I(psi; Y_a) as ``gain[run, a]`` for every action a that a
-    member of a positive-mass cell plays. A row's cells depend on that row's
-    inputs alone."""
+    matrix, as ``(runs, K)`` arrays ``(i1, i2, r)``, given the rows'
+    ``information._row_products`` of the ``realized`` means, cell masses
+    ``mass`` and I(psi; Y_a) as ``gain[run, slot[a]]`` for every action a
+    that a member of a positive-mass cell plays. A row's cells depend on that
+    row's inputs alone."""
     members = [partition.members(k) for k in range(partition.K)]
-    played = [instance.astar[idx] for idx in members]
+    slot = instance.realized[0]
+    played = [slot[instance.astar[idx]] for idx in members]
     i1 = np.tile(np.asarray([idx[0] for idx in members], dtype=np.intp), (mass.shape[0], 1))
     i2 = i1.copy()
     r = np.ones(mass.shape)

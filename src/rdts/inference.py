@@ -51,8 +51,9 @@ def outcome_likelihoods(
     (``two_point_outcomes``): distinct support values are distinct floats, so
     this is the mass on the outcome's support index, and 0 off the support.
     """
-    _, points, weights = two_point_outcomes(instance, [action_idx])
-    return _mass_on(points[0], weights[0], outcome)
+    means = instance.mean_rewards(np.arange(instance.n_params), action_idx)
+    _, points, weights = two_point_outcomes(instance.model, means)
+    return _mass_on(points, weights, outcome)
 
 
 def _mass_on(labels: NDArray, weights: NDArray, key: NDArray | float) -> NDArray:

@@ -20,7 +20,8 @@ call equals the one-row call on that row bit for bit, whatever the other
 rows are. The mean rewards of the rows come from one one-row product per row
 (``_row_products``), not from one matrix product over all rows, which BLAS
 may add in another order, and each sum over a row's terms runs over that
-row's own terms only.
+row's own terms only. A row of per-action terms has one entry per realized
+action, at its ``slot`` in ``BanditInstance.realized``.
 """
 
 from __future__ import annotations
@@ -179,7 +180,8 @@ def action_information(
     instance: BanditInstance, belief: BeliefState, action_idx: int
 ) -> float:
     """I(theta*; Y_a) under the belief, by exact summation."""
-    idx, _, w = two_point_outcomes(instance, [action_idx])
+    means = instance.mean_rewards(np.arange(instance.n_params), action_idx)
+    idx, _, w = two_point_outcomes(instance.model, means[None])
     labels = np.arange(instance.n_params)[:, None]
     return float(_outcome_information(idx, w, belief.probs[None, :, None], labels)[0, 0])
 
@@ -204,19 +206,21 @@ def _row_products(probs: NDArray, table: NDArray) -> NDArray:
 
 def _ts_regret_rows(instance: BanditInstance, probs: NDArray, mean_rewards: NDArray) -> NDArray:
     """One-step expected regret of vanilla TS at each row of a ``(runs, m)``
-    belief matrix, given the rows' mean rewards ``_row_products(probs,
-    instance.mu)``. Row ``r`` does not depend on the other rows."""
-    e_star = _row_products(probs, instance.mu[np.arange(instance.n_params), instance.astar])
+    belief matrix, given the rows' ``_row_products`` of the instance's
+    ``realized`` means. Row ``r`` does not depend on the other rows."""
+    slot, means = instance.realized
+    played = slot[instance.astar]
+    e_star = _row_products(probs, means[np.arange(instance.n_params), played])
     # the gather of a many-row matrix comes out column-major, and einsum adds
     # a column-major row in another order than a one-row one
-    e_ts = np.einsum("ri,ri->r", probs, np.ascontiguousarray(mean_rewards[:, instance.astar]))
+    e_ts = np.einsum("ri,ri->r", probs, np.ascontiguousarray(mean_rewards[:, played]))
     return e_star - e_ts
 
 
 def ts_expected_regret(instance: BanditInstance, belief: BeliefState) -> float:
     """Exact one-step expected regret of vanilla Thompson sampling at a belief."""
     p = belief.probs[None]
-    return float(_ts_regret_rows(instance, p, _row_products(p, instance.mu))[0])
+    return float(_ts_regret_rows(instance, p, _row_products(p, instance.realized[1]))[0])
 
 
 def ts_info_ratio(instance: BanditInstance, belief: BeliefState) -> InfoRatioReport:
@@ -251,7 +255,8 @@ def info_gain_about_statistic(
     (``two_point_outcomes``), only its 2m possibly nonzero terms, added in
     parameter order.
     """
-    idx, _, w = two_point_outcomes(instance, [action_idx])
+    means = instance.mean_rewards(np.arange(instance.n_params), action_idx)
+    idx, _, w = two_point_outcomes(instance.model, means[None])
     labels = partition.cell_of[:, None]
     return float(_outcome_information(idx, w, belief.probs[None, :, None], labels)[0, 0])
 
@@ -295,8 +300,8 @@ def _compressed_rows(
 ) -> tuple[NDArray, NDArray]:
     """``compressed_moments`` at each row of a ``(runs, m)`` belief matrix.
 
-    ``mean_rewards`` is ``_row_products(probs, instance.mu)``, ``mass`` holds
-    each row's cell masses ``(runs, K)`` and ``atom_param``, ``atom_q`` its
+    ``mean_rewards`` is ``_row_products`` of the ``realized`` means, ``mass``
+    holds each row's cell masses ``(runs, K)`` and ``atom_param``, ``atom_q`` its
     representative values ``(runs, K, 2)`` from ``_representative_atoms``.
     The outcome pmfs are the rows of the instance's outcome table that a
     representative value with positive probability plays.
@@ -308,17 +313,19 @@ def _compressed_rows(
     cond = probs[run, param] / mass[run, cell]
     # the two representative values of the entry's cell: probabilities, actions
     q = atom_q[run, cell]
-    action = instance.astar[atom_param[run, cell]]
+    slot, means = instance.realized
+    played = slot[instance.astar[atom_param]]
+    action = played[run, cell]
     # diff = sum over values v of q_v (E[R_a(v) | psi = cell(v)] - E[R_a(v)])
-    gap = instance.mu[param[:, None], action] - mean_rewards[run[:, None], action]
+    gap = means[param[:, None], action] - mean_rewards[run[:, None], action]
     diff = np.bincount(run, weights=(cond[:, None] * q * gap).sum(axis=1), minlength=runs)
 
     # I(theta~*; Y_a) for every run and every action a representative plays,
     # from the joint of (representative value, outcome): the value in slot j
     # of cell k puts q * P(theta* = i | psi = k) * P(y | a, theta_i) on y
-    slot, idx, _, w = instance.outcomes
+    _, idx, _, w = instance.outcomes
     n_rows = idx.shape[0]
-    atom_group = np.arange(runs)[:, None, None] * n_rows + slot[instance.astar[atom_param]]
+    atom_group = np.arange(runs)[:, None, None] * n_rows + played
     weight = np.bincount(
         atom_group.ravel(), weights=atom_q.ravel(), minlength=runs * n_rows
     ).reshape(runs, n_rows)
@@ -357,7 +364,7 @@ def compressed_moments(
     atom_param, atom_q = _representative_atoms(i1, i2, r, mass)
     p = belief.probs[None]
     diff, info = _compressed_rows(
-        instance, p, _row_products(p, instance.mu), representation.partition.cell_of,
+        instance, p, _row_products(p, instance.realized[1]), representation.partition.cell_of,
         mass[None], atom_param[None], atom_q[None],
     )
     return float(diff[0]), float(info[0])
@@ -367,18 +374,14 @@ def _cell_masses_and_gains(
     instance: BanditInstance, probs: NDArray, partition: "Partition"
 ) -> tuple[NDArray, NDArray]:
     """The cell masses ``(runs, K)`` of each row of a ``(runs, m)`` belief
-    matrix, and I(psi; Y_a) ``(runs, n_actions)`` for every row and every
-    realized action a (0 for actions no parameter plays), the latter from one
-    grouped call over the instance's outcome table."""
+    matrix, and I(psi; Y_a) ``(runs, R)`` for every row and every realized
+    action a, by ``slot[a]``, the latter from one grouped call over the
+    instance's outcome table."""
     runs, K = probs.shape[0], partition.K
     run_cell = (np.arange(runs)[:, None] * K + partition.cell_of).ravel()
     mass = np.bincount(run_cell, weights=probs.ravel(), minlength=runs * K).reshape(runs, K)
-    slot, idx, _, w = instance.outcomes
-    gain = np.zeros((runs, instance.n_actions))
-    gain[:, slot >= 0] = _outcome_information(
-        idx, w, probs[:, :, None], partition.cell_of[:, None]
-    )
-    return mass, gain
+    _, idx, _, w = instance.outcomes
+    return mass, _outcome_information(idx, w, probs[:, :, None], partition.cell_of[:, None])
 
 
 def _chain_terms(instance: BanditInstance, partition: "Partition"):
@@ -398,9 +401,12 @@ def _chain_terms(instance: BanditInstance, partition: "Partition"):
     # compression imports this module, so it is imported on use
     from .compression import _representative_pairs
 
+    slot, means = instance.realized
+    played = slot[instance.astar]
+
     def terms(probs: NDArray) -> tuple[NDArray, ...]:
         runs = probs.shape[0]
-        mean_rewards = _row_products(probs, instance.mu)
+        mean_rewards = _row_products(probs, means)
         regret = _ts_regret_rows(instance, probs, mean_rewards)
         mass, gain = _cell_masses_and_gains(instance, probs, partition)
         pairs = _representative_pairs(instance, probs, mean_rewards, partition, mass, gain)
@@ -408,8 +414,8 @@ def _chain_terms(instance: BanditInstance, partition: "Partition"):
         diff, info_comp = _compressed_rows(
             instance, probs, mean_rewards, partition.cell_of, mass, atom_param, atom_q
         )
-        info_psi_ts = (probs * gain[:, instance.astar]).sum(axis=1)
-        rep_gain = gain[np.arange(runs)[:, None, None], instance.astar[atom_param]]
+        info_psi_ts = (probs * gain[:, played]).sum(axis=1)
+        rep_gain = gain[np.arange(runs)[:, None, None], played[atom_param]]
         info_psi_comp = (atom_q * rep_gain).sum(axis=(1, 2))
         return regret, diff, info_comp, info_psi_comp, info_psi_ts, mass
 

@@ -103,23 +103,21 @@ class BanditInstance:
     blocks of ``block_rows`` consecutive parameters, each block at most
     ``_PRODUCT_CHUNK`` multiply-adds and written into one reused buffer, and
     keeps only the argmaxes. OpenBLAS may round a product differently when
-    its shape differs, so every later read repeats these blocks exactly:
-    ``inner[i, j] = a_j . theta_i``, built on first read and then kept, has
-    the bits of one ``params @ actions.T`` for an instance of one block,
-    which keeps its buffer as ``inner``, and may differ from them in the
-    last bits for a larger one. Every link is strictly increasing, so
-    ``astar[i]`` is the best action of row ``i`` even where the float link
-    saturates and the mean rewards tie. ``mu[i, j]``, the exact mean reward
-    of action ``j`` under parameter ``i``, is built from ``inner`` on first
-    read and then kept; ``mean_rewards(rows, cols)`` gives ``mu[rows, cols]``
-    bit for bit from the blocks its rows lie in, without building either
-    table. ``inner_range``, the extremes of ``inner``, comes from the blocks
-    too: a linear_binary or glm construction keeps it for its range check,
-    and a logistic instance finds it on first read.
+    its shape differs, so every later read repeats these blocks exactly.
+    Every link is strictly increasing, so ``astar[i]`` is the best action of
+    row ``i`` even where the float link saturates and the mean rewards tie.
+    No m x n table is kept. ``mean_rewards(rows, cols)``, the exact mean
+    reward of actions ``cols`` under parameters ``rows``, multiplies again
+    only the blocks its rows lie in. ``inner_range``, the extremes of the
+    inner products, comes from the blocks too: a linear_binary or glm
+    construction keeps it for its range check, and a logistic instance
+    finds it on first read.
 
-    ``outcomes`` tabulates the two-point outcome pmfs of the realized actions
-    (the distinct entries of ``astar``, the only actions Thompson sampling can
-    play) on first read and then keeps them; see ``two_point_outcomes``.
+    Thompson sampling only plays realized actions, the ``R`` distinct
+    entries of ``astar``. ``realized`` holds their mean rewards, ``(m, R)``,
+    with ``slot``, the row of each action; ``outcomes`` tabulates their
+    two-point outcome pmfs (see ``two_point_outcomes``). Both are built on
+    first read and then kept.
     """
 
     actions: NDArray
@@ -149,10 +147,6 @@ class BanditInstance:
             np.argmax(block, axis=1, out=astar[lo:lo + step])
             if self.model.kind != LOGISTIC:
                 extremes += (block.min(), block.max())
-        if step >= m:
-            # one block: the buffer holds the whole table, kept as ``inner``
-            block.setflags(write=False)
-            self.__dict__["inner"] = block
         astar.setflags(write=False)
         object.__setattr__(self, "astar", astar)
         if extremes:
@@ -190,36 +184,20 @@ class BanditInstance:
         return np.asarray(self.model.link(x))
 
     @cached_property
-    def inner(self) -> NDArray:
-        """Read-only ``(m, n)`` inner-product table, built on first read."""
-        inner = np.empty((self.n_params, self.n_actions))
-        for lo in range(0, self.n_params, self.block_rows):
-            self._block(lo, inner[lo:])
-        inner.setflags(write=False)
-        return inner
-
-    @cached_property
     def inner_range(self) -> tuple[float, float]:
-        """``(inner.min(), inner.max())`` from the blocks, without the table;
+        """The least and largest inner product ``a . theta``, from the blocks;
         a linear_binary or glm construction keeps it from its own pass."""
         extremes = [e for _, block in self._blocks() for e in (block.min(), block.max())]
         return float(min(extremes)), float(max(extremes))
 
-    @cached_property
-    def mu(self) -> NDArray:
-        """Read-only ``(m, n)`` mean-reward table, built on first read."""
-        mu = self._mean(self.inner)
-        mu.setflags(write=False)
-        return mu
-
     def mean_rewards(self, rows, cols) -> NDArray:
-        """``mu[rows, cols]`` for integer indexes ``rows`` and ``cols``
-        (scalars or arrays that broadcast together, such as ``np.ix_``'s).
+        """The mean rewards of actions ``cols`` under parameters ``rows``, for
+        integer indexes ``rows`` and ``cols`` (scalars or arrays that
+        broadcast together, such as ``np.ix_``'s).
 
         Each block of parameters that holds an indexed row is multiplied
-        again, as construction multiplied it, and the gathered entries are
-        taken from it; the mean is elementwise, so the values equal the
-        table's bit for bit and neither ``inner`` nor ``mu`` is built.
+        again, as construction multiplied it, and the entries are taken from
+        it; the mean is elementwise, so every read of an entry gives its bits.
         """
         rows, cols = np.broadcast_arrays(
             np.arange(self.n_params)[rows], np.arange(self.n_actions)[cols]
@@ -234,23 +212,34 @@ class BanditInstance:
         return self._mean(x)
 
     @cached_property
-    def outcomes(self) -> tuple[NDArray, NDArray, NDArray, NDArray]:
-        """Read-only ``(slot, idx, points, weights)`` of the realized actions,
-        built on first read.
-
-        ``idx``, ``points`` and ``weights`` are ``two_point_outcomes`` of the
-        realized actions in increasing order, shape ``(A, m, 2)``;
-        ``slot[a]`` is the row of action ``a``, -1 for an action no parameter
-        plays. Every support value of an action is a point of some parameter,
-        so row ``s`` has ``idx[s].max() + 1`` support values.
-        """
+    def realized(self) -> tuple[NDArray, NDArray]:
+        """Read-only ``(slot, means)`` of the realized actions, built on first
+        read: ``means[i, slot[a]]``, shape ``(m, R)``, is ``mean_rewards(i,
+        a)`` bit for bit, gathered from the construction's blocks in one
+        pass; ``slot[a]`` is -1 for an action no parameter plays."""
         realized = _distinct(self.astar, self.n_actions)
         slot = np.full(self.n_actions, -1, dtype=np.intp)
         slot[realized] = np.arange(realized.size)
-        table = (slot, *two_point_outcomes(self, realized))
+        x = np.empty((self.n_params, realized.size))
+        for lo, block in self._blocks():
+            x[lo:lo + block.shape[0]] = block[:, realized]
+        means = self._mean(x)
+        for arr in (slot, means):
+            arr.setflags(write=False)
+        return slot, means
+
+    @cached_property
+    def outcomes(self) -> tuple[NDArray, NDArray, NDArray, NDArray]:
+        """Read-only ``(slot, idx, points, weights)`` of the realized actions,
+        built on first read: ``realized``'s ``slot`` and ``two_point_outcomes``
+        of its means, shape ``(R, m, 2)``. Every support value of an action is
+        a point of some parameter, so row ``s`` has ``idx[s].max() + 1`` of them.
+        """
+        slot, means = self.realized
+        table = two_point_outcomes(self.model, means.T)
         for arr in table:
             arr.setflags(write=False)
-        return table
+        return (slot, *table)
 
     @property
     def d(self) -> int:
@@ -280,11 +269,11 @@ def outcome_support(
     Both arrays are read-only, built from ``two_point_outcomes`` on every
     call and never cached.
     """
-    idx, points, w = (arr[0] for arr in two_point_outcomes(instance, [action_idx]))
+    rows = np.arange(instance.n_params)
+    idx, points, w = two_point_outcomes(instance.model, instance.mean_rewards(rows, action_idx))
     # every support value is a point of some parameter
     values = np.empty(int(idx.max()) + 1)
     values[idx] = points
-    rows = np.arange(instance.n_params)
     probs = np.zeros((rows.size, values.size))
     # second point first, so a single point's weight 1 overwrites its 0
     probs[rows, idx[:, 1]] = w[:, 1]
@@ -304,37 +293,38 @@ def _checked_pmf(w: NDArray) -> NDArray:
 
 
 def two_point_outcomes(
-    instance: BanditInstance, actions: NDArray
+    model: OutcomeModel, means: NDArray
 ) -> tuple[NDArray, NDArray, NDArray]:
-    """Outcome pmfs of several actions, as two points per (action, parameter).
+    """Outcome pmfs of actions with mean rewards ``means``, as two points per
+    (action, parameter).
 
-    Every outcome model puts its mass on at most two values per pair: the
-    binary models on their two outcomes, ``glm`` on ``mean -/+ eta``, one
-    point when the two are equal floats. Returns ``(idx, points, weights)``,
-    each of shape ``(len(actions), m, 2)``: playing ``actions[s]`` under
-    parameter ``i`` yields ``points[s, i, k]``, the action's support value
-    ``idx[s, i, k]``, with probability ``weights[s, i, k]``. An action's
-    support is its distinct outcome values in increasing order, so two
-    outcomes are the same observation exactly when their floats are equal.
-    The pmfs are validated (``OUTCOME_PMF_TOL``) and built on every call: the
-    binary models' weights in one pass over ``mu``, glm's supports in one
-    sort over all actions. The points of a pair are in support order, so
-    an inverse-CDF draw over ``weights[s, i]`` picks the same value as one
+    ``means`` has shape ``(..., m)``: the last axis runs over parameters, one
+    row per action. Every outcome model puts its mass on at most two values
+    per pair: the binary models on their two outcomes, ``glm`` on ``mean -/+
+    eta``, one point when the two are equal floats. Returns ``(idx, points,
+    weights)``, each of shape ``means.shape + (2,)``: playing action ``s``
+    under parameter ``i`` yields ``points[s, i, k]``, the action's support
+    value ``idx[s, i, k]``, with probability ``weights[s, i, k]``. An
+    action's support is its distinct outcome values in increasing order, so
+    two outcomes are the same observation exactly when their floats are
+    equal. The pmfs are validated (``OUTCOME_PMF_TOL``) and built on every
+    call: the binary models' weights in one elementwise pass, glm's supports
+    in one sort over all actions. The points of a pair are in support order,
+    so an inverse-CDF draw over ``weights[s, i]`` picks the same value as one
     over the full row of ``outcome_support``; a single-point pmf has weight 0
     on its second point, which repeats the first.
     """
-    means = instance.mu[:, np.asarray(actions, dtype=np.intp)].T
-    kind = instance.model.kind
-    if kind == GLM:
-        eta = float(instance.model.eta or 0.0)
+    means = np.asarray(means, dtype=float)
+    if model.kind == GLM:
+        eta = float(model.eta or 0.0)
         idx, points = _merged_supports(means, eta)
         # each point carries half the mass; two equal values are one point of mass 1
         w = np.where((idx[..., 0] == idx[..., 1])[..., None], [1.0, 0.0], 0.5)
     else:
-        p_hi = means + 0.5 if kind == LINEAR_BINARY else means
+        p_hi = means + 0.5 if model.kind == LINEAR_BINARY else means
         w = np.stack([1.0 - p_hi, p_hi], axis=-1)
         idx = np.broadcast_to(np.arange(2, dtype=np.intp), w.shape)
-        points = np.array(_BINARY_VALUES[kind])[idx]
+        points = np.array(_BINARY_VALUES[model.kind])[idx]
     return idx, points, _checked_pmf(w)
 
 
@@ -357,15 +347,15 @@ def _merged_supports(means: NDArray, eta: float) -> tuple[NDArray, NDArray]:
     support, and the value itself.
     """
     points = means[..., None] + np.array([-eta, eta])
-    flat = points.reshape(means.shape[0], 2 * means.shape[1])
-    order = np.argsort(flat, axis=1)
-    ranked = np.take_along_axis(flat, order, axis=1)
+    flat = points.reshape(means.shape[:-1] + (2 * means.shape[-1],))
+    order = np.argsort(flat, axis=-1)
+    ranked = np.take_along_axis(flat, order, axis=-1)
     ranks = np.zeros(flat.shape, dtype=np.intp)
-    np.not_equal(ranked[:, 1:], ranked[:, :-1], out=ranks[:, 1:])
+    np.not_equal(ranked[..., 1:], ranked[..., :-1], out=ranks[..., 1:])
     del ranked  # so at most four arrays the size of ``points`` are live at once
-    np.cumsum(ranks, axis=1, out=ranks)
+    np.cumsum(ranks, axis=-1, out=ranks)
     idx = np.empty_like(ranks)
-    np.put_along_axis(idx, order, ranks, axis=1)
+    np.put_along_axis(idx, order, ranks, axis=-1)
     return idx.reshape(points.shape), points
 
 

@@ -83,9 +83,10 @@ def thompson_step(
 def sample_outcome(
     instance: BanditInstance, action_idx: int, true_param: int, rng: np.random.Generator
 ) -> float:
-    _, points, weights = two_point_outcomes(instance, [action_idx])
-    k = inverse_cdf(weights[0, true_param], rng.random())
-    return float(points[0, true_param, k])
+    means = instance.mean_rewards(np.arange(instance.n_params), action_idx)
+    _, points, weights = two_point_outcomes(instance.model, means)
+    k = inverse_cdf(weights[true_param], rng.random())
+    return float(points[true_param, k])
 
 
 def _ts_rollout(
@@ -207,8 +208,8 @@ def simulate_ts(
 
     All runs advance together on the trajectories of ``_ts_rollout``; the
     loop only keeps each period's actions and outcomes in ``(T, runs)``
-    tables. After it, the pseudo-regret rewards are gathered once, as
-    ``mu[theta_star, actions]``, one ``cumsum`` along runs sums each
+    tables. After it, the pseudo-regret rewards are gathered once from the
+    instance's ``realized`` means, one ``cumsum`` along runs sums each
     period's regret in run order and one along periods sums each run's
     total in period order, so the trace is bit-identical to a per-run loop
     of ``thompson_step``, ``sample_outcome`` and ``posterior_update``.
@@ -220,8 +221,9 @@ def simulate_ts(
         actions[t], outcomes[t] = action, y
     per_period, totals = np.zeros(0), np.zeros(runs)
     if T:
-        rewards = outcomes if realized_rewards else instance.mu[theta_star, actions]
-        regret = instance.mu[theta_star, instance.astar[theta_star]] - rewards
+        slot, means = instance.realized
+        rewards = outcomes if realized_rewards else means[theta_star, slot[actions]]
+        regret = means[theta_star, slot[instance.astar[theta_star]]] - rewards
         per_period = np.cumsum(regret, axis=1)[:, -1] / runs  # runs added in run order
         totals = np.cumsum(regret, axis=0)[-1]  # periods added in period order
     std_error = float(totals.std(ddof=1) / np.sqrt(runs)) if runs > 1 else 0.0

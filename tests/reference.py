@@ -12,6 +12,11 @@ sort; those two must agree bit for bit. ``compressed_info_ratio`` is the one
 helper here that is not an oracle: it forms the compressed ratio from the
 batched ``compressed_moments``, for tests that read that ratio.
 
+``mean_table`` and ``inner_table`` build the full m x n tables of mean
+rewards and of inner products that an instance no longer keeps: the first
+from ``mean_rewards``, the second from the construction's own blocks, so
+each entry has the bits every read of the instance gives.
+
 Three more pieces only tests use: ``rate_distortion_bruteforce``, the
 exhaustive rate-distortion oracle over every set partition of at most 8
 parameters, ``grouped_mutual_information``, the kernel
@@ -60,6 +65,19 @@ TIE_TOL = 1e-15
 
 class TooLarge(ValueError):
     pass
+
+
+def mean_table(instance):
+    """The ``(m, n)`` mean rewards of every (parameter, action) pair, from
+    ``instance.mean_rewards``."""
+    return instance.mean_rewards(np.arange(instance.n_params)[:, None],
+                                 np.arange(instance.n_actions))
+
+
+def inner_table(instance):
+    """The ``(m, n)`` inner products ``a_j . theta_i``, from the blocks that
+    construction multiplies."""
+    return np.concatenate([block.copy() for _, block in instance._blocks()])
 
 
 def _dedupe_sorted(values):
@@ -131,7 +149,7 @@ def action_information(instance, belief, action_idx):
 
 def ts_expected_regret(instance, belief):
     p = belief.probs
-    mu = instance.mu
+    mu = mean_table(instance)
     astar = instance.astar
     e_star = float(p @ mu[np.arange(mu.shape[0]), astar])
     mean_rewards = p @ mu
@@ -182,7 +200,7 @@ def compressed_moments(instance, belief, representation):
     part = representation.partition
     p = belief.probs
     support, mass = _representation_support(belief, representation)
-    mu = instance.mu
+    mu = mean_table(instance)
     mean_rewards = p @ mu
     cond = np.zeros((part.K, p.size))
     np.add.at(cond, (part.cell_of, np.arange(p.size)), p)
@@ -213,7 +231,7 @@ def compressed_info_ratio(instance, belief, representation):
 def build_representation(instance, belief, partition):
     """Per-cell two-point representatives, scoring one action at a time."""
     p = belief.probs
-    mean_rewards = p @ instance.mu
+    mean_rewards = p @ mean_table(instance)
     mass = np.bincount(partition.cell_of, weights=p, minlength=partition.K)
     info_cache = {}
 

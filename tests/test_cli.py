@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from contextlib import redirect_stdout
 from io import StringIO
@@ -46,6 +47,27 @@ def test_bounds_csv_format(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "name,value,inputs"
     assert lines[1].startswith("entropy,1.665109")
+
+
+@pytest.mark.parametrize("argv", [
+    ("regret", "--model", "linear_binary", "--d", "3", "--T", "5", "--runs", "2"),
+    ("regret", "--model", "glm", "--beta", "1", "--eta", "0.05", "--d", "3",
+     "--T", "5", "--runs", "2"),
+    ("ir-sweep", "--model", "logistic", "--d-list", "3", "--beta-list", "1", "--instances", "1"),
+], ids=["regret-linear", "regret-glm", "ir-sweep"])
+def test_many_action_runs_hold_no_m_by_n_table(argv, tmp_path):
+    # Thompson sampling plays only realized actions, at most m of the n, so
+    # no command needs a table of all m * n mean rewards
+    m, n = 500, 20_000
+    tracemalloc.start()
+    try:
+        code = run([*argv, "--n", str(n), "--m", str(m), "--seed", "1",
+                    "--out", str(tmp_path / "out.csv")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < m * n * 8, peak
 
 
 def test_ir_sweep_csv_contract(tmp_path):

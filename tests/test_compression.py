@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference
 from conftest import random_belief, random_instance
 from reference import TooLarge, logistic_ladder, rate_distortion_bruteforce
 from rdts import cli, compression
@@ -69,12 +70,10 @@ def margin_logistic_instance(rng, d=2, n=10, m=8, beta=4.0, delta=0.25):
 def test_distortion_definition(tiny_linear):
     # regret of playing theta_i's best action when theta_j is true
     dmat = distortion_matrix(tiny_linear)
+    mu = reference.mean_table(tiny_linear)
     for i in range(4):
         for j in range(4):
-            expected = float(
-                tiny_linear.mu[j, tiny_linear.astar[j]]
-                - tiny_linear.mu[j, tiny_linear.astar[i]]
-            )
+            expected = float(mu[j, tiny_linear.astar[j]] - mu[j, tiny_linear.astar[i]])
             assert dmat[i, j] == pytest.approx(expected, abs=1e-15)
         assert dmat[i, i] == 0.0
     assert np.all(dmat >= -1e-15)
@@ -85,7 +84,7 @@ def test_distortion_definition(tiny_linear):
 
 def oracle_distortion_matrix(instance):
     """D[i, j] = distortion of theta_i with respect to theta_j."""
-    mu = instance.mu
+    mu = reference.mean_table(instance)
     best = mu[np.arange(mu.shape[0]), instance.astar]
     return (best[:, None] - mu[:, instance.astar]).T
 
@@ -851,7 +850,7 @@ def test_logistic_margins_come_from_exact_inner_products():
     # at beta=100 many means round to 1.0, where inverting the link gives inf
     model = OutcomeModel(kind=LOGISTIC, beta=100.0)
     inst = sample_instance(np.random.default_rng(3), 2, 100, 100, model)
-    assert np.any(inst.mu[np.arange(100), inst.astar] == 1.0)
+    assert np.any(inst.mean_rewards(np.arange(100), inst.astar) == 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         margins = best_action_margins(inst)
@@ -947,7 +946,7 @@ def test_representation_underperforms_cell_averages(seed):
     part = build_partition_glm(inst, 0.15)
     rep = build_representation(inst, belief, part)
     p = belief.probs
-    mean_rewards = p @ inst.mu
+    mean_rewards = p @ reference.mean_table(inst)
     mass = np.bincount(part.cell_of, weights=p, minlength=part.K)
     for k, (i1, i2, r) in enumerate(rep.cells):
         members = part.members(k)

@@ -139,7 +139,7 @@ def _hand_bayes(prior, like):
 def test_posterior_update_matches_hand_bayes(tiny_linear):
     prior = BeliefState(np.array([0.4, 0.3, 0.2, 0.1]))
     post = posterior_update(prior, tiny_linear, 0, 0.5)
-    like = [float(tiny_linear.mu[i, 0]) + 0.5 for i in range(4)]
+    like = [float(tiny_linear.mean_rewards(i, 0)) + 0.5 for i in range(4)]
     expected = _hand_bayes([0.4, 0.3, 0.2, 0.1], like)
     np.testing.assert_allclose(post.probs, expected, atol=1e-12)
 
@@ -229,7 +229,7 @@ def test_posterior_updates_commute(seed):
 
 def test_outcome_likelihoods_matches_support(tiny_logistic):
     like = outcome_likelihoods(tiny_logistic, 0, 1.0)
-    np.testing.assert_allclose(like, tiny_logistic.mu[:, 0], atol=1e-14)
+    np.testing.assert_allclose(like, tiny_logistic.mean_rewards(np.arange(3), 0), atol=1e-14)
     assert outcome_likelihoods(tiny_logistic, 0, 3.0).tolist() == [0.0, 0.0, 0.0]
 
 

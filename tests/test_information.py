@@ -51,7 +51,7 @@ def oracle_ts_moments(instance, belief) -> tuple[float, float]:
     """One-step expected regret and I(theta*; (theta~, Y)) by full enumeration."""
     p = [float(x) for x in belief.probs]
     m = instance.n_params
-    mu = instance.mu
+    mu = reference.mean_table(instance)
     astar = [int(a) for a in instance.astar]
     regret = sum(p[i] * mu[i, astar[i]] for i in range(m)) - sum(
         p[i] * p[j] * mu[i, astar[j]] for i in range(m) for j in range(m)
@@ -107,7 +107,7 @@ def oracle_compressed_moments(instance, belief, rep) -> tuple[float, float]:
         [p[i] / mass[k] if part.cell_of[i] == k and mass[k] > 0 else 0.0 for i in range(m)]
         for k in range(part.K)
     ]
-    mu = instance.mu
+    mu = reference.mean_table(instance)
     astar = [int(a) for a in instance.astar]
     mean_rewards = [sum(p[i] * mu[i, a] for i in range(m)) for a in range(instance.n_actions)]
     diff = sum(

@@ -1,7 +1,6 @@
 import math
 import tracemalloc
 import warnings
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -113,15 +112,16 @@ def test_mean_reward_linear(tiny_linear):
         for j in range(tiny_linear.n_actions):
             x = float(tiny_linear.actions[j] @ tiny_linear.params[i])
             assert tiny_linear.mean_rewards(i, j) == pytest.approx(0.5 * x, abs=1e-15)
-            assert tiny_linear.mu[i, j] == pytest.approx(0.5 * x, abs=1e-15)
+            assert reference.mean_table(tiny_linear)[i, j] == pytest.approx(0.5 * x, abs=1e-15)
 
 
 def test_mean_reward_logistic(tiny_logistic):
+    mu = reference.mean_table(tiny_logistic)
     for i in range(tiny_logistic.n_params):
         for j in range(tiny_logistic.n_actions):
             x = float(tiny_logistic.actions[j] @ tiny_logistic.params[i])
             expected = 1.0 / (1.0 + math.exp(-2.0 * x))
-            assert tiny_logistic.mu[i, j] == pytest.approx(expected, abs=1e-14)
+            assert mu[i, j] == pytest.approx(expected, abs=1e-14)
 
 
 @given(
@@ -135,13 +135,18 @@ def test_mean_rewards_gather_equals_table_entries(seed, kind, beta):
     # eta = 0 keeps any glm link spread inside the reward range
     inst = random_instance(rng, kind, d=int(rng.integers(1, 6)), n=int(rng.integers(1, 30)),
                            m=int(rng.integers(1, 30)), beta=beta, eta=0.0)
-    # the table as the instance built it before it was built on first read
+    # the table as the instance built it when it kept one; these are one block
     inner = inst.params @ inst.actions.T
     old_mu = 0.5 * inner if kind == LINEAR_BINARY else np.asarray(inst.model.link(inner))
-    assert "mu" not in vars(inst) or kind == GLM  # glm reads it for its spread check
-    mu = inst.mu
-    assert mu is inst.mu and not mu.flags.writeable and not inst.inner.flags.writeable
-    assert np.array_equal(mu, old_mu) and np.array_equal(inst.inner, inner)
+    # the realized-action table is built on first read, then kept read-only
+    assert "realized" not in vars(inst)
+    slot, means = inst.realized
+    assert inst.realized[1] is means and not means.flags.writeable and not slot.flags.writeable
+    realized = np.unique(inst.astar)
+    assert np.array_equal(means, old_mu[:, realized])
+    assert np.array_equal(slot[realized], np.arange(realized.size))
+    mu = reference.mean_table(inst)
+    assert np.array_equal(mu, old_mu)
     m, n = mu.shape
     for _ in range(10):
         rows = rng.integers(0, m, size=int(rng.integers(0, 50)))
@@ -163,13 +168,14 @@ def test_best_action_lowest_index_tie():
 
 def _table_range_ok(actions, params, model) -> bool:
     """The range check of linear_binary (|a.theta| <= 1) or glm (link spread
-    + 2 eta <= 1) read from the full ``inner`` and ``mu`` tables of the same
-    blocks, which the unchecked logistic model with glm's beta builds."""
+    + 2 eta <= 1) read from the full inner-product and mean-reward tables of
+    the same blocks, those of the unchecked logistic model with glm's beta."""
     table = BanditInstance(actions=actions, params=params,
                            model=OutcomeModel(kind=LOGISTIC, beta=model.beta or 1.0))
     if model.kind == LINEAR_BINARY:
-        return not np.any(np.abs(table.inner) > 1.0 + OUTCOME_PMF_TOL)
-    spread = float(table.mu.max() - table.mu.min()) + 2.0 * model.eta
+        return not np.any(np.abs(reference.inner_table(table)) > 1.0 + OUTCOME_PMF_TOL)
+    mu = reference.mean_table(table)
+    spread = float(mu.max() - mu.min()) + 2.0 * model.eta
     return not spread > 1.0 + OUTCOME_PMF_TOL
 
 
@@ -197,7 +203,8 @@ def test_range_checks_from_block_extremes_decide_as_the_tables(kind, seed, d, st
         beta = float(rng.uniform(0.5, 3.0))
         table = BanditInstance(actions=actions, params=params,
                                model=OutcomeModel(kind=LOGISTIC, beta=beta))
-        gap = (1.0 + OUTCOME_PMF_TOL - float(table.mu.max() - table.mu.min())) / 2.0
+        mu = reference.mean_table(table)
+        gap = (1.0 + OUTCOME_PMF_TOL - float(mu.max() - mu.min())) / 2.0
         eta = gap + step * np.spacing(gap)
         model = OutcomeModel(kind=GLM, beta=beta, eta=eta)
     # blocks of ``chunk`` rows of 7 actions
@@ -211,10 +218,11 @@ def test_range_checks_from_block_extremes_decide_as_the_tables(kind, seed, d, st
     assert (inst is not None) == expected
     if inst is None:
         return
-    assert "mu" not in vars(inst) and ("inner" in vars(inst)) == (chunk is None)
+    assert "realized" not in vars(inst)
     low, high = inst.inner_range
-    assert (low, high) == (float(inst.inner.min()), float(inst.inner.max()))
-    slope = c_phi(model, float(inst.inner.min()), float(inst.inner.max()))
+    inner = reference.inner_table(inst)
+    assert (low, high) == (float(inner.min()), float(inner.max()))
+    slope = c_phi(model, float(inner.min()), float(inner.max()))
     assert realized_link_slope(inst) == slope
 
 
@@ -227,7 +235,7 @@ def test_range_checked_construction_at_m_6000_builds_no_table(kind):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert "inner" not in vars(inst) and "mu" not in vars(inst)
+    assert "realized" not in vars(inst)
     # the m x n inner products alone take 24 MB
     assert peak <= 4e6, peak
 
@@ -245,9 +253,10 @@ def test_logistic_inner_range_is_read_from_the_blocks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert "inner" not in vars(inst) and "mu" not in vars(inst)
+    assert "realized" not in vars(inst)
     assert peak <= 4e6, peak
-    assert (low, high) == (float(inst.inner.min()), float(inst.inner.max()))
+    inner = reference.inner_table(inst)
+    assert (low, high) == (float(inner.min()), float(inner.max()))
     assert slope == c_phi(model, low, high)
 
 
@@ -262,11 +271,14 @@ def test_inner_products_of_one_chunk_are_one_product(seed, d, n, m):
     # every such instance, the golden ones too, is at most one chunk
     assert m * n * d <= model_mod._PRODUCT_CHUNK
     inst = sample_instance(np.random.default_rng(seed), d, n, m, make_model(LOGISTIC))
-    # construction's one block is the table
-    assert "inner" in vars(inst)
+    # construction's one block is one product, and the realized means are its columns
     inner = inst.params @ inst.actions.T
-    assert np.array_equal(inst.inner, inner)
+    assert np.array_equal(reference.inner_table(inst), inner)
     assert np.array_equal(inst.astar, np.argmax(inner, axis=1))
+    slot, means = inst.realized
+    realized = np.unique(inst.astar)
+    assert np.array_equal(means, inst.model.link(inner[:, realized]))
+    assert np.array_equal(slot[inst.astar], np.searchsorted(realized, inst.astar))
 
 
 @pytest.mark.parametrize("chunk", [1, 1000, None])
@@ -281,14 +293,18 @@ def test_inner_products_of_several_chunks(monkeypatch, chunk):
     params = sample_in_ball(rng, 500, 3)
     assert params.size * actions.shape[0] > 2 * model_mod._PRODUCT_CHUNK
     inst = BanditInstance(actions=actions, params=params, model=make_model(LOGISTIC, beta=5.0))
-    np.testing.assert_allclose(inst.inner, params @ actions.T, rtol=0, atol=1e-15)
-    for i, row in enumerate(inst.inner):
+    inner = reference.inner_table(inst)
+    np.testing.assert_allclose(inner, params @ actions.T, rtol=0, atol=1e-15)
+    for i, row in enumerate(inner):
         assert inst.astar[i] == np.flatnonzero(row == row.max())[0]
+    mu = inst.model.link(inner)
     rows = rng.integers(0, 500, size=300)
     cols = rng.integers(0, 200, size=300)
-    assert np.array_equal(inst.mean_rewards(rows, cols), inst.mu[rows, cols])
+    assert np.array_equal(inst.mean_rewards(rows, cols), mu[rows, cols])
     assert np.array_equal(inst.mean_rewards(np.arange(500), inst.astar),
-                          inst.mu[np.arange(500), inst.astar])
+                          mu[np.arange(500), inst.astar])
+    slot, means = inst.realized
+    assert np.array_equal(means[np.arange(500), slot[inst.astar]], mu[np.arange(500), inst.astar])
 
 
 def _bits(a):
@@ -308,10 +324,14 @@ def test_reads_without_the_table_repeat_the_construction_blocks(monkeypatch, chu
     def make():
         return BanditInstance(actions=actions, params=params, model=make_model(LOGISTIC, beta=5.0))
 
-    # one instance reads its tables first, the other only after the chunk
-    # size changes, and gathers before building them
+    # one instance builds its realized-action table first, the other only
+    # after the chunk size changes, and gathers before building it
     read, fresh = make(), make()
-    inner, mu = read.inner, read.mu
+    inner = reference.inner_table(read)
+    mu = read.model.link(inner)
+    slot, means = read.realized
+    realized = np.unique(read.astar)
+    assert np.array_equal(_bits(means), _bits(mu[:, realized]))
     assert np.array_equal(read.astar, fresh.astar)
     assert np.array_equal(read.astar, [np.flatnonzero(row == row.max())[0] for row in inner])
     monkeypatch.setattr(model_mod, "_PRODUCT_CHUNK", 7)
@@ -324,9 +344,32 @@ def test_reads_without_the_table_repeat_the_construction_blocks(monkeypatch, chu
         assert np.array_equal(_bits(inst.mean_rewards(*ix)), _bits(mu[ix]))
         assert np.array_equal(_bits(inst.mean_rewards(np.arange(500), inst.astar)),
                               _bits(mu[np.arange(500), read.astar]))
-    assert "inner" not in vars(fresh) and "mu" not in vars(fresh)
-    assert np.array_equal(_bits(fresh.inner), _bits(inner))
-    assert np.array_equal(_bits(fresh.mu), _bits(mu))
+    assert "realized" not in vars(fresh)
+    assert np.array_equal(_bits(reference.inner_table(fresh)), _bits(inner))
+    assert np.array_equal(_bits(fresh.realized[1]), _bits(means))
+    assert np.array_equal(fresh.realized[0], slot)
+
+
+@pytest.mark.parametrize(
+    "kind, eta", [(LINEAR_BINARY, 0.05), (LOGISTIC, 0.05), (GLM, 0.05), (GLM, 0.0)]
+)
+def test_realized_table_repeats_mean_rewards_across_blocks(monkeypatch, kind, eta):
+    # blocks of 3 parameters, so the table gathers its columns from 17 blocks
+    monkeypatch.setattr(model_mod, "_PRODUCT_CHUNK", 3 * 40 * 3)
+    inst = random_instance(np.random.default_rng(9), kind, d=3, n=40, m=50, eta=eta)
+    assert inst.block_rows == 3
+    slot, means = inst.realized
+    realized = np.unique(inst.astar)
+    expected = inst.mean_rewards(np.arange(50)[:, None], realized)
+    assert means.shape == (50, realized.size)
+    assert np.array_equal(_bits(means), _bits(expected))
+    assert np.array_equal(slot[realized], np.arange(realized.size))
+    assert np.all(np.delete(slot, realized) == -1)
+    outcome_slot, *table = inst.outcomes
+    assert outcome_slot is slot
+    for got, want in zip(table, two_point_outcomes(inst.model, expected.T)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 def test_outcome_support_linear(tiny_linear):
@@ -342,7 +385,7 @@ def test_outcome_support_logistic(tiny_logistic):
     values, probs = outcome_support(tiny_logistic, 1)
     assert values.tolist() == [0.0, 1.0]
     for i in range(tiny_logistic.n_params):
-        assert probs[i, 1] == pytest.approx(tiny_logistic.mu[i, 1], abs=1e-14)
+        assert probs[i, 1] == pytest.approx(tiny_logistic.mean_rewards(i, 1), abs=1e-14)
 
 
 def test_outcome_support_glm_two_point_noise():
@@ -354,7 +397,7 @@ def test_outcome_support_glm_two_point_noise():
     # two parameters, disjoint noise pairs: four support points, each 1/2
     assert values.size == 4
     for i in range(2):
-        mean = inst.mu[i, 0]
+        mean = inst.mean_rewards(i, 0)
         dist = {float(v): float(p) for v, p in zip(values, probs[i]) if p > 0.0}
         assert dist == pytest.approx(
             {mean - 0.03: 0.5, mean + 0.03: 0.5}, abs=1e-12
@@ -378,7 +421,7 @@ def test_outcome_support_glm_merges_coincident_points():
 def test_two_point_outcomes_match_outcome_support(kind, eta):
     inst = random_instance(np.random.default_rng(4), kind, d=3, n=6, m=9, eta=eta)
     actions = np.array([5, 0, 3])
-    idx, points, weights = two_point_outcomes(inst, actions)
+    idx, points, weights = two_point_outcomes(inst.model, reference.mean_table(inst)[:, actions].T)
     assert idx.shape == points.shape == weights.shape == (3, 9, 2)
     for s, a in enumerate(actions):
         values, probs = outcome_support(inst, int(a))
@@ -402,13 +445,13 @@ def _dense_outcome_support(instance, action_idx):
     """The dense (values, probs) build that the outcome table replaced: the oracle."""
     m = instance.n_params
     kind = instance.model.kind
+    means = reference.mean_table(instance)[:, action_idx]
     if kind != GLM:
-        p_hi = instance.mu[:, action_idx] + (0.5 if kind == LINEAR_BINARY else 0.0)
+        p_hi = means + (0.5 if kind == LINEAR_BINARY else 0.0)
         probs = np.stack([1.0 - p_hi, p_hi], axis=1)
         values = [-0.5, 0.5] if kind == LINEAR_BINARY else [0.0, 1.0]
         return np.array(values), _checked_dense_pmf(probs)
     eta = float(instance.model.eta)
-    means = instance.mu[:, action_idx]
     values = reference._dedupe_sorted(np.sort(np.concatenate([means - eta, means + eta])))
     probs = np.zeros((m, values.size))
     np.add.at(probs, (np.arange(m), reference._locate(values, means - eta)), 0.5)
@@ -453,9 +496,7 @@ def _glm_means(draw, centres=_CENTRES):
 
 
 def _glm_outcomes(means, eta):
-    # two_point_outcomes reads only the instance's means and model
-    instance = SimpleNamespace(mu=means.T, model=OutcomeModel(kind=GLM, beta=1.0, eta=eta))
-    return two_point_outcomes(instance, np.arange(means.shape[0]))
+    return two_point_outcomes(OutcomeModel(kind=GLM, beta=1.0, eta=eta), means)
 
 
 @given(_glm_means(), st.sampled_from(_ETAS))
@@ -510,14 +551,15 @@ def test_glm_values_one_ulp_apart_are_two_observations(eta):
 
 
 def _count_table_builds(monkeypatch) -> list:
-    """The actions of every call through ``model.two_point_outcomes``, the
-    builder ``BanditInstance.outcomes`` calls."""
+    """The shape of the means of every call through
+    ``model.two_point_outcomes``, the builder ``BanditInstance.outcomes``
+    calls."""
     built = []
     original = model_mod.two_point_outcomes
 
-    def counting(instance, actions):
-        built.append(np.asarray(actions).tolist())
-        return original(instance, actions)
+    def counting(model, means):
+        built.append(np.shape(means))
+        return original(model, means)
 
     monkeypatch.setattr(model_mod, "two_point_outcomes", counting)
     return built
@@ -528,11 +570,11 @@ def test_outcome_table_is_lazy_and_built_once(monkeypatch):
     rng = np.random.default_rng(2)
     audited = random_instance(rng, GLM, d=2, n=6, m=5)
     regret = random_instance(rng, LINEAR_BINARY, d=2, n=6, m=5)
-    assert built == [] and "outcomes" not in vars(audited)
+    assert built == [] and "outcomes" not in vars(audited) and "realized" not in vars(audited)
     prior = BeliefState.uniform(5)
     partition = build_partition_glm(audited, 0.2)
     audit_regret_chain(audited, prior, partition, T=4, rng=rng, runs=2)
-    realized = np.unique(audited.astar).tolist()
+    realized = (np.unique(audited.astar).size, 5)
     assert built == [realized]
     # the information layer reads the same table
     belief = BeliefState(rng.dirichlet(np.ones(5)))
@@ -541,7 +583,7 @@ def test_outcome_table_is_lazy_and_built_once(monkeypatch):
     assert built == [realized]
     simulate_ts(regret, prior, T=6, runs=3, rng=rng)
     simulate_ts(regret, prior, T=6, runs=3, rng=rng)
-    assert built == [realized, np.unique(regret.astar).tolist()]
+    assert built == [realized, (np.unique(regret.astar).size, 5)]
 
 
 def test_partition_path_builds_no_outcome_table():
@@ -579,7 +621,8 @@ def test_outcome_table_rows_match_two_point_outcomes(kind, eta):
     assert realized.size < inst.n_actions  # some action is never best
     np.testing.assert_array_equal(slot[realized], np.arange(realized.size))
     assert np.all(np.delete(slot, realized) == -1)
-    for got, want in zip((idx, points, weights), two_point_outcomes(inst, realized)):
+    means = reference.mean_table(inst)[:, realized].T
+    for got, want in zip((idx, points, weights), two_point_outcomes(inst.model, means)):
         np.testing.assert_array_equal(got, want)
     for s, a in enumerate(realized):
         values, probs = outcome_support(inst, int(a))
@@ -593,15 +636,16 @@ def test_outcome_table_rows_match_two_point_outcomes(kind, eta):
 def test_outcome_table_glm_eta0_is_single_points():
     inst = random_instance(np.random.default_rng(6), GLM, d=2, n=4, m=7, eta=0.0)
     everything = np.arange(inst.n_actions)
+    mu = reference.mean_table(inst)
     for actions, (idx, points, w) in [
         (np.unique(inst.astar), inst.outcomes[1:]),
-        (everything, two_point_outcomes(inst, everything)),
+        (everything, two_point_outcomes(inst.model, mu.T)),
     ]:
         for s, a in enumerate(actions):
-            assert idx[s].max() + 1 == np.unique(inst.mu[:, a]).size
+            assert idx[s].max() + 1 == np.unique(mu[:, a]).size
             np.testing.assert_array_equal(idx[s, :, 0], idx[s, :, 1])
             np.testing.assert_array_equal(w[s], np.tile([1.0, 0.0], (7, 1)))
-            np.testing.assert_array_equal(points[s, :, 0], inst.mu[:, a])
+            np.testing.assert_array_equal(points[s, :, 0], mu[:, a])
 
 
 def test_outcome_table_glm_two_points_in_support_order():

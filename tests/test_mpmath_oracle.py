@@ -268,7 +268,7 @@ def test_saturated_glm_supports_hold_every_distinct_mean():
     with mpmath.workdps(DIGITS):
         for a in range(inst.n_actions):
             counts = {}
-            for mean in inst.mu[:, a].tolist():
+            for mean in inst.mean_rewards(np.arange(m), a).tolist():
                 counts[mean] = counts.get(mean, 0) + 1
             assert outcome_support(inst, a)[0].size == len(counts), a
             exact = -mpmath.fsum(mpmath.mpf(c) / m * mpmath.log(mpmath.mpf(c) / m)

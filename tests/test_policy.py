@@ -53,7 +53,8 @@ def _tree_expected_pseudo_regret(instance, prior, T):
     with exact probabilities; exponential in T, so only for tiny instances.
     """
     m = instance.n_params
-    best = instance.mu[np.arange(m), instance.astar]
+    mu = reference.mean_table(instance)
+    best = mu[np.arange(m), instance.astar]
     supports = {a: outcome_support(instance, a) for a in range(instance.n_actions)}
     per_period = np.zeros(T)
 
@@ -66,7 +67,7 @@ def _tree_expected_pseudo_regret(instance, prior, T):
             if pj <= 0.0:
                 continue
             a = int(instance.astar[j])
-            regret = float(cond_star @ (best - instance.mu[:, a]))
+            regret = float(cond_star @ (best - mu[:, a]))
             per_period[t] += weight * pj * regret
             values, probs = supports[a]
             for y in range(values.size):
@@ -84,7 +85,8 @@ def _tree_expected_pseudo_regret(instance, prior, T):
 
 def _reference_simulate_ts(instance, prior, T, runs, rng, realized_rewards=False):
     """Per-run, per-period Thompson sampling loop: the oracle for simulate_ts."""
-    best = instance.mu[np.arange(instance.n_params), instance.astar]
+    mu = reference.mean_table(instance)
+    best = mu[np.arange(instance.n_params), instance.astar]
     per_period = np.zeros(T)
     totals = np.zeros(runs)
     for run, run_rng in enumerate(rng.spawn(runs)):
@@ -96,7 +98,7 @@ def _reference_simulate_ts(instance, prior, T, runs, rng, realized_rewards=False
             if realized_rewards:
                 regret = float(best[theta_star]) - y
             else:
-                regret = float(best[theta_star] - instance.mu[theta_star, action])
+                regret = float(best[theta_star] - mu[theta_star, action])
             per_period[t] += regret
             totals[run] += regret
             belief = posterior_update(belief, instance, action, y)
@@ -623,7 +625,7 @@ def test_build_representation_is_the_audit_steps_row(kind, eta):
         probs = np.stack([b.probs for b in beliefs])
         # the audit step's masses, gains and pairs of all rows at once, given
         # each row's own mean rewards
-        mean_rewards = np.stack([p @ inst.mu for p in probs])
+        mean_rewards = np.stack([p @ inst.realized[1] for p in probs])
         mass, gain = _cell_masses_and_gains(inst, probs, part)
         i1, i2, r = _representative_pairs(inst, probs, mean_rewards, part, mass, gain)
         assert (mass == 0.0).any()
