@@ -12,7 +12,7 @@ import math
 import numpy as np
 from numpy.typing import NDArray
 
-from .model import GLM, LINEAR_BINARY, LOGISTIC, OutcomeModel
+from .model import GLM, LINEAR_BINARY, LOGISTIC, OutcomeModel, _sorted_distinct
 from .tolerances import LADDER_TOL, MARGIN_TOL
 
 
@@ -177,8 +177,7 @@ class LogisticLadder:
 
         def ends(band: NDArray) -> NDArray:
             ell = band + 1 + shift
-            distinct = np.sort(ell)
-            distinct = distinct[np.diff(distinct, prepend=-1) != 0]
+            distinct = _sorted_distinct(ell)
             return self.levels(distinct)[np.searchsorted(distinct, ell)] + MARGIN_TOL
 
         guess = np.ceil((self.model.link(v) - self.phi_delta) / self.epsilon)

@@ -44,7 +44,7 @@ from numpy.typing import NDArray
 from .bounds import LogisticLadder, c_phi
 from .inference import BeliefState
 from .information import _cell_masses_and_gains, _row_products, entropy
-from .model import LOGISTIC, BanditInstance, _distinct
+from .model import LOGISTIC, BanditInstance, _sorted_distinct
 from .tolerances import CERT_TOL, INPUT_PMF_TOL, MARGIN_TOL, PAIR_TOL
 
 
@@ -141,10 +141,8 @@ def _cell_distortions(instance: BanditInstance, cell_of: NDArray, K: int = 0) ->
     reads none.
     """
     n = instance.n_actions
-    # the distinct (cell, best action) pairs, by cell and then action (a
-    # flag-less np.unique would import numpy.ma, see model._distinct)
-    pairs = np.sort(cell_of * n + instance.astar)
-    pairs = pairs[np.r_[True, pairs[1:] != pairs[:-1]]]
+    # the distinct (cell, best action) pairs, by cell and then action
+    pairs = _sorted_distinct(cell_of * n + instance.astar)
     pair_cell, pair_action = np.divmod(pairs, n)
     actions_in = np.bincount(pair_cell)
     worst = np.zeros(max(K, actions_in.size))
@@ -287,13 +285,11 @@ def _greedy_cover(
     return np.searchsorted(centers, center)
 
 
-def _cover_best_actions(instance: BanditInstance, astar: NDArray, radius: float) -> NDArray:
-    """Greedy-cover the distinct actions in ``astar`` at center ``radius``:
-    the group index of each entry of ``astar``."""
-    realized = _distinct(astar, instance.n_actions)
-    rank = np.empty(instance.n_actions, dtype=np.intp)
-    rank[realized] = np.arange(realized.size)
-    return _greedy_cover(instance.actions[realized], radius)[rank[astar]]
+def _cover_best_actions(instance: BanditInstance, radius: float) -> NDArray:
+    """Greedy-cover the realized actions at center ``radius``: the group
+    index of each parameter's best action."""
+    actions, best = instance.slots
+    return _greedy_cover(instance.actions[actions], radius)[best]
 
 
 def _refine_certified(
@@ -364,7 +360,7 @@ def build_partition_glm(instance: BanditInstance, epsilon: float) -> Partition:
         raise InvalidEpsilon("epsilon must be positive")
     slope = realized_link_slope(instance)
     radius = epsilon / (2.0 * slope) if slope > 0.0 else np.inf
-    cell_of = _cover_best_actions(instance, instance.astar, radius)
+    cell_of = _cover_best_actions(instance, radius)
     return _finish_partition(instance, cell_of, epsilon)
 
 
@@ -403,14 +399,12 @@ def build_partition_logistic(
         raise MarginViolated("some parameter fell outside every layer band")
     # the negative side's band b is layer bands + b
     layer = np.where(inner > 0.0, band, ladder.bands + band)
-    layers = np.sort(layer)
-    layers = layers[np.r_[True, layers[1:] != layers[:-1]]]
+    layers = _sorted_distinct(layer)
     # each layer's distinct best actions, by layer and then action, are one
     # segment of the cover
     n = instance.n_actions
     code = np.searchsorted(layers, layer) * n + instance.astar
-    entries = np.sort(code)
-    entries = entries[np.r_[True, entries[1:] != entries[:-1]]]
+    entries = _sorted_distinct(code)
     entry_layer, action = np.divmod(entries, n)
     # both sides' band b cover at half its gap
     radius = ladder.gaps(layers - ladder.bands * (layers > ladder.bands)) / 2.0
@@ -485,7 +479,7 @@ def build_representation(
     if p.shape[1] != partition.cell_of.size:
         raise ValueError("belief and partition cover different parameter counts")
     mass, gain = _cell_masses_and_gains(instance, p, partition)
-    mean_rewards = _row_products(p, instance.realized[1])
+    mean_rewards = _row_products(p, instance.realized)
     i1, i2, r = _representative_pairs(instance, p, mean_rewards, partition, mass, gain)
     cells = tuple(zip(i1[0].tolist(), i2[0].tolist(), r[0].tolist()))
     return Representation(partition=partition, cells=cells, cell_mass=mass[0])
@@ -502,12 +496,12 @@ def _representative_pairs(
     """``build_representation``'s cells at each row of a ``(runs, m)`` belief
     matrix, as ``(runs, K)`` arrays ``(i1, i2, r)``, given the rows'
     ``information._row_products`` of the ``realized`` means, cell masses
-    ``mass`` and I(psi; Y_a) as ``gain[run, slot[a]]`` for every action a
-    that a member of a positive-mass cell plays. A row's cells depend on that
-    row's inputs alone."""
+    ``mass`` and I(psi; Y_a) as ``gain[run, s]`` for the action of every
+    slot s that a member of a positive-mass cell plays. A row's cells depend
+    on that row's inputs alone."""
     members = [partition.members(k) for k in range(partition.K)]
-    slot = instance.realized[0]
-    played = [slot[instance.astar[idx]] for idx in members]
+    best = instance.slots[1]
+    played = [best[idx] for idx in members]
     i1 = np.tile(np.asarray([idx[0] for idx in members], dtype=np.intp), (mass.shape[0], 1))
     i2 = i1.copy()
     r = np.ones(mass.shape)

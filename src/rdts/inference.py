@@ -35,12 +35,6 @@ class BeliefState:
     def uniform(cls, m: int) -> "BeliefState":
         return cls(np.full(m, 1.0 / m))
 
-    @classmethod
-    def point_mass(cls, m: int, idx: int) -> "BeliefState":
-        p = np.zeros(m)
-        p[idx] = 1.0
-        return cls(p)
-
 
 def outcome_likelihoods(
     instance: BanditInstance, action_idx: int, outcome: float
@@ -135,15 +129,6 @@ def posterior_update_rows(beliefs: NDArray, like: NDArray) -> NDArray:
     if not explained:
         raise AllZeroLikelihood("an observed outcome is impossible under every parameter")
     return _normalised(np.divide(post, total[:, None], out=post), owned=True)
-
-
-def optimal_action_distribution(
-    belief: BeliefState, instance: BanditInstance
-) -> NDArray:
-    """Pushforward of the belief through the best-action map alpha."""
-    return np.bincount(
-        instance.astar, weights=belief.probs, minlength=instance.n_actions
-    )
 
 
 def inverse_cdf(probs: NDArray, u: NDArray | float) -> NDArray:

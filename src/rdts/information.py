@@ -21,7 +21,7 @@ rows are. The mean rewards of the rows come from one one-row product per row
 (``_row_products``), not from one matrix product over all rows, which BLAS
 may add in another order, and each sum over a row's terms runs over that
 row's own terms only. A row of per-action terms has one entry per realized
-action, at its ``slot`` in ``BanditInstance.realized``.
+action, at its slot (``BanditInstance.slots``): its column in ``realized``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from numpy.typing import NDArray
 
-from .inference import BeliefState, optimal_action_distribution
+from .inference import BeliefState
 from .model import BanditInstance, two_point_outcomes
 # outcome_support stays importable from here for code that traces or patches it by name
 from .model import outcome_support  # noqa: F401
@@ -208,38 +208,37 @@ def _ts_regret_rows(instance: BanditInstance, probs: NDArray, mean_rewards: NDAr
     """One-step expected regret of vanilla TS at each row of a ``(runs, m)``
     belief matrix, given the rows' ``_row_products`` of the instance's
     ``realized`` means. Row ``r`` does not depend on the other rows."""
-    slot, means = instance.realized
-    played = slot[instance.astar]
-    e_star = _row_products(probs, means[np.arange(instance.n_params), played])
+    best = instance.slots[1]
+    e_star = _row_products(probs, instance.realized[np.arange(instance.n_params), best])
     # the gather of a many-row matrix comes out column-major, and einsum adds
     # a column-major row in another order than a one-row one
-    e_ts = np.einsum("ri,ri->r", probs, np.ascontiguousarray(mean_rewards[:, played]))
+    e_ts = np.einsum("ri,ri->r", probs, np.ascontiguousarray(mean_rewards[:, best]))
     return e_star - e_ts
 
 
 def ts_expected_regret(instance: BanditInstance, belief: BeliefState) -> float:
     """Exact one-step expected regret of vanilla Thompson sampling at a belief."""
     p = belief.probs[None]
-    return float(_ts_regret_rows(instance, p, _row_products(p, instance.realized[1]))[0])
+    return float(_ts_regret_rows(instance, p, _row_products(p, instance.realized))[0])
 
 
 def ts_info_ratio(instance: BanditInstance, belief: BeliefState) -> InfoRatioReport:
     """One-step information ratio of vanilla Thompson sampling at a belief.
 
     The denominator sum_a P(alpha(theta) = a) I(theta*; Y_a) takes the
-    information of every realized action with positive mass from one
+    belief's mass on each realized action's slot from one ``bincount`` and
+    the information of every slot with positive mass from one
     ``_grouped_mi`` call over those rows of the instance's outcome table.
     """
     p = belief.probs
     diff = ts_expected_regret(instance, belief)
-    action_mass = optimal_action_distribution(belief, instance)
-    played = np.flatnonzero(action_mass > 0.0)
-    slot, idx, _, w = instance.outcomes
-    rows = slot[played]
+    slot_mass = np.bincount(instance.slots[1], weights=p)
+    played = np.flatnonzero(slot_mass > 0.0)
+    idx, _, w = instance.outcomes
     labels = np.arange(p.size)[:, None]
-    info = _outcome_information(idx[rows], w[rows], p[None, :, None], labels)[0]
-    # actions added in index order
-    denominator = float(np.cumsum(action_mass[played] * info)[-1])
+    info = _outcome_information(idx[played], w[played], p[None, :, None], labels)[0]
+    # slots, so actions, added in increasing order
+    denominator = float(np.cumsum(slot_mass[played] * info)[-1])
     return _ratio_report(diff * diff, denominator)
 
 
@@ -311,19 +310,19 @@ def _compressed_rows(
     run, param = np.nonzero(probs > 0.0)
     cell = cell_of[param]
     cond = probs[run, param] / mass[run, cell]
-    # the two representative values of the entry's cell: probabilities, actions
+    # the two representative values of the entry's cell: probabilities, and
+    # the slots of their best actions
     q = atom_q[run, cell]
-    slot, means = instance.realized
-    played = slot[instance.astar[atom_param]]
-    action = played[run, cell]
+    played = instance.slots[1][atom_param]
+    col = played[run, cell]
     # diff = sum over values v of q_v (E[R_a(v) | psi = cell(v)] - E[R_a(v)])
-    gap = means[param[:, None], action] - mean_rewards[run[:, None], action]
+    gap = instance.realized[param[:, None], col] - mean_rewards[run[:, None], col]
     diff = np.bincount(run, weights=(cond[:, None] * q * gap).sum(axis=1), minlength=runs)
 
     # I(theta~*; Y_a) for every run and every action a representative plays,
     # from the joint of (representative value, outcome): the value in slot j
     # of cell k puts q * P(theta* = i | psi = k) * P(y | a, theta_i) on y
-    _, idx, _, w = instance.outcomes
+    idx, _, w = instance.outcomes
     n_rows = idx.shape[0]
     atom_group = np.arange(runs)[:, None, None] * n_rows + played
     weight = np.bincount(
@@ -364,7 +363,7 @@ def compressed_moments(
     atom_param, atom_q = _representative_atoms(i1, i2, r, mass)
     p = belief.probs[None]
     diff, info = _compressed_rows(
-        instance, p, _row_products(p, instance.realized[1]), representation.partition.cell_of,
+        instance, p, _row_products(p, instance.realized), representation.partition.cell_of,
         mass[None], atom_param[None], atom_q[None],
     )
     return float(diff[0]), float(info[0])
@@ -375,12 +374,12 @@ def _cell_masses_and_gains(
 ) -> tuple[NDArray, NDArray]:
     """The cell masses ``(runs, K)`` of each row of a ``(runs, m)`` belief
     matrix, and I(psi; Y_a) ``(runs, R)`` for every row and every realized
-    action a, by ``slot[a]``, the latter from one grouped call over the
-    instance's outcome table."""
+    action, by slot, the latter from one grouped call over the instance's
+    outcome table."""
     runs, K = probs.shape[0], partition.K
     run_cell = (np.arange(runs)[:, None] * K + partition.cell_of).ravel()
     mass = np.bincount(run_cell, weights=probs.ravel(), minlength=runs * K).reshape(runs, K)
-    _, idx, _, w = instance.outcomes
+    idx, _, w = instance.outcomes
     return mass, _outcome_information(idx, w, probs[:, :, None], partition.cell_of[:, None])
 
 
@@ -401,12 +400,11 @@ def _chain_terms(instance: BanditInstance, partition: "Partition"):
     # compression imports this module, so it is imported on use
     from .compression import _representative_pairs
 
-    slot, means = instance.realized
-    played = slot[instance.astar]
+    best = instance.slots[1]
 
     def terms(probs: NDArray) -> tuple[NDArray, ...]:
         runs = probs.shape[0]
-        mean_rewards = _row_products(probs, means)
+        mean_rewards = _row_products(probs, instance.realized)
         regret = _ts_regret_rows(instance, probs, mean_rewards)
         mass, gain = _cell_masses_and_gains(instance, probs, partition)
         pairs = _representative_pairs(instance, probs, mean_rewards, partition, mass, gain)
@@ -414,8 +412,8 @@ def _chain_terms(instance: BanditInstance, partition: "Partition"):
         diff, info_comp = _compressed_rows(
             instance, probs, mean_rewards, partition.cell_of, mass, atom_param, atom_q
         )
-        info_psi_ts = (probs * gain[:, played]).sum(axis=1)
-        rep_gain = gain[np.arange(runs)[:, None, None], played[atom_param]]
+        info_psi_ts = (probs * gain[:, best]).sum(axis=1)
+        rep_gain = gain[np.arange(runs)[:, None, None], best[atom_param]]
         info_psi_comp = (atom_q * rep_gain).sum(axis=(1, 2))
         return regret, diff, info_comp, info_psi_comp, info_psi_ts, mass
 

@@ -114,10 +114,11 @@ class BanditInstance:
     finds it on first read.
 
     Thompson sampling only plays realized actions, the ``R`` distinct
-    entries of ``astar``. ``realized`` holds their mean rewards, ``(m, R)``,
-    with ``slot``, the row of each action; ``outcomes`` tabulates their
-    two-point outcome pmfs (see ``two_point_outcomes``). Both are built on
-    first read and then kept.
+    entries of ``astar``. ``slots`` maps each parameter to the slot of its
+    best action among them, ``realized`` holds their mean rewards, ``(m,
+    R)``, and ``outcomes`` tabulates their two-point outcome pmfs (see
+    ``two_point_outcomes``), each indexed by slot. All three are built on
+    first read and then kept; ``slots`` reads ``astar`` alone.
     """
 
     actions: NDArray
@@ -212,34 +213,42 @@ class BanditInstance:
         return self._mean(x)
 
     @cached_property
-    def realized(self) -> tuple[NDArray, NDArray]:
-        """Read-only ``(slot, means)`` of the realized actions, built on first
-        read: ``means[i, slot[a]]``, shape ``(m, R)``, is ``mean_rewards(i,
-        a)`` bit for bit, gathered from the construction's blocks in one
-        pass; ``slot[a]`` is -1 for an action no parameter plays."""
-        realized = _distinct(self.astar, self.n_actions)
-        slot = np.full(self.n_actions, -1, dtype=np.intp)
-        slot[realized] = np.arange(realized.size)
-        x = np.empty((self.n_params, realized.size))
-        for lo, block in self._blocks():
-            x[lo:lo + block.shape[0]] = block[:, realized]
-        means = self._mean(x)
-        for arr in (slot, means):
+    def slots(self) -> tuple[NDArray, NDArray]:
+        """Read-only ``(actions, best)``, built from ``astar`` alone on first
+        read: the ``R`` realized actions in increasing order, and each
+        parameter's slot among them, so ``actions[best] == astar``. A slot
+        is a column of ``realized`` and a row of ``outcomes``."""
+        actions = _distinct(self.astar, self.n_actions)
+        best = np.searchsorted(actions, self.astar)
+        for arr in (actions, best):
             arr.setflags(write=False)
-        return slot, means
+        return actions, best
 
     @cached_property
-    def outcomes(self) -> tuple[NDArray, NDArray, NDArray, NDArray]:
-        """Read-only ``(slot, idx, points, weights)`` of the realized actions,
-        built on first read: ``realized``'s ``slot`` and ``two_point_outcomes``
-        of its means, shape ``(R, m, 2)``. Every support value of an action is
-        a point of some parameter, so row ``s`` has ``idx[s].max() + 1`` of them.
+    def realized(self) -> NDArray:
+        """Read-only mean rewards ``(m, R)`` of the realized actions, built on
+        first read: ``realized[i, s]`` is ``mean_rewards(i, slots[0][s])`` bit
+        for bit, gathered from the construction's blocks in one pass."""
+        actions = self.slots[0]
+        x = np.empty((self.n_params, actions.size))
+        for lo, block in self._blocks():
+            x[lo:lo + block.shape[0]] = block[:, actions]
+        means = self._mean(x)
+        means.setflags(write=False)
+        return means
+
+    @cached_property
+    def outcomes(self) -> tuple[NDArray, NDArray, NDArray]:
+        """Read-only ``(idx, points, weights)`` of the realized actions, built
+        on first read: ``two_point_outcomes`` of ``realized``'s columns, shape
+        ``(R, m, 2)``, row ``s`` for slot ``s``. Every support value of an
+        action is a point of some parameter, so row ``s`` has ``idx[s].max()
+        + 1`` of them.
         """
-        slot, means = self.realized
-        table = two_point_outcomes(self.model, means.T)
+        table = two_point_outcomes(self.model, self.realized.T)
         for arr in table:
             arr.setflags(write=False)
-        return (slot, *table)
+        return table
 
     @property
     def d(self) -> int:
@@ -334,6 +343,15 @@ def _distinct(codes: NDArray, n: int) -> NDArray:
     flag-less ``np.unique`` imports ``numpy.ma`` on first use, which costs
     time and memory and which nothing here needs."""
     return np.flatnonzero(np.bincount(codes, minlength=n))
+
+
+def _sorted_distinct(values: NDArray) -> NDArray:
+    """The distinct ``values`` in increasing order, as ``_distinct`` gives
+    them, by one sort: for integer codes too large to count in bins."""
+    x = np.sort(values)
+    keep = np.ones(x.size, dtype=bool)
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
 
 
 def _merged_supports(means: NDArray, eta: float) -> tuple[NDArray, NDArray]:

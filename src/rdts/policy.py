@@ -11,13 +11,14 @@ sampling trajectories, from one rollout (``_ts_rollout``) that advances all
 runs together: the beliefs are a ``(runs, m)`` matrix updated row by row with
 the arithmetic of ``posterior_update``, and the outcome pmfs of the actions
 Thompson sampling plays are rows of the instance's outcome table
-(``BanditInstance.outcomes``). An observation is its support index there,
-as in every information term, and its likelihood the mass on that index.
-The rollout tabulates, once, each run's outcome CDFs by slot and, where
-every realized action has at most two support values (both binary models),
-the likelihood of each support value (``_likelihood_table``); a glm action
-has up to 2m support values, so glm reads each period's likelihoods from the
-played slots' pmfs. Each run still
+(``BanditInstance.outcomes``); the rollout carries each played action as its
+row there, its slot (``BanditInstance.slots``). An observation is its
+support index in that row, as in every information term, and its likelihood
+the mass on that index. The rollout tabulates, once, each run's outcome CDFs by
+slot and, where every realized action has at most two support values (both
+binary models), the likelihood of each support value (``_likelihood_table``);
+a glm action has up to 2m support values, so glm reads each period's
+likelihoods from the played slots' pmfs. Each run still
 draws from its own generator, ``1 + 2T`` uniforms in a fixed order: one for
 the true parameter, then a (sampled parameter, outcome) pair per period,
 exactly the draws of a per-run loop over ``thompson_step`` and
@@ -100,9 +101,10 @@ def _ts_rollout(
     the run's belief and ``2t + 2`` to sample the outcome of that
     parameter's best action. ``T`` and ``runs`` are checked before anything
     is drawn. Returns an iterator over the periods that yields ``(belief,
-    theta_star, action, outcome)``: the ``(runs, m)`` belief matrix before the
-    period's update, then each run's true parameter, played action and
-    observed outcome.
+    theta_star, slot, outcome)``: the ``(runs, m)`` belief matrix before the
+    period's update, then each run's true parameter, the slot of its played
+    action (the action is ``instance.slots[0][slot]``) and its observed
+    outcome.
 
     Each run's true parameter is fixed, so the CDFs of the outcome pmfs it
     can meet are tabulated once, by (slot, run). The parameter draw is
@@ -131,14 +133,13 @@ def _ts_rollout(
         draws[:, r, 0] = run_rng.random(1 + 2 * T)
     belief = np.tile(prior.probs, (runs, 1))
     theta_star = inverse_cdf(belief, draws[0, :, 0])
-    slot, idx, points, weights = instance.outcomes
+    idx, points, weights = instance.outcomes
     # (slot, run): the outcome CDF of the run's true parameter
     cdf_run = np.cumsum(weights[:, theta_star], axis=-1)
     first = cdf_run[..., 0]
     u_outcome = draws[2::2, :, 0]  # (T, runs)
     flagged = _outcome_fallback_periods(cdf_run, u_outcome).tolist()
-    astar = instance.astar
-    slot_of = slot[astar]
+    best = instance.slots[1]
     table = _likelihood_table(instance)
     m = belief.shape[1]
     run = np.arange(runs)
@@ -153,7 +154,7 @@ def _ts_rollout(
             j = np.add.reduce(np.less_equal(cdf, u_param, out=below), axis=1)
             if np.maximum.reduce(j) == m:
                 j = inverse_cdf(belief, u_param[:, 0])
-            action, s = astar[j], slot_of[j]
+            s = best[j]
             if flagged[t]:
                 k = (cdf_run[s, run] <= draws[2 * t + 2]).sum(-1)
                 if k.max() == 2:
@@ -161,7 +162,7 @@ def _ts_rollout(
             else:
                 k = np.less_equal(first[s, run], u_outcome[t], out=k_first)
             v = idx[s, theta_star, k]
-            yield belief, theta_star, action, points[s, theta_star, k]
+            yield belief, theta_star, s, points[s, theta_star, k]
             if table is None:
                 like = _mass_on(idx[s], weights[s], v[:, None, None])
             else:
@@ -192,7 +193,7 @@ def _likelihood_table(instance: BanditInstance) -> NDArray | None:
     """
     if _outcome_cardinality(instance) > 2:
         return None
-    _, idx, _, weights = instance.outcomes
+    idx, _, weights = instance.outcomes
     return _mass_on(idx[:, None], weights[:, None], np.arange(2)[:, None, None])
 
 
@@ -207,23 +208,23 @@ def simulate_ts(
     """Monte Carlo Bayesian regret of Thompson sampling over ``runs`` runs.
 
     All runs advance together on the trajectories of ``_ts_rollout``; the
-    loop only keeps each period's actions and outcomes in ``(T, runs)``
+    loop only keeps each period's played slots and outcomes in ``(T, runs)``
     tables. After it, the pseudo-regret rewards are gathered once from the
-    instance's ``realized`` means, one ``cumsum`` along runs sums each
+    instance's ``realized`` means by slot, one ``cumsum`` along runs sums each
     period's regret in run order and one along periods sums each run's
     total in period order, so the trace is bit-identical to a per-run loop
     of ``thompson_step``, ``sample_outcome`` and ``posterior_update``.
     """
     periods = _ts_rollout(instance, prior, T, runs, rng)
-    actions = np.empty((T, runs), dtype=instance.astar.dtype)
+    played = np.empty((T, runs), dtype=np.intp)
     outcomes = np.empty((T, runs))
-    for t, (_, theta_star, action, y) in enumerate(periods):
-        actions[t], outcomes[t] = action, y
+    for t, (_, theta_star, s, y) in enumerate(periods):
+        played[t], outcomes[t] = s, y
     per_period, totals = np.zeros(0), np.zeros(runs)
     if T:
-        slot, means = instance.realized
-        rewards = outcomes if realized_rewards else means[theta_star, slot[actions]]
-        regret = means[theta_star, slot[instance.astar[theta_star]]] - rewards
+        means = instance.realized
+        rewards = outcomes if realized_rewards else means[theta_star, played]
+        regret = means[theta_star, instance.slots[1][theta_star]] - rewards
         per_period = np.cumsum(regret, axis=1)[:, -1] / runs  # runs added in run order
         totals = np.cumsum(regret, axis=0)[-1]  # periods added in period order
     std_error = float(totals.std(ddof=1) / np.sqrt(runs)) if runs > 1 else 0.0
@@ -253,7 +254,7 @@ class AuditReport:
 
 def _outcome_cardinality(instance: BanditInstance) -> int:
     """The largest support size of a realized action (see ``BanditInstance.outcomes``)."""
-    return int(instance.outcomes[1].max()) + 1
+    return int(instance.outcomes[0].max()) + 1
 
 
 _AUDIT_CHECKS = (
@@ -311,11 +312,12 @@ def audit_regret_chain(
     bytes) go through one ``_chain_terms`` call, and every run holding a
     row gets that row's body (every field but "run" and "t"), the same
     bytes as evaluating the run alone. Rows are returned run by run, period
-    by period.
+    by period. The audit's tables are m x R: ``GuardExceeded`` if m * R * q,
+    q the largest outcome support, exceeds 1e6.
     """
     q = _outcome_cardinality(instance)
-    if instance.n_params * instance.n_actions * q > 1_000_000:
-        raise GuardExceeded("m * n * |outcomes| exceeds the exact-audit guard")
+    if instance.n_params * instance.slots[0].size * q > 1_000_000:
+        raise GuardExceeded("m * R * |outcomes| exceeds the exact-audit guard")
     periods = _ts_rollout(instance, prior, T, runs, rng)
     eps = partition.epsilon
     info_prior = statistic_mutual_information(prior, partition)

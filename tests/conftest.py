@@ -36,6 +36,13 @@ def random_belief(rng: np.random.Generator, m: int) -> BeliefState:
     return BeliefState(rng.dirichlet(np.ones(m)))
 
 
+def point_mass(m: int, idx: int) -> BeliefState:
+    """The belief over ``m`` parameters that puts all its mass on ``idx``."""
+    p = np.zeros(m)
+    p[idx] = 1.0
+    return BeliefState(p)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

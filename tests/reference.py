@@ -16,6 +16,9 @@ batched ``compressed_moments``, for tests that read that ratio.
 rewards and of inner products that an instance no longer keeps: the first
 from ``mean_rewards``, the second from the construction's own blocks, so
 each entry has the bits every read of the instance gives.
+``optimal_action_distribution`` is the belief's pushforward onto all n
+actions, where ``rdts.information.ts_info_ratio`` takes its mass on the R
+realized actions' slots.
 
 Three more pieces only tests use: ``rate_distortion_bruteforce``, the
 exhaustive rate-distortion oracle over every set partition of at most 8
@@ -65,6 +68,12 @@ TIE_TOL = 1e-15
 
 class TooLarge(ValueError):
     pass
+
+
+def optimal_action_distribution(belief, instance):
+    """Pushforward of the belief through the best-action map alpha, onto all
+    n actions."""
+    return np.bincount(instance.astar, weights=belief.probs, minlength=instance.n_actions)
 
 
 def mean_table(instance):
@@ -259,8 +268,8 @@ def build_representation(instance, belief, partition):
 def audit_regret_chain(instance, prior, partition, T, rng, runs=1):
     """The regret-chain audit, one run and one period at a time."""
     q = _outcome_cardinality(instance)
-    if instance.n_params * instance.n_actions * q > 1_000_000:
-        raise GuardExceeded("m * n * |outcomes| exceeds the exact-audit guard")
+    if instance.n_params * instance.slots[0].size * q > 1_000_000:
+        raise GuardExceeded("m * R * |outcomes| exceeds the exact-audit guard")
     eps = partition.epsilon
     info_prior = statistic_mutual_information(prior, partition)
     rows = []

@@ -289,6 +289,15 @@ def test_audit_json_and_exit_code(tmp_path):
     assert len(doc["periods"]) == 5
 
 
+def test_audit_guard_counts_realized_actions(tmp_path):
+    # the audit holds m x R tables: at most 30 of the 20000 actions are
+    # realized, so m * R * |outcomes| is far below the guard, although
+    # m * n * |outcomes| = 1.2e6 is above it
+    argv = ["audit", "--model", "linear_binary", "--d", "3", "--n", "20000", "--m", "30",
+            "--T", "4", "--runs", "2", "--out", str(tmp_path / "a.json")]
+    assert run(argv) == 0
+
+
 # at beta = 1000 the posterior holds masses below 1e-100, so the products of
 # marginals in some I(psi; Y_a) terms fall below the smallest normal float, and
 # the logistic link's exp overflows for every inner product below about -0.71

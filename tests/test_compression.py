@@ -397,7 +397,7 @@ def test_partition_never_builds_the_mean_reward_table():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert "mu" not in vars(inst) and "inner" not in vars(inst)
+    assert not {"slots", "realized", "outcomes"} & set(vars(inst))
     # the inner products would be one m x n float table, the mean rewards another
     assert peak < 2 * m * n * 8
 
@@ -484,7 +484,7 @@ def test_partition_report_at_m_6000_builds_no_inner_product_table(monkeypatch):
     finally:
         tracemalloc.stop()
     (inst,) = made
-    assert "inner" not in vars(inst) and "mu" not in vars(inst)
+    assert not {"slots", "realized", "outcomes"} & set(vars(inst))
     assert json.loads(out.getvalue())["K"] > 1
     # the m x n inner products alone take 24 MB
     assert peak <= 4e6, peak
@@ -499,7 +499,7 @@ def oracle_linear_partition(instance, epsilon):
     if instance.model.kind != LINEAR_BINARY:
         raise InvalidEpsilon("linear partition builder requires a linear_binary model")
     radius = epsilon / (2.0 * realized_link_slope(instance))
-    cell_of = _cover_best_actions(instance, instance.astar, radius)
+    cell_of = _cover_best_actions(instance, radius)
     return _finish_partition(instance, cell_of, epsilon)
 
 

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import instance_with_shared_points, random_belief, random_instance
+import reference
+from conftest import instance_with_shared_points, point_mass, random_belief, random_instance
 from rdts.inference import (
     AllZeroLikelihood,
     BeliefState,
     _normalised,
     inverse_cdf,
-    optimal_action_distribution,
     outcome_likelihoods,
     posterior_update,
     posterior_update_rows,
@@ -33,7 +33,7 @@ def test_belief_validation():
             BeliefState(np.array(bad))
     b = BeliefState.uniform(4)
     np.testing.assert_allclose(b.probs, 0.25, atol=1e-15)
-    pm = BeliefState.point_mass(3, 1)
+    pm = point_mass(3, 1)
     assert pm.probs.tolist() == [0.0, 1.0, 0.0]
 
 
@@ -235,7 +235,7 @@ def test_outcome_likelihoods_matches_support(tiny_logistic):
 
 def test_optimal_action_distribution(tiny_linear):
     belief = BeliefState(np.array([0.4, 0.3, 0.2, 0.1]))
-    dist = optimal_action_distribution(belief, tiny_linear)
+    dist = reference.optimal_action_distribution(belief, tiny_linear)
     expected = np.zeros(tiny_linear.n_actions)
     for i, p in enumerate(belief.probs):
         expected[tiny_linear.astar[i]] += p

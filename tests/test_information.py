@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import reference
 from reference import grouped_mutual_information
-from conftest import instance_with_shared_points, random_belief, random_instance
+from conftest import instance_with_shared_points, point_mass, random_belief, random_instance
 from rdts import information
 from rdts.compression import (
     Partition,
@@ -276,12 +276,12 @@ def test_mutual_information_bounded_by_entropies(seed):
 # ---------------------------------------------------------------------------
 
 def test_action_information_point_mass_is_zero(tiny_linear):
-    belief = BeliefState.point_mass(4, 2)
+    belief = point_mass(4, 2)
     assert action_information(tiny_linear, belief, 0) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_ts_expected_regret_nonnegative_and_zero_at_point_mass(tiny_linear):
-    assert ts_expected_regret(tiny_linear, BeliefState.point_mass(4, 1)) == pytest.approx(
+    assert ts_expected_regret(tiny_linear, point_mass(4, 1)) == pytest.approx(
         0.0, abs=1e-15
     )
     assert ts_expected_regret(tiny_linear, BeliefState.uniform(4)) >= -1e-15
@@ -304,8 +304,33 @@ def test_ts_info_ratio_matches_oracle(kind, seed):
         assert report.ratio == pytest.approx(regret * regret / info, abs=1e-9)
 
 
+@pytest.mark.parametrize("kind", [LINEAR_BINARY, LOGISTIC, GLM])
+def test_ts_info_ratio_denominator_is_the_pushforward_onto_actions(kind):
+    # the slot masses of one R-bin bincount are the realized entries of the
+    # n-bin pushforward onto actions, and the denominator formed from the
+    # latter has the same bits
+    rng = np.random.default_rng(14)
+    for _ in range(10):
+        inst = random_instance(rng, kind, d=2, n=25, m=15)
+        actions = inst.slots[0]
+        assert actions.size < inst.n_actions  # some action is never best
+        probs = rng.dirichlet(np.ones(15)) * (rng.random(15) < 0.7)
+        belief = BeliefState(probs / probs.sum())
+        mass = reference.optimal_action_distribution(belief, inst)
+        played = np.flatnonzero(mass > 0.0)
+        assert np.array_equal(mass[actions], np.bincount(inst.slots[1], weights=belief.probs))
+        idx, _, w = inst.outcomes
+        rows = np.searchsorted(actions, played)
+        labels = np.arange(15)[:, None]
+        info = information._outcome_information(
+            idx[rows], w[rows], belief.probs[None, :, None], labels
+        )[0]
+        expected = float(np.cumsum(mass[played] * info)[-1])
+        assert ts_info_ratio(inst, belief).denominator == expected
+
+
 def test_ts_info_ratio_degenerate_at_point_mass(tiny_linear):
-    report = ts_info_ratio(tiny_linear, BeliefState.point_mass(4, 0))
+    report = ts_info_ratio(tiny_linear, point_mass(4, 0))
     assert report.degenerate
     assert report.ratio == 0.0
 

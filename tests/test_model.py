@@ -140,11 +140,11 @@ def test_mean_rewards_gather_equals_table_entries(seed, kind, beta):
     old_mu = 0.5 * inner if kind == LINEAR_BINARY else np.asarray(inst.model.link(inner))
     # the realized-action table is built on first read, then kept read-only
     assert "realized" not in vars(inst)
-    slot, means = inst.realized
-    assert inst.realized[1] is means and not means.flags.writeable and not slot.flags.writeable
+    means = inst.realized
+    assert inst.realized is means and not means.flags.writeable
     realized = np.unique(inst.astar)
     assert np.array_equal(means, old_mu[:, realized])
-    assert np.array_equal(slot[realized], np.arange(realized.size))
+    assert np.array_equal(inst.slots[0], realized)
     mu = reference.mean_table(inst)
     assert np.array_equal(mu, old_mu)
     m, n = mu.shape
@@ -275,10 +275,9 @@ def test_inner_products_of_one_chunk_are_one_product(seed, d, n, m):
     inner = inst.params @ inst.actions.T
     assert np.array_equal(reference.inner_table(inst), inner)
     assert np.array_equal(inst.astar, np.argmax(inner, axis=1))
-    slot, means = inst.realized
     realized = np.unique(inst.astar)
-    assert np.array_equal(means, inst.model.link(inner[:, realized]))
-    assert np.array_equal(slot[inst.astar], np.searchsorted(realized, inst.astar))
+    assert np.array_equal(inst.realized, inst.model.link(inner[:, realized]))
+    assert np.array_equal(inst.slots[1], np.searchsorted(realized, inst.astar))
 
 
 @pytest.mark.parametrize("chunk", [1, 1000, None])
@@ -303,8 +302,8 @@ def test_inner_products_of_several_chunks(monkeypatch, chunk):
     assert np.array_equal(inst.mean_rewards(rows, cols), mu[rows, cols])
     assert np.array_equal(inst.mean_rewards(np.arange(500), inst.astar),
                           mu[np.arange(500), inst.astar])
-    slot, means = inst.realized
-    assert np.array_equal(means[np.arange(500), slot[inst.astar]], mu[np.arange(500), inst.astar])
+    assert np.array_equal(inst.realized[np.arange(500), inst.slots[1]],
+                          mu[np.arange(500), inst.astar])
 
 
 def _bits(a):
@@ -329,7 +328,7 @@ def test_reads_without_the_table_repeat_the_construction_blocks(monkeypatch, chu
     read, fresh = make(), make()
     inner = reference.inner_table(read)
     mu = read.model.link(inner)
-    slot, means = read.realized
+    means = read.realized
     realized = np.unique(read.astar)
     assert np.array_equal(_bits(means), _bits(mu[:, realized]))
     assert np.array_equal(read.astar, fresh.astar)
@@ -346,8 +345,8 @@ def test_reads_without_the_table_repeat_the_construction_blocks(monkeypatch, chu
                               _bits(mu[np.arange(500), read.astar]))
     assert "realized" not in vars(fresh)
     assert np.array_equal(_bits(reference.inner_table(fresh)), _bits(inner))
-    assert np.array_equal(_bits(fresh.realized[1]), _bits(means))
-    assert np.array_equal(fresh.realized[0], slot)
+    assert np.array_equal(_bits(fresh.realized), _bits(means))
+    assert np.array_equal(fresh.slots[0], read.slots[0])
 
 
 @pytest.mark.parametrize(
@@ -358,18 +357,30 @@ def test_realized_table_repeats_mean_rewards_across_blocks(monkeypatch, kind, et
     monkeypatch.setattr(model_mod, "_PRODUCT_CHUNK", 3 * 40 * 3)
     inst = random_instance(np.random.default_rng(9), kind, d=3, n=40, m=50, eta=eta)
     assert inst.block_rows == 3
-    slot, means = inst.realized
+    means = inst.realized
     realized = np.unique(inst.astar)
     expected = inst.mean_rewards(np.arange(50)[:, None], realized)
     assert means.shape == (50, realized.size)
     assert np.array_equal(_bits(means), _bits(expected))
-    assert np.array_equal(slot[realized], np.arange(realized.size))
-    assert np.all(np.delete(slot, realized) == -1)
-    outcome_slot, *table = inst.outcomes
-    assert outcome_slot is slot
-    for got, want in zip(table, two_point_outcomes(inst.model, expected.T)):
+    assert np.array_equal(inst.slots[0], realized)
+    assert len(inst.outcomes) == 3
+    for got, want in zip(inst.outcomes, two_point_outcomes(inst.model, expected.T)):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind", [LINEAR_BINARY, LOGISTIC, GLM])
+def test_slots_map_each_parameter_to_its_realized_action(kind):
+    inst = random_instance(np.random.default_rng(8), kind, d=2, n=30, m=12)
+    actions, best = inst.slots
+    # read from astar alone: no mean reward is computed
+    assert inst.slots is inst.slots and "realized" not in vars(inst)
+    assert actions.size < inst.n_actions  # some action is never best
+    assert np.array_equal(actions, np.unique(inst.astar))
+    assert np.array_equal(actions[best], inst.astar)
+    for arr in (actions, best):
+        with pytest.raises(ValueError):
+            arr[0] = 0
 
 
 def test_outcome_support_linear(tiny_linear):
@@ -596,7 +607,7 @@ def test_partition_path_builds_no_outcome_table():
             delta = float(np.min(np.abs(best_action_margins(inst))))
             part = build_partition_logistic(inst, 0.2, delta)
         max_intra_cell_distortion(inst, part.cell_of, part.K)
-        assert "outcomes" not in vars(inst)
+        assert "outcomes" not in vars(inst) and "realized" not in vars(inst)
 
 
 @pytest.mark.parametrize("kind", [LINEAR_BINARY, LOGISTIC, GLM])
@@ -616,11 +627,10 @@ def test_outcome_table_arrays_are_read_only(kind):
 )
 def test_outcome_table_rows_match_two_point_outcomes(kind, eta):
     inst = random_instance(np.random.default_rng(4), kind, d=3, n=12, m=9, eta=eta)
-    slot, idx, points, weights = inst.outcomes
+    idx, points, weights = inst.outcomes
     realized = np.unique(inst.astar)
     assert realized.size < inst.n_actions  # some action is never best
-    np.testing.assert_array_equal(slot[realized], np.arange(realized.size))
-    assert np.all(np.delete(slot, realized) == -1)
+    np.testing.assert_array_equal(inst.slots[0], realized)
     means = reference.mean_table(inst)[:, realized].T
     for got, want in zip((idx, points, weights), two_point_outcomes(inst.model, means)):
         np.testing.assert_array_equal(got, want)
@@ -638,7 +648,7 @@ def test_outcome_table_glm_eta0_is_single_points():
     everything = np.arange(inst.n_actions)
     mu = reference.mean_table(inst)
     for actions, (idx, points, w) in [
-        (np.unique(inst.astar), inst.outcomes[1:]),
+        (np.unique(inst.astar), inst.outcomes),
         (everything, two_point_outcomes(inst.model, mu.T)),
     ]:
         for s, a in enumerate(actions):
@@ -650,7 +660,7 @@ def test_outcome_table_glm_eta0_is_single_points():
 
 def test_outcome_table_glm_two_points_in_support_order():
     inst = instance_with_shared_points(8, GLM, eta=0.05)
-    _, idx, points, w = inst.outcomes
+    idx, points, w = inst.outcomes
     assert np.all(idx[..., 0] < idx[..., 1]) and np.all(points[..., 0] < points[..., 1])
     np.testing.assert_array_equal(w, np.full(idx.shape, 0.5))
 

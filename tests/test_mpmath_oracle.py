@@ -198,11 +198,10 @@ def _near_coincident_glm():
                           model=OutcomeModel(kind=GLM, beta=1.5, eta=0.02))
 
 
-def _class_likelihoods(instance, action):
-    """``like[i][v]``: the exact mass parameter i puts on the action's support
-    index v, the observation classes."""
-    slot, idx, _, weights = instance.outcomes
-    s = slot[action]
+def _class_likelihoods(instance, s):
+    """``like[i][v]``: the exact mass parameter i puts on support index v of
+    the realized action of slot ``s``, the observation classes."""
+    idx, _, weights = instance.outcomes
     like = [[mpmath.mpf(0)] * (int(idx[s].max()) + 1) for _ in range(instance.n_params)]
     for i in range(instance.n_params):
         for k in range(2):
@@ -218,11 +217,11 @@ def _bayes(prior, like, v):
 def test_near_coincident_glm_outcomes_condition_posterior_and_information_alike():
     inst = _near_coincident_glm()
     prior = BeliefState.uniform(5)
-    slot, idx, points, _ = inst.outcomes
-    s = slot[0]
+    idx, points, _ = inst.outcomes
+    s = int(np.searchsorted(inst.slots[0], 0))  # the slot of action 0
     with mpmath.workdps(DIGITS):
         p = [mpmath.mpf(float(x)) for x in prior.probs]
-        like = _class_likelihoods(inst, 0)
+        like = _class_likelihoods(inst, s)
         # I(theta*; Y_0) sums over the support indexes: each value identifies
         # its parameter, so it is log 5
         exact = mpmath.mpf(0)
@@ -244,13 +243,13 @@ def test_near_coincident_glm_outcomes_condition_posterior_and_information_alike(
         # Bayes update on that observation's support index
         runs = 40
         periods = _ts_rollout(inst, prior, 2, runs, np.random.default_rng(6))
-        _, theta_star, action, observed = next(periods)
+        _, theta_star, played, observed = next(periods)
         belief = next(periods)[0]
         for r in range(runs):
-            a = int(action[r])
-            v = int(np.flatnonzero(points[slot[a], theta_star[r]] == observed[r])[0])
-            v = int(idx[slot[a], theta_star[r], v])
-            for got, want in zip(belief[r], _bayes(p, _class_likelihoods(inst, a), v)):
+            s = int(played[r])
+            v = int(np.flatnonzero(points[s, theta_star[r]] == observed[r])[0])
+            v = int(idx[s, theta_star[r], v])
+            for got, want in zip(belief[r], _bayes(p, _class_likelihoods(inst, s), v)):
                 assert _close(got, want, BELIEF_TOL), r
     # some runs observe one of the three near-coincident parameters
     assert np.isin(theta_star, [0, 1, 2]).sum() >= 5

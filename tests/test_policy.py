@@ -89,11 +89,13 @@ def _reference_simulate_ts(instance, prior, T, runs, rng, realized_rewards=False
     best = mu[np.arange(instance.n_params), instance.astar]
     per_period = np.zeros(T)
     totals = np.zeros(runs)
+    played = np.zeros((T, runs), dtype=np.intp)
     for run, run_rng in enumerate(rng.spawn(runs)):
         theta_star = sample_parameter(prior, run_rng)
         belief = prior
         for t in range(T):
             param_idx, action = thompson_step(instance, belief, run_rng)
+            played[t, run] = action
             y = sample_outcome(instance, action, theta_star, run_rng)
             if realized_rewards:
                 regret = float(best[theta_star]) - y
@@ -104,19 +106,23 @@ def _reference_simulate_ts(instance, prior, T, runs, rng, realized_rewards=False
             belief = posterior_update(belief, instance, action, y)
     per_period /= runs
     std_error = float(totals.std(ddof=1) / np.sqrt(runs)) if runs > 1 else 0.0
-    return per_period, float(per_period.sum()), std_error
+    return per_period, float(per_period.sum()), std_error, played
 
 
 def _assert_matches_reference(
     instance, prior, T, runs, seed, realized, make_rng=np.random.default_rng
 ):
     trace = simulate_ts(instance, prior, T, runs, make_rng(seed), realized_rewards=realized)
-    per_period, cumulative, std_error = _reference_simulate_ts(
+    per_period, cumulative, std_error, played = _reference_simulate_ts(
         instance, prior, T, runs, make_rng(seed), realized_rewards=realized
     )
     np.testing.assert_array_equal(trace.per_period_regret, per_period)
     np.testing.assert_array_equal(trace.cumulative, cumulative)
     np.testing.assert_array_equal(trace.std_error, std_error)
+    # the rollout yields slots: through the realized actions, thompson_step's actions
+    slots = [s for _, _, s, _ in _ts_rollout(instance, prior, T, runs, make_rng(seed))]
+    slots = np.array(slots, dtype=np.intp).reshape(T, runs)
+    np.testing.assert_array_equal(instance.slots[0][slots], played)
 
 
 @pytest.mark.parametrize("m", [7, 129, 513])
@@ -152,8 +158,9 @@ def test_simulate_ts_bit_identical_on_near_coincident_glm_outcomes():
     # in the slot of action 0, parameter 0's upper point is another support
     # value than parameter 1's, under 1e-9 away, and an observation of it
     # rules parameters 1 and 2 out
-    slot, idx, points, weights = instance.outcomes
-    s = slot[0]
+    idx, points, weights = instance.outcomes
+    assert instance.slots[0].tolist() == [0, 1]
+    s = 0  # the slot of action 0
     assert idx[s, 0, 1] != idx[s, 1, 1]
     assert 0 < abs(points[s, 1, 1] - points[s, 0, 1]) < 1e-9
     like = _mass_on(idx[s], weights[s], idx[s, 0, 1])
@@ -161,9 +168,9 @@ def test_simulate_ts_bit_identical_on_near_coincident_glm_outcomes():
     assert like.tobytes() == _mass_on(points[s], weights[s], points[s, 0, 1]).tobytes()
     # enough runs and periods that every realized action is played
     played = set()
-    for _, _, action, _ in _ts_rollout(instance, prior, 120, 40, np.random.default_rng(6)):
-        played.update(action.tolist())
-    assert played == set(np.flatnonzero(slot >= 0).tolist()) == {0, 1}
+    for _, _, slot, _ in _ts_rollout(instance, prior, 120, 40, np.random.default_rng(6)):
+        played.update(instance.slots[0][slot].tolist())
+    assert played == {0, 1}
     for realized in (False, True):
         _assert_matches_reference(instance, prior, 120, 40, 6, realized)
 
@@ -230,7 +237,7 @@ class _CdfEdgeUniforms(_EdgeUniforms):
         if run is not None:
             self.stream = np.random.default_rng([seed, run]).random(1024)
             theta_star = inverse_cdf(prior.probs, self.stream[0])
-            cdf = np.cumsum(instance.outcomes[3][:, theta_star], axis=-1)
+            cdf = np.cumsum(instance.outcomes[2][:, theta_star], axis=-1)
             edges = np.stack([np.nextafter(cdf, -1.0), cdf, np.nextafter(cdf, 2.0)], axis=-1)
             self.stream[2::2] = np.clip(np.resize(edges, self.stream[2::2].size), 0.0, 1.0)
 
@@ -267,18 +274,19 @@ def test_rollout_fallback_draws_match_per_run_loop(kind, beta, eta):
     # both fallbacks are reached, no run plays a zero-mass parameter's action,
     # and every observed outcome has positive mass under the true parameter
     draws = np.stack([r.random(1 + 2 * T) for r in _EdgeUniforms(3).spawn(runs)])
-    slot, _, points, weights = instance.outcomes
+    _, points, weights = instance.outcomes
     param_over = outcome_over = False
     periods = _ts_rollout(instance, prior, T, runs, _EdgeUniforms(3))
-    for t, (belief, theta_star, action, y) in enumerate(periods):
+    for t, (belief, theta_star, slot, y) in enumerate(periods):
         param_over |= bool((belief.cumsum(-1)[:, -1] <= draws[:, 2 * t + 1]).any())
-        true_pmf = (points[slot[action], theta_star], weights[slot[action], theta_star])
+        true_pmf = (points[slot, theta_star], weights[slot, theta_star])
         outcome_over |= bool((true_pmf[1].cumsum(-1)[:, -1] <= draws[:, 2 * t + 2]).any())
-        assert (action != 3).all()
+        assert (instance.slots[0][slot] != 3).all()
         assert (_mass_on(*true_pmf, y[:, None]) > 0).all()
     assert param_over and outcome_over
     if kind == LINEAR_BINARY or beta == 1000.0:
-        assert weights[slot[0], 0].tolist() == [1.0, 0.0]
+        # every action is realized, so action 0 has slot 0
+        assert weights[0, 0].tolist() == [1.0, 0.0]
 
 
 @_EVERY_KIND_AND_SATURATED
@@ -295,11 +303,11 @@ def test_rollout_outcome_draws_on_cdf_edges_match_per_run_loop(kind, beta, eta):
         _assert_matches_reference(instance, prior, T, runs, 4, realized, make_rng=make_rng)
     # every edge is met: (CDF entry, ulps beside it) of some run's played slot
     draws = np.stack([r.random(1 + 2 * T) for r in make_rng(4).spawn(runs)])
-    slot, _, _, weights = instance.outcomes
+    weights = instance.outcomes[2]
     met = set()
     periods = _ts_rollout(instance, prior, T, runs, make_rng(4))
-    for t, (_, theta_star, action, _) in enumerate(periods):
-        cdf = np.cumsum(weights[slot[action], theta_star], axis=-1)
+    for t, (_, theta_star, slot, _) in enumerate(periods):
+        cdf = np.cumsum(weights[slot, theta_star], axis=-1)
         u = draws[:, 2 * t + 2, None]
         for step, edge in ((-1, np.nextafter(cdf, -1.0)), (0, cdf), (1, np.nextafter(cdf, 2.0))):
             met.update((entry, step) for entry in np.flatnonzero((u == edge).any(axis=0)))
@@ -330,10 +338,10 @@ def test_outcome_fallback_periods_are_flagged_up_front(kind, beta, eta, edges, m
     instance, prior = _fallback_instance(kind, beta, eta)
     T, runs, m = 60, 8, instance.n_params
     if edges == "cdf-short-totals":
-        slot, idx, points, weights = instance.outcomes
+        idx, points, weights = instance.outcomes
         weights = weights.copy()
         weights[0] *= 1.0 - 2.0**-53
-        vars(instance)["outcomes"] = slot, idx, points, weights
+        vars(instance)["outcomes"] = idx, points, weights
         totals = np.cumsum(weights, axis=-1)[..., -1]
         assert (totals[0] < 1.0).any() and (totals[1:] == 1.0).all()
     make_rng = _EdgeUniforms if edges == "totals" else (
@@ -348,11 +356,11 @@ def test_outcome_fallback_periods_are_flagged_up_front(kind, beta, eta, edges, m
         return counted(probs, u)
 
     monkeypatch.setattr(policy_mod, "inverse_cdf", counting)
-    slot, _, _, weights = instance.outcomes
+    weights = instance.outcomes[2]
     needed, called, seen = [], [], 0
     periods = _ts_rollout(instance, prior, T, runs, make_rng(5))
-    for t, (_, theta_star, action, _) in enumerate(periods):
-        total = np.cumsum(weights[slot[action], theta_star], axis=-1)[:, -1]
+    for t, (_, theta_star, slot, _) in enumerate(periods):
+        total = np.cumsum(weights[slot, theta_star], axis=-1)[:, -1]
         needed.append(bool((draws[:, 2 * t + 2] >= total).any()))
         called.append(sizes[seen:].count(2) > 0)
         seen = len(sizes)
@@ -385,7 +393,7 @@ def test_rollout_matches_likelihoods_once_on_two_valued_supports(kind, beta, eta
     T, m = 25, 12
     rng = np.random.default_rng(23)
     instance = random_instance(rng, kind, d=2, n=8, m=m, beta=beta, eta=eta)
-    slot, idx, points, weights = instance.outcomes
+    idx, points, weights = instance.outcomes
     if beta == 1000.0:
         assert (weights == 0.0).any() and (weights == 1.0).any()
     calls = []
@@ -625,7 +633,7 @@ def test_build_representation_is_the_audit_steps_row(kind, eta):
         probs = np.stack([b.probs for b in beliefs])
         # the audit step's masses, gains and pairs of all rows at once, given
         # each row's own mean rewards
-        mean_rewards = np.stack([p @ inst.realized[1] for p in probs])
+        mean_rewards = np.stack([p @ inst.realized for p in probs])
         mass, gain = _cell_masses_and_gains(inst, probs, part)
         i1, i2, r = _representative_pairs(inst, probs, mean_rewards, part, mass, gain)
         assert (mass == 0.0).any()
@@ -838,9 +846,13 @@ def test_batched_audit_matches_per_run_oracle(seed, kind_eta, runs):
 
 
 def test_audit_guard_rejects_large_instances():
+    # the audit holds m x R tables, so the guard counts m * R * |outcomes|:
+    # a glm action has up to 2m outcome values
     rng = np.random.default_rng(0)
-    n = 1024
-    inst = random_instance(rng, LINEAR_BINARY, d=3, n=n, m=n)
+    m = 300
+    inst = random_instance(rng, GLM, d=3, n=64, m=m)
+    assert m * inst.slots[0].size * policy_mod._outcome_cardinality(inst) > 1_000_000
     part = build_partition_glm(inst, 0.5)
-    with pytest.raises(GuardExceeded):
-        audit_regret_chain(inst, BeliefState.uniform(n), part, 1, rng)
+    for audit in (audit_regret_chain, reference.audit_regret_chain):
+        with pytest.raises(GuardExceeded, match=r"m \* R \* \|outcomes\|"):
+            audit(inst, BeliefState.uniform(m), part, 1, rng)

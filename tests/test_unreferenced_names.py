@@ -1,7 +1,9 @@
 """Every top-level name that ``src/rdts`` defines is reached by the product.
 
 A function, class or constant defined at the top of a module in
-``src/rdts`` must be referred to outside its own definition: by code or a
+``src/rdts``, and a method or property of such a class, must be referred to
+outside its own definition (a class's methods do not name the class, and a
+method does not name itself): by code or a
 string in ``src/`` or ``scripts/`` (an import, a read, an attribute, a name
 patched by string), or in ``perfbench/layers.json``, which the benchmark
 reads to trace functions by name. Three kinds of mention do not count: a
@@ -26,9 +28,14 @@ LAYERS = ROOT / "perfbench" / "layers.json"
 
 def _defined(tree: ast.Module) -> dict[str, ast.stmt]:
     """The functions, classes and constants the module's top level defines,
-    each with its defining statement (dunder names are left out)."""
+    and the methods and properties of its classes, each with its defining
+    statement (dunder names are left out)."""
     names = {}
     for stmt in tree.body:
+        if isinstance(stmt, ast.ClassDef):
+            for item in stmt.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names[item.name] = item
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names[stmt.name] = stmt
         elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
@@ -83,11 +90,17 @@ def _unreferenced(defining: Path, sources: dict[Path, ast.Module], layers: str) 
     named = set(re.findall(r"\w+", layers))
     for path, other in sources.items():
         for stmt in other.body:
-            refs = _named(stmt, path)
-            if path == defining:
-                # a definition does not name itself
-                refs -= {name for name, own in defined.items() if own is stmt}
-            named |= refs
+            # a class of the defining module is read piece by piece, so one
+            # method can name another
+            parts = [stmt]
+            if path == defining and isinstance(stmt, ast.ClassDef):
+                parts = [*stmt.decorator_list, *stmt.bases, *stmt.keywords, *stmt.body]
+            for part in parts:
+                refs = _named(part, path)
+                if path == defining:
+                    # a definition does not name itself
+                    refs -= {name for name, own in defined.items() if own in (stmt, part)}
+                named |= refs
     return sorted(set(defined) - named)
 
 
@@ -114,15 +127,22 @@ def test_the_check_sees_an_unnamed_definition():
             "def patched(): pass\n"
             "def traced(): pass\n"
             "class Hint: pass\n"
+            "class Base: pass\n"
+            "class Kind(Base):\n"
+            "    def unused(self):\n        return self.unused\n"
+            "    def helper(self): pass\n"
+            "    def public(self):\n        return self.helper(), Kind\n"
+            "    @property\n    def shown(self): pass\n"
         ),
         user: ast.parse(
             "from mod import used\n"
             "x: 'Hint | None' = None\n"
             "monkeypatch.setattr(mod, 'patched', None)\n"
             "print('listed is not a name here')\n"
+            "print(mod.Kind().public(), mod.Kind().shown)\n"
         ),
     }
-    assert _unreferenced(mod, sources, '{"functions": ["traced"]}') == ["listed"]
+    assert _unreferenced(mod, sources, '{"functions": ["traced"]}') == ["listed", "unused"]
 
 
 def _unreferenced_in_tree(root: Path, files: dict[str, str]) -> list[str]:
