@@ -116,8 +116,8 @@ class BanditInstance:
     Thompson sampling only plays realized actions, the ``R`` distinct
     entries of ``astar``. ``slots`` maps each parameter to the slot of its
     best action among them, ``realized`` holds their mean rewards, ``(m,
-    R)``, and ``outcomes`` tabulates their two-point outcome pmfs (see
-    ``two_point_outcomes``), each indexed by slot. All three are built on
+    R)``, and ``outcomes`` their two-point outcome pmfs (a binary model's
+    are one array of weights), each indexed by slot. All three are built on
     first read and then kept; ``slots`` reads ``astar`` alone.
     """
 
@@ -241,9 +241,9 @@ class BanditInstance:
     def outcomes(self) -> tuple[NDArray, NDArray, NDArray]:
         """Read-only ``(idx, points, weights)`` of the realized actions, built
         on first read: ``two_point_outcomes`` of ``realized``'s columns, shape
-        ``(R, m, 2)``, row ``s`` for slot ``s``. Every support value of an
-        action is a point of some parameter, so row ``s`` has ``idx[s].max()
-        + 1`` of them.
+        ``(R, m, 2)``, row ``s`` for slot ``s`` (a binary model's ``idx`` and
+        ``points`` are views). Every support value of an action is a point of
+        some parameter, so row ``s`` has ``idx[s].max() + 1`` of them.
         """
         table = two_point_outcomes(self.model, self.realized.T)
         for arr in table:
@@ -293,12 +293,13 @@ def outcome_support(
 
 
 def _checked_pmf(w: NDArray) -> NDArray:
-    """``(..., 2)`` two-point pmfs, validated to ``OUTCOME_PMF_TOL`` and clipped to [0, 1]."""
+    """``(..., 2)`` two-point pmfs, validated to ``OUTCOME_PMF_TOL`` and clipped
+    to [0, 1] in place, so ``w`` must be the caller's own array."""
     if ((w < -OUTCOME_PMF_TOL) | (w > 1.0 + OUTCOME_PMF_TOL)).any():
         raise InvalidInstanceError("outcome probability outside [0, 1]")
     if not (abs(w[..., 0] + w[..., 1] - 1.0) <= OUTCOME_PMF_TOL).all():  # NaN fails
         raise InvalidInstanceError("outcome pmf does not sum to 1")
-    return w.clip(0.0, 1.0)
+    return w.clip(0.0, 1.0, out=w)
 
 
 def two_point_outcomes(
@@ -317,11 +318,12 @@ def two_point_outcomes(
     action's support is its distinct outcome values in increasing order, so
     two outcomes are the same observation exactly when their floats are
     equal. The pmfs are validated (``OUTCOME_PMF_TOL``) and built on every
-    call: the binary models' weights in one elementwise pass, glm's supports
-    in one sort over all actions. The points of a pair are in support order,
-    so an inverse-CDF draw over ``weights[s, i]`` picks the same value as one
-    over the full row of ``outcome_support``; a single-point pmf has weight 0
-    on its second point, which repeats the first.
+    call: glm's supports in one sort over all actions; for the binary models
+    only the weights, while ``idx`` and ``points`` are read-only broadcast
+    views of ``(0, 1)`` and of the model's two values. The points of a pair
+    are in support order, so an inverse-CDF draw over ``weights[s, i]``
+    picks the same value as one over the full row of ``outcome_support``; a
+    single-point pmf has weight 0 on its second point, which repeats the first.
     """
     means = np.asarray(means, dtype=float)
     if model.kind == GLM:
@@ -330,10 +332,13 @@ def two_point_outcomes(
         # each point carries half the mass; two equal values are one point of mass 1
         w = np.where((idx[..., 0] == idx[..., 1])[..., None], [1.0, 0.0], 0.5)
     else:
-        p_hi = means + 0.5 if model.kind == LINEAR_BINARY else means
-        w = np.stack([1.0 - p_hi, p_hi], axis=-1)
+        w = np.empty(means.shape + (2,))  # the one array of the pmfs, written in place
+        w[..., 1] = means
+        if model.kind == LINEAR_BINARY:
+            w[..., 1] += 0.5
+        np.subtract(1.0, w[..., 1], out=w[..., 0])
         idx = np.broadcast_to(np.arange(2, dtype=np.intp), w.shape)
-        points = np.array(_BINARY_VALUES[model.kind])[idx]
+        points = np.broadcast_to(np.array(_BINARY_VALUES[model.kind]), w.shape)
     return idx, points, _checked_pmf(w)
 
 

@@ -6,21 +6,19 @@ variance than realized rewards; the realized estimator is available via a
 flag. Per-run generators are spawned from the root generator by run index,
 so runs are reproducible and order-independent.
 
-``simulate_ts`` and ``audit_regret_chain`` follow the same Thompson
-sampling trajectories, from one rollout (``_ts_rollout``) that advances all
-runs together: the beliefs are a ``(runs, m)`` matrix updated row by row with
-the arithmetic of ``posterior_update``, and the outcome pmfs of the actions
+``simulate_ts`` and ``audit_regret_chain`` follow the same Thompson sampling
+trajectories, from one rollout (``_ts_rollout``) that advances all runs
+together: the beliefs are a ``(runs, m)`` matrix updated row by row with the
+arithmetic of ``posterior_update``, and the outcome pmfs of the actions
 Thompson sampling plays are rows of the instance's outcome table
 (``BanditInstance.outcomes``); the rollout carries each played action as its
-row there, its slot (``BanditInstance.slots``). An observation is its
-support index in that row, as in every information term, and its likelihood
-the mass on that index. The rollout tabulates, once, each run's outcome CDFs by
-slot and, where every realized action has at most two support values (both
-binary models), the likelihood of each support value (``_likelihood_table``);
-a glm action has up to 2m support values, so glm reads each period's
-likelihoods from the played slots' pmfs. Each run still
-draws from its own generator, ``1 + 2T`` uniforms in a fixed order: one for
-the true parameter, then a (sampled parameter, outcome) pair per period,
+row there, its slot (``BanditInstance.slots``). An observation is its support
+index in that row, as in every information term, and its likelihood the mass
+on that index. A binary model's outcome is support index ``k`` of its pair, so
+its likelihoods are the played slot's weights at ``k``; a glm action has up to
+2m support values, so glm adds each parameter's mass on the observed one. Each
+run draws from its own generator, ``1 + 2T`` uniforms in a fixed order: one
+for the true parameter, then a (sampled parameter, outcome) pair per period,
 exactly the draws of a per-run loop over ``thompson_step`` and
 ``sample_outcome``, so the trajectories are identical to that loop's and a
 run's trajectory does not depend on how many runs there are.
@@ -44,7 +42,7 @@ from .inference import (
     sample_parameter,
 )
 from .information import _chain_terms, _ratio_report, entropy
-from .model import BanditInstance, two_point_outcomes
+from .model import GLM, BanditInstance, two_point_outcomes
 # outcome_support stays importable from here for code that traces or patches it by name
 from .model import outcome_support  # noqa: F401
 from .tolerances import AUDIT_TOL
@@ -101,10 +99,10 @@ def _ts_rollout(
     the run's belief and ``2t + 2`` to sample the outcome of that
     parameter's best action. ``T`` and ``runs`` are checked before anything
     is drawn. Returns an iterator over the periods that yields ``(belief,
-    theta_star, slot, outcome)``: the ``(runs, m)`` belief matrix before the
+    theta_star, slot, k)``: the ``(runs, m)`` belief matrix before the
     period's update, then each run's true parameter, the slot of its played
-    action (the action is ``instance.slots[0][slot]``) and its observed
-    outcome.
+    action (the action is ``instance.slots[0][slot]``) and the index ``k``
+    of its outcome, ``instance.outcomes[1][slot, theta_star, k]``.
 
     Each run's true parameter is fixed, so the CDFs of the outcome pmfs it
     can meet are tabulated once, by (slot, run). The parameter draw is
@@ -120,10 +118,10 @@ def _ts_rollout(
     and falls back as the parameter draw does; any other period draws ``k``
     as ``first <= u``, one gather and one comparison, which is that count
     when no total is reached. An observation's likelihood row, each
-    parameter's mass on its support index, is read from
-    ``_likelihood_table`` when every realized action has at most two
-    support values (both binary models); glm makes one ``_mass_on`` call
-    per period on the played slots' pmfs.
+    parameter's mass on its support index, is ``weights[slot, :, k]`` for
+    the binary models, whose pair ``k`` is support index ``k`` (``_mass_on``
+    there adds ``+0.0`` to that entry, the same bits); glm makes one
+    ``_mass_on`` call per period on the played slots' pmfs.
     """
     if T < 0 or runs < 1:
         raise ValueError("need T >= 0 and runs >= 1")
@@ -133,21 +131,20 @@ def _ts_rollout(
         draws[:, r, 0] = run_rng.random(1 + 2 * T)
     belief = np.tile(prior.probs, (runs, 1))
     theta_star = inverse_cdf(belief, draws[0, :, 0])
-    idx, points, weights = instance.outcomes
+    idx, _, weights = instance.outcomes
     # (slot, run): the outcome CDF of the run's true parameter
     cdf_run = np.cumsum(weights[:, theta_star], axis=-1)
     first = cdf_run[..., 0]
     u_outcome = draws[2::2, :, 0]  # (T, runs)
     flagged = _outcome_fallback_periods(cdf_run, u_outcome).tolist()
     best = instance.slots[1]
-    table = _likelihood_table(instance)
+    glm = instance.model.kind == GLM
     m = belief.shape[1]
     run = np.arange(runs)
 
     def periods(belief: NDArray):
         cdf = np.empty_like(belief)
         below = np.empty(belief.shape, dtype=bool)
-        k_first = np.empty(runs, dtype=np.intp)  # k indexes: a bool array would mask
         for t in range(T):
             u_param = draws[2 * t + 1]
             np.add.accumulate(belief, axis=1, out=cdf)
@@ -160,13 +157,13 @@ def _ts_rollout(
                 if k.max() == 2:
                     k = inverse_cdf(weights[s, theta_star], u_outcome[t])
             else:
-                k = np.less_equal(first[s, run], u_outcome[t], out=k_first)
-            v = idx[s, theta_star, k]
-            yield belief, theta_star, s, points[s, theta_star, k]
-            if table is None:
-                like = _mass_on(idx[s], weights[s], v[:, None, None])
+                # k indexes: a bool array would mask
+                k = np.less_equal(first[s, run], u_outcome[t], out=np.empty(runs, np.intp))
+            yield belief, theta_star, s, k
+            if glm:
+                like = _mass_on(idx[s], weights[s], idx[s, theta_star, k][:, None, None])
             else:
-                like = table[s, v]
+                like = weights[s, :, k]
             belief = posterior_update_rows(belief, like)
 
     return periods(belief)
@@ -183,20 +180,6 @@ def _outcome_fallback_periods(cdf_run: NDArray, u_outcome: NDArray) -> NDArray:
     return (u_outcome >= least).any(axis=1)
 
 
-def _likelihood_table(instance: BanditInstance) -> NDArray | None:
-    """The ``(A, 2, m)`` likelihoods of every support index of every realized
-    action, when none has more than two; else None. Row ``[s, v]`` is
-    ``_mass_on`` of slot ``s``'s pmfs at index ``v``, the rollout's
-    likelihood bit for bit; a slot with one support value reads 0 at index 1.
-    A glm action has up to 2m support values, and a table of all of them
-    would take ``A * 2m * m`` floats.
-    """
-    if _outcome_cardinality(instance) > 2:
-        return None
-    idx, _, weights = instance.outcomes
-    return _mass_on(idx[:, None], weights[:, None], np.arange(2)[:, None, None])
-
-
 def simulate_ts(
     instance: BanditInstance,
     prior: BeliefState,
@@ -208,22 +191,24 @@ def simulate_ts(
     """Monte Carlo Bayesian regret of Thompson sampling over ``runs`` runs.
 
     All runs advance together on the trajectories of ``_ts_rollout``; the
-    loop only keeps each period's played slots and outcomes in ``(T, runs)``
-    tables. After it, the pseudo-regret rewards are gathered once from the
-    instance's ``realized`` means by slot, one ``cumsum`` along runs sums each
-    period's regret in run order and one along periods sums each run's
-    total in period order, so the trace is bit-identical to a per-run loop
-    of ``thompson_step``, ``sample_outcome`` and ``posterior_update``.
+    loop only keeps each period's played slots and outcome indexes in
+    ``(T, runs)`` tables. After it, the rewards are gathered once, by slot
+    from ``realized`` or, if realized, from the outcome table's points; one
+    ``cumsum`` along runs sums each period's regret in run order and one along
+    periods sums each run's total in period order, so the trace is
+    bit-identical to a per-run loop of ``thompson_step``, ``sample_outcome``
+    and ``posterior_update``.
     """
     periods = _ts_rollout(instance, prior, T, runs, rng)
     played = np.empty((T, runs), dtype=np.intp)
-    outcomes = np.empty((T, runs))
-    for t, (_, theta_star, s, y) in enumerate(periods):
-        played[t], outcomes[t] = s, y
+    observed = np.empty((T, runs), dtype=np.intp)
+    for t, (_, theta_star, s, k) in enumerate(periods):
+        played[t], observed[t] = s, k
     per_period, totals = np.zeros(0), np.zeros(runs)
     if T:
         means = instance.realized
-        rewards = outcomes if realized_rewards else means[theta_star, played]
+        rewards = (instance.outcomes[1][played, theta_star, observed] if realized_rewards
+                   else means[theta_star, played])
         regret = means[theta_star, instance.slots[1][theta_star]] - rewards
         per_period = np.cumsum(regret, axis=1)[:, -1] / runs  # runs added in run order
         totals = np.cumsum(regret, axis=0)[-1]  # periods added in period order
@@ -252,9 +237,20 @@ class AuditReport:
     passed: bool
 
 
-def _outcome_cardinality(instance: BanditInstance) -> int:
-    """The largest support size of a realized action (see ``BanditInstance.outcomes``)."""
-    return int(instance.outcomes[0].max()) + 1
+def _audit_guard(instance: BanditInstance) -> None:
+    """``GuardExceeded`` if m * R * q exceeds 1e6, q the largest support size
+    of a realized action: 2 for the binary models, and for glm at least the
+    distinct values of one pair's ``mean -/+ eta``, read from the outcome
+    table only when that count does not already refuse the instance."""
+    size = instance.n_params * instance.slots[0].size
+    q = 2
+    if instance.model.kind == GLM:
+        mean, eta = float(instance.mean_rewards(0, instance.slots[0][0])), instance.model.eta
+        q = len({mean - eta, mean + eta})
+        if size * q <= 1_000_000:
+            q = int(instance.outcomes[0].max()) + 1
+    if size * q > 1_000_000:
+        raise GuardExceeded("m * R * |outcomes| exceeds the exact-audit guard")
 
 
 _AUDIT_CHECKS = (
@@ -313,11 +309,9 @@ def audit_regret_chain(
     row gets that row's body (every field but "run" and "t"), the same
     bytes as evaluating the run alone. Rows are returned run by run, period
     by period. The audit's tables are m x R: ``GuardExceeded`` if m * R * q,
-    q the largest outcome support, exceeds 1e6.
+    q the largest outcome support, exceeds 1e6 (``_audit_guard``).
     """
-    q = _outcome_cardinality(instance)
-    if instance.n_params * instance.slots[0].size * q > 1_000_000:
-        raise GuardExceeded("m * R * |outcomes| exceeds the exact-audit guard")
+    _audit_guard(instance)
     periods = _ts_rollout(instance, prior, T, runs, rng)
     eps = partition.epsilon
     info_prior = statistic_mutual_information(prior, partition)

@@ -51,14 +51,8 @@ from rdts.information import (
     entropy,
 )
 from rdts.inference import posterior_update, sample_parameter
-from rdts.model import _checked_pmf, outcome_support
-from rdts.policy import (
-    AuditReport,
-    GuardExceeded,
-    _outcome_cardinality,
-    sample_outcome,
-    thompson_step,
-)
+from rdts.model import GLM, _checked_pmf, outcome_support
+from rdts.policy import AuditReport, GuardExceeded, sample_outcome, thompson_step
 from rdts.tolerances import AUDIT_TOL, CERT_TOL, LADDER_TOL
 
 # The brute-force oracle treats two statistic entropies within this as a tie,
@@ -267,8 +261,17 @@ def build_representation(instance, belief, partition):
 
 def audit_regret_chain(instance, prior, partition, T, rng, runs=1):
     """The regret-chain audit, one run and one period at a time."""
-    q = _outcome_cardinality(instance)
-    if instance.n_params * instance.slots[0].size * q > 1_000_000:
+    # the guard counts m * R * q: q is 2 for the binary models, and a glm q is
+    # at least the count of distinct values of one pair, read exactly only
+    # when that count does not refuse the instance
+    size = instance.n_params * instance.slots[0].size
+    q = 2
+    if instance.model.kind == GLM:
+        mean, eta = float(instance.mean_rewards(0, instance.slots[0][0])), instance.model.eta
+        q = len({mean - eta, mean + eta})
+        if size * q <= 1_000_000:
+            q = max(outcome_support(instance, a)[0].size for a in instance.slots[0].tolist())
+    if size * q > 1_000_000:
         raise GuardExceeded("m * R * |outcomes| exceeds the exact-audit guard")
     eps = partition.epsilon
     info_prior = statistic_mutual_information(prior, partition)

@@ -70,6 +70,43 @@ def test_many_action_runs_hold_no_m_by_n_table(argv, tmp_path):
     assert peak < m * n * 8, peak
 
 
+def _traced_peak(argv):
+    """``main(argv)``'s exit code and the peak of the memory it traces."""
+    tracemalloc.start()
+    try:
+        code = run(argv)
+        return code, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("argv", [
+    ("--model", "linear_binary"),
+    ("--model", "logistic", "--realized"),
+], ids=["linear_binary", "logistic-realized"])
+def test_many_action_binary_runs_hold_one_outcome_array(argv, tmp_path):
+    # a binary model's outcome table is its (R, m, 2) weights: the rollout
+    # reads likelihoods from them, and the support indexes and values are
+    # views, so the run stays far below the 84 MB that copies of them took
+    code, peak = _traced_peak(["regret", *argv, "--d", "3", "--n", "20000", "--m", "2000",
+                               "--T", "50", "--runs", "10", "--seed", "1",
+                               "--out", str(tmp_path / "out.csv")])
+    assert code == 0
+    assert peak < 50e6, peak
+
+
+def test_audit_guard_refuses_before_building_the_outcome_table(tmp_path, capsys):
+    # m * R * 2 already exceeds 1e6, so the guard refuses without the
+    # outcome table, whose merged glm supports take about 47 MB here
+    code, peak = _traced_peak(["audit", "--model", "glm", "--d", "3", "--n", "500",
+                               "--m", "6000", "--T", "2", "--runs", "1",
+                               "--out", str(tmp_path / "a.json")])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "GuardExceeded", "message": "m * R * |outcomes| exceeds the exact-audit guard"}
+    assert peak < 5e6, peak
+
+
 def test_ir_sweep_csv_contract(tmp_path):
     out = tmp_path / "s.csv"
     code = run(

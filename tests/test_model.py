@@ -622,6 +622,20 @@ def test_outcome_table_arrays_are_read_only(kind):
             arr[0] = 0
 
 
+@pytest.mark.parametrize("kind", [LINEAR_BINARY, LOGISTIC])
+def test_binary_outcome_table_owns_only_its_weights(kind):
+    # every pair of a binary model has support indexes (0, 1) and the model's
+    # two values, so those are read-only views with no memory of their own
+    inst = random_instance(np.random.default_rng(5), kind, d=2, n=30, m=40)
+    R, m = inst.slots[0].size, inst.n_params
+    for idx, points, weights in (inst.outcomes, two_point_outcomes(inst.model, inst.realized.T)):
+        for arr, values in ((idx, (0, 1)), (points, model_mod._BINARY_VALUES[kind])):
+            assert arr.shape == (R, m, 2) and arr.strides[:2] == (0, 0)
+            assert not arr.flags.writeable and not arr.flags.owndata
+            assert tuple(arr[-1, -1].tolist()) == values
+        assert weights.flags.owndata and weights.nbytes == R * m * 2 * 8
+
+
 @pytest.mark.parametrize(
     "kind, eta", [(LINEAR_BINARY, 0.05), (LOGISTIC, 0.05), (GLM, 0.05), (GLM, 0.0)]
 )

@@ -247,7 +247,8 @@ def test_near_coincident_glm_outcomes_condition_posterior_and_information_alike(
         belief = next(periods)[0]
         for r in range(runs):
             s = int(played[r])
-            v = int(np.flatnonzero(points[s, theta_star[r]] == observed[r])[0])
+            y = points[s, theta_star[r], observed[r]]
+            v = int(np.flatnonzero(points[s, theta_star[r]] == y)[0])
             v = int(idx[s, theta_star[r], v])
             for got, want in zip(belief[r], _bayes(p, _class_likelihoods(inst, s), v)):
                 assert _close(got, want, BELIEF_TOL), r

@@ -175,16 +175,16 @@ def test_simulate_ts_bit_identical_on_near_coincident_glm_outcomes():
         _assert_matches_reference(instance, prior, 120, 40, 6, realized)
 
 
-def test_glm_with_one_valued_supports_reads_the_likelihood_table():
+def test_glm_with_one_valued_supports_matches_per_run_loop():
     # two parameters with one mean and eta = 0: the played action's support is
-    # one value, so glm takes the table; its missing second value reads 0
+    # one value, whose weight 1 sits on the first point of each pair
     instance = BanditInstance(
         actions=np.array([[1.0], [-1.0]]),
         params=np.array([[0.4], [0.4]]),
         model=OutcomeModel(kind=GLM, beta=2.0, eta=0.0),
     )
-    table = policy_mod._likelihood_table(instance)
-    assert table.tolist() == [[[1.0, 1.0], [0.0, 0.0]]]
+    idx, _, weights = instance.outcomes
+    assert idx.tolist() == [[[0, 0], [0, 0]]] and weights.tolist() == [[[1.0, 0.0], [1.0, 0.0]]]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for realized in (False, True):
@@ -277,8 +277,9 @@ def test_rollout_fallback_draws_match_per_run_loop(kind, beta, eta):
     _, points, weights = instance.outcomes
     param_over = outcome_over = False
     periods = _ts_rollout(instance, prior, T, runs, _EdgeUniforms(3))
-    for t, (belief, theta_star, slot, y) in enumerate(periods):
+    for t, (belief, theta_star, slot, k) in enumerate(periods):
         param_over |= bool((belief.cumsum(-1)[:, -1] <= draws[:, 2 * t + 1]).any())
+        y = points[slot, theta_star, k]
         true_pmf = (points[slot, theta_star], weights[slot, theta_star])
         outcome_over |= bool((true_pmf[1].cumsum(-1)[:, -1] <= draws[:, 2 * t + 2]).any())
         assert (instance.slots[0][slot] != 3).all()
@@ -388,8 +389,8 @@ def test_ordinary_rollout_never_calls_inverse_cdf(kind, beta, eta, monkeypatch):
 @_EVERY_KIND_AND_SATURATED
 def test_rollout_matches_likelihoods_once_on_two_valued_supports(kind, beta, eta, monkeypatch):
     # a count guard, not a timing test: the binary models read an observation's
-    # likelihoods from a table built by one _mass_on call; glm, with up to 2m
-    # support values per action, makes one call per period
+    # likelihoods from the outcome weights and call _mass_on 0 times; glm,
+    # with up to 2m support values per action, makes one call per period
     T, m = 25, 12
     rng = np.random.default_rng(23)
     instance = random_instance(rng, kind, d=2, n=8, m=m, beta=beta, eta=eta)
@@ -407,21 +408,22 @@ def test_rollout_matches_likelihoods_once_on_two_valued_supports(kind, beta, eta
     for _ in _ts_rollout(instance, BeliefState.uniform(m), T, 4, rng):
         pass
     monkeypatch.undo()
-    table = policy_mod._likelihood_table(instance)
     if kind == GLM:
-        assert len(calls) == T and table is None
+        assert len(calls) == T
         return
-    assert len(calls) == 1
-    assert table.shape == (idx.shape[0], 2, m)
+    assert calls == []
+    # a binary pair's k is its support index, so the weights at k are the
+    # likelihoods of index k bit for bit
     for s in range(idx.shape[0]):
         for v in range(2):
             expected = _mass_on(idx[s], weights[s], v)
-            assert table[s, v].tobytes() == expected.tobytes()
-    # the binary values lie 1/2 or 1 apart, so the table has the bits of one
-    # that matches each value's float within any distance below that, 1e-9 here
+            assert weights[s, :, v].tobytes() == expected.tobytes()
+    # the binary values lie 1/2 or 1 apart, so the weights have the bits of a
+    # likelihood that matches each value's float within any distance below
+    # that, 1e-9 here
     values = np.array(model_mod._BINARY_VALUES[kind])
     mass = np.where(np.abs(points[:, None] - values[:, None, None]) <= 1e-9, weights[:, None], 0.0)
-    assert table.tobytes() == (mass[..., 0] + mass[..., 1]).tobytes()
+    assert np.moveaxis(weights, -1, 1).tobytes() == (mass[..., 0] + mass[..., 1]).tobytes()
 
 
 def test_generator_random_block_equals_successive_draws():
@@ -851,8 +853,35 @@ def test_audit_guard_rejects_large_instances():
     rng = np.random.default_rng(0)
     m = 300
     inst = random_instance(rng, GLM, d=3, n=64, m=m)
-    assert m * inst.slots[0].size * policy_mod._outcome_cardinality(inst) > 1_000_000
+    assert m * inst.slots[0].size * (int(inst.outcomes[0].max()) + 1) > 1_000_000
     part = build_partition_glm(inst, 0.5)
     for audit in (audit_regret_chain, reference.audit_regret_chain):
         with pytest.raises(GuardExceeded, match=r"m \* R \* \|outcomes\|"):
             audit(inst, BeliefState.uniform(m), part, 1, rng)
+
+
+@pytest.mark.parametrize("m, eta, refused, early", [
+    (83_333, 0.01, False, False),
+    (83_334, 0.01, True, False),
+    (166_666, 0.0, False, False),
+    (166_667, 0.0, True, False),
+    (250_000, 0.01, True, False),
+    (250_001, 0.01, True, True),
+])
+def test_audit_guard_decides_as_the_full_outcome_table(m, eta, refused, early):
+    # three distinct means per action and two realized actions, so
+    # m * R * q is 12m (eta > 0) or 6m (eta = 0) and crosses 1e6 between the
+    # cases; one pair's values give q >= 2 (eta > 0) or q >= 1, which alone
+    # refuses at m * R * 2 > 1e6 before the outcome table is built
+    params = np.resize([0.5, -0.5, 0.25], m)[:, None]
+    model = OutcomeModel(kind=GLM, beta=1.0, eta=eta)
+    inst, twin = (BanditInstance(actions=np.array([[1.0], [-1.0]]), params=params, model=model)
+                  for _ in range(2))
+    table_refuses = m * twin.slots[0].size * (int(twin.outcomes[0].max()) + 1) > 1_000_000
+    assert table_refuses == refused
+    if refused:
+        with pytest.raises(GuardExceeded, match=r"m \* R \* \|outcomes\|"):
+            policy_mod._audit_guard(inst)
+    else:
+        policy_mod._audit_guard(inst)
+    assert ("outcomes" not in vars(inst)) == early
