@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .model import BanditInstance, two_point_outcomes
+from .model import BanditInstance, outcome_values, two_point_outcomes
 # outcome_support stays importable from here for code that traces or patches it by name
 from .model import outcome_support  # noqa: F401
 from .tolerances import BELIEF_TOL
@@ -41,13 +41,14 @@ def outcome_likelihoods(
 ) -> NDArray:
     """P(outcome | action, theta_i) for every parameter i.
 
-    The mass on the action's support points equal to ``outcome``
-    (``two_point_outcomes``): distinct support values are distinct floats, so
-    this is the mass on the outcome's support index, and 0 off the support.
+    The mass on the pair's outcomes whose value equals ``outcome``
+    (``two_point_outcomes``, ``outcome_values``): distinct support values are
+    distinct floats, so this is the mass on the outcome's support index, and
+    0 off the support.
     """
     means = instance.mean_rewards(np.arange(instance.n_params), action_idx)
-    _, points, weights = two_point_outcomes(instance.model, means)
-    return _mass_on(points, weights, outcome)
+    _, weights = two_point_outcomes(instance.model, means)
+    return _mass_on(outcome_values(instance.model, means), weights, outcome)
 
 
 def _mass_on(labels: NDArray, weights: NDArray, key: NDArray | float) -> NDArray:

@@ -181,7 +181,7 @@ def action_information(
 ) -> float:
     """I(theta*; Y_a) under the belief, by exact summation."""
     means = instance.mean_rewards(np.arange(instance.n_params), action_idx)
-    idx, _, w = two_point_outcomes(instance.model, means[None])
+    idx, w = two_point_outcomes(instance.model, means[None])
     labels = np.arange(instance.n_params)[:, None]
     return float(_outcome_information(idx, w, belief.probs[None, :, None], labels)[0, 0])
 
@@ -234,7 +234,7 @@ def ts_info_ratio(instance: BanditInstance, belief: BeliefState) -> InfoRatioRep
     diff = ts_expected_regret(instance, belief)
     slot_mass = np.bincount(instance.slots[1], weights=p)
     played = np.flatnonzero(slot_mass > 0.0)
-    idx, _, w = instance.outcomes
+    idx, w = instance.outcomes
     labels = np.arange(p.size)[:, None]
     info = _outcome_information(idx[played], w[played], p[None, :, None], labels)[0]
     # slots, so actions, added in increasing order
@@ -255,7 +255,7 @@ def info_gain_about_statistic(
     parameter order.
     """
     means = instance.mean_rewards(np.arange(instance.n_params), action_idx)
-    idx, _, w = two_point_outcomes(instance.model, means[None])
+    idx, w = two_point_outcomes(instance.model, means[None])
     labels = partition.cell_of[:, None]
     return float(_outcome_information(idx, w, belief.probs[None, :, None], labels)[0, 0])
 
@@ -322,7 +322,7 @@ def _compressed_rows(
     # I(theta~*; Y_a) for every run and every action a representative plays,
     # from the joint of (representative value, outcome): the value in slot j
     # of cell k puts q * P(theta* = i | psi = k) * P(y | a, theta_i) on y
-    idx, _, w = instance.outcomes
+    idx, w = instance.outcomes
     n_rows = idx.shape[0]
     atom_group = np.arange(runs)[:, None, None] * n_rows + played
     weight = np.bincount(
@@ -379,7 +379,7 @@ def _cell_masses_and_gains(
     runs, K = probs.shape[0], partition.K
     run_cell = (np.arange(runs)[:, None] * K + partition.cell_of).ravel()
     mass = np.bincount(run_cell, weights=probs.ravel(), minlength=runs * K).reshape(runs, K)
-    idx, _, w = instance.outcomes
+    idx, w = instance.outcomes
     return mass, _outcome_information(idx, w, probs[:, :, None], partition.cell_of[:, None])
 
 

@@ -116,9 +116,9 @@ class BanditInstance:
     Thompson sampling only plays realized actions, the ``R`` distinct
     entries of ``astar``. ``slots`` maps each parameter to the slot of its
     best action among them, ``realized`` holds their mean rewards, ``(m,
-    R)``, and ``outcomes`` their two-point outcome pmfs (a binary model's
-    are one array of weights), each indexed by slot. All three are built on
-    first read and then kept; ``slots`` reads ``astar`` alone.
+    R)``, and ``outcomes`` their two-point outcome pmfs, ``(idx, weights)``
+    (a binary model's ``idx`` is a view), each indexed by slot. All three are
+    built on first read and then kept; ``slots`` reads ``astar`` alone.
     """
 
     actions: NDArray
@@ -238,12 +238,12 @@ class BanditInstance:
         return means
 
     @cached_property
-    def outcomes(self) -> tuple[NDArray, NDArray, NDArray]:
-        """Read-only ``(idx, points, weights)`` of the realized actions, built
-        on first read: ``two_point_outcomes`` of ``realized``'s columns, shape
-        ``(R, m, 2)``, row ``s`` for slot ``s`` (a binary model's ``idx`` and
-        ``points`` are views). Every support value of an action is a point of
-        some parameter, so row ``s`` has ``idx[s].max() + 1`` of them.
+    def outcomes(self) -> tuple[NDArray, NDArray]:
+        """Read-only ``(idx, weights)`` of the realized actions, built on first
+        read: ``two_point_outcomes`` of ``realized``'s columns, shape ``(R, m,
+        2)``, row ``s`` for slot ``s`` (a binary model's ``idx`` is a view).
+        Every support value of an action is an outcome value of some
+        parameter, so row ``s`` has ``idx[s].max() + 1`` of them.
         """
         table = two_point_outcomes(self.model, self.realized.T)
         for arr in table:
@@ -275,14 +275,15 @@ def outcome_support(
     Returns ``(values, probs)`` where ``values`` has shape ``(q,)`` and
     ``probs`` has shape ``(m, q)``: ``probs[i, y]`` is the probability that
     playing the action yields ``values[y]`` when parameter ``i`` is true.
-    Both arrays are read-only, built from ``two_point_outcomes`` on every
-    call and never cached.
+    Both arrays are read-only, built from ``two_point_outcomes`` and
+    ``outcome_values`` on every call and never cached.
     """
     rows = np.arange(instance.n_params)
-    idx, points, w = two_point_outcomes(instance.model, instance.mean_rewards(rows, action_idx))
-    # every support value is a point of some parameter
+    means = instance.mean_rewards(rows, action_idx)
+    idx, w = two_point_outcomes(instance.model, means)
+    # every support value is an outcome value of some parameter
     values = np.empty(int(idx.max()) + 1)
-    values[idx] = points
+    values[idx] = outcome_values(instance.model, means)
     probs = np.zeros((rows.size, values.size))
     # second point first, so a single point's weight 1 overwrites its 0
     probs[rows, idx[:, 1]] = w[:, 1]
@@ -302,34 +303,46 @@ def _checked_pmf(w: NDArray) -> NDArray:
     return w.clip(0.0, 1.0, out=w)
 
 
-def two_point_outcomes(
-    model: OutcomeModel, means: NDArray
-) -> tuple[NDArray, NDArray, NDArray]:
-    """Outcome pmfs of actions with mean rewards ``means``, as two points per
-    (action, parameter).
-
-    ``means`` has shape ``(..., m)``: the last axis runs over parameters, one
-    row per action. Every outcome model puts its mass on at most two values
-    per pair: the binary models on their two outcomes, ``glm`` on ``mean -/+
-    eta``, one point when the two are equal floats. Returns ``(idx, points,
-    weights)``, each of shape ``means.shape + (2,)``: playing action ``s``
-    under parameter ``i`` yields ``points[s, i, k]``, the action's support
-    value ``idx[s, i, k]``, with probability ``weights[s, i, k]``. An
-    action's support is its distinct outcome values in increasing order, so
-    two outcomes are the same observation exactly when their floats are
-    equal. The pmfs are validated (``OUTCOME_PMF_TOL``) and built on every
-    call: glm's supports in one sort over all actions; for the binary models
-    only the weights, while ``idx`` and ``points`` are read-only broadcast
-    views of ``(0, 1)`` and of the model's two values. The points of a pair
-    are in support order, so an inverse-CDF draw over ``weights[s, i]``
-    picks the same value as one over the full row of ``outcome_support``; a
-    single-point pmf has weight 0 on its second point, which repeats the first.
-    """
+def outcome_values(model: OutcomeModel, means: NDArray) -> NDArray:
+    """The two outcome values of each (action, parameter) pair with mean
+    rewards ``means``, shape ``means.shape + (2,)``: ``mean -/+ eta`` for
+    ``glm``, and for the binary models a read-only broadcast view of their
+    two values. Outcome ``k`` of a pair in ``two_point_outcomes`` is value
+    ``k`` here."""
     means = np.asarray(means, dtype=float)
     if model.kind == GLM:
         eta = float(model.eta or 0.0)
-        idx, points = _merged_supports(means, eta)
-        # each point carries half the mass; two equal values are one point of mass 1
+        return means[..., None] + np.array([-eta, eta])
+    return np.broadcast_to(np.array(_BINARY_VALUES[model.kind]), means.shape + (2,))
+
+
+def two_point_outcomes(model: OutcomeModel, means: NDArray) -> tuple[NDArray, NDArray]:
+    """Outcome pmfs of actions with mean rewards ``means``, as two outcomes
+    per (action, parameter).
+
+    ``means`` has shape ``(..., m)``: the last axis runs over parameters, one
+    row per action. Every outcome model puts its mass on at most two values
+    per pair (``outcome_values``): the binary models on their two outcomes,
+    ``glm`` on ``mean -/+ eta``, one outcome when the two are equal floats.
+    Returns ``(idx, weights)``, each of shape ``means.shape + (2,)``: playing
+    action ``s`` under parameter ``i`` yields outcome value ``k`` of the
+    pair, the action's support value ``idx[s, i, k]``, with probability
+    ``weights[s, i, k]``. An action's support is its distinct outcome values
+    in increasing order, so two outcomes are the same observation exactly
+    when their floats are equal. The pmfs are validated
+    (``OUTCOME_PMF_TOL``) and built on every call: glm's supports in one
+    sort over all actions; for the binary models only the weights, while
+    ``idx`` is a read-only broadcast view of ``(0, 1)``. The outcomes of a
+    pair are in support order, so an inverse-CDF draw over ``weights[s, i]``
+    picks the same value as one over the full row of ``outcome_support``; a
+    single-outcome pmf has weight 0 on its second outcome, which repeats the
+    first.
+    """
+    means = np.asarray(means, dtype=float)
+    if model.kind == GLM:
+        # the values are passed unnamed, so the merge can drop them once ranked
+        idx = _merged_supports(outcome_values(model, means))
+        # each outcome carries half the mass; two equal values are one outcome of mass 1
         w = np.where((idx[..., 0] == idx[..., 1])[..., None], [1.0, 0.0], 0.5)
     else:
         w = np.empty(means.shape + (2,))  # the one array of the pmfs, written in place
@@ -338,8 +351,7 @@ def two_point_outcomes(
             w[..., 1] += 0.5
         np.subtract(1.0, w[..., 1], out=w[..., 0])
         idx = np.broadcast_to(np.arange(2, dtype=np.intp), w.shape)
-        points = np.broadcast_to(np.array(_BINARY_VALUES[model.kind]), w.shape)
-    return idx, points, _checked_pmf(w)
+    return idx, _checked_pmf(w)
 
 
 def _distinct(codes: NDArray, n: int) -> NDArray:
@@ -359,27 +371,32 @@ def _sorted_distinct(values: NDArray) -> NDArray:
     return x[keep]
 
 
-def _merged_supports(means: NDArray, eta: float) -> tuple[NDArray, NDArray]:
-    """Place each row's outcome values ``means -/+ eta`` on the row's sorted
-    support of distinct values.
+def _merged_supports(values: NDArray) -> NDArray:
+    """The index of each of the ``(..., m, 2)`` outcome ``values`` in its
+    row's sorted support of distinct values, the same shape.
 
     Two values are the same observation exactly when their floats are equal;
     a NaN equals none. One sort ranks every row: a new support index starts
-    wherever a sorted value differs from the one before it. Returns ``(idx,
-    points)`` of shape ``means.shape + (2,)``: each value's index in its row's
-    support, and the value itself.
+    wherever a sorted value differs from the one before it. Each array is
+    dropped once read, so if the caller keeps no reference to ``values``, at
+    most three of their size are live at once: the flattened rows (a copy
+    when ``values`` is not C-ordered), the sort order and the sorted values;
+    then the order, the sorted values and the ranks; then the order, the
+    ranks and the indexes.
     """
-    points = means[..., None] + np.array([-eta, eta])
-    flat = points.reshape(means.shape[:-1] + (2 * means.shape[-1],))
+    shape = values.shape
+    flat = values.reshape(shape[:-2] + (shape[-2] * shape[-1],))
+    del values
     order = np.argsort(flat, axis=-1)
     ranked = np.take_along_axis(flat, order, axis=-1)
-    ranks = np.zeros(flat.shape, dtype=np.intp)
+    del flat
+    ranks = np.zeros(ranked.shape, dtype=np.intp)
     np.not_equal(ranked[..., 1:], ranked[..., :-1], out=ranks[..., 1:])
-    del ranked  # so at most four arrays the size of ``points`` are live at once
+    del ranked
     np.cumsum(ranks, axis=-1, out=ranks)
     idx = np.empty_like(ranks)
     np.put_along_axis(idx, order, ranks, axis=-1)
-    return idx.reshape(points.shape), points
+    return idx.reshape(shape)
 
 
 def sample_in_ball(rng: np.random.Generator, count: int, d: int) -> NDArray:

@@ -11,10 +11,12 @@ trajectories, from one rollout (``_ts_rollout``) that advances all runs
 together: the beliefs are a ``(runs, m)`` matrix updated row by row with the
 arithmetic of ``posterior_update``, and the outcome pmfs of the actions
 Thompson sampling plays are rows of the instance's outcome table
-(``BanditInstance.outcomes``); the rollout carries each played action as its
-row there, its slot (``BanditInstance.slots``). An observation is its support
-index in that row, as in every information term, and its likelihood the mass
-on that index. A binary model's outcome is support index ``k`` of its pair, so
+(``BanditInstance.outcomes``, support indexes and weights); the rollout
+carries each played action as its row there, its slot
+(``BanditInstance.slots``). An observation is its support index in that row,
+as in every information term, and its likelihood the mass on that index; an
+outcome's value (``model.outcome_values``) is read only for a realized
+reward. A binary model's outcome is support index ``k`` of its pair, so
 its likelihoods are the played slot's weights at ``k``; a glm action has up to
 2m support values, so glm adds each parameter's mass on the observed one. Each
 run draws from its own generator, ``1 + 2T`` uniforms in a fixed order: one
@@ -42,7 +44,7 @@ from .inference import (
     sample_parameter,
 )
 from .information import _chain_terms, _ratio_report, entropy
-from .model import GLM, BanditInstance, two_point_outcomes
+from .model import GLM, BanditInstance, outcome_values, two_point_outcomes
 # outcome_support stays importable from here for code that traces or patches it by name
 from .model import outcome_support  # noqa: F401
 from .tolerances import AUDIT_TOL
@@ -83,9 +85,9 @@ def sample_outcome(
     instance: BanditInstance, action_idx: int, true_param: int, rng: np.random.Generator
 ) -> float:
     means = instance.mean_rewards(np.arange(instance.n_params), action_idx)
-    _, points, weights = two_point_outcomes(instance.model, means)
+    _, weights = two_point_outcomes(instance.model, means)
     k = inverse_cdf(weights[true_param], rng.random())
-    return float(points[true_param, k])
+    return float(outcome_values(instance.model, means[true_param])[k])
 
 
 def _ts_rollout(
@@ -102,7 +104,8 @@ def _ts_rollout(
     theta_star, slot, k)``: the ``(runs, m)`` belief matrix before the
     period's update, then each run's true parameter, the slot of its played
     action (the action is ``instance.slots[0][slot]``) and the index ``k``
-    of its outcome, ``instance.outcomes[1][slot, theta_star, k]``.
+    of its outcome in the pair, ``outcome_values(instance.model,
+    instance.realized[theta_star, slot])[..., k]``.
 
     Each run's true parameter is fixed, so the CDFs of the outcome pmfs it
     can meet are tabulated once, by (slot, run). The parameter draw is
@@ -131,7 +134,7 @@ def _ts_rollout(
         draws[:, r, 0] = run_rng.random(1 + 2 * T)
     belief = np.tile(prior.probs, (runs, 1))
     theta_star = inverse_cdf(belief, draws[0, :, 0])
-    idx, _, weights = instance.outcomes
+    idx, weights = instance.outcomes
     # (slot, run): the outcome CDF of the run's true parameter
     cdf_run = np.cumsum(weights[:, theta_star], axis=-1)
     first = cdf_run[..., 0]
@@ -193,11 +196,11 @@ def simulate_ts(
     All runs advance together on the trajectories of ``_ts_rollout``; the
     loop only keeps each period's played slots and outcome indexes in
     ``(T, runs)`` tables. After it, the rewards are gathered once, by slot
-    from ``realized`` or, if realized, from the outcome table's points; one
-    ``cumsum`` along runs sums each period's regret in run order and one along
-    periods sums each run's total in period order, so the trace is
-    bit-identical to a per-run loop of ``thompson_step``, ``sample_outcome``
-    and ``posterior_update``.
+    from ``realized`` or, if realized, as the ``outcome_values`` of those
+    means at the observed indexes; one ``cumsum`` along runs sums each
+    period's regret in run order and one along periods sums each run's total
+    in period order, so the trace is bit-identical to a per-run loop of
+    ``thompson_step``, ``sample_outcome`` and ``posterior_update``.
     """
     periods = _ts_rollout(instance, prior, T, runs, rng)
     played = np.empty((T, runs), dtype=np.intp)
@@ -207,8 +210,10 @@ def simulate_ts(
     per_period, totals = np.zeros(0), np.zeros(runs)
     if T:
         means = instance.realized
-        rewards = (instance.outcomes[1][played, theta_star, observed] if realized_rewards
-                   else means[theta_star, played])
+        rewards = means[theta_star, played]
+        if realized_rewards:
+            values = outcome_values(instance.model, rewards)
+            rewards = np.take_along_axis(values, observed[..., None], axis=-1)[..., 0]
         regret = means[theta_star, instance.slots[1][theta_star]] - rewards
         per_period = np.cumsum(regret, axis=1)[:, -1] / runs  # runs added in run order
         totals = np.cumsum(regret, axis=0)[-1]  # periods added in period order
@@ -240,13 +245,13 @@ class AuditReport:
 def _audit_guard(instance: BanditInstance) -> None:
     """``GuardExceeded`` if m * R * q exceeds 1e6, q the largest support size
     of a realized action: 2 for the binary models, and for glm at least the
-    distinct values of one pair's ``mean -/+ eta``, read from the outcome
-    table only when that count does not already refuse the instance."""
+    distinct ``outcome_values`` of one pair, read from the outcome table only
+    when that count does not already refuse the instance."""
     size = instance.n_params * instance.slots[0].size
     q = 2
     if instance.model.kind == GLM:
-        mean, eta = float(instance.mean_rewards(0, instance.slots[0][0])), instance.model.eta
-        q = len({mean - eta, mean + eta})
+        mean = instance.mean_rewards(0, instance.slots[0][0])
+        q = len(set(outcome_values(instance.model, mean).tolist()))
         if size * q <= 1_000_000:
             q = int(instance.outcomes[0].max()) + 1
     if size * q > 1_000_000:

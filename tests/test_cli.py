@@ -95,6 +95,17 @@ def test_many_action_binary_runs_hold_one_outcome_array(argv, tmp_path):
     assert peak < 50e6, peak
 
 
+def test_many_action_glm_run_holds_only_the_outcome_pmfs(tmp_path):
+    # a glm outcome table is its (R, m, 2) support indexes and weights; the
+    # outcome values are formed only for the rewards a realized run reads
+    for realized in ((), ("--realized",)):
+        code, peak = _traced_peak(["regret", "--model", "glm", "--d", "3", "--n", "500",
+                                   "--m", "6000", "--T", "20", "--runs", "4", *realized,
+                                   "--out", str(tmp_path / "out.csv")])
+        assert code == 0
+        assert peak < 40e6, peak
+
+
 def test_audit_guard_refuses_before_building_the_outcome_table(tmp_path, capsys):
     # m * R * 2 already exceeds 1e6, so the guard refuses without the
     # outcome table, whose merged glm supports take about 47 MB here

@@ -319,7 +319,7 @@ def test_ts_info_ratio_denominator_is_the_pushforward_onto_actions(kind):
         mass = reference.optimal_action_distribution(belief, inst)
         played = np.flatnonzero(mass > 0.0)
         assert np.array_equal(mass[actions], np.bincount(inst.slots[1], weights=belief.probs))
-        idx, _, w = inst.outcomes
+        idx, w = inst.outcomes
         rows = np.searchsorted(actions, played)
         labels = np.arange(15)[:, None]
         info = information._outcome_information(

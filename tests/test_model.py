@@ -30,6 +30,7 @@ from rdts.model import (
     InvalidInstanceError,
     OutcomeModel,
     outcome_support,
+    outcome_values,
     sample_in_ball,
     sample_instance,
     two_point_outcomes,
@@ -363,7 +364,7 @@ def test_realized_table_repeats_mean_rewards_across_blocks(monkeypatch, kind, et
     assert means.shape == (50, realized.size)
     assert np.array_equal(_bits(means), _bits(expected))
     assert np.array_equal(inst.slots[0], realized)
-    assert len(inst.outcomes) == 3
+    assert len(inst.outcomes) == 2
     for got, want in zip(inst.outcomes, two_point_outcomes(inst.model, expected.T)):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
@@ -432,7 +433,9 @@ def test_outcome_support_glm_merges_coincident_points():
 def test_two_point_outcomes_match_outcome_support(kind, eta):
     inst = random_instance(np.random.default_rng(4), kind, d=3, n=6, m=9, eta=eta)
     actions = np.array([5, 0, 3])
-    idx, points, weights = two_point_outcomes(inst.model, reference.mean_table(inst)[:, actions].T)
+    means = reference.mean_table(inst)[:, actions].T
+    idx, weights = two_point_outcomes(inst.model, means)
+    points = outcome_values(inst.model, means)
     assert idx.shape == points.shape == weights.shape == (3, 9, 2)
     for s, a in enumerate(actions):
         values, probs = outcome_support(inst, int(a))
@@ -507,7 +510,11 @@ def _glm_means(draw, centres=_CENTRES):
 
 
 def _glm_outcomes(means, eta):
-    return two_point_outcomes(OutcomeModel(kind=GLM, beta=1.0, eta=eta), means)
+    """``(idx, points, weights)``: ``two_point_outcomes`` and the
+    ``outcome_values`` of a glm model's ``means``, in the oracle's order."""
+    model = OutcomeModel(kind=GLM, beta=1.0, eta=eta)
+    idx, weights = two_point_outcomes(model, means)
+    return idx, outcome_values(model, means), weights
 
 
 @given(_glm_means(), st.sampled_from(_ETAS))
@@ -628,12 +635,76 @@ def test_binary_outcome_table_owns_only_its_weights(kind):
     # two values, so those are read-only views with no memory of their own
     inst = random_instance(np.random.default_rng(5), kind, d=2, n=30, m=40)
     R, m = inst.slots[0].size, inst.n_params
-    for idx, points, weights in (inst.outcomes, two_point_outcomes(inst.model, inst.realized.T)):
+    points = outcome_values(inst.model, inst.realized.T)
+    for idx, weights in (inst.outcomes, two_point_outcomes(inst.model, inst.realized.T)):
         for arr, values in ((idx, (0, 1)), (points, model_mod._BINARY_VALUES[kind])):
             assert arr.shape == (R, m, 2) and arr.strides[:2] == (0, 0)
             assert not arr.flags.writeable and not arr.flags.owndata
             assert tuple(arr[-1, -1].tolist()) == values
         assert weights.flags.owndata and weights.nbytes == R * m * 2 * 8
+    # one pair's values, as sample_outcome reads them
+    one = outcome_values(inst.model, inst.realized[0, 0])
+    assert one.tolist() == list(model_mod._BINARY_VALUES[kind]) and not one.flags.writeable
+
+
+def _owner(arr):
+    """The array that owns ``arr``'s memory."""
+    while arr.base is not None:
+        arr = arr.base
+    return arr
+
+
+@pytest.mark.parametrize("kind", [LINEAR_BINARY, LOGISTIC, GLM])
+def test_outcome_table_holds_the_pmfs_alone(kind):
+    # the table is (idx, weights), no outcome values: a glm table owns two
+    # R x m x 2 arrays, a binary one only its weights, its idx a zero-stride
+    # view of (0, 1)
+    inst = random_instance(np.random.default_rng(5), kind, d=2, n=30, m=40)
+    R, m = inst.slots[0].size, inst.n_params
+    table = inst.outcomes
+    assert type(table) is tuple and len(table) == 2
+    idx, weights = table
+    assert idx.shape == weights.shape == (R, m, 2)
+    assert idx.dtype == np.intp and weights.dtype == np.float64
+    owners = [_owner(arr) for arr in table]
+    assert owners[0] is not owners[1]
+    large = [arr for arr in owners if arr.nbytes == R * m * 2 * 8]
+    assert len(large) == (2 if kind == GLM else 1)
+    if kind != GLM:
+        assert idx.strides[:2] == (0, 0) and owners[0].nbytes == 2 * idx.itemsize
+
+
+def test_glm_outcome_table_build_holds_three_table_sized_arrays():
+    # the instance of `regret --model glm --d 3 --n 500 --m 6000`, seed 0.
+    # The merge drops the outcome values once they are ranked, so building
+    # the table holds at most three R x m x 2 arrays at once, and it keeps two
+    inst = sample_instance(np.random.default_rng(0), 3, 500, 6000, make_model(GLM, 1.0, 0.05))
+    inst.realized
+    one = inst.slots[0].size * inst.n_params * 2 * 8
+    tracemalloc.start()
+    try:
+        inst.outcomes
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * one, (peak, one)
+    assert 2 * one <= kept < 2.5 * one, (kept, one)
+
+
+@pytest.mark.parametrize("eta", _ETAS)
+@pytest.mark.parametrize("beta", [1.0, 40.0])
+def test_outcome_values_are_the_oracle_points(beta, eta):
+    # bit for bit the oracle's points: at eta = 0, on means one ulp apart,
+    # and at beta = 40, where many means saturate to 0 or 1
+    model = OutcomeModel(kind=GLM, beta=beta, eta=eta)
+    x = np.random.default_rng(3).uniform(-1.0, 1.0, (4, 50))
+    means = np.vstack([model.link(x), [[_ulps(0.3, k) for k in range(50)]]])
+    if beta == 40.0:
+        assert (means == 1.0).any()
+    got = outcome_values(model, means)
+    want = reference.glm_two_point_outcomes(means, eta)[1]
+    assert got.shape == means.shape + (2,) and got.dtype == want.dtype
+    assert np.array_equal(_bits(got), _bits(want))
 
 
 @pytest.mark.parametrize(
@@ -641,12 +712,14 @@ def test_binary_outcome_table_owns_only_its_weights(kind):
 )
 def test_outcome_table_rows_match_two_point_outcomes(kind, eta):
     inst = random_instance(np.random.default_rng(4), kind, d=3, n=12, m=9, eta=eta)
-    idx, points, weights = inst.outcomes
+    idx, weights = inst.outcomes
+    points = outcome_values(inst.model, inst.realized.T)
     realized = np.unique(inst.astar)
     assert realized.size < inst.n_actions  # some action is never best
     np.testing.assert_array_equal(inst.slots[0], realized)
     means = reference.mean_table(inst)[:, realized].T
-    for got, want in zip((idx, points, weights), two_point_outcomes(inst.model, means)):
+    expected = (*two_point_outcomes(inst.model, means), outcome_values(inst.model, means))
+    for got, want in zip((idx, weights, points), expected):
         np.testing.assert_array_equal(got, want)
     for s, a in enumerate(realized):
         values, probs = outcome_support(inst, int(a))
@@ -661,9 +734,9 @@ def test_outcome_table_glm_eta0_is_single_points():
     inst = random_instance(np.random.default_rng(6), GLM, d=2, n=4, m=7, eta=0.0)
     everything = np.arange(inst.n_actions)
     mu = reference.mean_table(inst)
-    for actions, (idx, points, w) in [
-        (np.unique(inst.astar), inst.outcomes),
-        (everything, two_point_outcomes(inst.model, mu.T)),
+    for actions, (idx, w), points in [
+        (np.unique(inst.astar), inst.outcomes, outcome_values(inst.model, inst.realized.T)),
+        (everything, two_point_outcomes(inst.model, mu.T), outcome_values(inst.model, mu.T)),
     ]:
         for s, a in enumerate(actions):
             assert idx[s].max() + 1 == np.unique(mu[:, a]).size
@@ -674,7 +747,8 @@ def test_outcome_table_glm_eta0_is_single_points():
 
 def test_outcome_table_glm_two_points_in_support_order():
     inst = instance_with_shared_points(8, GLM, eta=0.05)
-    idx, points, w = inst.outcomes
+    idx, w = inst.outcomes
+    points = outcome_values(inst.model, inst.realized.T)
     assert np.all(idx[..., 0] < idx[..., 1]) and np.all(points[..., 0] < points[..., 1])
     np.testing.assert_array_equal(w, np.full(idx.shape, 0.5))
 

@@ -29,7 +29,15 @@ from rdts.information import (
     info_gain_about_statistic,
     ts_info_ratio,
 )
-from rdts.model import GLM, LOGISTIC, BanditInstance, OutcomeModel, outcome_support, sample_instance
+from rdts.model import (
+    GLM,
+    LOGISTIC,
+    BanditInstance,
+    OutcomeModel,
+    outcome_support,
+    outcome_values,
+    sample_instance,
+)
 from rdts.policy import _ts_rollout
 from rdts.tolerances import AUDIT_TOL, BELIEF_TOL, CERT_TOL, RATIO_CEILING_TOL
 
@@ -201,7 +209,7 @@ def _near_coincident_glm():
 def _class_likelihoods(instance, s):
     """``like[i][v]``: the exact mass parameter i puts on support index v of
     the realized action of slot ``s``, the observation classes."""
-    idx, _, weights = instance.outcomes
+    idx, weights = instance.outcomes
     like = [[mpmath.mpf(0)] * (int(idx[s].max()) + 1) for _ in range(instance.n_params)]
     for i in range(instance.n_params):
         for k in range(2):
@@ -217,7 +225,8 @@ def _bayes(prior, like, v):
 def test_near_coincident_glm_outcomes_condition_posterior_and_information_alike():
     inst = _near_coincident_glm()
     prior = BeliefState.uniform(5)
-    idx, points, _ = inst.outcomes
+    idx, _ = inst.outcomes
+    points = outcome_values(inst.model, inst.realized.T)
     s = int(np.searchsorted(inst.slots[0], 0))  # the slot of action 0
     with mpmath.workdps(DIGITS):
         p = [mpmath.mpf(float(x)) for x in prior.probs]

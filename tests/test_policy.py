@@ -34,7 +34,15 @@ from rdts.information import (
     entropy,
     ts_expected_regret,
 )
-from rdts.model import GLM, LINEAR_BINARY, LOGISTIC, BanditInstance, OutcomeModel, outcome_support
+from rdts.model import (
+    GLM,
+    LINEAR_BINARY,
+    LOGISTIC,
+    BanditInstance,
+    OutcomeModel,
+    outcome_support,
+    outcome_values,
+)
 from rdts.policy import (
     GuardExceeded,
     _ts_rollout,
@@ -158,7 +166,8 @@ def test_simulate_ts_bit_identical_on_near_coincident_glm_outcomes():
     # in the slot of action 0, parameter 0's upper point is another support
     # value than parameter 1's, under 1e-9 away, and an observation of it
     # rules parameters 1 and 2 out
-    idx, points, weights = instance.outcomes
+    idx, weights = instance.outcomes
+    points = outcome_values(instance.model, instance.realized.T)
     assert instance.slots[0].tolist() == [0, 1]
     s = 0  # the slot of action 0
     assert idx[s, 0, 1] != idx[s, 1, 1]
@@ -183,7 +192,7 @@ def test_glm_with_one_valued_supports_matches_per_run_loop():
         params=np.array([[0.4], [0.4]]),
         model=OutcomeModel(kind=GLM, beta=2.0, eta=0.0),
     )
-    idx, _, weights = instance.outcomes
+    idx, weights = instance.outcomes
     assert idx.tolist() == [[[0, 0], [0, 0]]] and weights.tolist() == [[[1.0, 0.0], [1.0, 0.0]]]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -237,7 +246,7 @@ class _CdfEdgeUniforms(_EdgeUniforms):
         if run is not None:
             self.stream = np.random.default_rng([seed, run]).random(1024)
             theta_star = inverse_cdf(prior.probs, self.stream[0])
-            cdf = np.cumsum(instance.outcomes[2][:, theta_star], axis=-1)
+            cdf = np.cumsum(instance.outcomes[1][:, theta_star], axis=-1)
             edges = np.stack([np.nextafter(cdf, -1.0), cdf, np.nextafter(cdf, 2.0)], axis=-1)
             self.stream[2::2] = np.clip(np.resize(edges, self.stream[2::2].size), 0.0, 1.0)
 
@@ -274,7 +283,8 @@ def test_rollout_fallback_draws_match_per_run_loop(kind, beta, eta):
     # both fallbacks are reached, no run plays a zero-mass parameter's action,
     # and every observed outcome has positive mass under the true parameter
     draws = np.stack([r.random(1 + 2 * T) for r in _EdgeUniforms(3).spawn(runs)])
-    _, points, weights = instance.outcomes
+    _, weights = instance.outcomes
+    points = outcome_values(instance.model, instance.realized.T)
     param_over = outcome_over = False
     periods = _ts_rollout(instance, prior, T, runs, _EdgeUniforms(3))
     for t, (belief, theta_star, slot, k) in enumerate(periods):
@@ -304,7 +314,7 @@ def test_rollout_outcome_draws_on_cdf_edges_match_per_run_loop(kind, beta, eta):
         _assert_matches_reference(instance, prior, T, runs, 4, realized, make_rng=make_rng)
     # every edge is met: (CDF entry, ulps beside it) of some run's played slot
     draws = np.stack([r.random(1 + 2 * T) for r in make_rng(4).spawn(runs)])
-    weights = instance.outcomes[2]
+    weights = instance.outcomes[1]
     met = set()
     periods = _ts_rollout(instance, prior, T, runs, make_rng(4))
     for t, (_, theta_star, slot, _) in enumerate(periods):
@@ -339,10 +349,10 @@ def test_outcome_fallback_periods_are_flagged_up_front(kind, beta, eta, edges, m
     instance, prior = _fallback_instance(kind, beta, eta)
     T, runs, m = 60, 8, instance.n_params
     if edges == "cdf-short-totals":
-        idx, points, weights = instance.outcomes
+        idx, weights = instance.outcomes
         weights = weights.copy()
         weights[0] *= 1.0 - 2.0**-53
-        vars(instance)["outcomes"] = idx, points, weights
+        vars(instance)["outcomes"] = idx, weights
         totals = np.cumsum(weights, axis=-1)[..., -1]
         assert (totals[0] < 1.0).any() and (totals[1:] == 1.0).all()
     make_rng = _EdgeUniforms if edges == "totals" else (
@@ -357,7 +367,7 @@ def test_outcome_fallback_periods_are_flagged_up_front(kind, beta, eta, edges, m
         return counted(probs, u)
 
     monkeypatch.setattr(policy_mod, "inverse_cdf", counting)
-    weights = instance.outcomes[2]
+    weights = instance.outcomes[1]
     needed, called, seen = [], [], 0
     periods = _ts_rollout(instance, prior, T, runs, make_rng(5))
     for t, (_, theta_star, slot, _) in enumerate(periods):
@@ -394,7 +404,8 @@ def test_rollout_matches_likelihoods_once_on_two_valued_supports(kind, beta, eta
     T, m = 25, 12
     rng = np.random.default_rng(23)
     instance = random_instance(rng, kind, d=2, n=8, m=m, beta=beta, eta=eta)
-    idx, points, weights = instance.outcomes
+    idx, weights = instance.outcomes
+    points = outcome_values(instance.model, instance.realized.T)
     if beta == 1000.0:
         assert (weights == 0.0).any() and (weights == 1.0).any()
     calls = []
@@ -753,9 +764,9 @@ def test_audit_merges_each_glm_support_once_per_action(monkeypatch):
     merges = []
     original = model_mod._merged_supports
 
-    def counting(means, eta):
-        merges.append(means.shape[0])
-        return original(means, eta)
+    def counting(values):
+        merges.append(values.shape[0])
+        return original(values)
 
     monkeypatch.setattr(model_mod, "_merged_supports", counting)
     rng = np.random.default_rng(3)
